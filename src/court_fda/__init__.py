@@ -37,12 +37,10 @@ from court_fda.ingest import (
     CourtSpec,
     PlayerRecord,
     Position,
-    ShotEvent,
+    ShotTable,
     exclude_impossible,
     filter_players,
     load_events,
-    normalize_point,
-    parse_events,
 )
 from court_fda.metrics import Partition, adjusted_rand_index, confusion_matrix, silhouette
 from court_fda.pipeline import PipelineConfig, run_pipeline
@@ -63,7 +61,7 @@ __all__ = [
     "Position",
     "QuadratureWeights",
     "ScoreMatrix",
-    "ShotEvent",
+    "ShotTable",
     "StabilityReport",
     "WeightScheme",
     "adjusted_rand_index",
@@ -84,8 +82,6 @@ __all__ = [
     "load_events",
     "load_model",
     "mean_function",
-    "normalize_point",
-    "parse_events",
     "project_scores",
     "reconstruct",
     "resample",

@@ -2,7 +2,7 @@
 
 Replicates draw players with replacement, the decomposition is refit on
 each draw, and the refit components are compared against the full-data
-reference after sign alignment.
+reference fit after sign alignment.
 
 Resampling uses SplitMix64 (the Steele-Lea-Vigna mixing generator): the
 state is a single 64-bit counter advanced by a fixed odd constant, and
@@ -137,26 +137,27 @@ class StabilityReport:
 
 def stability_study(
     samples: Sequence,
+    reference: MfpcaModel,
     n_replicates: int = 5,
-    n_components: int = 4,
     seed: int = 0,
     dump_dir: str | Path | None = None,
 ) -> StabilityReport:
     """Refit on bootstrap draws and measure component stability.
 
-    Fits the reference on the full data, then resamples the players
-    n_replicates times, refits, sign-aligns each refit, and reports
-    alignments, eigenvalue ratios, and mean-function distances. A
-    replicate whose numerical rank falls below n_components is refit at
-    its achievable rank and flagged rather than treated as fatal.
+    ``reference`` is the model fitted on the full ``samples``; its
+    component count is the one each replicate asks for. The players are
+    resampled n_replicates times, each draw is refit and sign-aligned,
+    and the report holds alignments, eigenvalue ratios, and mean-function
+    distances. A replicate whose numerical rank falls below the component
+    count is refit at its achievable rank and flagged rather than treated
+    as fatal.
 
     With ``dump_dir`` set, each replicate's mean and eigenfunctions are
     exported as heatmap CSV/PGM pairs.
     """
     if n_replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {n_replicates}")
-    reference = fit_mfpca(samples, n_components=n_components)
-    k = n_components
+    k = reference.n_components
     alignments = np.full((n_replicates, k), np.nan)
     ratios = np.full((n_replicates, k), np.nan)
     mean_distances = np.zeros(n_replicates)

@@ -27,7 +27,7 @@ from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
 from court_fda.density import build_samples
-from court_fda.export import export_heatmap, write_heatmap_csv
+from court_fda.export import export_heatmap, json_text, write_heatmap_csv, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct, save_model, fit_mfpca
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
@@ -143,9 +143,7 @@ def cmd_cluster(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = pl.clustering_to_dict(clustering, scheme, weights, scores.player_ids)
-    (out / f"clusters_{scheme.value}.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(doc, out / f"clusters_{scheme.value}.json")
     if args.players:
         records = read_players_json(args.players)
         by_id = {r.player_id: r for r in records}
@@ -200,28 +198,26 @@ def cmd_evaluate(args) -> int:
             "per_cluster": {f"cluster_{c + 1}": v for c, v in mt.per_cluster_silhouette(values, part_a).items()},
         },
     }
-    text = json.dumps(result, sort_keys=True, indent=1)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_json(result, args.out)
     else:
-        print(text)
+        sys.stdout.write(json_text(result))
     return 0
 
 
 def cmd_bootstrap(args) -> int:
     samples = pl.read_densities(args.densities)
+    reference = fit_mfpca(samples, n_components=args.components)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = bt.stability_study(
         samples,
+        reference,
         n_replicates=args.replicates,
-        n_components=args.components,
         seed=args.seed,
         dump_dir=out / "replicates",
     )
-    (out / "stability.json").write_text(
-        json.dumps(bt.report_to_dict(report), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(bt.report_to_dict(report), out / "stability.json")
     mean_alignment = ", ".join(f"{a:.4f}" for a in report.mean_alignment())
     print(f"{args.replicates} replicates, mean alignments per component: {mean_alignment} -> {out}")
     return 0

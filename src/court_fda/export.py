@@ -1,12 +1,29 @@
-"""Presentation exports: rescaled heatmap grids as CSV and PGM files."""
+"""Output writers: compact JSON documents and rescaled heatmap grids as CSV and PGM files."""
 
 from __future__ import annotations
 
+import functools
+import json
+import operator
 from pathlib import Path
 
 import numpy as np
 
 from court_fda.grids import GridSpec
+
+
+def json_text(obj) -> str:
+    """Compact, key-sorted JSON text of ``obj``, ending in a newline.
+
+    Without ``indent`` the json module runs its C encoder; sorted keys
+    keep reruns byte-identical.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write ``obj`` to ``path`` as :func:`json_text`."""
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def rescale_symmetric(values: np.ndarray) -> np.ndarray:
@@ -29,17 +46,20 @@ def rescale_unit(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+@functools.lru_cache(maxsize=4)
+def _csv_line_starts(nx: int, ny: int) -> tuple[str, ...]:
+    """Newline plus ``x,y,`` for each heatmap CSV line, in row-major order."""
+    grid = GridSpec(nx, ny)
+    return tuple(f"\n{x!r},{y!r}," for x in grid.xs.tolist() for y in grid.ys.tolist())
+
+
 def write_heatmap_csv(values: np.ndarray, grid: GridSpec, path: Path) -> None:
-    """Row-major x,y,value dump of a gridded field."""
+    """Row-major x,y,value dump of a gridded field; floats use Python's shortest repr."""
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    xs = [float(x) for x in grid.xs]
-    ys = [float(y) for y in grid.ys]
-    lines = ["x,y,value"]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(f"{xs[i]!r},{ys[j]!r},{float(values[i, j])!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = map(repr, np.asarray(values, dtype=float).ravel().tolist())
+    lines = map(operator.add, _csv_line_starts(grid.nx, grid.ny), cells)
+    path.write_text("x,y,value" + "".join(lines) + "\n", encoding="utf-8")
 
 
 def write_heatmap_pgm(values: np.ndarray, path: Path) -> None:

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from court_fda.density import FunctionalSample
+from court_fda.export import write_json
 from court_fda.grids import GridSpec, trapezoid_weights
 
 #: Relative cutoff under which a Gram eigenvalue counts as numerically zero.
@@ -383,7 +384,7 @@ def save_model(model: MfpcaModel, path: str | Path) -> None:
         "player_ids": model.scores.player_ids,
         "scores": model.scores.values.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def load_model(path: str | Path) -> MfpcaModel:

@@ -1,21 +1,27 @@
 """Shot-event ingestion: parsing, coordinate normalization, player filtering.
 
 Input files carry one row per field-goal attempt, with court coordinates
-in feet. Parsing normalizes coordinates onto the unit square; attempts
-landing outside it are removed by a separate exclusion pass, and players
-are retained only when their attempt count exceeds a threshold.
+in feet. Parsing reads the rows into one column table (:class:`ShotTable`)
+and normalizes coordinates onto the unit square; attempts landing outside
+it are removed by a separate exclusion pass, and players are retained
+only when their attempt count exceeds a threshold.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
-from dataclasses import dataclass
+import math
+import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from court_fda.export import write_json
 
 CSV_FIELDS = ("player_id", "player_name", "position", "x_ft", "y_ft", "made", "season")
 
@@ -42,6 +48,8 @@ _POSITION_ALIASES = {
     "center-forward": Position.FORWARD_CENTER,
     "center": Position.CENTER,
 }
+
+_POSITION_INDEX = {p: i for i, p in enumerate(POSITION_ORDER)}
 
 
 class ParseError(ValueError):
@@ -71,17 +79,59 @@ class CourtSpec:
             raise ValueError(f"court dimensions must be positive, got {self.width}x{self.depth}")
 
 
-@dataclass(frozen=True)
-class ShotEvent:
-    """One field-goal attempt with unit-square coordinates."""
+@dataclass(frozen=True, eq=False)
+class ShotTable:
+    """Shot events as columns, one entry per input row in input order.
 
-    player_id: str
-    player_name: str
-    position: Position
-    x: float
-    y: float
-    made: bool
-    season: str
+    ``player`` and ``name`` index the sorted ``player_ids`` and
+    ``player_names``, ``position`` indexes :data:`POSITION_ORDER`; ``x``
+    and ``y`` are unit-square coordinates and ``made`` is the outcome.
+    """
+
+    player_ids: list[str]
+    player_names: list[str]
+    player: np.ndarray
+    name: np.ndarray
+    position: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    made: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def select(self, rows: np.ndarray) -> "ShotTable":
+        """The rows picked by a boolean mask or an index array."""
+        return replace(
+            self,
+            player=self.player[rows],
+            name=self.name[rows],
+            position=self.position[rows],
+            x=self.x[rows],
+            y=self.y[rows],
+            made=self.made[rows],
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str, Position, float, float, bool]]) -> "ShotTable":
+        """Table of ``(player_id, player_name, position, x, y, made)`` rows.
+
+        Coordinates are taken as already normalized onto the unit square.
+        """
+        columns = list(zip(*rows)) or [()] * 6
+        ids, names = sorted(set(columns[0])), sorted(set(columns[1]))
+        id_index = {v: i for i, v in enumerate(ids)}
+        name_index = {v: i for i, v in enumerate(names)}
+        return cls(
+            player_ids=ids,
+            player_names=names,
+            player=np.array([id_index[v] for v in columns[0]], dtype=np.intp),
+            name=np.array([name_index[v] for v in columns[1]], dtype=np.intp),
+            position=np.array([_POSITION_INDEX[p] for p in columns[2]], dtype=np.intp),
+            x=np.array(columns[3], dtype=float),
+            y=np.array(columns[4], dtype=float),
+            made=np.array(columns[5], dtype=bool),
+        )
 
 
 @dataclass
@@ -102,8 +152,8 @@ class PlayerRecord:
         return len(self.made_points) + len(self.missed_points)
 
 
-def normalize_point(x_ft: float, y_ft: float, court: CourtSpec = CourtSpec()) -> tuple[float, float]:
-    """Map court coordinates in feet onto the unit square.
+def normalize_point(x_ft, y_ft, court: CourtSpec = CourtSpec()):
+    """Map court coordinates in feet (scalars or arrays) onto the unit square.
 
     Purely linear (x/width, y/depth); out-of-range inputs pass through
     unclamped so the exclusion step can drop them later.
@@ -119,47 +169,204 @@ def _parse_position(raw: str, row: int) -> Position:
         raise ParseError(row, f"unknown position label {raw!r}") from None
 
 
-def _parse_float(raw: str, name: str, row: int) -> float:
+def _parse_float(raw, name: str, row: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ParseError(row, f"non-numeric {name} {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(row, f"non-finite {name} {value!r}")
+    return value
 
 
-def parse_events(stream: Iterable[str], court: CourtSpec = CourtSpec()) -> list[ShotEvent]:
-    """Parse a CSV record stream into normalized shot events.
+class _RowError(Exception):
+    """An invalid data row, by its index among the data rows."""
 
-    The stream must start with the exact header
-    ``player_id,player_name,position,x_ft,y_ft,made,season``. Rows are
-    normalized with :func:`normalize_point` in input order. An empty
-    stream yields an empty list; a malformed row raises
-    :class:`ParseError` carrying its line number.
-    """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        return []
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+        self.message = message
+
+
+def _check_header(header: list[str]) -> None:
     if [h.strip() for h in header] != list(CSV_FIELDS):
         raise ParseError(1, f"expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}")
-    events: list[ShotEvent] = []
+
+
+# Fixed-width byte columns for the C tokenizer; the season is checked for
+# presence and then dropped.
+_FAST_DTYPE = np.dtype(
+    [
+        ("player_id", "S32"),
+        ("player_name", "S64"),
+        ("position", "S16"),
+        ("x_ft", "f8"),
+        ("y_ft", "f8"),
+        ("made", "S2"),
+        ("season", "S0"),
+    ]
+)
+
+
+def _read_columns(text: str) -> tuple[np.ndarray, ...] | None:
+    """Data columns read by numpy's C tokenizer, or None if it cannot read them exactly.
+
+    The bytes are decoded as Latin-1, one character per byte, so every
+    text field keeps its original UTF-8 bytes; the tokenizer only acts on
+    ASCII commas, quotes and newlines, which never occur inside a
+    multi-byte UTF-8 sequence. Rows with a field count other than seven,
+    numbers ``float`` accepts but the tokenizer does not (``1_0``),
+    bare-CR line ends and NUL characters (which byte columns drop from a
+    field's end) all leave the text to the csv module.
+    """
+    if "\x00" in text:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input, blank lines
+        try:
+            rows = np.loadtxt(
+                io.BytesIO(text.encode("utf-8")),
+                dtype=_FAST_DTYPE,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                skiprows=1,
+                ndmin=1,
+                encoding="latin-1",
+            )
+        except ValueError:
+            return None
+    for field in ("player_id", "player_name", "position", "made"):
+        if len(rows) and np.char.str_len(rows[field]).max() >= rows.dtype[field].itemsize:
+            return None  # the field may have been cut short
+    return tuple(rows[field] for field in CSV_FIELDS[:6])
+
+
+def _factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct stripped values of a text column and each row's index into them.
+
+    Rows of one player come in runs in a typical export, so only the first
+    row of each run goes through the sort.
+    """
+    if len(column) == 0:
+        return [], np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    distinct, run_code = np.unique(column[starts], return_inverse=True)
+    raw = [v.decode("utf-8") if isinstance(v, bytes) else v for v in distinct.tolist()]
+    values = sorted({v.strip() for v in raw})
+    index = {v: i for i, v in enumerate(values)}
+    codes = np.array([index[v.strip()] for v in raw], dtype=np.intp)[run_code]
+    return values, np.repeat(codes, np.diff(np.append(starts, len(column))))
+
+
+def _coordinate(column: np.ndarray, name: str):
+    """Values of a coordinate column, the mask of invalid rows, and a message for a row.
+
+    A text column (from the csv module) is converted with ``float``, as
+    the input format has always been read.
+    """
+    values, numeric = column, np.ones(len(column), dtype=bool)
+    if column.dtype == object:
+        values = np.full(len(column), np.nan)
+        for i, raw in enumerate(column):
+            try:
+                values[i] = float(raw)
+            except ValueError:
+                numeric[i] = False
+
+    def message(i: int) -> str:
+        if not numeric[i]:
+            return f"non-numeric {name} {column[i].strip()!r}"
+        return f"non-finite {name} {float(values[i])!r}"
+
+    return values, ~numeric | ~np.isfinite(values), message
+
+
+def _table(ids, names, positions, x_ft, y_ft, made, court: CourtSpec) -> ShotTable:
+    """Validate and code the columns of parsed CSV rows.
+
+    Raises :class:`_RowError` for the first invalid row; within a row the
+    checks run in the order position, x_ft, y_ft, made.
+    """
+    player_ids, player = _factorize(ids)
+    player_names, name = _factorize(names)
+    labels, label = _factorize(positions)
+    position = np.array(
+        [_POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), -1) for v in labels], dtype=np.intp
+    )[label]
+    flags, flag = _factorize(made)
+    outcome = np.array([{"0": 0, "1": 1}.get(v, -1) for v in flags], dtype=np.intp)[flag]
+    x_ft, x_bad, x_message = _coordinate(x_ft, "x_ft")
+    y_ft, y_bad, y_message = _coordinate(y_ft, "y_ft")
+    checks = (
+        (position < 0, lambda i: f"unknown position label {labels[label[i]]!r}"),
+        (x_bad, x_message),
+        (y_bad, y_message),
+        (outcome < 0, lambda i: f"made flag must be 0 or 1, got {flags[flag[i]]!r}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _RowError(i, next(message(i) for mask, message in checks if mask[i]))
+    x, y = normalize_point(x_ft, y_ft, court)
+    return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
+
+
+def _parse_with_csv_module(text: str, court: CourtSpec) -> ShotTable:
+    """Row splitting by the csv module, which numbers each row's file lines."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return ShotTable.from_rows([])
+    _check_header(header)
+    rows, lines, short_row = [], [], None
     for row in reader:
-        line = reader.line_num
         if not row:
             continue  # tolerate blank lines
         if len(row) != len(CSV_FIELDS):
-            raise ParseError(line, f"expected {len(CSV_FIELDS)} fields, got {len(row)}")
-        pid, name, pos_raw, x_raw, y_raw, made_raw, season = (f.strip() for f in row)
-        position = _parse_position(pos_raw, line)
-        x_ft = _parse_float(x_raw, "x_ft", line)
-        y_ft = _parse_float(y_raw, "y_ft", line)
-        if made_raw not in ("0", "1"):
-            raise ParseError(line, f"made flag must be 0 or 1, got {made_raw!r}")
-        x, y = normalize_point(x_ft, y_ft, court)
-        events.append(ShotEvent(pid, name, position, x, y, made_raw == "1", season))
-    return events
+            # rows above it may still hold an invalid value, reported first
+            short_row = ParseError(reader.line_num, f"expected {len(CSV_FIELDS)} fields, got {len(row)}")
+            break
+        rows.append(row)
+        lines.append(reader.line_num)
+    columns = [np.array(c, dtype=object) for c in zip(*rows)] or [np.empty(0, dtype=object)] * len(CSV_FIELDS)
+    try:
+        table = _table(*columns[:6], court)
+    except _RowError as exc:
+        raise ParseError(lines[exc.index], exc.message) from None
+    if short_row is not None:
+        raise short_row
+    return table
 
 
-def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> list[ShotEvent]:
+def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
+    """Parse CSV text into a shot table with normalized coordinates.
+
+    The text must start with the exact header
+    ``player_id,player_name,position,x_ft,y_ft,made,season``. Fields are
+    stripped, blank lines are skipped and rows keep their input order.
+    Empty text yields an empty table. An invalid row (wrong field count,
+    unknown position, non-numeric or non-finite coordinate, made flag
+    other than 0/1) raises :class:`ParseError` carrying the file line
+    number of the first such row.
+
+    A file whose header is a plain first line is read by numpy's C
+    tokenizer and validated column-wise; other layouts, and files with an
+    invalid row, are split by the csv module, which numbers the lines.
+    """
+    head = text.partition("\n")[0].removesuffix("\r")
+    if text and '"' not in head and "\r" not in head:
+        _check_header(head.split(",") if head else [])
+        columns = _read_columns(text)
+        if columns is not None:
+            try:
+                return _table(*columns, court)
+            except _RowError:
+                pass  # split again below to number the offending line
+    return _parse_with_csv_module(text, court)
+
+
+def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     """Parse a JSON array of shot objects (same keys as the CSV columns).
 
     ``made`` may be a boolean or a 0/1 integer. Row numbers in errors are
@@ -168,7 +375,7 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> list[ShotEve
     data = json.loads(text)
     if not isinstance(data, list):
         raise ParseError(1, "expected a JSON array of shot objects")
-    events: list[ShotEvent] = []
+    rows = []
     for i, obj in enumerate(data, start=1):
         if not isinstance(obj, dict) or set(obj) != set(CSV_FIELDS):
             raise ParseError(i, f"expected an object with keys {','.join(CSV_FIELDS)}")
@@ -183,80 +390,65 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> list[ShotEve
         else:
             raise ParseError(i, f"made flag must be boolean or 0/1, got {made_raw!r}")
         x, y = normalize_point(x_ft, y_ft, court)
-        events.append(
-            ShotEvent(str(obj["player_id"]), str(obj["player_name"]), position, x, y, made, str(obj["season"]))
-        )
-    return events
+        rows.append((str(obj["player_id"]), str(obj["player_name"]), position, x, y, made))
+    return ShotTable.from_rows(rows)
 
 
-def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> list[ShotEvent]:
+def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> ShotTable:
     """Load shot events from a CSV or JSON file, dispatching on suffix."""
     path = Path(path)
+    text = path.read_bytes().decode("utf-8")
     if path.suffix.lower() == ".json":
-        return parse_events_json(path.read_text(encoding="utf-8"), court)
-    with path.open(encoding="utf-8", newline="") as fh:
-        return parse_events(fh, court)
+        return parse_events_json(text, court)
+    return parse_events(text, court)
 
 
-def write_events_csv(events: Sequence[ShotEvent], court: CourtSpec, stream) -> None:
-    """Serialize events back to the CSV input format (coordinates in feet)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for e in events:
-        writer.writerow(
-            [
-                e.player_id,
-                e.player_name,
-                e.position.value,
-                repr(e.x * court.width),
-                repr(e.y * court.depth),
-                int(e.made),
-                e.season,
-            ]
-        )
-
-
-def exclude_impossible(events: Sequence[ShotEvent]) -> list[ShotEvent]:
+def exclude_impossible(events: ShotTable) -> ShotTable:
     """Drop attempts outside the unit square; boundary points stay in."""
-    return [e for e in events if 0.0 <= e.x <= 1.0 and 0.0 <= e.y <= 1.0]
+    return events.select((events.x >= 0.0) & (events.x <= 1.0) & (events.y >= 0.0) & (events.y <= 1.0))
 
 
-def filter_players(events: Sequence[ShotEvent], min_attempts: int = 1000) -> list[PlayerRecord]:
+def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRecord]:
     """Group events by player and keep players with more than min_attempts.
 
     The comparison is strict: a player with exactly min_attempts attempts
-    is dropped. Output is sorted by player_id. A player whose retained
-    attempts are all made or all missed is rejected, since a density
-    cannot be estimated from an empty point set.
+    is dropped. Output is sorted by player_id, and each player's points
+    keep their input order. A player's name and position come from their
+    first row; a later row with another position is rejected. A player
+    whose retained attempts are all made or all missed is rejected, since
+    a density cannot be estimated from an empty point set.
     """
     if min_attempts < 1:
         raise ValueError(f"min_attempts must be at least 1, got {min_attempts}")
-    groups: dict[str, dict] = {}
-    for e in events:
-        g = groups.setdefault(e.player_id, {"name": e.player_name, "position": e.position, "made": [], "missed": []})
-        if e.position is not g["position"]:
-            raise IngestError(
-                f"conflicting position labels for player {e.player_id} ({g['name']}): "
-                f"{g['position'].value} vs {e.position.value}"
-            )
-        (g["made"] if e.made else g["missed"]).append((e.x, e.y))
-    records: list[PlayerRecord] = []
-    for pid in sorted(groups):
-        g = groups[pid]
-        if len(g["made"]) + len(g["missed"]) <= min_attempts:
-            continue
-        for side in ("made", "missed"):
-            if not g[side]:
-                raise IngestError(f"player {pid} ({g['name']}) has no {side} shots; cannot estimate a density")
-        records.append(
-            PlayerRecord(
-                player_id=pid,
-                player_name=g["name"],
-                position=g["position"],
-                made_points=np.array(g["made"], dtype=float).reshape(-1, 2),
-                missed_points=np.array(g["missed"], dtype=float).reshape(-1, 2),
-            )
+    present, first = np.unique(events.player, return_index=True)
+    labelled = np.zeros(len(events.player_ids), dtype=np.intp)
+    labelled[present] = events.position[first]
+    conflicts = np.flatnonzero(events.position != labelled[events.player])
+    if conflicts.size:
+        row = conflicts[0]
+        p = events.player[row]
+        start = first[np.searchsorted(present, p)]
+        raise IngestError(
+            f"conflicting position labels for player {events.player_ids[p]} "
+            f"({events.player_names[events.name[start]]}): "
+            f"{POSITION_ORDER[labelled[p]].value} vs {POSITION_ORDER[events.position[row]].value}"
         )
+    # one stable sort puts each player's made points, then missed points, in input order
+    key = 2 * events.player + ~events.made
+    order = np.argsort(key, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=2 * len(events.player_ids)))))
+    points = np.column_stack((events.x, events.y))[order]
+    records: list[PlayerRecord] = []
+    for p, row in zip(present.tolist(), first.tolist()):
+        lo, mid, hi = bounds[2 * p], bounds[2 * p + 1], bounds[2 * p + 2]
+        if hi - lo <= min_attempts:
+            continue
+        pid, name = events.player_ids[p], events.player_names[events.name[row]]
+        for side, count in (("made", mid - lo), ("missed", hi - mid)):
+            if count == 0:
+                raise IngestError(f"player {pid} ({name}) has no {side} shots; cannot estimate a density")
+        position = POSITION_ORDER[events.position[row]]
+        records.append(PlayerRecord(pid, name, position, points[lo:mid], points[mid:hi]))
     return records
 
 
@@ -272,7 +464,7 @@ def write_players_json(records: Sequence[PlayerRecord], path: str | Path) -> Non
         }
         for r in records
     ]
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(payload, path)
 
 
 def read_players_json(path: str | Path) -> list[PlayerRecord]:

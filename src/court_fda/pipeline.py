@@ -24,7 +24,7 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda.density import DensityField, FunctionalSample, build_samples
-from court_fda.export import export_heatmap, write_heatmap_csv
+from court_fda.export import export_heatmap, write_heatmap_csv, write_json
 from court_fda.fda import ScoreMatrix, fit_mfpca, save_model
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
@@ -116,7 +116,7 @@ class _OutputTracker:
     def write_json(self, relpath: str, obj) -> Path:
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        write_json(obj, path)
         return self.track(path)
 
     def write_text(self, relpath: str, text: str) -> Path:
@@ -150,7 +150,7 @@ def write_densities(out_dir: Path, samples: Sequence[FunctionalSample], tracker:
             tracker.track(path)
     meta = {"player_ids": [s.player_id for s in samples], "grid": {"nx": grid.nx, "ny": grid.ny}}
     meta_path = out_dir / "densities_meta.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(meta, meta_path)
     if tracker:
         tracker.track(meta_path)
     return paths + [meta_path]
@@ -340,8 +340,8 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
         try:
             report = bt.stability_study(
                 samples,
+                model,
                 n_replicates=config.bootstrap_replicates,
-                n_components=model.n_components,
                 seed=config.seed,
                 dump_dir=boot_dir,
             )
@@ -389,5 +389,5 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
             for p in sorted(tracker.files)
         },
     }
-    (out_root / "run.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(manifest, out_root / "run.json")
     return manifest

@@ -211,7 +211,7 @@ def test_c7_metric_oracles():
 def test_c8_bootstrap_stability_ordering(grid21):
     started = time.perf_counter()
     samples, _, _ = planted_dataset(grid21, [0.7, 0.2, 0.1], 60, seed=13)
-    study = stability_study(samples, n_replicates=5, n_components=3, seed=1)
+    study = stability_study(samples, fit_mfpca(samples, n_components=3), n_replicates=5, seed=1)
     means = study.mean_alignment()
     assert study.flagged == []
     assert means[0] > means[2]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from court_fda import bootstrap
 from court_fda.bootstrap import (
     SplitMix64,
     align_signs,
@@ -117,14 +118,14 @@ class TestStabilityStudy:
         psi = smooth_factor_basis(grid11, 1)[0]
         rng = np.random.default_rng(7)
         samples = [np.ones((2, 11, 11)) + c * psi for c in rng.normal(size=16)]
-        report = stability_study(samples, n_replicates=5, n_components=1, seed=0)
+        report = stability_study(samples, fit_mfpca(samples, n_components=1), n_replicates=5, seed=0)
         assert np.all(report.alignments[:, 0] >= 1.0 - 1e-6)
         assert report.flagged == []
 
     def test_replicate_count_validated(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=8)
         with pytest.raises(ValueError):
-            stability_study(samples, n_replicates=0, n_components=2)
+            stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=0)
 
     def test_identity_draw_reproduces_reference_eigenvalues(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.5, 0.3, 0.2], 12, seed=9)
@@ -134,8 +135,8 @@ class TestStabilityStudy:
 
     def test_bit_reproducible(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.6, 0.25, 0.15], 15, seed=10)
-        r1 = stability_study(samples, n_replicates=3, n_components=2, seed=11)
-        r2 = stability_study(samples, n_replicates=3, n_components=2, seed=11)
+        r1 = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=3, seed=11)
+        r2 = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=3, seed=11)
         np.testing.assert_array_equal(r1.alignments, r2.alignments)
         np.testing.assert_array_equal(r1.eigenvalue_ratios, r2.eigenvalue_ratios)
         np.testing.assert_array_equal(r1.mean_distances, r2.mean_distances)
@@ -147,14 +148,14 @@ class TestStabilityStudy:
         seed = next(
             s for s in range(200) if len(set(resample_indices(3, stream_seed(s, 0)).tolist())) < 3
         )
-        report = stability_study(samples, n_replicates=1, n_components=2, seed=seed)
+        report = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=1, seed=seed)
         assert report.flagged == [0]
         assert report.achieved_ranks[0] < 2
         assert np.isnan(report.alignments[0, -1])
 
     def test_three_factor_leading_component_more_stable(self, grid21):
         samples, _, _ = planted_dataset(grid21, [0.7, 0.2, 0.1], 60, seed=13)
-        report = stability_study(samples, n_replicates=5, n_components=3, seed=1)
+        report = stability_study(samples, fit_mfpca(samples, n_components=3), n_replicates=5, seed=1)
         means = report.mean_alignment()
         assert means[0] > means[2]
 
@@ -163,14 +164,27 @@ class TestStabilityStudy:
         seed = next(
             s for s in range(200) if len(set(resample_indices(3, stream_seed(s, 0)).tolist())) < 3
         )
-        report = stability_study(samples, n_replicates=1, n_components=2, seed=seed)
+        report = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=1, seed=seed)
         doc = report_to_dict(report)
         assert doc["alignments"][0][-1] is None
         assert doc["flagged_replicates"] == [0]
 
+    def test_reference_is_not_refit(self, grid11, monkeypatch):
+        samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=16)
+        reference = fit_mfpca(samples, n_components=2)
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(kwargs)
+            return fit_mfpca(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrap, "fit_mfpca", counting_fit)
+        report = stability_study(samples, reference, n_replicates=3, seed=4)
+        assert len(fits) == 3 and report.n_components == 2
+
     def test_dump_dir_writes_heatmaps(self, grid11, tmp_path):
         samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=15)
-        stability_study(samples, n_replicates=2, n_components=2, seed=3, dump_dir=tmp_path / "boot")
+        stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=2, seed=3, dump_dir=tmp_path / "boot")
         files = sorted(p.name for p in (tmp_path / "boot").iterdir())
         assert "replicate0_mean_missed.csv" in files
         assert "replicate1_eigenfunction_2_made.pgm" in files

@@ -1,12 +1,18 @@
-"""Heatmap rescaling and the CSV/PGM writers."""
+"""Heatmap rescaling, the CSV/PGM writers and the JSON writer."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from court_fda.export import (
     export_heatmap,
+    json_text,
     rescale_symmetric,
     rescale_unit,
+    write_heatmap_csv,
     write_heatmap_pgm,
 )
 from court_fda.grids import GridSpec
@@ -100,3 +106,50 @@ class TestExportHeatmap:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
             export_heatmap(np.zeros((2, 2)), GridSpec(2, 2), tmp_path / "x", mode="log")
+
+
+def oracle_heatmap_csv(values: np.ndarray, grid: GridSpec) -> bytes:
+    """The former per-line formatter of write_heatmap_csv."""
+    xs = [float(x) for x in grid.xs]
+    ys = [float(y) for y in grid.ys]
+    lines = ["x,y,value"]
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            lines.append(f"{xs[i]!r},{ys[j]!r},{float(values[i, j])!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# -0.0, the 1e-5 threshold where repr turns to exponent form, and the
+# values rescaling pins (0 and the +-1 peaks)
+EDGE_VALUES = [-0.0, 0.0, 1.0, -1.0, 1e-5, -1e-5, 9.999999999999999e-06, 1.0000000000000002e-05, 1e-4, 5e-324]
+
+
+@st.composite
+def grid_and_field(draw):
+    nx, ny = draw(st.sampled_from([(3, 5), (5, 3), (2, 2), (4, 7), (11, 11)]))
+    value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1.0, 1.0))
+    values = draw(st.lists(value, min_size=nx * ny, max_size=nx * ny))
+    return GridSpec(nx, ny), np.array(values, dtype=float).reshape(nx, ny)
+
+
+class TestHeatmapCsv:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid_and_field())
+    def test_bytes_match_per_line_formatter(self, tmp_path, data):
+        grid, values = data
+        path = tmp_path / "field.csv"
+        write_heatmap_csv(values, grid, path)
+        assert path.read_bytes() == oracle_heatmap_csv(values, grid)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            write_heatmap_csv(np.zeros((5, 3)), GridSpec(3, 5), tmp_path / "f.csv")
+
+
+class TestJsonText:
+    def test_compact_sorted_and_parse_equal(self):
+        doc = {"b": [1.5, -0.0, 1e-05], "a": {"z": None, "y": "Dončić"}, "c": float("nan")}
+        text = json_text(doc)
+        assert text == '{"a":{"y":"Don\\u010di\\u0107","z":null},"b":[1.5,-0.0,1e-05],"c":NaN}\n'
+        parsed = json.loads(text)
+        assert parsed["a"] == doc["a"] and parsed["b"] == doc["b"]

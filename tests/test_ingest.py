@@ -1,5 +1,6 @@
 """Parsing, normalization, exclusion, and player filtering."""
 
+import csv
 import io
 import json
 
@@ -7,17 +8,18 @@ import numpy as np
 import pytest
 
 from court_fda.ingest import (
+    CSV_FIELDS,
+    POSITION_ORDER,
     CourtSpec,
     IngestError,
     ParseError,
     Position,
-    ShotEvent,
+    ShotTable,
     exclude_impossible,
     filter_players,
     normalize_point,
     parse_events,
     parse_events_json,
-    write_events_csv,
     write_players_json,
     read_players_json,
 )
@@ -25,8 +27,32 @@ from court_fda.ingest import (
 HEADER = "player_id,player_name,position,x_ft,y_ft,made,season"
 
 
-def parse(text: str):
-    return parse_events(io.StringIO(text))
+def parse(text: str) -> ShotTable:
+    return parse_events(text)
+
+
+def rows_of(table: ShotTable) -> list[tuple]:
+    """(player_id, player_name, position, x, y, made) per row, in table order."""
+    return list(
+        zip(
+            [table.player_ids[p] for p in table.player.tolist()],
+            [table.player_names[n] for n in table.name.tolist()],
+            [POSITION_ORDER[q] for q in table.position.tolist()],
+            table.x.tolist(),
+            table.y.tolist(),
+            table.made.tolist(),
+        )
+    )
+
+
+def to_csv(table: ShotTable, court: CourtSpec) -> str:
+    """CSV text of a table in the input format, coordinates back in feet."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for pid, name, position, x, y, made in rows_of(table):
+        writer.writerow([pid, name, position.value, repr(x * court.width), repr(y * court.depth), int(made), "s"])
+    return buf.getvalue()
 
 
 class TestNormalizePoint:
@@ -63,13 +89,11 @@ class TestParseEvents:
     def test_mid_court_row(self):
         events = parse(f"{HEADER}\np1,Curry,guard,25.0,23.5,1,2018-19\n")
         assert len(events) == 1
-        e = events[0]
-        assert (e.x, e.y, e.made) == (0.5, 0.5, True)
-        assert e.position is Position.GUARD and e.season == "2018-19"
+        assert rows_of(events) == [("p1", "Curry", Position.GUARD, 0.5, 0.5, True)]
 
     def test_origin_row(self):
-        e = parse(f"{HEADER}\np2,Jokic,center,0.0,0.0,0,2019-20")[0]
-        assert (e.x, e.y, e.made) == (0.0, 0.0, False)
+        e = rows_of(parse(f"{HEADER}\np2,Jokic,center,0.0,0.0,0,2019-20"))[0]
+        assert e[3:] == (0.0, 0.0, False)
 
     def test_non_numeric_coordinate(self):
         with pytest.raises(ParseError) as err:
@@ -95,10 +119,10 @@ class TestParseEvents:
         assert err.value.row == 3
 
     def test_empty_stream(self):
-        assert parse("") == []
+        assert len(parse("")) == 0
 
     def test_header_only(self):
-        assert parse(HEADER + "\n") == []
+        assert len(parse(HEADER + "\n")) == 0
 
     def test_wrong_header(self):
         with pytest.raises(ParseError):
@@ -112,24 +136,50 @@ class TestParseEvents:
             ("forward-center", Position.FORWARD_CENTER),
         ]
         for raw, want in rows:
-            e = parse(f"{HEADER}\np,N,{raw},1.0,1.0,1,s\n")[0]
-            assert e.position is want
+            e = rows_of(parse(f"{HEADER}\np,N,{raw},1.0,1.0,1,s\n"))[0]
+            assert e[2] is want
 
     def test_order_preserved(self):
         text = HEADER + "\n" + "\n".join(f"p{i},N,guard,{i}.0,1.0,1,s" for i in range(5))
         events = parse(text)
-        assert [e.player_id for e in events] == [f"p{i}" for i in range(5)]
+        assert [e[0] for e in rows_of(events)] == [f"p{i}" for i in range(5)]
+        assert events.x.tolist() == [i / 50.0 for i in range(5)]
 
     def test_quoted_name_with_comma(self):
-        e = parse(f'{HEADER}\np9,"Smith, Jr.",center,10.0,5.0,1,2020-21\n')[0]
-        assert e.player_name == "Smith, Jr."
+        e = rows_of(parse(f'{HEADER}\np9,"Smith, Jr.",center,10.0,5.0,1,2020-21\n'))[0]
+        assert e[1] == "Smith, Jr."
 
     def test_quoted_name_round_trips(self):
         court = CourtSpec()
         events = parse(f'{HEADER}\np9,"Smith, Jr.",center,10.0,5.0,1,2020-21\n')
-        buf = io.StringIO()
-        write_events_csv(events, court, buf)
-        assert parse_events(io.StringIO(buf.getvalue()), court) == events
+        assert rows_of(parse_events(to_csv(events, court), court)) == rows_of(events)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_coordinate_rejected(self, value):
+        text = f"{HEADER}\np1,A,guard,1.0,1.0,1,s\n\np1,A,guard,1.0,{value},1,s\n"
+        with pytest.raises(ParseError, match="non-finite y_ft") as err:
+            parse(text)
+        assert err.value.row == 4
+
+    def test_csv_module_layouts_match(self):
+        # bare-CR line ends and underscored numbers are read by the csv module
+        lines = [HEADER, "p1,A,guard,1_0.0,1.0,1,s", "p2,B,center,2.0,3.0,0,s"]
+        table = parse("\r".join(lines) + "\r")
+        assert rows_of(table) == [
+            ("p1", "A", Position.GUARD, 0.2, 1.0 / 47.0, True),
+            ("p2", "B", Position.CENTER, 2.0 / 50.0, 3.0 / 47.0, False),
+        ]
+
+    def test_long_fields_kept_whole(self):
+        pid, name = "p" * 40, "Ö" * 40  # wider than the fixed-width byte columns
+        table = parse(f"{HEADER}\n{pid},{name},  forward-center  , 5.0 , 4.7 , 1 ,s\n")
+        assert rows_of(table) == [(pid, name, Position.FORWARD_CENTER, 0.1, 0.1, True)]
+
+    def test_invalid_value_reported_before_later_short_row(self):
+        text = f"{HEADER}\np1,A,pivot,1.0,1.0,1,s\np1,A,guard,1.0\n"
+        with pytest.raises(ParseError, match="position") as err:
+            parse(text)
+        assert err.value.row == 2
 
 
 class TestParseJson:
@@ -140,12 +190,12 @@ class TestParseJson:
         ]
         got = parse_events_json(json.dumps(obj))
         want = parse(f"{HEADER}\np1,Curry,guard,25.0,23.5,1,2018-19\n")
-        assert got == want
+        assert rows_of(got) == rows_of(want)
 
     def test_boolean_made(self):
         obj = [{"player_id": "p", "player_name": "N", "position": "center",
                 "x_ft": 1, "y_ft": 2, "made": True, "season": "s"}]
-        assert parse_events_json(json.dumps(obj))[0].made is True
+        assert rows_of(parse_events_json(json.dumps(obj)))[0][5] is True
 
     def test_bad_entry_carries_index(self):
         obj = [{"player_id": "p", "player_name": "N", "position": "center",
@@ -155,83 +205,98 @@ class TestParseJson:
             parse_events_json(json.dumps(obj))
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf"])
+    def test_non_finite_coordinate_rejected(self, value):
+        obj = [{"player_id": "p", "player_name": "N", "position": "center",
+                "x_ft": 1, "y_ft": 2, "made": 1, "season": "s"},
+               {"player_id": "p", "player_name": "N", "position": "center",
+                "x_ft": value, "y_ft": 2, "made": 1, "season": "s"}]
+        with pytest.raises(ParseError, match="non-finite x_ft") as err:
+            parse_events_json(json.dumps(obj))
+        assert err.value.row == 2
+
 
 class TestExcludeImpossible:
-    def make(self, x, y):
-        return ShotEvent("p", "N", Position.GUARD, x, y, True, "s")
+    def table(self, *points):
+        return ShotTable.from_rows(("p", "N", Position.GUARD, x, y, True) for x, y in points)
+
+    def points(self, table):
+        return list(zip(table.x.tolist(), table.y.tolist()))
 
     def test_out_of_bounds_removed(self):
-        events = [self.make(0.5, 0.5), self.make(1.2, 0.3)]
-        assert exclude_impossible(events) == [events[0]]
+        events = self.table((0.5, 0.5), (1.2, 0.3))
+        assert self.points(exclude_impossible(events)) == [(0.5, 0.5)]
 
     def test_identity_on_in_bounds(self):
-        events = [self.make(0.1, 0.9), self.make(0.5, 0.5)]
-        assert exclude_impossible(events) == events
+        events = self.table((0.1, 0.9), (0.5, 0.5))
+        assert self.points(exclude_impossible(events)) == self.points(events)
 
     def test_boundary_points_stay(self):
-        events = [self.make(0.0, 0.0), self.make(1.0, 1.0), self.make(0.0, 1.0)]
-        assert exclude_impossible(events) == events
+        events = self.table((0.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        assert self.points(exclude_impossible(events)) == self.points(events)
 
     def test_idempotent(self):
-        events = [self.make(0.5, 0.5), self.make(-0.1, 0.3), self.make(0.2, 1.01)]
+        events = self.table((0.5, 0.5), (-0.1, 0.3), (0.2, 1.01))
         once = exclude_impossible(events)
-        assert exclude_impossible(once) == once
+        assert rows_of(exclude_impossible(once)) == rows_of(once)
 
     def test_order_preserved(self):
-        events = [self.make(0.9, 0.1), self.make(2.0, 0.0), self.make(0.1, 0.9)]
-        assert exclude_impossible(events) == [events[0], events[2]]
+        events = self.table((0.9, 0.1), (2.0, 0.0), (0.1, 0.9))
+        assert self.points(exclude_impossible(events)) == [(0.9, 0.1), (0.1, 0.9)]
 
 
 def make_events(pid, n_made, n_missed, position=Position.GUARD):
-    made = [ShotEvent(pid, pid.upper(), position, 0.1 + 0.8 * i / max(n_made, 1), 0.5, True, "s")
-            for i in range(n_made)]
-    missed = [ShotEvent(pid, pid.upper(), position, 0.5, 0.1 + 0.8 * i / max(n_missed, 1), False, "s")
-              for i in range(n_missed)]
+    made = [(pid, pid.upper(), position, 0.1 + 0.8 * i / max(n_made, 1), 0.5, True) for i in range(n_made)]
+    missed = [(pid, pid.upper(), position, 0.5, 0.1 + 0.8 * i / max(n_missed, 1), False) for i in range(n_missed)]
     return made + missed
+
+
+def table(rows) -> ShotTable:
+    return ShotTable.from_rows(rows)
 
 
 class TestFilterPlayers:
     def test_threshold_is_strict(self):
         events = make_events("a", 500, 500)  # exactly 1000
-        assert filter_players(events, 1000) == []
+        assert filter_players(table(events), 1000) == []
 
     def test_threshold_plus_one_kept(self):
         events = make_events("a", 501, 500)  # 1001
-        records = filter_players(events, 1000)
+        records = filter_players(table(events), 1000)
         assert len(records) == 1 and records[0].attempts == 1001
 
     def test_counts_exceed_threshold_invariant(self):
         events = make_events("a", 40, 30) + make_events("b", 10, 5) + make_events("c", 100, 1)
-        for r in filter_players(events, 50):
+        for r in filter_players(table(events), 50):
             assert r.attempts > 50
 
     def test_sorted_by_player_id(self):
         events = make_events("zz", 10, 10) + make_events("aa", 10, 10)
-        records = filter_players(events, 5)
+        records = filter_players(table(events), 5)
         assert [r.player_id for r in records] == ["aa", "zz"]
 
     def test_conflicting_positions_rejected(self):
         events = make_events("a", 5, 5) + make_events("a", 5, 5, Position.CENTER)
         with pytest.raises(IngestError, match="a"):
-            filter_players(events, 3)
+            filter_players(table(events), 3)
 
     def test_all_made_player_rejected(self):
         events = make_events("a", 20, 0)
         with pytest.raises(IngestError, match="missed"):
-            filter_players(events, 5)
+            filter_players(table(events), 5)
 
     def test_min_attempts_validated(self):
         with pytest.raises(ValueError):
-            filter_players([], 0)
+            filter_players(table([]), 0)
 
     def test_min_attempts_one_keeps_two_shot_players(self):
         events = make_events("a", 1, 1)
-        records = filter_players(events, 1)
+        records = filter_players(table(events), 1)
         assert len(records) == 1 and records[0].attempts == 2
 
     def test_points_split_by_outcome(self):
         events = make_events("a", 7, 9)
-        r = filter_players(events, 10)[0]
+        r = filter_players(table(events), 10)[0]
         assert r.made_points.shape == (7, 2) and r.missed_points.shape == (9, 2)
         assert np.all((r.made_points >= 0) & (r.made_points <= 1))
 
@@ -248,14 +313,12 @@ class TestRoundTrip:
                 f"{rng.uniform(-2, 52):.3f},{rng.uniform(-2, 49):.3f},{i % 2},2021-22"
             )
         events1 = parse("\n".join(rows) + "\n")
-        buf = io.StringIO()
-        write_events_csv(events1, court, buf)
-        events2 = parse_events(io.StringIO(buf.getvalue()), court)
-        assert events2 == events1
+        events2 = parse_events(to_csv(events1, court), court)
+        assert rows_of(events2) == rows_of(events1)
 
     def test_players_json_round_trip(self, tmp_path):
         events = make_events("a", 7, 9) + make_events("b", 12, 4, Position.CENTER)
-        records = filter_players(events, 10)
+        records = filter_players(table(events), 10)
         path = tmp_path / "players.json"
         write_players_json(records, path)
         loaded = read_players_json(path)
