@@ -14,8 +14,8 @@ import enum
 import io
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -179,164 +179,76 @@ def _parse_float(raw, name: str, row: int) -> float:
     return value
 
 
-class _RowError(Exception):
-    """An invalid data row, by its index among the data rows."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-        self.message = message
-
-
 def _check_header(header: list[str]) -> None:
     if [h.strip() for h in header] != list(CSV_FIELDS):
         raise ParseError(1, f"expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}")
 
 
-# Fixed-width byte columns for the C tokenizer; the season is checked for
-# presence and then dropped.
-_FAST_DTYPE = np.dtype(
-    [
-        ("player_id", "S32"),
-        ("player_name", "S64"),
-        ("position", "S16"),
-        ("x_ft", "f8"),
-        ("y_ft", "f8"),
-        ("made", "S2"),
-        ("season", "S0"),
-    ]
-)
+#: Data rows the csv module splits per batch before they become columns;
+#: it bounds the memory its per-row lists hold at a time.
+_BATCH_ROWS = 1024
 
 
-def _read_columns(text: str) -> tuple[np.ndarray, ...] | None:
-    """Data columns read by numpy's C tokenizer, or None if it cannot read them exactly.
+class _TextColumn:
+    """A text column, each row coded by its raw value."""
 
-    The bytes are decoded as Latin-1, one character per byte, so every
-    text field keeps its original UTF-8 bytes; the tokenizer only acts on
-    ASCII commas, quotes and newlines, which never occur inside a
-    multi-byte UTF-8 sequence. Rows with a field count other than seven,
-    numbers ``float`` accepts but the tokenizer does not (``1_0``),
-    bare-CR line ends and NUL characters (which byte columns drop from a
-    field's end) all leave the text to the csv module.
-    """
-    if "\x00" in text:
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # empty input, blank lines
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.codes = [np.zeros(0, dtype=np.intp)]
+
+    def add(self, values: Sequence[str]) -> None:
+        index = self.index
+        for v in set(values).difference(index):
+            index[v] = len(index)
+        self.codes.append(np.fromiter(map(index.__getitem__, values), np.intp, len(values)))
+
+    def coded(self) -> tuple[list[str], np.ndarray]:
+        """Sorted distinct stripped values and each row's index into them."""
+        raw = list(self.index)
+        values = sorted({v.strip() for v in raw})
+        index = {v: i for i, v in enumerate(values)}
+        return values, np.array([index[v.strip()] for v in raw], dtype=np.intp)[np.concatenate(self.codes)]
+
+
+class _NumberColumn:
+    """A coordinate column converted by ``float``; rows it rejects hold NaN."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.parts = [np.zeros(0)]
+        self.rows = 0
+        self.rejected: dict[int, str] = {}
+
+    def add(self, values: Sequence[str]) -> None:
         try:
-            rows = np.loadtxt(
-                io.BytesIO(text.encode("utf-8")),
-                dtype=_FAST_DTYPE,
-                delimiter=",",
-                quotechar='"',
-                comments=None,
-                skiprows=1,
-                ndmin=1,
-                encoding="latin-1",
-            )
+            part = np.fromiter(map(float, values), float, len(values))
         except ValueError:
-            return None
-    for field in ("player_id", "player_name", "position", "made"):
-        if len(rows) and np.char.str_len(rows[field]).max() >= rows.dtype[field].itemsize:
-            return None  # the field may have been cut short
-    return tuple(rows[field] for field in CSV_FIELDS[:6])
+            part = np.full(len(values), np.nan)
+            for i, raw in enumerate(values):
+                try:
+                    part[i] = float(raw)
+                except ValueError:
+                    self.rejected[self.rows + i] = raw
+        self.parts.append(part)
+        self.rows += len(values)
+
+    def checked(self):
+        """The values, the mask of invalid rows, and the message for such a row."""
+        values = np.concatenate(self.parts)
+
+        def message(i: int) -> str:
+            if i in self.rejected:
+                return f"non-numeric {self.name} {self.rejected[i].strip()!r}"
+            return f"non-finite {self.name} {float(values[i])!r}"
+
+        return values, ~np.isfinite(values), message
 
 
-def _factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct stripped values of a text column and each row's index into them.
-
-    Rows of one player come in runs in a typical export, so only the first
-    row of each run goes through the sort.
-    """
-    if len(column) == 0:
-        return [], np.zeros(0, dtype=np.intp)
-    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
-    distinct, run_code = np.unique(column[starts], return_inverse=True)
-    raw = [v.decode("utf-8") if isinstance(v, bytes) else v for v in distinct.tolist()]
-    values = sorted({v.strip() for v in raw})
-    index = {v: i for i, v in enumerate(values)}
-    codes = np.array([index[v.strip()] for v in raw], dtype=np.intp)[run_code]
-    return values, np.repeat(codes, np.diff(np.append(starts, len(column))))
-
-
-def _coordinate(column: np.ndarray, name: str):
-    """Values of a coordinate column, the mask of invalid rows, and a message for a row.
-
-    A text column (from the csv module) is converted with ``float``, as
-    the input format has always been read.
-    """
-    values, numeric = column, np.ones(len(column), dtype=bool)
-    if column.dtype == object:
-        values = np.full(len(column), np.nan)
-        for i, raw in enumerate(column):
-            try:
-                values[i] = float(raw)
-            except ValueError:
-                numeric[i] = False
-
-    def message(i: int) -> str:
-        if not numeric[i]:
-            return f"non-numeric {name} {column[i].strip()!r}"
-        return f"non-finite {name} {float(values[i])!r}"
-
-    return values, ~numeric | ~np.isfinite(values), message
-
-
-def _table(ids, names, positions, x_ft, y_ft, made, court: CourtSpec) -> ShotTable:
-    """Validate and code the columns of parsed CSV rows.
-
-    Raises :class:`_RowError` for the first invalid row; within a row the
-    checks run in the order position, x_ft, y_ft, made.
-    """
-    player_ids, player = _factorize(ids)
-    player_names, name = _factorize(names)
-    labels, label = _factorize(positions)
-    position = np.array(
-        [_POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), -1) for v in labels], dtype=np.intp
-    )[label]
-    flags, flag = _factorize(made)
-    outcome = np.array([{"0": 0, "1": 1}.get(v, -1) for v in flags], dtype=np.intp)[flag]
-    x_ft, x_bad, x_message = _coordinate(x_ft, "x_ft")
-    y_ft, y_bad, y_message = _coordinate(y_ft, "y_ft")
-    checks = (
-        (position < 0, lambda i: f"unknown position label {labels[label[i]]!r}"),
-        (x_bad, x_message),
-        (y_bad, y_message),
-        (outcome < 0, lambda i: f"made flag must be 0 or 1, got {flags[flag[i]]!r}"),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise _RowError(i, next(message(i) for mask, message in checks if mask[i]))
-    x, y = normalize_point(x_ft, y_ft, court)
-    return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
-
-
-def _parse_with_csv_module(text: str, court: CourtSpec) -> ShotTable:
-    """Row splitting by the csv module, which numbers each row's file lines."""
+def _line_of(text: str, index: int) -> int:
+    """File line number on which the index-th non-blank data row ends."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        return ShotTable.from_rows([])
-    _check_header(header)
-    rows, lines, short_row = [], [], None
-    for row in reader:
-        if not row:
-            continue  # tolerate blank lines
-        if len(row) != len(CSV_FIELDS):
-            # rows above it may still hold an invalid value, reported first
-            short_row = ParseError(reader.line_num, f"expected {len(CSV_FIELDS)} fields, got {len(row)}")
-            break
-        rows.append(row)
-        lines.append(reader.line_num)
-    columns = [np.array(c, dtype=object) for c in zip(*rows)] or [np.empty(0, dtype=object)] * len(CSV_FIELDS)
-    try:
-        table = _table(*columns[:6], court)
-    except _RowError as exc:
-        raise ParseError(lines[exc.index], exc.message) from None
-    if short_row is not None:
-        raise short_row
-    return table
+    next(reader)
+    return next(islice((reader.line_num for row in reader if row), index, None))
 
 
 def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -348,22 +260,53 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     Empty text yields an empty table. An invalid row (wrong field count,
     unknown position, non-numeric or non-finite coordinate, made flag
     other than 0/1) raises :class:`ParseError` carrying the file line
-    number of the first such row.
-
-    A file whose header is a plain first line is read by numpy's C
-    tokenizer and validated column-wise; other layouts, and files with an
-    invalid row, are split by the csv module, which numbers the lines.
+    number of the first such row; within a row the checks run in the
+    order position, x_ft, y_ft, made.
     """
-    head = text.partition("\n")[0].removesuffix("\r")
-    if text and '"' not in head and "\r" not in head:
-        _check_header(head.split(",") if head else [])
-        columns = _read_columns(text)
-        if columns is not None:
-            try:
-                return _table(*columns, court)
-            except _RowError:
-                pass  # split again below to number the offending line
-    return _parse_with_csv_module(text, court)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return ShotTable.from_rows([])
+    _check_header(header)
+    ids, names, labels, flags = _TextColumn(), _TextColumn(), _TextColumn(), _TextColumn()
+    xs, ys = _NumberColumn("x_ft"), _NumberColumn("y_ft")
+    wrong_count = None  # (data row index, field count) of the first row without seven fields
+    while wrong_count is None and (batch := list(islice(reader, _BATCH_ROWS))):
+        rows = list(filter(None, batch))  # tolerate blank lines
+        if rows and set(map(len, rows)) != {len(CSV_FIELDS)}:
+            i = next(i for i, row in enumerate(rows) if len(row) != len(CSV_FIELDS))
+            # rows above it may still hold an invalid value, reported first
+            wrong_count = (xs.rows + i, len(rows[i]))
+            rows = rows[:i]
+        if rows:
+            for column, values in zip((ids, names, labels, xs, ys, flags), zip(*rows)):
+                column.add(values)
+
+    player_ids, player = ids.coded()
+    player_names, name = names.coded()
+    label_values, label = labels.coded()
+    position = np.array(
+        [_POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), -1) for v in label_values], dtype=np.intp
+    )[label]
+    flag_values, flag = flags.coded()
+    outcome = np.array([{"0": 0, "1": 1}.get(v, -1) for v in flag_values], dtype=np.intp)[flag]
+    x_ft, x_bad, x_message = xs.checked()
+    y_ft, y_bad, y_message = ys.checked()
+    checks = (
+        (position < 0, lambda i: f"unknown position label {label_values[label[i]]!r}"),
+        (x_bad, x_message),
+        (y_bad, y_message),
+        (outcome < 0, lambda i: f"made flag must be 0 or 1, got {flag_values[flag[i]]!r}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(_line_of(text, i), next(message(i) for mask, message in checks if mask[i]))
+    if wrong_count is not None:
+        i, count = wrong_count
+        raise ParseError(_line_of(text, i), f"expected {len(CSV_FIELDS)} fields, got {count}")
+    x, y = normalize_point(x_ft, y_ft, court)
+    return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
 
 
 def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:

@@ -161,8 +161,7 @@ class TestParseEvents:
             parse(text)
         assert err.value.row == 4
 
-    def test_csv_module_layouts_match(self):
-        # bare-CR line ends and underscored numbers are read by the csv module
+    def test_bare_cr_line_ends_and_underscored_numbers(self):
         lines = [HEADER, "p1,A,guard,1_0.0,1.0,1,s", "p2,B,center,2.0,3.0,0,s"]
         table = parse("\r".join(lines) + "\r")
         assert rows_of(table) == [
@@ -171,7 +170,7 @@ class TestParseEvents:
         ]
 
     def test_long_fields_kept_whole(self):
-        pid, name = "p" * 40, "Ö" * 40  # wider than the fixed-width byte columns
+        pid, name = "p" * 40, "Ö" * 40
         table = parse(f"{HEADER}\n{pid},{name},  forward-center  , 5.0 , 4.7 , 1 ,s\n")
         assert rows_of(table) == [(pid, name, Position.FORWARD_CENTER, 0.1, 0.1, True)]
 

@@ -5,19 +5,23 @@ The oracle below is the former ``parse_events`` / ``exclude_impossible`` /
 Generated exports mix quoted names holding commas, padded fields,
 position aliases, coordinates on and beyond the court edges, blank lines
 and three kinds of line end; both paths must agree on every count and
-record, and on the line number of a planted bad row.
+record, and on the line number of a planted bad row. Each export is also
+parsed in batches of three rows, which must change neither the table nor
+the error.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from court_fda import ingest
 from court_fda.ingest import (
     CSV_FIELDS,
     CourtSpec,
@@ -148,6 +152,13 @@ def join(records: list[str], end: str) -> str:
     return end.join([",".join(CSV_FIELDS)] + records) + end
 
 
+def same_table(a, b) -> bool:
+    columns = ("player", "name", "position", "x", "y", "made")
+    return (a.player_ids, a.player_names) == (b.player_ids, b.player_names) and all(
+        getattr(a, c).tobytes() == getattr(b, c).tobytes() for c in columns
+    )
+
+
 def assert_same_records(got, want) -> None:
     assert [(r.player_id, r.player_name, r.position) for r in got] == [w[:3] for w in want]
     for r, w in zip(got, want):
@@ -163,6 +174,9 @@ def test_table_matches_row_parser(data, min_attempts):
     text = join(*data)
     events = oracle_parse(text, court)
     table = parse_events(text, court)
+    with mock.patch.object(ingest, "_BATCH_ROWS", 3):
+        batched = parse_events(text, court)
+    assert same_table(batched, table)
     assert len(table) == len(events)
     retained = exclude_impossible(table)
     want_retained = oracle_exclude(events)
@@ -215,3 +229,6 @@ def test_bad_row_reported_at_same_line(data):
     with pytest.raises(ParseError) as got:
         parse_events(text, court)
     assert got.value.row == want.value.row
+    with mock.patch.object(ingest, "_BATCH_ROWS", 3), pytest.raises(ParseError) as batched:
+        parse_events(text, court)
+    assert str(batched.value) == str(got.value)
