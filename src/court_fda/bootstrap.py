@@ -1,8 +1,11 @@
 """Resampling stability of the fitted components.
 
-Replicates draw players with replacement, the decomposition is refit on
-each draw, and the refit components are compared against the full-data
-reference fit after sign alignment.
+Replicates draw players with replacement and compare the decomposition
+of each draw against the full-data reference fit. Every draw lies in the
+span of the N reference-centered samples, so each replicate reduces to
+an N x N eigenproblem on one Gram matrix computed once (Fisher, Caffo,
+Schwartz & Zipunnikov 2016, "Fast, exact bootstrap principal component
+analysis for p > 1 million"); no replicate is refit on the grid.
 
 Resampling uses SplitMix64 (the Steele-Lea-Vigna mixing generator): the
 state is a single 64-bit counter advanced by a fixed odd constant, and
@@ -23,11 +26,14 @@ import numpy as np
 
 from court_fda.fda import (
     MfpcaModel,
-    RankDeficiencyError,
+    as_bivariate,
+    eigendecompose,
     fit_mfpca,
     flip_component_signs,
-    h_norm,
+    gram_matrix,
     inner_product,
+    numerical_rank,
+    sample_ids,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -135,6 +141,22 @@ class StabilityReport:
         return out
 
 
+class ReferenceMismatchError(ValueError):
+    """The reference model was not fitted on the samples under study."""
+
+
+def _check_reference(samples: Sequence, reference: MfpcaModel) -> None:
+    if reference.n_samples != len(samples):
+        raise ReferenceMismatchError(
+            f"reference was fitted on {reference.n_samples} samples, got {len(samples)}"
+        )
+    if reference.scores.player_ids != sample_ids(samples):
+        raise ReferenceMismatchError("reference was fitted on different players")
+    shape = as_bivariate(samples[0]).shape
+    if shape != reference.mean.shape:
+        raise ReferenceMismatchError(f"samples have shape {shape}, the reference grid has {reference.mean.shape}")
+
+
 def stability_study(
     samples: Sequence,
     reference: MfpcaModel,
@@ -142,46 +164,64 @@ def stability_study(
     seed: int = 0,
     dump_dir: str | Path | None = None,
 ) -> StabilityReport:
-    """Refit on bootstrap draws and measure component stability.
+    """Measure component stability over bootstrap draws of the players.
 
     ``reference`` is the model fitted on the full ``samples``; its
-    component count is the one each replicate asks for. The players are
-    resampled n_replicates times, each draw is refit and sign-aligned,
-    and the report holds alignments, eigenvalue ratios, and mean-function
-    distances. A replicate whose numerical rank falls below the component
-    count is refit at its achievable rank and flagged rather than treated
-    as fatal.
+    component count is the one each replicate asks for, and a reference
+    fitted on other samples raises :class:`ReferenceMismatchError`.
 
-    With ``dump_dir`` set, each replicate's mean and eigenfunctions are
-    exported as heatmap CSV/PGM pairs.
+    With G the reference-centered Gram matrix and H = I - 11'/N, the
+    draw ``idx`` has centered Gram H G[idx, idx] H, whose eigenpairs
+    (lam_j, u_j) give the replicate's eigenvalues lam_j / (N - 1). Its
+    j-th eigenfunction meets the reference one, whose training scores
+    are s_j and whose Gram eigenvalue is l_j, in the inner product
+    u_j' H G[idx, :] s_j / (sqrt(lam_j) l_j). Its mean lies sqrt(w' G w)
+    from the reference mean, with w_i = (times i was drawn - 1) / N: the
+    -1/N terms add nothing since G 1 = 0, but they keep the sum free of
+    cancellation, so a draw of every player once lies at distance 0.
+    The report holds the absolute alignments, the eigenvalue ratios and
+    the mean distances. A replicate whose numerical rank falls below the
+    component count is compared at its achievable rank and flagged
+    rather than treated as fatal.
+
+    With ``dump_dir`` set, each replicate is refit on the grid at its
+    achieved rank and its mean and eigenfunctions are exported as
+    heatmap CSV/PGM pairs.
     """
     if n_replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {n_replicates}")
-    k = reference.n_components
+    _check_reference(samples, reference)
+    n, k = len(samples), reference.n_components
+    gram = gram_matrix(samples, reference.mean, reference.weights)
+    ref_ell = (n - 1) * reference.eigenvalues
+    ref_scores = reference.scores.values
+    # The algebra needs the reference scores to be eigenvectors of this Gram matrix.
+    residual = np.max(np.abs(gram @ ref_scores - ref_scores * ref_ell))
+    if residual > 1e-8 * ref_ell[0] * np.max(np.abs(ref_scores)):
+        raise ReferenceMismatchError("reference was fitted on different sample values")
     alignments = np.full((n_replicates, k), np.nan)
     ratios = np.full((n_replicates, k), np.nan)
-    mean_distances = np.zeros(n_replicates)
+    mean_distances = np.full(n_replicates, np.nan)
     achieved = np.zeros(n_replicates, dtype=int)
 
     for r in range(n_replicates):
-        draw = resample(samples, stream_seed(seed, r))
-        try:
-            model = fit_mfpca(draw, n_components=k)
-        except RankDeficiencyError as exc:
-            if exc.achievable_rank < 1:
-                achieved[r] = 0
-                mean_distances[r] = np.nan
-                continue
-            model = fit_mfpca(draw, n_components=exc.achievable_rank)
-        achieved[r] = model.n_components
-        for j in range(model.n_components):
-            ip = inner_product(model.pairs[j].eigenfunction, reference.pairs[j].eigenfunction, reference.weights)
-            alignments[r, j] = min(abs(ip), 1.0)
-            ref_val = reference.pairs[j].eigenvalue
-            ratios[r, j] = model.pairs[j].eigenvalue / ref_val if ref_val > 0 else np.nan
-        mean_distances[r] = h_norm(model.mean - reference.mean, reference.weights)
+        idx = resample_indices(n, stream_seed(seed, r))
+        g_rows = gram[idx]  # G[idx, :]
+        h_rows = g_rows - g_rows.mean(axis=0)  # H G[idx, :]
+        centered = h_rows[:, idx] - h_rows[:, idx].mean(axis=1, keepdims=True)  # H G[idx, idx] H
+        lam, u = eigendecompose(np.triu(centered) + np.triu(centered, 1).T)
+        a = min(numerical_rank(lam), k)
+        achieved[r] = a
+        if a == 0:
+            continue
+        ip = np.sum((u[:, :a].T @ h_rows) * ref_scores[:, :a].T, axis=1)
+        alignments[r, :a] = np.minimum(np.abs(ip) / (np.sqrt(lam[:a]) * ref_ell[:a]), 1.0)
+        ratios[r, :a] = (lam[:a] / (n - 1)) / reference.eigenvalues[:a]
+        shift = (np.bincount(idx, minlength=n) - 1.0) / n
+        mean_distances[r] = np.sqrt(max(float(shift @ gram @ shift), 0.0))
         if dump_dir is not None:
-            _dump_replicate(model, Path(dump_dir), r)
+            draw = [samples[i] for i in idx]
+            _dump_replicate(fit_mfpca(draw, n_components=a), Path(dump_dir), r)
 
     return StabilityReport(
         n_replicates=n_replicates,

@@ -138,7 +138,7 @@ def cmd_cluster(args) -> int:
         eigenvalues = load_model(args.model).eigenvalues
     standardized = cl.standardize_scores(scores)
     dist = cl.distance_matrix(standardized, scheme, eigenvalues)
-    clustering = cl.kmedoids(dist, args.k, seed=args.seed)
+    clustering = cl.kmedoids(dist, args.k)
     weights = cl.resolve_weights(scheme, scores.n_components, eigenvalues)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,7 +215,7 @@ def cmd_bootstrap(args) -> int:
         reference,
         n_replicates=args.replicates,
         seed=args.seed,
-        dump_dir=out / "replicates",
+        dump_dir=args.dump_replicates,
     )
     write_json(bt.report_to_dict(report), out / "stability.json")
     mean_alignment = ", ".join(f"{a:.4f}" for a in report.mean_alignment())
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", choices=["equal", "variance"], default="equal")
     p.add_argument("--model", default=None, help="model.json (required for variance weights)")
     p.add_argument("--players", default=None, help="players.json for the roster listing")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster, stage="cluster")
 
@@ -381,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.add_argument("--dump-replicates", default=None, help="directory for per-replicate heatmap dumps")
     p.set_defaults(func=cmd_bootstrap, stage="bootstrap")
 
     p = sub.add_parser("export", help="heatmap exports of fitted or raw fields")

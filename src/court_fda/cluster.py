@@ -178,7 +178,7 @@ def _pam_medoids(d: np.ndarray, k: int) -> list[int]:
     return meds
 
 
-def kmedoids(dist: np.ndarray, k: int, seed: int = 0) -> Clustering:
+def kmedoids(dist: np.ndarray, k: int) -> Clustering:
     """Deterministic k-medoids clustering of a precomputed distance matrix.
 
     Small instances (at most EXACT_ENUMERATION_LIMIT medoid subsets) are
@@ -186,10 +186,8 @@ def kmedoids(dist: np.ndarray, k: int, seed: int = 0) -> Clustering:
     best-swap descent of :func:`_pam_medoids`. Either way the result is
     one-swap-optimal, points equidistant to several medoids join the one
     with the lowest sample index, and each medoid belongs to its own
-    cluster. ``seed`` is accepted for interface stability; no randomness
-    is used.
+    cluster. No randomness is used.
     """
-    del seed  # deterministic throughout
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")

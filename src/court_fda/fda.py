@@ -152,6 +152,11 @@ def h_norm(f, weights: QuadratureWeights) -> float:
     return float(np.sqrt(max(inner_product(f, f, weights), 0.0)))
 
 
+def sample_ids(samples: Sequence) -> list[str]:
+    """Player id of each sample; plain arrays are named by their position."""
+    return [s.player_id if isinstance(s, FunctionalSample) else str(i) for i, s in enumerate(samples)]
+
+
 def _common_grid(samples: Sequence) -> GridSpec:
     first = as_bivariate(samples[0])
     grid = samples[0].grid if isinstance(samples[0], FunctionalSample) else GridSpec(*first.shape[1:])
@@ -213,6 +218,11 @@ def eigendecompose(gram: np.ndarray, *, symmetry_tol: float = 1e-12, clamp_tol: 
     return vals, vecs
 
 
+def numerical_rank(ell: np.ndarray) -> int:
+    """Count of descending Gram eigenvalues above RANK_RTOL times the leading one."""
+    return int(np.sum(ell > RANK_RTOL * ell[0])) if ell[0] > 0 else 0
+
+
 def _signed_canonical(phi: np.ndarray) -> tuple[np.ndarray, float]:
     """Flip a grid function so its largest-magnitude value is positive.
 
@@ -250,7 +260,7 @@ def fit_mfpca(
     gram = gram_matrix(samples, mean, weights)
     ell, u = eigendecompose(gram)
 
-    rank = int(np.sum(ell > RANK_RTOL * ell[0])) if ell[0] > 0 else 0
+    rank = numerical_rank(ell)
     if rank == 0:
         raise RankDeficiencyError(0, "all samples are identical; no variance to decompose")
     total_variance = float(ell[ell > 0].sum() / (n - 1))
@@ -286,7 +296,6 @@ def fit_mfpca(
         score_values[:, j] *= sign
         pairs.append(EigenPair(float(ell[j] / (n - 1)), phi))
 
-    ids = [s.player_id if isinstance(s, FunctionalSample) else str(i) for i, s in enumerate(samples)]
     return MfpcaModel(
         grid=grid,
         weights=weights,
@@ -295,7 +304,7 @@ def fit_mfpca(
         n_samples=n,
         variance_ratios=ratios_all[:k].copy(),
         total_variance=total_variance,
-        scores=ScoreMatrix(ids, score_values),
+        scores=ScoreMatrix(sample_ids(samples), score_values),
     )
 
 
@@ -310,8 +319,7 @@ def project_scores(sample, model: MfpcaModel) -> np.ndarray:
 
 def project_scores_all(samples: Sequence, model: MfpcaModel) -> ScoreMatrix:
     """Scores for a whole dataset, one row per sample."""
-    ids = [s.player_id if isinstance(s, FunctionalSample) else str(i) for i, s in enumerate(samples)]
-    return ScoreMatrix(ids, np.stack([project_scores(s, model) for s in samples]))
+    return ScoreMatrix(sample_ids(samples), np.stack([project_scores(s, model) for s in samples]))
 
 
 def reconstruct(scores: Sequence[float], model: MfpcaModel) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -303,7 +302,7 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
         distances: dict[str, np.ndarray] = {}
         for scheme in config.schemes:
             dist = cl.distance_matrix(standardized, scheme, model.eigenvalues)
-            clustering = cl.kmedoids(dist, config.clusters, seed=config.seed)
+            clustering = cl.kmedoids(dist, config.clusters)
             name = scheme.value
             clusterings[name] = clustering
             distances[name] = dist
@@ -336,21 +335,12 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
 
     # bootstrap
     if config.bootstrap_replicates >= 1:
-        boot_dir = out_root / "heatmaps" / "bootstrap"
         try:
             report = bt.stability_study(
-                samples,
-                model,
-                n_replicates=config.bootstrap_replicates,
-                seed=config.seed,
-                dump_dir=boot_dir,
+                samples, model, n_replicates=config.bootstrap_replicates, seed=config.seed
             )
-            for path in sorted(boot_dir.rglob("*")):
-                if path.is_file():
-                    tracker.track(path)
             tracker.write_json("stability.json", bt.report_to_dict(report))
         except Exception as exc:
-            shutil.rmtree(boot_dir, ignore_errors=True)
             raise StageError("bootstrap", exc) from exc
 
     # export

@@ -1,10 +1,18 @@
-"""Resampler portability, sign alignment, and the stability study."""
+"""Resampler portability, sign alignment, and the stability study.
+
+The Gram-space stability study is checked against ``refit_study``, the
+former route that refits every replicate on the grid, kept here as the
+oracle.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from court_fda import bootstrap
 from court_fda.bootstrap import (
+    ReferenceMismatchError,
     SplitMix64,
     align_signs,
     resample,
@@ -13,9 +21,60 @@ from court_fda.bootstrap import (
     stream_seed,
     report_to_dict,
 )
-from court_fda.fda import fit_mfpca, flip_component_signs, inner_product
+from court_fda.density import DensityField, FunctionalSample
+from court_fda.fda import (
+    RankDeficiencyError,
+    eigendecompose,
+    fit_mfpca,
+    flip_component_signs,
+    gram_matrix,
+    h_norm,
+    inner_product,
+    mean_function,
+)
+from court_fda.grids import GridSpec
 
 from conftest import planted_dataset, smooth_factor_basis
+
+
+def refit_study(samples, reference, n_replicates, seed):
+    """Refit each bootstrap draw on the grid and compare it with the reference.
+
+    Returns (alignments, eigenvalue ratios, mean distances, achieved ranks,
+    eigengaps): eigengaps[r, j] is the distance from the j-th eigenvalue of
+    draw r to its nearest neighbour in the draw's spectrum, relative to
+    the leading one.
+    """
+    k = reference.n_components
+    alignments = np.full((n_replicates, k), np.nan)
+    ratios = np.full((n_replicates, k), np.nan)
+    mean_distances = np.zeros(n_replicates)
+    achieved = np.zeros(n_replicates, dtype=int)
+    gaps = np.full((n_replicates, k), np.nan)
+    for r in range(n_replicates):
+        draw = resample(samples, stream_seed(seed, r))
+        ell = eigendecompose(gram_matrix(draw, mean_function(draw), reference.weights))[0]
+        spacing = np.abs(np.diff(ell)) / ell[0] if ell[0] > 0 else np.zeros(len(ell) - 1)
+        nearest = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
+        gaps[r] = nearest[:k]
+        try:
+            model = fit_mfpca(draw, n_components=k)
+        except RankDeficiencyError as exc:
+            if exc.achievable_rank < 1:
+                mean_distances[r] = np.nan
+                continue
+            model = fit_mfpca(draw, n_components=exc.achievable_rank)
+        achieved[r] = model.n_components
+        for j in range(model.n_components):
+            ip = inner_product(model.pairs[j].eigenfunction, reference.pairs[j].eigenfunction, reference.weights)
+            alignments[r, j] = min(abs(ip), 1.0)
+            ratios[r, j] = model.pairs[j].eigenvalue / reference.pairs[j].eigenvalue
+        mean_distances[r] = h_norm(model.mean - reference.mean, reference.weights)
+    return alignments, ratios, mean_distances, achieved, gaps
+
+
+def as_functional(samples, grid, ids):
+    return [FunctionalSample(pid, DensityField(grid, s[0]), DensityField(grid, s[1])) for pid, s in zip(ids, samples)]
 
 
 class TestSplitMix64:
@@ -169,7 +228,7 @@ class TestStabilityStudy:
         assert doc["alignments"][0][-1] is None
         assert doc["flagged_replicates"] == [0]
 
-    def test_reference_is_not_refit(self, grid11, monkeypatch):
+    def test_reference_is_not_refit(self, grid11, monkeypatch, tmp_path):
         samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=16)
         reference = fit_mfpca(samples, n_components=2)
         fits = []
@@ -180,7 +239,9 @@ class TestStabilityStudy:
 
         monkeypatch.setattr(bootstrap, "fit_mfpca", counting_fit)
         report = stability_study(samples, reference, n_replicates=3, seed=4)
-        assert len(fits) == 3 and report.n_components == 2
+        assert fits == [] and report.n_components == 2
+        stability_study(samples, reference, n_replicates=3, seed=4, dump_dir=tmp_path / "boot")
+        assert len(fits) == 3
 
     def test_dump_dir_writes_heatmaps(self, grid11, tmp_path):
         samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=15)
@@ -188,3 +249,89 @@ class TestStabilityStudy:
         files = sorted(p.name for p in (tmp_path / "boot").iterdir())
         assert "replicate0_mean_missed.csv" in files
         assert "replicate1_eigenfunction_2_made.pgm" in files
+
+    def test_single_player_draw_has_rank_zero(self, grid11):
+        # the refit route decides this case by rounding noise in the draw's mean
+        samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 3, seed=17)
+        seed = next(s for s in range(500) if len(set(resample_indices(3, stream_seed(s, 0)).tolist())) == 1)
+        report = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=1, seed=seed)
+        assert report.achieved_ranks[0] == 0 and report.flagged == [0]
+        assert np.all(np.isnan(report.alignments[0])) and np.isnan(report.mean_distances[0])
+
+    def test_forty_players_match_refit_route(self, grid21):
+        samples, _, _ = planted_dataset(grid21, [0.5, 0.25, 0.15, 0.1], 40, seed=18)
+        reference = fit_mfpca(samples, n_components=4)
+        report = stability_study(samples, reference, n_replicates=5, seed=2)
+        alignments, ratios, distances, ranks, gaps = refit_study(samples, reference, 5, 2)
+        assert np.min(gaps) > 1e-3
+        np.testing.assert_allclose(report.alignments, alignments, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(report.eigenvalue_ratios, ratios, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(report.mean_distances, distances, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(report.achieved_ranks, ranks)
+
+
+GAP_RTOL = 1e-4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    nx=st.integers(5, 11),
+    ny=st.integers(5, 11),
+    shares=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    data_seed=st.integers(0, 2**16),
+    boot_seed=st.integers(0, 2**32),
+    n_replicates=st.integers(1, 4),
+    k=st.integers(1, 3),
+)
+def test_gram_route_matches_refit_route(n, nx, ny, shares, data_seed, boot_seed, n_replicates, k):
+    shares = shares[: n - 1]
+    k = min(k, len(shares))
+    samples, _, _ = planted_dataset(GridSpec(nx, ny), shares, n, seed=data_seed)
+    reference = fit_mfpca(samples, n_components=k)
+    report = stability_study(samples, reference, n_replicates=n_replicates, seed=boot_seed)
+    alignments, ratios, distances, ranks, gaps = refit_study(samples, reference, n_replicates, boot_seed)
+    # an eigenvector of a (nearly) repeated eigenvalue is fixed by rounding
+    # alone, so its alignment is compared only where the draw separates it
+    separated = gaps > GAP_RTOL
+    for r in range(n_replicates):
+        if len(set(resample_indices(n, stream_seed(boot_seed, r)).tolist())) == 1:
+            # one player drawn n times: no variance, whatever the refit's rounding says
+            assert report.achieved_ranks[r] == 0
+            assert np.all(np.isnan(report.alignments[r])) and np.isnan(report.mean_distances[r])
+            continue
+        assert report.achieved_ranks[r] == ranks[r]
+        keep = separated[r] | np.isnan(alignments[r])
+        np.testing.assert_allclose(report.alignments[r][keep], alignments[r][keep], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(report.eigenvalue_ratios[r], ratios[r], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(report.mean_distances[r], distances[r], rtol=0, atol=1e-10)
+    assert report.flagged == [r for r in range(n_replicates) if report.achieved_ranks[r] < k]
+
+
+class TestReferenceMismatch:
+    def dataset(self, grid, n=8, seed=20):
+        samples, _, _ = planted_dataset(grid, [0.6, 0.4], n, seed=seed)
+        return as_functional(samples, grid, [f"p{i}" for i in range(n)])
+
+    def test_other_sample_count(self, grid11):
+        samples = self.dataset(grid11)
+        reference = fit_mfpca(samples[:-1], n_components=2)
+        with pytest.raises(ReferenceMismatchError, match="7 samples"):
+            stability_study(samples, reference)
+
+    def test_other_players(self, grid11):
+        samples = self.dataset(grid11)
+        renamed = [FunctionalSample(f"q{i}", s.missed, s.made) for i, s in enumerate(samples)]
+        with pytest.raises(ReferenceMismatchError, match="different players"):
+            stability_study(samples, fit_mfpca(renamed, n_components=2))
+
+    def test_other_grid(self, grid11, grid21):
+        reference = fit_mfpca(self.dataset(grid21), n_components=2)
+        with pytest.raises(ReferenceMismatchError, match="grid"):
+            stability_study(self.dataset(grid11), reference)
+
+    def test_other_values(self, grid11):
+        samples = self.dataset(grid11)
+        reference = fit_mfpca(self.dataset(grid11, seed=21), n_components=2)
+        with pytest.raises(ReferenceMismatchError, match="values"):
+            stability_study(samples, reference)

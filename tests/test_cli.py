@@ -91,8 +91,13 @@ class TestStageCommands:
             "bootstrap", "--densities", out, "--replicates", 2, "--components", 2,
             "--seed", 3, "--out", boot_dir,
         ) == 0
-        assert (boot_dir / "stability.json").exists()
-        assert any(boot_dir.glob("replicates/replicate0_mean_missed.csv"))
+        assert sorted(p.name for p in boot_dir.rglob("*")) == ["stability.json"]
+        assert run_cli(
+            "bootstrap", "--densities", out, "--replicates", 2, "--components", 2,
+            "--seed", 3, "--out", boot_dir, "--dump-replicates", boot_dir / "replicates",
+        ) == 0
+        assert (boot_dir / "replicates" / "replicate0_mean_missed.csv").exists()
+        assert (boot_dir / "replicates" / "replicate1_eigenfunction_1_made.csv").exists()
 
         exp_dir = tmp_path / "exports"
         assert run_cli("export", "mean", "--model", out / "model.json", "--out", exp_dir) == 0
@@ -115,6 +120,18 @@ class TestStageCommands:
             "--k", 1, "--out", exp_dir,
         ) == 0
         assert (exp_dir / "reconstruction_m2_k1_made.csv").exists()
+
+    def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, tmp_path, mini_csv, monkeypatch, capsys):
+        from court_fda import cli
+
+        out = tmp_path / "work"
+        run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100)
+        run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 11)
+        fit = cli.fit_mfpca
+        monkeypatch.setattr(cli, "fit_mfpca", lambda samples, **kw: fit(samples[::-1], **kw))
+        code = run_cli("bootstrap", "--densities", out, "--components", 2, "--out", tmp_path / "boot")
+        assert code == 7  # bootstrap stage exit code
+        assert "different players" in capsys.readouterr().err
 
     def test_unknown_player_errors(self, tmp_path, mini_csv):
         out = tmp_path / "work"
@@ -295,11 +312,11 @@ class TestBundledFixture:
         files = sorted(manifest["files"])
         assert [f for f in files if not f.startswith("heatmaps/")] == CORE_FILES
         heat = [f for f in files if f.startswith("heatmaps/")]
-        assert sum(f.startswith("heatmaps/bootstrap/") for f in heat) == 40
+        assert sum(f.startswith("heatmaps/bootstrap/") for f in heat) == 0
         assert sum("medoid_" in f for f in heat) == 40
         assert sum(f.startswith("heatmaps/eigenfunction_") for f in heat) == 16
         assert sum(f.startswith("heatmaps/mean_") for f in heat) == 4
-        assert len(files) == 112
+        assert len(files) == 72
 
         scores = (out / "scores.csv").read_text().splitlines()
         assert scores[0] == "player_id,c1,c2,c3,c4"

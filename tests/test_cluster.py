@@ -229,12 +229,6 @@ class TestKmedoids:
         with pytest.raises(ValueError):
             kmedoids(d, 13)
 
-    def test_seed_does_not_change_output(self):
-        d, _ = blob_distance(seed=13)
-        c1 = kmedoids(d, 3, seed=1)
-        c2 = kmedoids(d, 3, seed=999)
-        assert c1.medoids == c2.medoids and np.array_equal(c1.labels, c2.labels)
-
 
 class TestRoster:
     def test_groups_and_counts(self):
