@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the court-fda numerical kernels.
+"""Micro-benchmarks of the court-fda numerical kernels and output writers.
 
 Run from the root of a checkout:
 
@@ -7,7 +7,9 @@ Run from the root of a checkout:
 The file name matches no test pattern, so the default test run does not
 collect it. Sizes follow the paper-scale workload (173 players, about
 4,100 shots each, 4 components, k = 5, 5 bootstrap replicates) on a
-51 x 51 grid instead of 201 x 201, so a full pass takes seconds.
+51 x 51 grid instead of 201 x 201, so a full pass takes seconds. The
+writers are timed at the sizes a paper-scale run writes them, except
+``players.json``, which gets a tenth of the shots.
 """
 
 from __future__ import annotations
@@ -17,18 +19,21 @@ import pytest
 
 from court_fda.bootstrap import stability_study
 from court_fda.cluster import WeightScheme, _pam_medoids, distance_matrix, standardize_scores
-from court_fda.density import kde_raw, silverman_bandwidth
-from court_fda.fda import QuadratureWeights, eigendecompose, fit_mfpca, gram_matrix, mean_function
+from court_fda.density import DensityStack, kde_raw, silverman_bandwidth
+from court_fda.export import write_heatmap_csv
+from court_fda.fda import QuadratureWeights, eigendecompose, fit_mfpca, gram_matrix, mean_function, save_model
 from court_fda.grids import GridSpec
+from court_fda.ingest import PlayerRecord, Position, write_players_json
 
 GRID = GridSpec(51, 51)
+PAPER_GRID = GridSpec(201, 201)
 PLAYERS = 173
 SHOTS = 4100
 COMPONENTS = 4
 
 
 @pytest.fixture(scope="module")
-def samples() -> list[np.ndarray]:
+def stack() -> DensityStack:
     """Bivariate fields: a positive base plus eight smooth random modes and noise."""
     rng = np.random.default_rng(0)
     xx, yy = np.meshgrid(GRID.xs, GRID.ys, indexing="ij")
@@ -37,13 +42,14 @@ def samples() -> list[np.ndarray]:
         for f, g in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
     ])
     coef = rng.normal(size=(PLAYERS, len(modes))) / np.arange(1, len(modes) + 1)
-    noise = 0.01 * rng.normal(size=(PLAYERS, 2, GRID.nx, GRID.ny))
-    return list(3.0 + np.tensordot(coef, modes, axes=1) + noise)
+    noise = 0.01 * rng.normal(size=(2, PLAYERS, GRID.nx, GRID.ny))
+    values = np.ascontiguousarray(3.0 + np.einsum("pm,mcxy->cpxy", coef, modes) + noise)
+    return DensityStack([f"p{i:03d}" for i in range(PLAYERS)], GRID, values)
 
 
 @pytest.fixture(scope="module")
-def model(samples):
-    return fit_mfpca(samples, n_components=COMPONENTS)
+def model(stack):
+    return fit_mfpca(stack, n_components=COMPONENTS)
 
 
 def test_kde_raw(benchmark):
@@ -51,13 +57,17 @@ def test_kde_raw(benchmark):
     benchmark(kde_raw, points, silverman_bandwidth(points), GRID)
 
 
-def test_gram_matrix(benchmark, samples):
-    benchmark(gram_matrix, samples, mean_function(samples), QuadratureWeights.for_grid(GRID))
+def test_gram_matrix(benchmark, stack):
+    benchmark(gram_matrix, stack, mean_function(stack), QuadratureWeights.for_grid(GRID))
 
 
-def test_eigendecompose(benchmark, samples):
-    gram = gram_matrix(samples, mean_function(samples), QuadratureWeights.for_grid(GRID))
+def test_eigendecompose(benchmark, stack):
+    gram = gram_matrix(stack, mean_function(stack), QuadratureWeights.for_grid(GRID))
     benchmark(eigendecompose, gram)
+
+
+def test_fit_mfpca(benchmark, stack):
+    benchmark(fit_mfpca, stack, n_components=COMPONENTS)
 
 
 def test_pam_medoids(benchmark, model):
@@ -65,5 +75,28 @@ def test_pam_medoids(benchmark, model):
     benchmark(_pam_medoids, dist, 5)
 
 
-def test_stability_study(benchmark, samples, model):
-    benchmark(stability_study, samples, model, n_replicates=5, seed=0)
+def test_stability_study(benchmark, stack, model):
+    benchmark(stability_study, stack, model, n_replicates=5, seed=0)
+
+
+def test_write_players_json(benchmark, tmp_path):
+    rng = np.random.default_rng(2)
+    records = [
+        PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, rng.uniform(size=(SHOTS // 20, 2)),
+                     rng.uniform(size=(SHOTS // 20, 2)))
+        for i in range(PLAYERS)
+    ]
+    benchmark(write_players_json, records, tmp_path / "players.json")
+
+
+def test_save_model(benchmark, tmp_path):
+    rng = np.random.default_rng(3)
+    values = 1.0 + 0.1 * rng.normal(size=(2, PLAYERS, PAPER_GRID.nx, PAPER_GRID.ny))
+    paper_model = fit_mfpca(DensityStack([f"p{i:03d}" for i in range(PLAYERS)], PAPER_GRID, values), n_components=4)
+    del values
+    benchmark(save_model, paper_model, tmp_path / "model.json")
+
+
+def test_write_heatmap_csv(benchmark, tmp_path):
+    values = np.random.default_rng(4).uniform(-1.0, 1.0, size=PAPER_GRID.shape)
+    benchmark(write_heatmap_csv, values, PAPER_GRID, tmp_path / "field.csv")

@@ -9,15 +9,7 @@ check.
 
 from court_fda.bootstrap import StabilityReport, align_signs, resample, stability_study
 from court_fda.cluster import Clustering, WeightScheme, distance_matrix, kmedoids, standardize_scores
-from court_fda.density import (
-    DensityField,
-    FunctionalSample,
-    build_sample,
-    build_samples,
-    kde,
-    kde_raw,
-    silverman_bandwidth,
-)
+from court_fda.density import DensityStack, build_samples, kde, kde_raw, silverman_bandwidth
 from court_fda.fda import (
     EigenPair,
     MfpcaModel,
@@ -50,9 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CourtSpec",
     "Clustering",
-    "DensityField",
+    "DensityStack",
     "EigenPair",
-    "FunctionalSample",
     "GridSpec",
     "MfpcaModel",
     "Partition",
@@ -66,7 +57,6 @@ __all__ = [
     "WeightScheme",
     "adjusted_rand_index",
     "align_signs",
-    "build_sample",
     "build_samples",
     "confusion_matrix",
     "covariance_oracle",

@@ -24,16 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
+from court_fda.density import COMPONENTS, DensityStack
 from court_fda.fda import (
     MfpcaModel,
-    as_bivariate,
     eigendecompose,
     fit_mfpca,
     flip_component_signs,
     gram_matrix,
     inner_product,
     numerical_rank,
-    sample_ids,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -145,20 +144,17 @@ class ReferenceMismatchError(ValueError):
     """The reference model was not fitted on the samples under study."""
 
 
-def _check_reference(samples: Sequence, reference: MfpcaModel) -> None:
-    if reference.n_samples != len(samples):
-        raise ReferenceMismatchError(
-            f"reference was fitted on {reference.n_samples} samples, got {len(samples)}"
-        )
-    if reference.scores.player_ids != sample_ids(samples):
+def _check_reference(stack: DensityStack, reference: MfpcaModel) -> None:
+    if reference.n_samples != len(stack):
+        raise ReferenceMismatchError(f"reference was fitted on {reference.n_samples} samples, got {len(stack)}")
+    if reference.scores.player_ids != stack.player_ids:
         raise ReferenceMismatchError("reference was fitted on different players")
-    shape = as_bivariate(samples[0]).shape
-    if shape != reference.mean.shape:
-        raise ReferenceMismatchError(f"samples have shape {shape}, the reference grid has {reference.mean.shape}")
+    if stack.grid != reference.grid:
+        raise ReferenceMismatchError(f"samples lie on {stack.grid}, the reference grid is {reference.grid}")
 
 
 def stability_study(
-    samples: Sequence,
+    stack: DensityStack,
     reference: MfpcaModel,
     n_replicates: int = 5,
     seed: int = 0,
@@ -166,7 +162,7 @@ def stability_study(
 ) -> StabilityReport:
     """Measure component stability over bootstrap draws of the players.
 
-    ``reference`` is the model fitted on the full ``samples``; its
+    ``reference`` is the model fitted on the full ``stack``; its
     component count is the one each replicate asks for, and a reference
     fitted on other samples raises :class:`ReferenceMismatchError`.
 
@@ -190,9 +186,9 @@ def stability_study(
     """
     if n_replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {n_replicates}")
-    _check_reference(samples, reference)
-    n, k = len(samples), reference.n_components
-    gram = gram_matrix(samples, reference.mean, reference.weights)
+    _check_reference(stack, reference)
+    n, k = len(stack), reference.n_components
+    gram = gram_matrix(stack, reference.mean, reference.weights)
     ref_ell = (n - 1) * reference.eigenvalues
     ref_scores = reference.scores.values
     # The algebra needs the reference scores to be eigenvectors of this Gram matrix.
@@ -220,8 +216,7 @@ def stability_study(
         shift = (np.bincount(idx, minlength=n) - 1.0) / n
         mean_distances[r] = np.sqrt(max(float(shift @ gram @ shift), 0.0))
         if dump_dir is not None:
-            draw = [samples[i] for i in idx]
-            _dump_replicate(fit_mfpca(draw, n_components=a), Path(dump_dir), r)
+            _dump_replicate(fit_mfpca(stack.take(idx), n_components=a), Path(dump_dir), r)
 
     return StabilityReport(
         n_replicates=n_replicates,
@@ -238,7 +233,7 @@ def _dump_replicate(model: MfpcaModel, out_dir: Path, index: int) -> None:
     from court_fda.export import export_heatmap
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    for comp_idx, comp in enumerate(("missed", "made")):
+    for comp_idx, comp in enumerate(COMPONENTS):
         export_heatmap(model.mean[comp_idx], model.grid, out_dir / f"replicate{index}_mean_{comp}")
         for j, pair in enumerate(model.pairs, start=1):
             export_heatmap(

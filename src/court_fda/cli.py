@@ -75,24 +75,24 @@ def cmd_ingest(args) -> int:
 def cmd_density(args) -> int:
     records = read_players_json(args.players)
     grid = GridSpec(args.grid, args.grid)
-    samples = build_samples(records, grid, threads=args.threads)
+    stack = build_samples(records, grid, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pl.write_densities(out, samples)
+    pl.write_densities(out, stack)
     if args.dump_densities:
         dump = Path(args.dump_densities)
         dump.mkdir(parents=True, exist_ok=True)
-        for s in samples:
-            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in s.player_id)
-            for comp in ("missed", "made"):
-                write_heatmap_csv(getattr(s, comp).values, grid, dump / f"{safe}_{comp}.csv")
-    print(f"estimated {len(samples)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}")
+        for i, pid in enumerate(stack.player_ids):
+            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in pid)
+            for comp, values in zip(pl.COMPONENTS, stack.values[:, i]):
+                write_heatmap_csv(values, grid, dump / f"{safe}_{comp}.csv")
+    print(f"estimated {len(stack)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}")
     return 0
 
 
 def cmd_mfpca_fit(args) -> int:
-    samples = pl.read_densities(args.densities)
-    model = fit_mfpca(samples, n_components=args.components, variance_threshold=args.variance)
+    stack = pl.read_densities(args.densities)
+    model = fit_mfpca(stack, n_components=args.components, variance_threshold=args.variance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
@@ -104,12 +104,12 @@ def cmd_mfpca_fit(args) -> int:
 
 def cmd_mfpca_scores(args) -> int:
     model = load_model(args.model)
-    samples = pl.read_densities(args.densities)
-    scores = project_scores_all(samples, model)
+    stack = pl.read_densities(args.densities)
+    scores = project_scores_all(stack, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pl.write_scores_csv(scores, out / "scores.csv")
-    print(f"projected {len(samples)} samples onto {model.n_components} components -> {out / 'scores.csv'}")
+    print(f"projected {len(stack)} samples onto {model.n_components} components -> {out / 'scores.csv'}")
     return 0
 
 
@@ -122,7 +122,7 @@ def cmd_mfpca_reconstruct(args) -> int:
     k = args.k if args.k is not None else model.n_components
     field = reconstruct(model.scores.values[idx, :k], model)
     out = Path(args.out)
-    for comp_idx, comp in enumerate(("missed", "made")):
+    for comp_idx, comp in enumerate(pl.COMPONENTS):
         export_heatmap(field[comp_idx], model.grid, out / f"reconstruction_{args.player}_k{k}_{comp}", mode="unit")
     print(f"reconstructed {args.player} with {k} components -> {out}")
     return 0
@@ -206,12 +206,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    samples = pl.read_densities(args.densities)
-    reference = fit_mfpca(samples, n_components=args.components)
+    stack = pl.read_densities(args.densities)
+    reference = fit_mfpca(stack, n_components=args.components)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = bt.stability_study(
-        samples,
+        stack,
         reference,
         n_replicates=args.replicates,
         seed=args.seed,
@@ -228,26 +228,26 @@ def cmd_export(args) -> int:
     if args.what in ("mean", "eigenfunction"):
         model = load_model(args.model)
         if args.what == "mean":
-            for comp_idx, comp in enumerate(("missed", "made")):
+            for comp_idx, comp in enumerate(pl.COMPONENTS):
                 export_heatmap(model.mean[comp_idx], model.grid, out / f"mean_{comp}")
             print(f"exported mean components -> {out}")
         else:
             if args.k is None or not 1 <= args.k <= model.n_components:
                 raise ValueError(f"--k must be in [1, {model.n_components}]")
             pair = model.pairs[args.k - 1]
-            for comp_idx, comp in enumerate(("missed", "made")):
+            for comp_idx, comp in enumerate(pl.COMPONENTS):
                 export_heatmap(pair.eigenfunction[comp_idx], model.grid, out / f"eigenfunction_{args.k}_{comp}")
             print(f"exported eigenfunction {args.k} -> {out}")
     elif args.what == "player":
         model = load_model(args.model)
-        samples = pl.read_densities(args.densities)
-        sample = next((s for s in samples if s.player_id == args.player), None)
-        if sample is None:
+        stack = pl.read_densities(args.densities)
+        if args.player not in stack.player_ids:
             raise ValueError(f"player {args.player!r} is not in the density set")
+        sample = stack.values[:, stack.player_ids.index(args.player)]
         idx = model.scores.player_ids.index(args.player) if args.player in model.scores.player_ids else None
         scores = model.scores.values[idx] if idx is not None else None
-        for comp_idx, comp in enumerate(("missed", "made")):
-            export_heatmap(sample.stacked()[comp_idx], model.grid, out / f"player_{args.player}_{comp}", mode="unit")
+        for comp_idx, comp in enumerate(pl.COMPONENTS):
+            export_heatmap(sample[comp_idx], model.grid, out / f"player_{args.player}_{comp}", mode="unit")
             export_heatmap(model.mean[comp_idx], model.grid, out / f"player_{args.player}_mean_{comp}")
             if scores is not None:
                 for j, pair in enumerate(model.pairs, start=1):
@@ -258,18 +258,12 @@ def cmd_export(args) -> int:
         print(f"exported decomposition of {args.player} -> {out}")
     else:  # medoids
         _, doc = _load_cluster_partition(args.clusters)
-        samples = pl.read_densities(args.densities)
-        by_id = {s.player_id: s for s in samples}
+        stack = pl.read_densities(args.densities)
         for j, pid in enumerate(doc["medoid_player_ids"], start=1):
-            if pid not in by_id:
+            if pid not in stack.player_ids:
                 raise ValueError(f"medoid player {pid!r} is not in the density set")
-            for comp in ("missed", "made"):
-                export_heatmap(
-                    getattr(by_id[pid], comp).values,
-                    by_id[pid].grid,
-                    out / f"medoid_{doc['scheme']}_cluster{j}_{comp}",
-                    mode="unit",
-                )
+            for comp, values in zip(pl.COMPONENTS, stack.values[:, stack.player_ids.index(pid)]):
+                export_heatmap(values, stack.grid, out / f"medoid_{doc['scheme']}_cluster{j}_{comp}", mode="unit")
         print(f"exported {len(doc['medoid_player_ids'])} medoid charts -> {out}")
     return 0
 

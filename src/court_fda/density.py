@@ -22,6 +22,9 @@ from court_fda.ingest import PlayerRecord
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+#: The components of a :class:`DensityStack`, in the order of its first axis.
+COMPONENTS = ("missed", "made")
+
 
 class DegenerateBandwidthError(ValueError):
     """Bandwidth selection failed: too few points or a zero-variance axis."""
@@ -31,41 +34,33 @@ class DensityError(ValueError):
     """Density estimation failed for a specific player and component."""
 
 
-@dataclass
-class DensityField:
-    """One smoothed density evaluated on a grid.
+@dataclass(frozen=True, eq=False)
+class DensityStack:
+    """Every player's missed and made densities in one array.
 
-    values has shape (nx, ny), is non-negative everywhere, and its
-    trapezoidal integral over the unit square is 1.
+    ``values`` is a C-contiguous float64 array of shape (2, N, nx, ny):
+    component-major, missed first and made second, rows in
+    ``player_ids`` order. Each field is non-negative and its trapezoidal
+    integral over the unit square is 1.
     """
 
+    player_ids: list[str]
     grid: GridSpec
     values: np.ndarray
 
-
-@dataclass
-class FunctionalSample:
-    """One player's bivariate functional observation.
-
-    The two components are the missed-shot and made-shot densities,
-    sharing a single grid.
-    """
-
-    player_id: str
-    missed: DensityField
-    made: DensityField
-
     def __post_init__(self) -> None:
-        if self.missed.grid != self.made.grid:
-            raise ValueError(f"player {self.player_id}: missed and made fields use different grids")
+        shape = (2, len(self.player_ids), self.grid.nx, self.grid.ny)
+        if self.values.shape != shape:
+            raise ValueError(f"density values have shape {self.values.shape}, expected {shape}")
+        if self.values.dtype != np.float64 or not self.values.flags.c_contiguous:
+            raise ValueError("density values must be a C-contiguous float64 array")
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.missed.grid
+    def __len__(self) -> int:
+        return len(self.player_ids)
 
-    def stacked(self) -> np.ndarray:
-        """Component-stacked view of shape (2, nx, ny): missed first, made second."""
-        return np.stack([self.missed.values, self.made.values])
+    def take(self, rows) -> "DensityStack":
+        """A new stack of the given player rows, in the given order."""
+        return DensityStack([self.player_ids[i] for i in rows], self.grid, np.take(self.values, rows, axis=1))
 
 
 def silverman_bandwidth(points: np.ndarray) -> tuple[float, float]:
@@ -102,38 +97,51 @@ def kde_raw(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec =
     n = len(pts)
     if n == 0:
         raise ValueError("cannot estimate a density from an empty point set")
-    kx = _INV_SQRT_2PI * np.exp(-0.5 * ((grid.xs[:, None] - pts[None, :, 0]) / hx) ** 2)
-    ky = _INV_SQRT_2PI * np.exp(-0.5 * ((grid.ys[:, None] - pts[None, :, 1]) / hy) ** 2)
-    return (kx @ ky.T) / (n * hx * hy)
+    kx = _kernel(grid.xs, pts[:, 0], hx)
+    ky = _kernel(grid.ys, pts[:, 1], hy)
+    out = kx @ ky.T
+    out /= n * hx * hy
+    return out
 
 
-def kde(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec()) -> DensityField:
-    """Gaussian KDE renormalized to integrate to 1 over the grid."""
+def _kernel(nodes: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
+    """G((t - c) / h) for every node t and coordinate c, built in one buffer."""
+    k = np.subtract.outer(nodes, coords)
+    k /= h
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= _INV_SQRT_2PI
+    return k
+
+
+def kde(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec(), out=None) -> np.ndarray:
+    """Gaussian KDE renormalized to integrate to 1 over the grid, written to ``out`` if given."""
     raw = kde_raw(points, bandwidth, grid)
-    return DensityField(grid, raw / grid_integral(raw))
+    return np.divide(raw, grid_integral(raw), out=out)
 
 
-def build_sample(record: PlayerRecord, grid: GridSpec = GridSpec()) -> FunctionalSample:
-    """Estimate both of a player's densities, one bandwidth pair per component."""
-    fields: dict[str, DensityField] = {}
-    for component, pts in (("missed", record.missed_points), ("made", record.made_points)):
-        try:
-            fields[component] = kde(pts, silverman_bandwidth(pts), grid)
-        except ValueError as exc:
-            raise DensityError(f"player {record.player_id}, {component} shots: {exc}") from exc
-    return FunctionalSample(record.player_id, fields["missed"], fields["made"])
+def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1) -> DensityStack:
+    """Estimate both densities of every record into one preallocated stack.
 
-
-def build_samples(
-    records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1
-) -> list[FunctionalSample]:
-    """Estimate densities for every record, optionally across worker threads.
-
-    Results are returned in record order and are identical for any thread
-    count: each field is evaluated in a fixed node order and players are
-    independent.
+    Each component gets its own bandwidth pair. Rows follow record order
+    and are identical for any thread count: each field is evaluated in a
+    fixed node order and players are independent.
     """
+    values = np.empty((2, len(records), grid.nx, grid.ny))
+
+    def fill(i: int) -> None:
+        record = records[i]
+        for component, pts, slot in zip(COMPONENTS, (record.missed_points, record.made_points), values[:, i]):
+            try:
+                kde(pts, silverman_bandwidth(pts), grid, out=slot)
+            except ValueError as exc:
+                raise DensityError(f"player {record.player_id}, {component} shots: {exc}") from exc
+
     if threads <= 1 or len(records) <= 1:
-        return [build_sample(r, grid) for r in records]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: build_sample(r, grid), records))
+        for i in range(len(records)):
+            fill(i)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(len(records))))
+    return DensityStack([r.player_id for r in records], grid, values)

@@ -9,8 +9,9 @@ operator; :func:`covariance_oracle` keeps the direct operator route
 available on coarse grids as an independent cross-check.
 
 Bivariate grid functions are ndarrays of shape (2, nx, ny) with the
-missed component first and the made component second; `FunctionalSample`
-instances are accepted anywhere such an array is.
+missed component first and the made component second. A dataset is one
+:class:`~court_fda.density.DensityStack`, centered block by block over
+the grid nodes of each component, never as a whole copy.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from court_fda.density import FunctionalSample
+from court_fda.density import DensityStack
 from court_fda.export import write_json
 from court_fda.grids import GridSpec, trapezoid_weights
 
@@ -31,6 +32,10 @@ RANK_RTOL = 1e-12
 
 #: Largest per-axis node count the direct covariance route will accept.
 MAX_ORACLE_NODES = 21
+
+#: Grid nodes per column block when a stack is centered block by block;
+#: a block of N players holds N * GRAM_BLOCK floats.
+GRAM_BLOCK = 4096
 
 
 class GridMismatchError(ValueError):
@@ -125,24 +130,18 @@ class MfpcaModel:
         return np.stack([p.eigenfunction for p in self.pairs])
 
 
-def as_bivariate(f) -> np.ndarray:
-    """Coerce a FunctionalSample or array-like to a (2, nx, ny) ndarray."""
-    if isinstance(f, FunctionalSample):
-        return f.stacked()
+def _bivariate(f, weights: QuadratureWeights) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != 2:
         raise ValueError(f"expected a bivariate grid function of shape (2, nx, ny), got {arr.shape}")
+    if arr.shape[1:] != (len(weights.wx), len(weights.wy)):
+        raise GridMismatchError(f"function shape {arr.shape} does not match quadrature weights")
     return arr
 
 
 def inner_product(f, g, weights: QuadratureWeights) -> float:
     """Product-space inner product: the two component integrals, summed."""
-    F = as_bivariate(f)
-    G = as_bivariate(g)
-    if F.shape != G.shape:
-        raise GridMismatchError(f"shape mismatch: {F.shape} vs {G.shape}")
-    if F.shape[1] != len(weights.wx) or F.shape[2] != len(weights.wy):
-        raise GridMismatchError(f"function shape {F.shape} does not match quadrature weights")
+    F, G = _bivariate(f, weights), _bivariate(g, weights)
     both = (F * G).sum(axis=0)
     return float(weights.wx @ both @ weights.wy)
 
@@ -152,49 +151,39 @@ def h_norm(f, weights: QuadratureWeights) -> float:
     return float(np.sqrt(max(inner_product(f, f, weights), 0.0)))
 
 
-def sample_ids(samples: Sequence) -> list[str]:
-    """Player id of each sample; plain arrays are named by their position."""
-    return [s.player_id if isinstance(s, FunctionalSample) else str(i) for i, s in enumerate(samples)]
-
-
-def _common_grid(samples: Sequence) -> GridSpec:
-    first = as_bivariate(samples[0])
-    grid = samples[0].grid if isinstance(samples[0], FunctionalSample) else GridSpec(*first.shape[1:])
-    for s in samples[1:]:
-        if as_bivariate(s).shape != first.shape:
-            raise GridMismatchError("samples are not on a common grid")
-    return grid
-
-
-def mean_function(samples: Sequence) -> np.ndarray:
-    """Pointwise arithmetic mean of the samples, per component."""
-    if len(samples) == 0:
+def mean_function(stack: DensityStack) -> np.ndarray:
+    """Pointwise arithmetic mean of the samples, per component, shape (2, nx, ny)."""
+    if len(stack) == 0:
         raise ValueError("cannot average an empty sample list")
-    _common_grid(samples)
-    stacked = np.stack([as_bivariate(s) for s in samples])
-    return stacked.mean(axis=0)
+    return stack.values.mean(axis=1)
 
 
-def _centered_matrix(samples: Sequence, mean: np.ndarray) -> np.ndarray:
-    """Centered samples flattened to rows of length 2 * nx * ny."""
-    stacked = np.stack([as_bivariate(s) for s in samples])
-    if stacked.shape[1:] != mean.shape:
-        raise GridMismatchError(f"samples have shape {stacked.shape[1:]}, mean has {mean.shape}")
-    return (stacked - mean).reshape(len(samples), -1)
+def _centered_blocks(stack: DensityStack, mean: np.ndarray) -> Iterator[tuple[int, slice, np.ndarray]]:
+    """(component, node slice, centered N x block copy) over fixed column blocks."""
+    if mean.shape != (2, stack.grid.nx, stack.grid.ny):
+        raise GridMismatchError(f"samples lie on a {stack.grid.nx}x{stack.grid.ny} grid, mean has {mean.shape}")
+    n, nodes = len(stack), stack.grid.nx * stack.grid.ny
+    for c in range(2):
+        rows, m = stack.values[c].reshape(n, nodes), mean[c].ravel()
+        for lo in range(0, nodes, GRAM_BLOCK):
+            cols = slice(lo, lo + GRAM_BLOCK)
+            yield c, cols, rows[:, cols] - m[cols]
 
 
-def gram_matrix(samples: Sequence, mean: np.ndarray, weights: QuadratureWeights) -> np.ndarray:
+def gram_matrix(stack: DensityStack, mean: np.ndarray, weights: QuadratureWeights) -> np.ndarray:
     """Matrix of centered inner products, exactly symmetric by mirroring.
 
     Entry (i, j) is the product-space inner product of the centered
-    samples i and j; the upper triangle is computed and reflected.
+    samples i and j, summed over column blocks; the upper triangle is
+    kept and reflected.
     """
-    if len(samples) < 2:
+    if len(stack) < 2:
         raise ValueError("need at least 2 samples")
-    flat = _centered_matrix(samples, mean)
-    sqrt_w = np.sqrt(np.tile(weights.w2d.ravel(), 2))
-    weighted = flat * sqrt_w
-    raw = weighted @ weighted.T
+    sqrt_w = np.sqrt(weights.w2d).ravel()
+    raw = np.zeros((len(stack), len(stack)))
+    for _, cols, block in _centered_blocks(stack, mean):
+        block *= sqrt_w[cols]
+        raw += block @ block.T
     return np.triu(raw) + np.triu(raw, 1).T
 
 
@@ -236,7 +225,7 @@ def _signed_canonical(phi: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def fit_mfpca(
-    samples: Sequence,
+    stack: DensityStack,
     n_components: int | None = None,
     variance_threshold: float | None = None,
 ) -> MfpcaModel:
@@ -251,13 +240,12 @@ def fit_mfpca(
     """
     if (n_components is None) == (variance_threshold is None):
         raise ValueError("specify exactly one of n_components and variance_threshold")
-    n = len(samples)
+    n = len(stack)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    grid = _common_grid(samples)
-    weights = QuadratureWeights.for_grid(grid)
-    mean = mean_function(samples)
-    gram = gram_matrix(samples, mean, weights)
+    weights = QuadratureWeights.for_grid(stack.grid)
+    mean = mean_function(stack)
+    gram = gram_matrix(stack, mean, weights)
     ell, u = eigendecompose(gram)
 
     rank = numerical_rank(ell)
@@ -287,39 +275,47 @@ def fit_mfpca(
             )
         k = int(reached[0]) + 1
 
-    flat = _centered_matrix(samples, mean)
+    projections = np.empty((k, 2, mean[0].size))  # u_j' (X - m), one block at a time
+    for c, cols, block in _centered_blocks(stack, mean):
+        projections[:, c, cols] = u[:, :k].T @ block
     pairs: list[EigenPair] = []
     score_values = u[:, :k] * np.sqrt(ell[:k])
     for j in range(k):
-        phi = (u[:, j] @ flat).reshape(mean.shape) / np.sqrt(ell[j])
+        phi = projections[j].reshape(mean.shape) / np.sqrt(ell[j])
         phi, sign = _signed_canonical(phi)
         score_values[:, j] *= sign
         pairs.append(EigenPair(float(ell[j] / (n - 1)), phi))
 
     return MfpcaModel(
-        grid=grid,
+        grid=stack.grid,
         weights=weights,
         mean=mean,
         pairs=pairs,
         n_samples=n,
         variance_ratios=ratios_all[:k].copy(),
         total_variance=total_variance,
-        scores=ScoreMatrix(sample_ids(samples), score_values),
+        scores=ScoreMatrix(list(stack.player_ids), score_values),
     )
 
 
 def project_scores(sample, model: MfpcaModel) -> np.ndarray:
     """Score vector of a sample: centered projections onto each eigenfunction."""
-    x = as_bivariate(sample)
+    x = np.asarray(sample, dtype=float)
     if x.shape != model.mean.shape:
         raise GridMismatchError(f"sample shape {x.shape} does not match model grid {model.mean.shape}")
     centered = x - model.mean
     return np.array([inner_product(centered, p.eigenfunction, model.weights) for p in model.pairs])
 
 
-def project_scores_all(samples: Sequence, model: MfpcaModel) -> ScoreMatrix:
-    """Scores for a whole dataset, one row per sample."""
-    return ScoreMatrix(sample_ids(samples), np.stack([project_scores(s, model) for s in samples]))
+def project_scores_all(stack: DensityStack, model: MfpcaModel) -> ScoreMatrix:
+    """Scores for a whole stack, one row per sample, summed over column blocks."""
+    if stack.grid != model.grid:
+        raise GridMismatchError(f"samples lie on {stack.grid}, the model on {model.grid}")
+    weighted = (model.eigenfunctions() * model.weights.w2d).reshape(model.n_components, 2, -1)
+    values = np.zeros((len(stack), model.n_components))
+    for c, cols, block in _centered_blocks(stack, model.mean):
+        values += block @ weighted[:, c, cols].T
+    return ScoreMatrix(list(stack.player_ids), values)
 
 
 def reconstruct(scores: Sequence[float], model: MfpcaModel) -> np.ndarray:
@@ -333,7 +329,7 @@ def reconstruct(scores: Sequence[float], model: MfpcaModel) -> np.ndarray:
     return out
 
 
-def covariance_oracle(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
+def covariance_oracle(stack: DensityStack) -> tuple[np.ndarray, np.ndarray]:
     """Direct route: eigendecompose the discretized covariance operator.
 
     Builds the full (2 nx ny) square covariance matrix of the stacked
@@ -346,26 +342,21 @@ def covariance_oracle(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
     cutoff, eigenfunctions stacked as (K, 2, nx, ny) and sign-fixed with
     the same convention as :func:`fit_mfpca`.
     """
-    n = len(samples)
+    n, grid = len(stack), stack.grid
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    grid = _common_grid(samples)
     if grid.nx > MAX_ORACLE_NODES or grid.ny > MAX_ORACLE_NODES:
         raise ValueError(
             f"covariance oracle refuses grids above {MAX_ORACLE_NODES}x{MAX_ORACLE_NODES}; got {grid.nx}x{grid.ny}"
         )
     weights = QuadratureWeights.for_grid(grid)
-    stacked = np.stack([as_bivariate(s) for s in samples]).reshape(n, -1)
+    stacked = stack.values.transpose(1, 0, 2, 3).reshape(n, -1)
     centered = stacked - stacked.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     sqrt_w = np.sqrt(np.tile(weights.w2d.ravel(), 2))
     sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
-    sym = 0.5 * (sym + sym.T)
-    vals, vecs = np.linalg.eigh(sym)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    vals[(vals < 0.0) & (vals >= -1e-10)] = 0.0
-    rank = int(np.sum(vals > RANK_RTOL * vals[0])) if vals[0] > 0 else 0
+    vals, vecs = eigendecompose(0.5 * (sym + sym.T))
+    rank = numerical_rank(vals)
     funcs = []
     for j in range(rank):
         phi = (vecs[:, j] / sqrt_w).reshape((2, grid.nx, grid.ny))

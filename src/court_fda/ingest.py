@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from court_fda.export import write_json
+from court_fda.export import json_text
 
 CSV_FIELDS = ("player_id", "player_name", "position", "x_ft", "y_ft", "made", "season")
 
@@ -244,11 +245,12 @@ class _NumberColumn:
         return values, ~np.isfinite(values), message
 
 
-def _line_of(text: str, index: int) -> int:
-    """File line number on which the index-th non-blank data row ends."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    return next(islice((reader.line_num for row in reader if row), index, None))
+def _line_of(reopen: Callable[[], TextIO], index: int) -> int:
+    """File line number on which the index-th non-blank data row ends, read afresh."""
+    with reopen() as source:
+        reader = csv.reader(source)
+        next(reader)
+        return next(islice((reader.line_num for row in reader if row), index, None))
 
 
 def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -263,7 +265,13 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     number of the first such row; within a row the checks run in the
     order position, x_ft, y_ft, made.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reopen = functools.partial(io.StringIO, text, newline="")
+    return _read_csv(reopen(), reopen, court)
+
+
+def _read_csv(source: TextIO, reopen: Callable[[], TextIO], court: CourtSpec) -> ShotTable:
+    """The rows of ``source`` as a table; ``reopen`` reads it again to locate an invalid row."""
+    reader = csv.reader(source)
     header = next(reader, None)
     if header is None:
         return ShotTable.from_rows([])
@@ -301,10 +309,10 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
-        raise ParseError(_line_of(text, i), next(message(i) for mask, message in checks if mask[i]))
+        raise ParseError(_line_of(reopen, i), next(message(i) for mask, message in checks if mask[i]))
     if wrong_count is not None:
         i, count = wrong_count
-        raise ParseError(_line_of(text, i), f"expected {len(CSV_FIELDS)} fields, got {count}")
+        raise ParseError(_line_of(reopen, i), f"expected {len(CSV_FIELDS)} fields, got {count}")
     x, y = normalize_point(x_ft, y_ft, court)
     return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
 
@@ -338,12 +346,16 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
 
 
 def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> ShotTable:
-    """Load shot events from a CSV or JSON file, dispatching on suffix."""
+    """Load shot events from a CSV or JSON file, dispatching on suffix.
+
+    A CSV file is streamed as strict UTF-8, and read again only to locate an invalid row.
+    """
     path = Path(path)
-    text = path.read_bytes().decode("utf-8")
     if path.suffix.lower() == ".json":
-        return parse_events_json(text, court)
-    return parse_events(text, court)
+        return parse_events_json(path.read_bytes().decode("utf-8"), court)
+    reopen = functools.partial(path.open, newline="", encoding="utf-8")
+    with reopen() as source:
+        return _read_csv(source, reopen, court)
 
 
 def exclude_impossible(events: ShotTable) -> ShotTable:
@@ -396,18 +408,22 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
 
 
 def write_players_json(records: Sequence[PlayerRecord], path: str | Path) -> None:
-    """Write player records (with point lists) as a deterministic JSON file."""
-    payload = [
-        {
-            "player_id": r.player_id,
-            "player_name": r.player_name,
-            "position": r.position.value,
-            "made_points": r.made_points.tolist(),
-            "missed_points": r.missed_points.tolist(),
-        }
-        for r in records
-    ]
-    write_json(payload, path)
+    """Write player records (with point lists) as one deterministic JSON array.
+
+    Players are encoded one at a time, so only one player's point lists exist as Python lists.
+    """
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write("[")
+        for i, r in enumerate(records):
+            doc = {
+                "player_id": r.player_id,
+                "player_name": r.player_name,
+                "position": r.position.value,
+                "made_points": r.made_points.tolist(),
+                "missed_points": r.missed_points.tolist(),
+            }
+            fh.write(("," if i else "") + json_text(doc)[:-1])
+        fh.write("]\n")
 
 
 def read_players_json(path: str | Path) -> list[PlayerRecord]:

@@ -22,7 +22,7 @@ import numpy as np
 from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
-from court_fda.density import DensityField, FunctionalSample, build_samples
+from court_fda.density import COMPONENTS, DensityStack, build_samples
 from court_fda.export import export_heatmap, write_heatmap_csv, write_json
 from court_fda.fda import ScoreMatrix, fit_mfpca, save_model
 from court_fda.grids import GridSpec
@@ -108,21 +108,20 @@ class _OutputTracker:
         self.root = root
         self.files: list[Path] = []
 
-    def track(self, path: Path) -> Path:
-        self.files.append(path)
-        return path
+    def track(self, *paths: Path) -> None:
+        self.files.extend(paths)
 
-    def write_json(self, relpath: str, obj) -> Path:
+    def write_json(self, relpath: str, obj) -> None:
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         write_json(obj, path)
-        return self.track(path)
+        self.track(path)
 
-    def write_text(self, relpath: str, text: str) -> Path:
+    def write_text(self, relpath: str, text: str) -> None:
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
-        return self.track(path)
+        self.track(path)
 
     def cleanup(self) -> None:
         for path in self.files:
@@ -135,37 +134,42 @@ class _OutputTracker:
                     pass
 
 
-def write_densities(out_dir: Path, samples: Sequence[FunctionalSample], tracker: _OutputTracker | None = None):
-    """Persist a density stack as two .npy arrays plus a JSON descriptor."""
-    grid = samples[0].grid
-    missed = np.stack([s.missed.values for s in samples])
-    made = np.stack([s.made.values for s in samples])
-    paths = []
-    for name, arr in (("densities_missed.npy", missed), ("densities_made.npy", made)):
-        path = out_dir / name
-        np.save(path, arr)
-        paths.append(path)
-        if tracker:
-            tracker.track(path)
-    meta = {"player_ids": [s.player_id for s in samples], "grid": {"nx": grid.nx, "ny": grid.ny}}
-    meta_path = out_dir / "densities_meta.json"
-    write_json(meta, meta_path)
-    if tracker:
-        tracker.track(meta_path)
-    return paths + [meta_path]
+class DensityFileError(ValueError):
+    """A density directory is missing a file or holds arrays that do not match its descriptor."""
 
 
-def read_densities(dir_path: str | Path) -> list[FunctionalSample]:
-    """Inverse of :func:`write_densities`."""
+def write_densities(out_dir: Path, stack: DensityStack) -> list[Path]:
+    """Persist a density stack as one .npy array per component plus a JSON descriptor."""
+    paths = [out_dir / f"densities_{comp}.npy" for comp in COMPONENTS]
+    for path, values in zip(paths, stack.values):
+        np.save(path, values)
+    paths.append(out_dir / "densities_meta.json")
+    write_json({"player_ids": stack.player_ids, "grid": {"nx": stack.grid.nx, "ny": stack.grid.ny}}, paths[-1])
+    return paths
+
+
+def read_densities(dir_path: str | Path) -> DensityStack:
+    """Inverse of :func:`write_densities`; each array is read into its slot of one stack.
+
+    Raises :class:`DensityFileError` for a missing or unreadable file, an array whose shape
+    is not the descriptor's (players, nx, ny), or a non-finite value.
+    """
     dir_path = Path(dir_path)
-    meta = json.loads((dir_path / "densities_meta.json").read_text(encoding="utf-8"))
-    grid = GridSpec(meta["grid"]["nx"], meta["grid"]["ny"])
-    missed = np.load(dir_path / "densities_missed.npy")
-    made = np.load(dir_path / "densities_made.npy")
-    return [
-        FunctionalSample(pid, DensityField(grid, missed[i]), DensityField(grid, made[i]))
-        for i, pid in enumerate(meta["player_ids"])
-    ]
+    try:
+        meta = json.loads((dir_path / "densities_meta.json").read_text(encoding="utf-8"))
+        ids, grid = [str(pid) for pid in meta["player_ids"]], GridSpec(meta["grid"]["nx"], meta["grid"]["ny"])
+        stack = DensityStack(ids, grid, np.empty((2, len(ids), grid.nx, grid.ny)))
+        for comp, slot in zip(COMPONENTS, stack.values):
+            values = np.load(dir_path / f"densities_{comp}.npy", mmap_mode="r")
+            if values.shape != slot.shape:
+                raise ValueError(f"densities_{comp}.npy has shape {values.shape}, the descriptor lists {slot.shape}")
+            slot[...] = values
+            del values  # closes the memory map
+            if not np.isfinite(slot).all():
+                raise ValueError(f"densities_{comp}.npy holds a non-finite value")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DensityFileError(f"density directory {dir_path}: {exc}") from exc
+    return stack
 
 
 def write_scores_csv(scores: ScoreMatrix, path: Path) -> None:
@@ -245,6 +249,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracker: _OutputTracker) -> dict:
     out_root = tracker.root
 
@@ -257,26 +269,26 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
         records = filter_players(retained, config.min_attempts)
         if not records:
             raise ValueError(f"no player exceeds {config.min_attempts} attempts")
+        events_parsed, events_retained = len(events), len(retained)
+        del events, retained  # only their row counts reach the manifest
         players_path = out_root / "players.json"
         write_players_json(records, players_path)
         tracker.track(players_path)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError("ingest", exc) from exc
 
     # density
     try:
-        samples = build_samples(records, grid, threads=config.threads)
-        write_densities(out_root, samples, tracker)
+        stack = build_samples(records, grid, threads=config.threads)
+        tracker.track(*write_densities(out_root, stack))
         if config.dump_densities:
             dump_dir = out_root / "density_dumps"
             dump_dir.mkdir(exist_ok=True)
-            for s in samples:
-                safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in s.player_id)
-                for comp in ("missed", "made"):
+            for i, pid in enumerate(stack.player_ids):
+                safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in pid)
+                for comp, values in zip(COMPONENTS, stack.values[:, i]):
                     path = dump_dir / f"{safe}_{comp}.csv"
-                    write_heatmap_csv(getattr(s, comp).values, grid, path)
+                    write_heatmap_csv(values, grid, path)
                     tracker.track(path)
     except Exception as exc:
         raise StageError("density", exc) from exc
@@ -284,14 +296,12 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
     # mfpca
     try:
         model = fit_mfpca(
-            samples, n_components=config.components, variance_threshold=config.variance_threshold
+            stack, n_components=config.components, variance_threshold=config.variance_threshold
         )
-        model_path = out_root / "model.json"
+        model_path, scores_path = out_root / "model.json", out_root / "scores.csv"
+        tracker.track(model_path, scores_path)
         save_model(model, model_path)
-        tracker.track(model_path)
-        scores_path = out_root / "scores.csv"
         write_scores_csv(model.scores, scores_path)
-        tracker.track(scores_path)
     except Exception as exc:
         raise StageError("mfpca", exc) from exc
 
@@ -337,7 +347,7 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
     if config.bootstrap_replicates >= 1:
         try:
             report = bt.stability_study(
-                samples, model, n_replicates=config.bootstrap_replicates, seed=config.seed
+                stack, model, n_replicates=config.bootstrap_replicates, seed=config.seed
             )
             tracker.write_json("stability.json", bt.report_to_dict(report))
         except Exception as exc:
@@ -347,19 +357,16 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
     heat_dir = out_root / "heatmaps"
     before = {p for p in heat_dir.rglob("*") if p.is_file()} if heat_dir.exists() else set()
     try:
-        for comp_idx, comp in enumerate(("missed", "made")):
-            for p in export_heatmap(model.mean[comp_idx], grid, heat_dir / f"mean_{comp}"):
-                tracker.track(p)
+        for comp_idx, comp in enumerate(COMPONENTS):
+            tracker.track(*export_heatmap(model.mean[comp_idx], grid, heat_dir / f"mean_{comp}"))
             for j, pair in enumerate(model.pairs, start=1):
-                for p in export_heatmap(pair.eigenfunction[comp_idx], grid, heat_dir / f"eigenfunction_{j}_{comp}"):
-                    tracker.track(p)
+                base = heat_dir / f"eigenfunction_{j}_{comp}"
+                tracker.track(*export_heatmap(pair.eigenfunction[comp_idx], grid, base))
         for name, clustering in clusterings.items():
             for j, medoid in enumerate(clustering.medoids, start=1):
-                sample = samples[medoid]
-                for comp in ("missed", "made"):
+                for comp, values in zip(COMPONENTS, stack.values[:, medoid]):
                     base = heat_dir / f"medoid_{name}_cluster{j}_{comp}"
-                    for p in export_heatmap(getattr(sample, comp).values, grid, base, mode="unit"):
-                        tracker.track(p)
+                    tracker.track(*export_heatmap(values, grid, base, mode="unit"))
     except Exception as exc:
         for path in {p for p in heat_dir.rglob("*") if p.is_file()} - before:
             path.unlink(missing_ok=True)
@@ -368,16 +375,13 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
     manifest = {
         "config": config.to_dict(),
         "summary": {
-            "events_parsed": len(events),
-            "events_retained": len(retained),
+            "events_parsed": events_parsed,
+            "events_retained": events_retained,
             "players_retained": len(records),
             "components": model.n_components,
             "variance_ratios": model.variance_ratios.tolist(),
         },
-        "files": {
-            p.relative_to(out_root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(tracker.files)
-        },
+        "files": {p.relative_to(out_root).as_posix(): _sha256(p) for p in sorted(tracker.files)},
     }
     write_json(manifest, out_root / "run.json")
     return manifest

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from court_fda.density import DensityStack
 from court_fda.fda import QuadratureWeights, inner_product
 from court_fda.grids import GridSpec
 
@@ -52,12 +53,13 @@ def smooth_factor_basis(grid: GridSpec, count: int) -> list[np.ndarray]:
 
 def planted_dataset(
     grid: GridSpec, shares: list[float], n_samples: int, seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+) -> tuple[DensityStack, list[np.ndarray], np.ndarray]:
     """Samples with exactly-known factor structure.
 
     Coefficient columns are orthogonalized and rescaled so each factor's
     sample variance (n-1 denominator) is exactly its share of a unit
-    total. Returns (samples, factors, coefficients).
+    total. Returns (stack of samples named by position, factors,
+    coefficients).
     """
     factors = smooth_factor_basis(grid, len(shares))
     rng = np.random.default_rng(seed)
@@ -68,7 +70,13 @@ def planted_dataset(
     xx, yy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     base = np.stack([1.0 + 0.25 * np.cos(np.pi * xx) * yy, 1.0 + 0.25 * np.sin(np.pi * yy) * xx])
     samples = [base + np.tensordot(coef[i], np.stack(factors), axes=1) for i in range(n_samples)]
-    return samples, factors, coef
+    return stack_of(samples), factors, coef
+
+
+def stack_of(fields, ids=None) -> DensityStack:
+    """Bivariate (2, nx, ny) fields as one stack; players are named by position unless ids are given."""
+    values = np.stack([np.asarray(f, dtype=float) for f in fields], axis=1)
+    return DensityStack(ids or [str(i) for i in range(len(fields))], GridSpec(*values.shape[2:]), values)
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from court_fda.metrics import adjusted_rand_index, silhouette
 from court_fda.fda import ScoreMatrix
 from court_fda.pipeline import PipelineConfig, run_pipeline
 
-from conftest import planted_dataset
+from conftest import planted_dataset, stack_of
 from test_metrics import FOUR_POINT_D, FOUR_POINT_LABELS, FOUR_POINT_MEAN, FOUR_POINT_S, ari_pair_counting_oracle
 
 
@@ -72,8 +72,8 @@ def test_c2_density_validity():
         pts = rng.uniform(0.02, 0.98, size=(n, 2))
         bw = silverman_bandwidth(pts)
         field = kde(pts, bw, grid_int)
-        assert np.all(field.values >= 0.0)
-        assert abs(grid_integral(field.values) - 1.0) <= 1e-9
+        assert np.all(field >= 0.0)
+        assert abs(grid_integral(field) - 1.0) <= 1e-9
         raw = kde_raw(pts, bw, grid_oracle)
         hx, hy = bw
         scale = 1.0 / (n * hx * hy * 2.0 * math.pi)
@@ -94,7 +94,7 @@ def test_c3_dual_route_equivalence(grid11):
     w = QuadratureWeights.for_grid(grid11)
     for trial in range(20):
         n = int(rng.integers(3, 16))
-        samples = [rng.normal(size=(2, 11, 11)) for _ in range(n)]
+        samples = stack_of([rng.normal(size=(2, 11, 11)) for _ in range(n)])
         model = fit_mfpca(samples, n_components=n - 1)
         vals, funcs = covariance_oracle(samples)
         assert len(vals) >= n - 1
@@ -111,7 +111,7 @@ def test_c4_karhunen_loeve_invariants(grid11):
     started = time.perf_counter()
     rng = np.random.default_rng(11)
     samples = [rng.normal(size=(2, 11, 11)) for _ in range(12)]
-    model = fit_mfpca(samples, n_components=11)
+    model = fit_mfpca(stack_of(samples), n_components=11)
     w = model.weights
     for j in range(11):
         for k in range(j, 11):
@@ -119,7 +119,7 @@ def test_c4_karhunen_loeve_invariants(grid11):
             assert abs(ip - (1.0 if j == k else 0.0)) <= 1e-8
     lam = model.eigenvalues
     np.testing.assert_allclose(model.scores.values.var(axis=0, ddof=1), lam, rtol=1e-6)
-    projected = project_scores_all(samples, model)
+    projected = project_scores_all(stack_of(samples), model)
     np.testing.assert_allclose(projected.values, model.scores.values, atol=1e-8)
     for s in samples:
         scores = project_scores(s, model)

@@ -21,7 +21,7 @@ from court_fda.bootstrap import (
     stream_seed,
     report_to_dict,
 )
-from court_fda.density import DensityField, FunctionalSample
+from court_fda.density import DensityStack
 from court_fda.fda import (
     RankDeficiencyError,
     eigendecompose,
@@ -34,10 +34,10 @@ from court_fda.fda import (
 )
 from court_fda.grids import GridSpec
 
-from conftest import planted_dataset, smooth_factor_basis
+from conftest import planted_dataset, smooth_factor_basis, stack_of
 
 
-def refit_study(samples, reference, n_replicates, seed):
+def refit_study(stack, reference, n_replicates, seed):
     """Refit each bootstrap draw on the grid and compare it with the reference.
 
     Returns (alignments, eigenvalue ratios, mean distances, achieved ranks,
@@ -52,7 +52,7 @@ def refit_study(samples, reference, n_replicates, seed):
     achieved = np.zeros(n_replicates, dtype=int)
     gaps = np.full((n_replicates, k), np.nan)
     for r in range(n_replicates):
-        draw = resample(samples, stream_seed(seed, r))
+        draw = stack.take(resample_indices(len(stack), stream_seed(seed, r)))
         ell = eigendecompose(gram_matrix(draw, mean_function(draw), reference.weights))[0]
         spacing = np.abs(np.diff(ell)) / ell[0] if ell[0] > 0 else np.zeros(len(ell) - 1)
         nearest = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
@@ -71,10 +71,6 @@ def refit_study(samples, reference, n_replicates, seed):
             ratios[r, j] = model.pairs[j].eigenvalue / reference.pairs[j].eigenvalue
         mean_distances[r] = h_norm(model.mean - reference.mean, reference.weights)
     return alignments, ratios, mean_distances, achieved, gaps
-
-
-def as_functional(samples, grid, ids):
-    return [FunctionalSample(pid, DensityField(grid, s[0]), DensityField(grid, s[1])) for pid, s in zip(ids, samples)]
 
 
 class TestSplitMix64:
@@ -176,7 +172,7 @@ class TestStabilityStudy:
     def test_noiseless_rank_one_is_stable(self, grid11):
         psi = smooth_factor_basis(grid11, 1)[0]
         rng = np.random.default_rng(7)
-        samples = [np.ones((2, 11, 11)) + c * psi for c in rng.normal(size=16)]
+        samples = stack_of([np.ones((2, 11, 11)) + c * psi for c in rng.normal(size=16)])
         report = stability_study(samples, fit_mfpca(samples, n_components=1), n_replicates=5, seed=0)
         assert np.all(report.alignments[:, 0] >= 1.0 - 1e-6)
         assert report.flagged == []
@@ -189,7 +185,7 @@ class TestStabilityStudy:
     def test_identity_draw_reproduces_reference_eigenvalues(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.5, 0.3, 0.2], 12, seed=9)
         reference = fit_mfpca(samples, n_components=3)
-        redraw = fit_mfpca([samples[i] for i in range(12)], n_components=3)
+        redraw = fit_mfpca(samples.take(range(12)), n_components=3)
         assert np.array_equal(redraw.eigenvalues, reference.eigenvalues)
 
     def test_bit_reproducible(self, grid11):
@@ -311,17 +307,17 @@ def test_gram_route_matches_refit_route(n, nx, ny, shares, data_seed, boot_seed,
 class TestReferenceMismatch:
     def dataset(self, grid, n=8, seed=20):
         samples, _, _ = planted_dataset(grid, [0.6, 0.4], n, seed=seed)
-        return as_functional(samples, grid, [f"p{i}" for i in range(n)])
+        return samples
 
     def test_other_sample_count(self, grid11):
         samples = self.dataset(grid11)
-        reference = fit_mfpca(samples[:-1], n_components=2)
+        reference = fit_mfpca(samples.take(range(len(samples) - 1)), n_components=2)
         with pytest.raises(ReferenceMismatchError, match="7 samples"):
             stability_study(samples, reference)
 
     def test_other_players(self, grid11):
         samples = self.dataset(grid11)
-        renamed = [FunctionalSample(f"q{i}", s.missed, s.made) for i, s in enumerate(samples)]
+        renamed = DensityStack([f"q{i}" for i in range(len(samples))], samples.grid, samples.values)
         with pytest.raises(ReferenceMismatchError, match="different players"):
             stability_study(samples, fit_mfpca(renamed, n_components=2))
 

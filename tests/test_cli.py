@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from court_fda.cli import main
-from court_fda.pipeline import PipelineConfig, StageError, run_pipeline
+from court_fda.density import DensityStack
+from court_fda.grids import GridSpec
+from court_fda.pipeline import (
+    DensityFileError,
+    PipelineConfig,
+    StageError,
+    read_densities,
+    run_pipeline,
+    write_densities,
+)
 
 from conftest import write_mini_export
 
@@ -128,7 +137,7 @@ class TestStageCommands:
         run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100)
         run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 11)
         fit = cli.fit_mfpca
-        monkeypatch.setattr(cli, "fit_mfpca", lambda samples, **kw: fit(samples[::-1], **kw))
+        monkeypatch.setattr(cli, "fit_mfpca", lambda stack, **kw: fit(stack.take(range(len(stack))[::-1]), **kw))
         code = run_cli("bootstrap", "--densities", out, "--components", 2, "--out", tmp_path / "boot")
         assert code == 7  # bootstrap stage exit code
         assert "different players" in capsys.readouterr().err
@@ -340,6 +349,62 @@ class TestBundledFixture:
         with pytest.raises(StageError) as err:
             run_pipeline(config)
         assert err.value.stage == "mfpca"
+
+
+class TestReadDensities:
+    @pytest.fixture
+    def density_dir(self, tmp_path):
+        rng = np.random.default_rng(70)
+        stack = DensityStack(["a", "b", "c"], GridSpec(5, 7), rng.uniform(size=(2, 3, 5, 7)))
+        write_densities(tmp_path, stack)
+        return tmp_path, stack
+
+    def edit_meta(self, path, **changes):
+        meta = json.loads((path / "densities_meta.json").read_text())
+        meta.update(changes)
+        (path / "densities_meta.json").write_text(json.dumps(meta))
+
+    def test_round_trip(self, density_dir):
+        path, stack = density_dir
+        loaded = read_densities(path)
+        assert loaded.player_ids == stack.player_ids and loaded.grid == stack.grid
+        assert np.array_equal(loaded.values, stack.values)
+        assert np.array_equal(np.load(path / "densities_made.npy"), stack.values[1])
+
+    def test_wrong_player_count(self, density_dir):
+        path, _ = density_dir
+        self.edit_meta(path, player_ids=["a", "b"])
+        with pytest.raises(DensityFileError, match=r"densities_missed.npy has shape \(3, 5, 7\)"):
+            read_densities(path)
+
+    def test_wrong_grid(self, density_dir):
+        path, _ = density_dir
+        self.edit_meta(path, grid={"nx": 7, "ny": 5})
+        with pytest.raises(DensityFileError, match="descriptor lists"):
+            read_densities(path)
+
+    def test_missing_file(self, density_dir):
+        path, _ = density_dir
+        (path / "densities_made.npy").unlink()
+        with pytest.raises(DensityFileError, match="densities_made.npy"):
+            read_densities(path)
+
+    def test_nan_value(self, density_dir):
+        path, stack = density_dir
+        made = stack.values[1].copy()
+        made[2, 4, 6] = np.nan
+        np.save(path / "densities_made.npy", made)
+        with pytest.raises(DensityFileError, match="non-finite"):
+            read_densities(path)
+
+    def test_errors_map_to_the_calling_stage(self, density_dir, tmp_path, capsys):
+        path, stack = density_dir
+        values = stack.values[0].copy()
+        values[0, 0, 0] = np.inf
+        np.save(path / "densities_missed.npy", values)
+        assert run_cli("mfpca", "fit", "--densities", path, "--out", tmp_path / "fit", "--components", 1) == 4
+        assert run_cli("bootstrap", "--densities", path, "--components", 1, "--out", tmp_path / "boot") == 7
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -1,14 +1,17 @@
 """Bandwidth selection and kernel density estimation against independent oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from court_fda.density import (
     DegenerateBandwidthError,
     DensityError,
-    build_sample,
+    build_samples,
     kde,
     kde_raw,
     silverman_bandwidth,
@@ -147,6 +150,31 @@ class TestKdeRaw:
             kde_raw(np.empty((0, 2)), (0.1, 0.1), grid11)
 
 
+def former_kde_raw(points, bandwidth, grid):
+    """kde_raw as one expression per kernel matrix, before its kernels were built in place."""
+    hx, hy = bandwidth
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    inv = 1.0 / math.sqrt(2.0 * math.pi)
+    kx = inv * np.exp(-0.5 * ((grid.xs[:, None] - pts[None, :, 0]) / hx) ** 2)
+    ky = inv * np.exp(-0.5 * ((grid.ys[:, None] - pts[None, :, 1]) / hy) ** 2)
+    return (kx @ ky.T) / (len(pts) * hx * hy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    nx=st.integers(2, 41),
+    ny=st.integers(2, 41),
+    hx=st.floats(1e-3, 2.0),
+    hy=st.floats(1e-3, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_in_place_kernels_match_former_expression(n, nx, ny, hx, hy, seed):
+    pts = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(n, 2))
+    grid = GridSpec(nx, ny)
+    assert np.array_equal(kde_raw(pts, (hx, hy), grid), former_kde_raw(pts, (hx, hy), grid))
+
+
 class TestKde:
     def test_normalized_integral_and_positivity(self):
         rng = np.random.default_rng(12)
@@ -155,33 +183,55 @@ class TestKde:
             n = rng.integers(20, 400)
             pts = rng.uniform(0, 1, size=(n, 2))
             field = kde(pts, silverman_bandwidth(pts), grid)
-            assert np.all(field.values >= 0)
-            assert abs(grid_integral(field.values) - 1.0) <= 1e-9
+            assert np.all(field >= 0)
+            assert abs(grid_integral(field) - 1.0) <= 1e-9
 
 
 class TestBuildSample:
-    def make_record(self, made, missed):
-        return PlayerRecord("p1", "P One", Position.GUARD, np.asarray(made, float), np.asarray(missed, float))
+    def make_record(self, made, missed, pid="p1"):
+        return PlayerRecord(pid, "P One", Position.GUARD, np.asarray(made, float), np.asarray(missed, float))
+
+    def build(self, made, missed, grid):
+        """(missed, made) fields of a one-player stack."""
+        stack = build_samples([self.make_record(made, missed)], grid)
+        return stack.values[0, 0], stack.values[1, 0]
 
     def test_identical_point_sets_give_identical_fields(self, grid11):
         pts = FIVE_POINTS
-        sample = build_sample(self.make_record(pts, pts), grid11)
-        np.testing.assert_array_equal(sample.made.values, sample.missed.values)
+        missed, made = self.build(pts, pts, grid11)
+        np.testing.assert_array_equal(made, missed)
 
     def test_swapping_lists_swaps_fields(self, grid11):
         a, b = FIVE_POINTS, SIX_POINTS
-        s1 = build_sample(self.make_record(a, b), grid11)
-        s2 = build_sample(self.make_record(b, a), grid11)
-        np.testing.assert_array_equal(s1.made.values, s2.missed.values)
-        np.testing.assert_array_equal(s1.missed.values, s2.made.values)
+        missed1, made1 = self.build(a, b, grid11)
+        missed2, made2 = self.build(b, a, grid11)
+        np.testing.assert_array_equal(made1, missed2)
+        np.testing.assert_array_equal(missed1, made2)
 
     def test_bandwidths_are_per_component(self, grid11):
         tight = np.array([(0.5 + dx, 0.5 + dy) for dx in (-0.01, 0, 0.01) for dy in (-0.01, 0, 0.01)])
         wide = SIX_POINTS
-        sample = build_sample(self.make_record(tight, wide), grid11)
-        assert sample.made.values.max() > 5 * sample.missed.values.max()
+        missed, made = self.build(tight, wide, grid11)
+        assert made.max() > 5 * missed.max()
 
     def test_error_tagged_with_player_and_component(self, grid11):
         record = self.make_record([(0.5, 0.5)], FIVE_POINTS)
         with pytest.raises(DensityError, match=r"p1.*made"):
-            build_sample(record, grid11)
+            build_samples([record], grid11)
+
+    def test_threads_fill_their_own_slots(self, grid11):
+        # more workers than cores write disjoint rows of one shared stack
+        rng = np.random.default_rng(13)
+        records = [
+            self.make_record(rng.uniform(size=(30 + i, 2)), rng.uniform(size=(25 + i, 2)), pid=f"p{i:02d}")
+            for i in range(24)
+        ]
+        serial = build_samples(records, grid11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = build_samples(records, grid11, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.player_ids == serial.player_ids
+        assert np.array_equal(threaded.values, serial.values)

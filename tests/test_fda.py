@@ -1,9 +1,14 @@
 """Inner products, the Gram-route decomposition, and its direct-route oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from court_fda.density import DensityField, FunctionalSample
+from court_fda import fda
+from court_fda.density import DensityStack
 from court_fda.fda import (
     GridMismatchError,
     QuadratureWeights,
@@ -23,7 +28,7 @@ from court_fda.fda import (
 )
 from court_fda.grids import GridSpec
 
-from conftest import planted_dataset, smooth_factor_basis
+from conftest import planted_dataset, smooth_factor_basis, stack_of
 
 # Exact rational values of the trapezoid sum of t^2 on n uniform nodes.
 RAMP_TRAPEZOID = {51: 0.3334, 101: 0.33335, 201: 0.3333375}
@@ -105,19 +110,19 @@ class TestInnerProduct:
 class TestMeanFunction:
     def test_single_sample_identity(self, grid11):
         sample = random_dataset(grid11, 1, 1)[0]
-        np.testing.assert_array_equal(mean_function([sample]), sample)
+        np.testing.assert_array_equal(mean_function(stack_of([sample])), sample)
 
     def test_mirror_pair_averages_to_one(self, grid11):
         f = random_dataset(grid11, 1, 2)[0]
-        np.testing.assert_allclose(mean_function([f, 2.0 - f]), np.ones_like(f), atol=1e-15)
+        np.testing.assert_allclose(mean_function(stack_of([f, 2.0 - f])), np.ones_like(f), atol=1e-15)
 
     def test_identical_samples_idempotent(self, grid11):
         f = random_dataset(grid11, 1, 3)[0]
-        np.testing.assert_allclose(mean_function([f] * 5, ), f, atol=1e-15)
+        np.testing.assert_allclose(mean_function(stack_of([f] * 5)), f, atol=1e-15)
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, grid11):
         with pytest.raises(ValueError):
-            mean_function([])
+            mean_function(DensityStack([], grid11, np.empty((2, 0, 11, 11))))
 
 
 class TestGramMatrix:
@@ -125,26 +130,26 @@ class TestGramMatrix:
         samples = hand_gram_samples()
         grid = GridSpec(3, 3)
         w = QuadratureWeights.for_grid(grid)
-        g = gram_matrix(samples, mean_function(samples), w)
+        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)), w)
         np.testing.assert_allclose(g, HAND_GRAM, atol=1e-14)
 
     def test_identical_samples_center_to_zero(self, grid11):
         f = random_dataset(grid11, 1, 4)[0]
         w = QuadratureWeights.for_grid(grid11)
-        g = gram_matrix([f, f.copy()], mean_function([f, f]), w)
+        g = gram_matrix(stack_of([f, f.copy()]), mean_function(stack_of([f, f])), w)
         np.testing.assert_allclose(g, np.zeros((2, 2)), atol=1e-14)
 
     def test_duplicated_rows_match(self, grid11):
         samples = random_dataset(grid11, 4, 5)
         samples.append(samples[1].copy())
         w = QuadratureWeights.for_grid(grid11)
-        g = gram_matrix(samples, mean_function(samples), w)
+        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)), w)
         np.testing.assert_allclose(g[1], g[4], atol=1e-13)
 
     def test_exactly_symmetric(self, grid11):
         samples = random_dataset(grid11, 6, 6)
         w = QuadratureWeights.for_grid(grid11)
-        g = gram_matrix(samples, mean_function(samples), w)
+        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)), w)
         assert np.array_equal(g, g.T)
         assert np.all(np.diag(g) >= 0)
 
@@ -189,14 +194,14 @@ class TestFitMfpca:
     def test_two_samples_single_component(self, grid11):
         a, b = random_dataset(grid11, 2, 8)
         w = QuadratureWeights.for_grid(grid11)
-        model = fit_mfpca([a, b], n_components=1)
+        model = fit_mfpca(stack_of([a, b]), n_components=1)
         diff = (a - b) / h_norm(a - b, w)
         assert abs(abs(inner_product(model.pairs[0].eigenfunction, diff, w)) - 1.0) <= 1e-12
 
     def test_component_count_bounded_by_n_minus_one(self, grid11):
         samples = random_dataset(grid11, 2, 9)
         with pytest.raises(ValueError):
-            fit_mfpca(samples, n_components=2)
+            fit_mfpca(stack_of(samples), n_components=2)
 
     def test_rank_one_synthetic(self, grid21):
         w = QuadratureWeights.for_grid(grid21)
@@ -205,7 +210,7 @@ class TestFitMfpca:
         coeffs = rng.normal(0.0, 2.0, size=12)
         mu = np.ones((2, 21, 21))
         samples = [mu + c * psi for c in coeffs]
-        model = fit_mfpca(samples, n_components=1)
+        model = fit_mfpca(stack_of(samples), n_components=1)
         assert abs(inner_product(model.pairs[0].eigenfunction, psi, w)) >= 1.0 - 1e-6
         assert model.pairs[0].eigenvalue == pytest.approx(np.var(coeffs, ddof=1), rel=1e-10)
 
@@ -223,18 +228,18 @@ class TestFitMfpca:
     def test_selection_arguments_exclusive(self, grid11):
         samples = random_dataset(grid11, 4, 13)
         with pytest.raises(ValueError):
-            fit_mfpca(samples)
+            fit_mfpca(stack_of(samples))
         with pytest.raises(ValueError):
-            fit_mfpca(samples, n_components=2, variance_threshold=0.9)
+            fit_mfpca(stack_of(samples), n_components=2, variance_threshold=0.9)
 
     def test_threshold_of_one_selects_full_rank(self, grid11):
         samples = random_dataset(grid11, 6, 19)
-        model = fit_mfpca(samples, variance_threshold=1.0)
+        model = fit_mfpca(stack_of(samples), variance_threshold=1.0)
         assert model.n_components == 5
 
     def test_orthonormal_eigenfunctions(self, grid11):
         samples = random_dataset(grid11, 8, 14)
-        model = fit_mfpca(samples, n_components=5)
+        model = fit_mfpca(stack_of(samples), n_components=5)
         w = model.weights
         for j in range(5):
             for k in range(j, 5):
@@ -243,13 +248,13 @@ class TestFitMfpca:
 
     def test_variance_ratios_monotone_and_bounded(self, grid11):
         samples = random_dataset(grid11, 9, 15)
-        model = fit_mfpca(samples, n_components=6)
+        model = fit_mfpca(stack_of(samples), n_components=6)
         assert np.all(np.diff(model.variance_ratios) <= 1e-15)
         assert model.variance_ratios.sum() <= 1.0 + 1e-12
 
     def test_score_columns_centered_with_eigenvalue_variance(self, grid11):
         samples = random_dataset(grid11, 10, 16)
-        model = fit_mfpca(samples, n_components=6)
+        model = fit_mfpca(stack_of(samples), n_components=6)
         values = model.scores.values
         lam = model.eigenvalues
         assert np.all(np.abs(values.mean(axis=0)) <= 1e-8 * np.sqrt(lam))
@@ -257,56 +262,50 @@ class TestFitMfpca:
 
     def test_bit_identical_refits(self, grid11):
         samples = random_dataset(grid11, 7, 17)
-        m1 = fit_mfpca(samples, n_components=4)
-        m2 = fit_mfpca(samples, n_components=4)
+        m1 = fit_mfpca(stack_of(samples), n_components=4)
+        m2 = fit_mfpca(stack_of(samples), n_components=4)
         assert np.array_equal(m1.scores.values, m2.scores.values)
         for p1, p2 in zip(m1.pairs, m2.pairs):
             assert p1.eigenvalue == p2.eigenvalue
             assert np.array_equal(p1.eigenfunction, p2.eigenfunction)
 
-    def test_accepts_functional_samples(self, grid11):
+    def test_scores_carry_stack_player_ids(self, grid11):
         rng = np.random.default_rng(18)
-        samples = [
-            FunctionalSample(
-                f"p{i}",
-                DensityField(grid11, rng.uniform(0.5, 1.5, size=(11, 11))),
-                DensityField(grid11, rng.uniform(0.5, 1.5, size=(11, 11))),
-            )
-            for i in range(5)
-        ]
-        model = fit_mfpca(samples, n_components=3)
+        stack = DensityStack([f"p{i}" for i in range(5)], grid11, rng.uniform(0.5, 1.5, size=(2, 5, 11, 11)))
+        model = fit_mfpca(stack, n_components=3)
         assert model.scores.player_ids == [f"p{i}" for i in range(5)]
+        assert model.grid == grid11
 
 
 class TestScoresAndReconstruction:
     def test_mean_sample_has_zero_scores(self, grid11):
         samples = random_dataset(grid11, 6, 20)
-        model = fit_mfpca(samples, n_components=4)
+        model = fit_mfpca(stack_of(samples), n_components=4)
         scores = project_scores(model.mean, model)
         np.testing.assert_allclose(scores, np.zeros(4), atol=1e-12)
 
     def test_basis_direction_recovers_coefficient(self, grid11):
         samples = random_dataset(grid11, 6, 21)
-        model = fit_mfpca(samples, n_components=4)
+        model = fit_mfpca(stack_of(samples), n_components=4)
         target = model.mean + 3.0 * model.pairs[1].eigenfunction
         scores = project_scores(target, model)
         np.testing.assert_allclose(scores, [0.0, 3.0, 0.0, 0.0], atol=1e-8)
 
     def test_projection_matches_gram_route(self, grid11):
         samples = random_dataset(grid11, 9, 22)
-        model = fit_mfpca(samples, n_components=6)
-        projected = project_scores_all(samples, model)
+        model = fit_mfpca(stack_of(samples), n_components=6)
+        projected = project_scores_all(stack_of(samples), model)
         np.testing.assert_allclose(projected.values, model.scores.values, atol=1e-8)
 
     def test_zero_scores_reconstruct_mean(self, grid11):
         samples = random_dataset(grid11, 5, 23)
-        model = fit_mfpca(samples, n_components=3)
+        model = fit_mfpca(stack_of(samples), n_components=3)
         np.testing.assert_array_equal(reconstruct(np.zeros(0), model), model.mean)
         np.testing.assert_allclose(reconstruct(np.zeros(3), model), model.mean, atol=1e-15)
 
     def test_full_rank_reconstruction(self, grid11):
         samples = random_dataset(grid11, 6, 24)
-        model = fit_mfpca(samples, n_components=5)
+        model = fit_mfpca(stack_of(samples), n_components=5)
         w = model.weights
         for s in samples:
             err = h_norm(reconstruct(project_scores(s, model), model) - s, w)
@@ -314,7 +313,7 @@ class TestScoresAndReconstruction:
 
     def test_reconstruction_error_monotone_in_k(self, grid11):
         samples = random_dataset(grid11, 7, 25)
-        model = fit_mfpca(samples, n_components=6)
+        model = fit_mfpca(stack_of(samples), n_components=6)
         w = model.weights
         for s in samples:
             scores = project_scores(s, model)
@@ -323,13 +322,13 @@ class TestScoresAndReconstruction:
 
     def test_too_many_scores_rejected(self, grid11):
         samples = random_dataset(grid11, 5, 26)
-        model = fit_mfpca(samples, n_components=2)
+        model = fit_mfpca(stack_of(samples), n_components=2)
         with pytest.raises(ValueError):
             reconstruct(np.zeros(3), model)
 
     def test_grid_mismatch_rejected(self, grid11):
         samples = random_dataset(grid11, 5, 27)
-        model = fit_mfpca(samples, n_components=2)
+        model = fit_mfpca(stack_of(samples), n_components=2)
         with pytest.raises(GridMismatchError):
             project_scores(np.zeros((2, 5, 5)), model)
 
@@ -337,8 +336,8 @@ class TestScoresAndReconstruction:
 class TestCovarianceOracle:
     def test_matches_gram_route(self, grid11):
         samples = random_dataset(grid11, 7, 30)
-        model = fit_mfpca(samples, n_components=6)
-        vals, funcs = covariance_oracle(samples)
+        model = fit_mfpca(stack_of(samples), n_components=6)
+        vals, funcs = covariance_oracle(stack_of(samples))
         np.testing.assert_allclose(vals[:6], model.eigenvalues, rtol=1e-8)
         w = model.weights
         for k in range(6):
@@ -348,8 +347,8 @@ class TestCovarianceOracle:
     def test_rank_one_agreement(self, grid11):
         psi = smooth_factor_basis(grid11, 1)[0]
         samples = [np.ones((2, 11, 11)) + c * psi for c in (-1.0, 0.5, 2.0, -0.25)]
-        vals, _ = covariance_oracle(samples)
-        model = fit_mfpca(samples, n_components=1)
+        vals, _ = covariance_oracle(stack_of(samples))
+        model = fit_mfpca(stack_of(samples), n_components=1)
         assert len(vals) == 1
         assert vals[0] == pytest.approx(model.pairs[0].eigenvalue, rel=1e-10)
 
@@ -357,7 +356,7 @@ class TestCovarianceOracle:
         grid = GridSpec(22, 22)
         samples = random_dataset(grid, 3, 31)
         with pytest.raises(ValueError, match="refuses"):
-            covariance_oracle(samples)
+            covariance_oracle(stack_of(samples))
 
 
 class TestRectangularGrids:
@@ -376,8 +375,8 @@ class TestRectangularGrids:
         grid = GridSpec(9, 13)
         rng = np.random.default_rng(50)
         samples = [rng.normal(size=(2, 9, 13)) for _ in range(6)]
-        model = fit_mfpca(samples, n_components=5)
-        vals, funcs = covariance_oracle(samples)
+        model = fit_mfpca(stack_of(samples), n_components=5)
+        vals, funcs = covariance_oracle(stack_of(samples))
         np.testing.assert_allclose(vals[:5], model.eigenvalues, rtol=1e-8)
         w = model.weights
         for k in range(5):
@@ -387,7 +386,7 @@ class TestRectangularGrids:
 class TestSerialization:
     def test_round_trip_bit_identical(self, grid11, tmp_path):
         samples = random_dataset(grid11, 6, 40)
-        model = fit_mfpca(samples, n_components=3)
+        model = fit_mfpca(stack_of(samples), n_components=3)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -401,3 +400,74 @@ class TestSerialization:
         for lp, mp_ in zip(loaded.pairs, model.pairs):
             assert lp.eigenvalue == mp_.eigenvalue
             np.testing.assert_array_equal(lp.eigenfunction, mp_.eigenfunction)
+
+
+def dense_gram(stack, mean, weights):
+    """The former unblocked Gram matrix: one centered, weighted N x 2·nx·ny copy."""
+    flat = (stack.values.transpose(1, 0, 2, 3) - mean).reshape(len(stack), -1)
+    weighted = flat * np.sqrt(np.tile(weights.w2d.ravel(), 2))
+    raw = weighted @ weighted.T
+    return np.triu(raw) + np.triu(raw, 1).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    nx=st.integers(2, 9),
+    ny=st.integers(2, 9),
+    block=st.integers(1, 90),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_gram_matches_dense_formula(n, nx, ny, block, seed):
+    # small blocks split grid rows and end part-way through a component
+    rng = np.random.default_rng(seed)
+    stack = DensityStack([str(i) for i in range(n)], GridSpec(nx, ny), rng.normal(size=(2, n, nx, ny)))
+    weights = QuadratureWeights.for_grid(stack.grid)
+    mean = mean_function(stack)
+    want = dense_gram(stack, mean, weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fda, "GRAM_BLOCK", block)
+        got = gram_matrix(stack, mean, weights)
+    assert np.array_equal(got, got.T)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 10),
+    nx=st.integers(3, 9),
+    ny=st.integers(3, 9),
+    block=st.sampled_from([1, 7, 25, 4096]),
+    seed=st.integers(0, 2**16),
+)
+def test_stack_fit_matches_covariance_oracle(n, nx, ny, block, seed):
+    rng = np.random.default_rng(seed)
+    stack = DensityStack([str(i) for i in range(n)], GridSpec(nx, ny), rng.normal(size=(2, n, nx, ny)))
+    vals, funcs = covariance_oracle(stack)
+    k = len(vals)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fda, "GRAM_BLOCK", block)
+        model = fit_mfpca(stack, n_components=k)
+        projected = project_scores_all(stack, model)
+    np.testing.assert_allclose(model.eigenvalues, vals, rtol=1e-9)
+    # only an eigenvalue separated from its neighbours pins its eigenfunction
+    gaps = np.abs(np.diff(vals)) / vals[0]
+    separated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-6
+    for j in np.flatnonzero(separated):
+        np.testing.assert_allclose(model.pairs[j].eigenfunction, funcs[j], atol=1e-7)
+    np.testing.assert_allclose(projected.values, model.scores.values, atol=1e-9 * np.max(np.abs(model.scores.values)))
+
+
+def test_fit_peak_memory_below_one_stack():
+    # the fit centers the stack block by block, never a whole copy of it
+    n, grid = 48, GridSpec(201, 201)
+    rng = np.random.default_rng(60)
+    stack = DensityStack([str(i) for i in range(n)], grid, rng.uniform(0.5, 1.5, size=(2, n, 201, 201)))
+    tracemalloc.start()
+    try:
+        model = fit_mfpca(stack, n_components=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_components == 4
+    assert peak < stack.values.nbytes

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from court_fda.export import json_text
 from court_fda.ingest import (
     CSV_FIELDS,
     POSITION_ORDER,
@@ -17,6 +19,7 @@ from court_fda.ingest import (
     ShotTable,
     exclude_impossible,
     filter_players,
+    load_events,
     normalize_point,
     parse_events,
     parse_events_json,
@@ -326,3 +329,46 @@ class TestRoundTrip:
             assert got.position is want.position
             np.testing.assert_array_equal(got.made_points, want.made_points)
             np.testing.assert_array_equal(got.missed_points, want.missed_points)
+
+    def test_players_json_bytes_match_one_call_encoding(self, tmp_path):
+        # the former writer encoded the whole payload in one call
+        events = make_events("a", 7, 9) + make_events("b", 12, 4, Position.CENTER) + make_events("c", 3, 8)
+        records = filter_players(table(events), 10)
+        payload = [
+            {
+                "player_id": r.player_id,
+                "player_name": r.player_name,
+                "position": r.position.value,
+                "made_points": r.made_points.tolist(),
+                "missed_points": r.missed_points.tolist(),
+            }
+            for r in records
+        ]
+        path = tmp_path / "players.json"
+        for subset in (records, records[:1], []):
+            write_players_json(subset, path)
+            assert path.read_bytes() == json_text(payload[: len(subset)]).encode("utf-8")
+
+
+class TestMemory:
+    def test_load_events_peak_below_four_file_sizes(self, tmp_path):
+        # the file is streamed: no whole-file bytes, str or StringIO copy
+        rng = np.random.default_rng(3)
+        n = 30_000
+        player = rng.integers(0, 40, size=n)
+        xy = rng.uniform(0, 50, size=(n, 2))
+        made = rng.integers(0, 2, size=n)
+        lines = [HEADER] + [
+            f"p{p:03d},Player {p},guard,{x:.2f},{y:.2f},{m},2020-21"
+            for p, (x, y), m in zip(player.tolist(), xy.tolist(), made.tolist())
+        ]
+        path = tmp_path / "shots.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            events = load_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == n
+        assert peak < 4 * path.stat().st_size

@@ -2,18 +2,21 @@
 
 The oracle below is the former ``parse_events`` / ``exclude_impossible`` /
 ``filter_players``: one Python object per CSV row, grouped in a dict.
-Generated exports mix quoted names holding commas, padded fields,
-position aliases, coordinates on and beyond the court edges, blank lines
-and three kinds of line end; both paths must agree on every count and
+Generated exports mix quoted names holding commas or line breaks, padded
+fields, position aliases, coordinates on and beyond the court edges,
+blank lines and three kinds of line end; both paths must agree on every count and
 record, and on the line number of a planted bad row. Each export is also
 parsed in batches of three rows, which must change neither the table nor
-the error.
+the error, and streamed from a file by ``load_events``, which must give
+what ``parse_events`` gives for its text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,6 +33,7 @@ from court_fda.ingest import (
     _POSITION_ALIASES,
     exclude_impossible,
     filter_players,
+    load_events,
     parse_events,
 )
 
@@ -109,6 +113,7 @@ PLAYERS = [
     (" 203110", ['O"Neal, S', "Shaq"], "c"),
     ("zz", ["Dončić, Luka", "Åse Ørn"], "f"),
     ("aa b", ["A B"], "fc"),
+    ("nl", ["Two\r\nLines", "Two\nLines"], "g"),
 ]
 COORDINATE = st.one_of(
     st.sampled_from([0.0, 50.0, 47.0, -0.0, -0.01, 50.01, 47.01, 60.0, -3.5]),
@@ -134,15 +139,20 @@ def shot_row(draw) -> list[str]:
     ]
 
 
+def record_text(row: list[str]) -> str:
+    """One CSV record without its line end; a field holding a line break is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue()[:-2]
+
+
 @st.composite
 def export(draw, rows=st.lists(shot_row(), min_size=0, max_size=60)) -> tuple[list[str], str]:
     """The export as a list of record texts (blank lines included) and its line end."""
     end = draw(LINE_END)
     records = []
     for row in draw(rows):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(row)
-        records.append(buf.getvalue())
+        records.append(record_text(row))
         if draw(st.integers(0, 9)) == 0:
             records.append("")
     return records, end
@@ -213,9 +223,7 @@ def planted_export(draw):
             row = row[:-1]
         elif kind == "long":
             row = row + ["extra"]
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(row)
-        records.insert(index, "   " if kind == "spaces" else buf.getvalue())
+        records.insert(index, "   " if kind == "spaces" else record_text(row))
     return records, end
 
 
@@ -232,3 +240,31 @@ def test_bad_row_reported_at_same_line(data):
     with mock.patch.object(ingest, "_BATCH_ROWS", 3), pytest.raises(ParseError) as batched:
         parse_events(text, court)
     assert str(batched.value) == str(got.value)
+
+
+def load_file(text: str, court: CourtSpec):
+    """``load_events`` on a file holding exactly the bytes of ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shots.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return load_events(path, court)
+
+
+@settings(max_examples=100, deadline=None)
+@given(export())
+def test_streamed_file_matches_text(data):
+    court = CourtSpec()
+    text = join(*data)
+    assert same_table(load_file(text, court), parse_events(text, court))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_export())
+def test_streamed_file_reports_same_line(data):
+    court = CourtSpec()
+    text = join(*data)
+    with pytest.raises(ParseError) as want:
+        parse_events(text, court)
+    with pytest.raises(ParseError) as got:
+        load_file(text, court)
+    assert str(got.value) == str(want.value)
