@@ -9,7 +9,8 @@ collect it. Sizes follow the paper-scale workload (173 players, about
 4,100 shots each, 4 components, k = 5, 5 bootstrap replicates) on a
 51 x 51 grid instead of 201 x 201, so a full pass takes seconds. The
 writers are timed at the sizes a paper-scale run writes them, except
-``players.json``, which gets a tenth of the shots.
+``players.json``, which gets a tenth of the shots, once with coordinates
+on the 0.01 ft lattice of real exports and once with no repeated value.
 """
 
 from __future__ import annotations
@@ -79,13 +80,17 @@ def test_stability_study(benchmark, stack, model):
     benchmark(stability_study, stack, model, n_replicates=5, seed=0)
 
 
-def test_write_players_json(benchmark, tmp_path):
+@pytest.mark.parametrize("coordinates", ["lattice", "distinct"])
+def test_write_players_json(benchmark, tmp_path, coordinates):
+    """``lattice``: feet at 0.01 ft, as every input has them; ``distinct``: uniform floats, no value repeats."""
     rng = np.random.default_rng(2)
-    records = [
-        PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, rng.uniform(size=(SHOTS // 20, 2)),
-                     rng.uniform(size=(SHOTS // 20, 2)))
-        for i in range(PLAYERS)
-    ]
+    ft = (50.0, 47.0) if coordinates == "lattice" else None
+
+    def points():
+        values = rng.uniform(size=(SHOTS // 20, 2))
+        return values if ft is None else np.round(values * ft, 2) / ft
+
+    records = [PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, points(), points()) for i in range(PLAYERS)]
     benchmark(write_players_json, records, tmp_path / "players.json")
 
 

@@ -27,7 +27,7 @@ from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
 from court_fda.density import build_samples
-from court_fda.export import export_heatmap, json_text, write_heatmap_csv, write_json
+from court_fda.export import export_heatmap, export_medoid_heatmaps, json_text, write_heatmap_csv, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct, save_model, fit_mfpca
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
@@ -172,10 +172,7 @@ def cmd_evaluate(args) -> int:
     if scores.player_ids != ids_a:
         raise ValueError("score rows do not match the clustering's player order")
     standardized = cl.standardize_scores(scores)
-    weights = np.array(doc_a["weights"], dtype=float)
-    scaled = standardized.values * np.sqrt(weights)
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = cl.weighted_distances(standardized.values, np.array(doc_a["weights"], dtype=float))
 
     if args.against == "nba":
         if not args.players:
@@ -240,10 +237,7 @@ def cmd_export(args) -> int:
             print(f"exported eigenfunction {args.k} -> {out}")
     elif args.what == "player":
         model = load_model(args.model)
-        stack = pl.read_densities(args.densities)
-        if args.player not in stack.player_ids:
-            raise ValueError(f"player {args.player!r} is not in the density set")
-        sample = stack.values[:, stack.player_ids.index(args.player)]
+        sample = pl.read_densities(args.densities, [args.player]).values[:, 0]
         idx = model.scores.player_ids.index(args.player) if args.player in model.scores.player_ids else None
         scores = model.scores.values[idx] if idx is not None else None
         for comp_idx, comp in enumerate(pl.COMPONENTS):
@@ -258,13 +252,9 @@ def cmd_export(args) -> int:
         print(f"exported decomposition of {args.player} -> {out}")
     else:  # medoids
         _, doc = _load_cluster_partition(args.clusters)
-        stack = pl.read_densities(args.densities)
-        for j, pid in enumerate(doc["medoid_player_ids"], start=1):
-            if pid not in stack.player_ids:
-                raise ValueError(f"medoid player {pid!r} is not in the density set")
-            for comp, values in zip(pl.COMPONENTS, stack.values[:, stack.player_ids.index(pid)]):
-                export_heatmap(values, stack.grid, out / f"medoid_{doc['scheme']}_cluster{j}_{comp}", mode="unit")
-        print(f"exported {len(doc['medoid_player_ids'])} medoid charts -> {out}")
+        stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
+        export_medoid_heatmaps(stack, {doc["scheme"]: range(len(stack))}, out)
+        print(f"exported {len(stack)} medoid charts -> {out}")
     return 0
 
 

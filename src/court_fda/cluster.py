@@ -75,15 +75,22 @@ def distance_matrix(
     scheme: WeightScheme = WeightScheme.EQUAL,
     eigenvalues: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Weighted Euclidean distances d(i,j) = sqrt(sum_k w_k (c_ik - c_jk)^2).
+    """Weighted Euclidean distances between score rows under a weight scheme.
+
+    See :func:`weighted_distances`.
+    """
+    values = np.asarray(scores.values, dtype=float)
+    return weighted_distances(values, resolve_weights(scheme, values.shape[1], eigenvalues))
+
+
+def weighted_distances(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted Euclidean distances d(i,j) = sqrt(sum_k w_k (c_ik - c_jk)^2) between rows.
 
     Each unordered pair is computed once and mirrored, so the matrix is
     exactly symmetric with a zero diagonal.
     """
-    values = np.asarray(scores.values, dtype=float)
-    n, k = values.shape
-    w = resolve_weights(scheme, k, eigenvalues)
-    scaled = values * np.sqrt(w)
+    n = len(values)
+    scaled = values * np.sqrt(weights)
     out = np.zeros((n, n))
     iu, ju = np.triu_indices(n, 1)
     d = np.sqrt(((scaled[iu] - scaled[ju]) ** 2).sum(axis=1))

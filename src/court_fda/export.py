@@ -5,11 +5,18 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import shutil
 from pathlib import Path
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from court_fda.density import COMPONENTS, DensityStack
 from court_fda.grids import GridSpec
+
+
+#: Values the streaming writers format per piece; it bounds the text they hold at a time.
+WRITE_BLOCK = 4096
 
 
 def json_text(obj) -> str:
@@ -19,6 +26,17 @@ def json_text(obj) -> str:
     keep reruns byte-identical.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def json_floats(values: np.ndarray) -> Iterator[str]:
+    """The JSON list of a flat float array in pieces of :data:`WRITE_BLOCK` values.
+
+    Joined, the pieces are :func:`json_text` of ``values.tolist()`` without its newline.
+    """
+    yield "["
+    for lo in range(0, len(values), WRITE_BLOCK):
+        yield ("," if lo else "") + json_text(values[lo:lo + WRITE_BLOCK].tolist())[1:-2]
+    yield "]"
 
 
 def write_json(obj, path: str | Path) -> None:
@@ -54,12 +72,20 @@ def _csv_line_starts(nx: int, ny: int) -> tuple[str, ...]:
 
 
 def write_heatmap_csv(values: np.ndarray, grid: GridSpec, path: Path) -> None:
-    """Row-major x,y,value dump of a gridded field; floats use Python's shortest repr."""
+    """Row-major x,y,value dump of a gridded field; floats use Python's shortest repr.
+
+    Lines are formatted and written :data:`WRITE_BLOCK` at a time.
+    """
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    cells = map(repr, np.asarray(values, dtype=float).ravel().tolist())
-    lines = map(operator.add, _csv_line_starts(grid.nx, grid.ny), cells)
-    path.write_text("x,y,value" + "".join(lines) + "\n", encoding="utf-8")
+    starts = _csv_line_starts(grid.nx, grid.ny)
+    flat = np.asarray(values, dtype=float).ravel()
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("x,y,value")
+        for lo in range(0, flat.size, WRITE_BLOCK):
+            cells = map(repr, flat[lo:lo + WRITE_BLOCK].tolist())
+            fh.write("".join(map(operator.add, starts[lo:lo + WRITE_BLOCK], cells)))
+        fh.write("\n")
 
 
 def write_heatmap_pgm(values: np.ndarray, path: Path) -> None:
@@ -101,3 +127,30 @@ def export_heatmap(
     write_heatmap_csv(scaled, grid, csv_path)
     write_heatmap_pgm(scaled, pgm_path)
     return csv_path, pgm_path
+
+
+def export_medoid_heatmaps(
+    stack: DensityStack, medoids: Mapping[str, Sequence[int]], out_dir: str | Path
+) -> list[Path]:
+    """Write each scheme's medoid density pairs as unit-rescaled heatmaps.
+
+    ``medoids`` maps a weight scheme to its medoids' rows of ``stack``, in
+    cluster order; the files are ``medoid_<scheme>_cluster<j>_<component>``
+    plus .csv / .pgm. A row that is a medoid under an earlier scheme is not
+    rendered again: its finished files are copied. Returns the written paths.
+    """
+    out_dir = Path(out_dir)
+    rendered: dict[tuple[int, int], tuple[Path, Path]] = {}
+    paths: list[Path] = []
+    for scheme, rows in medoids.items():
+        for j, row in enumerate(rows, start=1):
+            for c, comp in enumerate(COMPONENTS):
+                base = out_dir / f"medoid_{scheme}_cluster{j}_{comp}"
+                if (row, c) in rendered:
+                    written = (base.with_suffix(".csv"), base.with_suffix(".pgm"))
+                    for source, target in zip(rendered[row, c], written):
+                        shutil.copyfile(source, target)
+                else:
+                    written = rendered[row, c] = export_heatmap(stack.values[c, row], stack.grid, base, mode="unit")
+                paths.extend(written)
+    return paths

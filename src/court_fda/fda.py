@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from court_fda.density import DensityStack
-from court_fda.export import write_json
+from court_fda.export import json_floats, json_text
 from court_fda.grids import GridSpec, trapezoid_weights
 
 #: Relative cutoff under which a Gram eigenvalue counts as numerically zero.
@@ -369,21 +369,34 @@ def save_model(model: MfpcaModel, path: str | Path) -> None:
 
     Bivariate functions are stored as flat row-major lists, missed
     component first; floats use Python's shortest round-trip repr, so
-    loading restores bit-identical values.
+    loading restores bit-identical values. The document is written one
+    top-level key at a time, functions in blocks of values; its bytes are
+    :func:`~court_fda.export.json_text` of the whole document.
     """
     doc = {
         "grid": {"nx": model.grid.nx, "ny": model.grid.ny},
         "quadrature": {"wx": model.weights.wx.tolist(), "wy": model.weights.wy.tolist()},
-        "mean": model.mean.ravel().tolist(),
         "eigenvalues": [p.eigenvalue for p in model.pairs],
-        "eigenfunctions": [p.eigenfunction.ravel().tolist() for p in model.pairs],
         "variance_ratios": model.variance_ratios.tolist(),
         "total_variance": model.total_variance,
         "n_samples": model.n_samples,
         "player_ids": model.scores.player_ids,
         "scores": model.scores.values.tolist(),
     }
-    write_json(doc, path)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for i, key in enumerate(sorted([*doc, "eigenfunctions", "mean"])):
+            fh.write(("," if i else "{") + json.dumps(key) + ":")
+            if key == "eigenfunctions":
+                fh.write("[")
+                for j, pair in enumerate(model.pairs):
+                    fh.write("," if j else "")
+                    fh.writelines(json_floats(pair.eigenfunction.ravel()))
+                fh.write("]")
+            elif key == "mean":
+                fh.writelines(json_floats(model.mean.ravel()))
+            else:
+                fh.write(json_text(doc[key])[:-1])
+        fh.write("}\n")
 
 
 def load_model(path: str | Path) -> MfpcaModel:

@@ -22,8 +22,6 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from court_fda.export import json_text
-
 CSV_FIELDS = ("player_id", "player_name", "position", "x_ft", "y_ft", "made", "season")
 
 
@@ -410,20 +408,41 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
 def write_players_json(records: Sequence[PlayerRecord], path: str | Path) -> None:
     """Write player records (with point lists) as one deterministic JSON array.
 
-    Players are encoded one at a time, so only one player's point lists exist as Python lists.
+    The bytes are those of the compact, key-sorted encoding of the whole list in one
+    call. Each distinct coordinate is formatted once: coordinates are keyed by their
+    bit patterns, so ``-0.0`` and ``0.0`` stay apart, and each point list is gathered
+    from the formatted values and joined. Players are written one at a time.
     """
+    fields = [np.asarray(p, dtype=float).reshape(-1, 2) for r in records for p in (r.made_points, r.missed_points)]
+    bits, codes = np.unique(np.concatenate([np.zeros((0, 2)), *fields]).view(np.uint64), return_inverse=True)
+    values = bits.view(float)
+    text = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[i] = json.dumps(values[i])  # NaN, Infinity or -Infinity
+    codes = codes.reshape(-1, 2)
+    # an x cell is the bare value; a y cell closes its point and opens the next one
+    y_used = np.zeros(len(text), dtype=bool)
+    y_used[codes[:, 1]] = True
+    y_cells = np.empty(len(text), dtype=object)
+    y_cells[y_used] = [f",{text[i]}],[" for i in np.flatnonzero(y_used).tolist()]
+    cells = np.empty(codes.shape, dtype=object)
+    cells[:, 0] = np.fromiter(text, dtype=object, count=len(text))[codes[:, 0]]
+    cells[:, 1] = y_cells[codes[:, 1]]
+    ends = np.cumsum([0] + [len(f) for f in fields]).tolist()
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("[")
         for i, r in enumerate(records):
-            doc = {
-                "player_id": r.player_id,
-                "player_name": r.player_name,
-                "position": r.position.value,
-                "made_points": r.made_points.tolist(),
-                "missed_points": r.missed_points.tolist(),
-            }
-            fh.write(("," if i else "") + json_text(doc)[:-1])
+            made, missed = (_point_list(cells[ends[j]:ends[j + 1]]) for j in (2 * i, 2 * i + 1))
+            names = {"player_id": r.player_id, "player_name": r.player_name, "position": r.position.value}
+            tail = json.dumps(names, sort_keys=True, separators=(",", ":"))[1:]
+            fh.write(("," if i else "") + '{"made_points":' + made + ',"missed_points":' + missed + "," + tail)
         fh.write("]\n")
+
+
+def _point_list(cells: np.ndarray) -> str:
+    """JSON text of the points whose x and y cells are the rows of ``cells``."""
+    text = "".join(cells.ravel().tolist())
+    return "[[" + text[:-2] + "]" if text else "[]"
 
 
 def read_players_json(path: str | Path) -> list[PlayerRecord]:

@@ -23,7 +23,7 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda.density import COMPONENTS, DensityStack, build_samples
-from court_fda.export import export_heatmap, write_heatmap_csv, write_json
+from court_fda.export import export_heatmap, export_medoid_heatmaps, write_heatmap_csv, write_json
 from court_fda.fda import ScoreMatrix, fit_mfpca, save_model
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
@@ -148,22 +148,34 @@ def write_densities(out_dir: Path, stack: DensityStack) -> list[Path]:
     return paths
 
 
-def read_densities(dir_path: str | Path) -> DensityStack:
+def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None) -> DensityStack:
     """Inverse of :func:`write_densities`; each array is read into its slot of one stack.
 
-    Raises :class:`DensityFileError` for a missing or unreadable file, an array whose shape
-    is not the descriptor's (players, nx, ny), or a non-finite value.
+    With ``player_ids``, only those players' rows are read from the memory-mapped arrays,
+    in that order. Raises :class:`DensityFileError` for a missing or unreadable file, an
+    array whose shape is not the descriptor's (players, nx, ny), a player the descriptor
+    does not list, or a non-finite value in a row that is read.
     """
     dir_path = Path(dir_path)
     try:
         meta = json.loads((dir_path / "densities_meta.json").read_text(encoding="utf-8"))
         ids, grid = [str(pid) for pid in meta["player_ids"]], GridSpec(meta["grid"]["nx"], meta["grid"]["ny"])
-        stack = DensityStack(ids, grid, np.empty((2, len(ids), grid.nx, grid.ny)))
+        shape = (len(ids), grid.nx, grid.ny)
+        if player_ids is None:
+            rows = range(len(ids))
+        else:
+            index = {pid: i for i, pid in enumerate(ids)}
+            missing = [pid for pid in player_ids if pid not in index]
+            if missing:
+                raise ValueError(f"player {missing[0]!r} is not in the density set")
+            rows = [index[pid] for pid in player_ids]
+        stack = DensityStack([ids[i] for i in rows], grid, np.empty((2, len(rows), grid.nx, grid.ny)))
         for comp, slot in zip(COMPONENTS, stack.values):
             values = np.load(dir_path / f"densities_{comp}.npy", mmap_mode="r")
-            if values.shape != slot.shape:
-                raise ValueError(f"densities_{comp}.npy has shape {values.shape}, the descriptor lists {slot.shape}")
-            slot[...] = values
+            if values.shape != shape:
+                raise ValueError(f"densities_{comp}.npy has shape {values.shape}, the descriptor lists {shape}")
+            for i, row in enumerate(rows):
+                slot[i] = values[row]
             del values  # closes the memory map
             if not np.isfinite(slot).all():
                 raise ValueError(f"densities_{comp}.npy holds a non-finite value")
@@ -362,11 +374,8 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
             for j, pair in enumerate(model.pairs, start=1):
                 base = heat_dir / f"eigenfunction_{j}_{comp}"
                 tracker.track(*export_heatmap(pair.eigenfunction[comp_idx], grid, base))
-        for name, clustering in clusterings.items():
-            for j, medoid in enumerate(clustering.medoids, start=1):
-                for comp, values in zip(COMPONENTS, stack.values[:, medoid]):
-                    base = heat_dir / f"medoid_{name}_cluster{j}_{comp}"
-                    tracker.track(*export_heatmap(values, grid, base, mode="unit"))
+        medoids = {name: clustering.medoids for name, clustering in clusterings.items()}
+        tracker.track(*export_medoid_heatmaps(stack, medoids, heat_dir))
     except Exception as exc:
         for path in {p for p in heat_dir.rglob("*") if p.is_file()} - before:
             path.unlink(missing_ok=True)

@@ -7,6 +7,7 @@ import pytest
 
 from court_fda.cli import main
 from court_fda.density import DensityStack
+from court_fda.export import export_heatmap
 from court_fda.grids import GridSpec
 from court_fda.pipeline import (
     DensityFileError,
@@ -253,22 +254,19 @@ class TestRunCommand:
         leftovers = [p for p in out.rglob("*") if p.is_file()]
         assert leftovers == []
 
-    def test_evaluate_matches_pipeline_silhouettes(self, tmp_path, mini_csv):
+    def test_evaluate_matches_pipeline_silhouettes(self, tmp_path, fixture_csv):
         out = tmp_path / "run"
-        run_cli(
-            "run", "--input", mini_csv, "--out", out, "--min-attempts", 100, "--grid", 21,
-            "--components", 2, "--k", 2, "--replicates", 0,
-        )
-        eval_path = tmp_path / "eval.json"
-        assert run_cli(
-            "evaluate", "--clusters", out / "clusters_equal.json", "--against", "nba",
-            "--scores", out / "scores.csv", "--players", out / "players.json", "--out", eval_path,
-        ) == 0
-        standalone = json.loads(eval_path.read_text())
+        assert run_cli("run", "--input", fixture_csv, "--out", out, "--grid", 21, "--replicates", 0) == 0
         pipeline_eval = json.loads((out / "evaluation.json").read_text())
-        assert standalone["silhouette"]["mean"] == pipeline_eval["silhouettes"]["equal"]["mean"]
-        assert standalone["comparison"]["ari"] == pipeline_eval["comparisons"]["equal_vs_nba"]["ari"]
-        assert standalone["comparison"]["confusion"] == pipeline_eval["comparisons"]["equal_vs_nba"]["confusion"]
+        for scheme in ("equal", "variance"):
+            eval_path = tmp_path / f"eval_{scheme}.json"
+            assert run_cli(
+                "evaluate", "--clusters", out / f"clusters_{scheme}.json", "--against", "nba",
+                "--scores", out / "scores.csv", "--players", out / "players.json", "--out", eval_path,
+            ) == 0
+            standalone = json.loads(eval_path.read_text())
+            assert standalone["silhouette"] == pipeline_eval["silhouettes"][scheme]
+            assert standalone["comparison"] == pipeline_eval["comparisons"][f"{scheme}_vs_nba"]
 
     def test_dump_densities_flag(self, tmp_path, mini_csv):
         out = tmp_path / "run"
@@ -341,6 +339,36 @@ class TestBundledFixture:
             labels = {p["cluster"] for p in doc["players"]}
             assert labels == set(range(5))
 
+    def test_shared_medoid_charts_are_copied(self, tmp_path, fixture_csv, monkeypatch):
+        from court_fda import export, pipeline
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args[2])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(export, "export_heatmap", counted(export.export_heatmap))
+        monkeypatch.setattr(pipeline, "export_heatmap", counted(pipeline.export_heatmap))
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(input=str(fixture_csv), out=str(out), grid=31, bootstrap_replicates=0))
+        monkeypatch.undo()
+        equal = json.loads((out / "clusters_equal.json").read_text())["medoids"]
+        variance = json.loads((out / "clusters_variance.json").read_text())["medoids"]
+        shared = [(j, row) for j, row in enumerate(variance, start=1) if row in equal]
+        assert [row for _, row in shared] == [2, 5, 8, 11]
+        # mean 2 + eigenfunctions 8 + medoids 20, less the shared rows' 2 x 4 charts
+        assert len(calls) == 30 - 2 * len(shared)
+        stack = read_densities(out)
+        for j, row in shared:
+            for c, comp in enumerate(("missed", "made")):
+                fresh = export_heatmap(stack.values[c, row], stack.grid, tmp_path / "fresh" / f"{j}_{comp}", mode="unit")
+                copied = out / "heatmaps" / f"medoid_variance_cluster{j}_{comp}"
+                for path, suffix in zip(fresh, (".csv", ".pgm")):
+                    assert copied.with_suffix(suffix).read_bytes() == path.read_bytes()
+
     def test_stage_error_type(self, tmp_path, fixture_csv):
         config = PipelineConfig(
             input=str(fixture_csv), out=str(tmp_path / "o"), grid=11, components=12,
@@ -396,6 +424,26 @@ class TestReadDensities:
         np.save(path / "densities_made.npy", made)
         with pytest.raises(DensityFileError, match="non-finite"):
             read_densities(path)
+
+    def test_selected_rows(self, density_dir):
+        path, stack = density_dir
+        loaded = read_densities(path, ["c", "a"])
+        assert loaded.player_ids == ["c", "a"] and loaded.grid == stack.grid
+        assert np.array_equal(loaded.values, stack.values[:, [2, 0]])
+
+    def test_selected_rows_checks(self, density_dir):
+        path, stack = density_dir
+        with pytest.raises(DensityFileError, match="'d' is not in the density set"):
+            read_densities(path, ["a", "d"])
+        made = stack.values[1].copy()
+        made[2, 4, 6] = np.nan
+        np.save(path / "densities_made.npy", made)
+        assert np.array_equal(read_densities(path, ["b"]).values, stack.values[:, [1]])
+        with pytest.raises(DensityFileError, match="non-finite"):
+            read_densities(path, ["c"])
+        self.edit_meta(path, player_ids=["a", "b"])
+        with pytest.raises(DensityFileError, match=r"densities_missed.npy has shape \(3, 5, 7\)"):
+            read_densities(path, ["a"])
 
     def test_errors_map_to_the_calling_stage(self, density_dir, tmp_path, capsys):
         path, stack = density_dir

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from court_fda.export import (
+    WRITE_BLOCK,
     export_heatmap,
+    json_floats,
     json_text,
     rescale_symmetric,
     rescale_unit,
@@ -135,6 +137,7 @@ def grid_and_field(draw):
 class TestHeatmapCsv:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(grid_and_field())
+    @example((GridSpec(67, 67), np.random.default_rng(8).uniform(-1.0, 1.0, size=(67, 67))))  # two write blocks
     def test_bytes_match_per_line_formatter(self, tmp_path, data):
         grid, values = data
         path = tmp_path / "field.csv"
@@ -147,6 +150,12 @@ class TestHeatmapCsv:
 
 
 class TestJsonText:
+    @pytest.mark.parametrize("size", [0, 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 3])
+    def test_float_pieces_join_to_one_call_encoding(self, size):
+        values = np.random.default_rng(size).normal(size=size)
+        values[:2] = [-0.0, 5e-324][:size]
+        assert "".join(json_floats(values)) == json_text(values.tolist())[:-1]
+
     def test_compact_sorted_and_parse_equal(self):
         doc = {"b": [1.5, -0.0, 1e-05], "a": {"z": None, "y": "Dončić"}, "c": float("nan")}
         text = json_text(doc)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from court_fda import fda
 from court_fda.density import DensityStack
+from court_fda.export import json_text
 from court_fda.fda import (
     GridMismatchError,
     QuadratureWeights,
@@ -400,6 +401,25 @@ class TestSerialization:
         for lp, mp_ in zip(loaded.pairs, model.pairs):
             assert lp.eigenvalue == mp_.eigenvalue
             np.testing.assert_array_equal(lp.eigenfunction, mp_.eigenfunction)
+
+    def test_bytes_match_one_call_encoding(self, tmp_path):
+        # 2 x 51 x 51 values per function: two blocks of the streaming writer
+        model = fit_mfpca(stack_of(random_dataset(GridSpec(51, 51), 5, 41)), n_components=2)
+        doc = {
+            "grid": {"nx": 51, "ny": 51},
+            "quadrature": {"wx": model.weights.wx.tolist(), "wy": model.weights.wy.tolist()},
+            "mean": model.mean.ravel().tolist(),
+            "eigenvalues": [p.eigenvalue for p in model.pairs],
+            "eigenfunctions": [p.eigenfunction.ravel().tolist() for p in model.pairs],
+            "variance_ratios": model.variance_ratios.tolist(),
+            "total_variance": model.total_variance,
+            "n_samples": model.n_samples,
+            "player_ids": model.scores.player_ids,
+            "scores": model.scores.values.tolist(),
+        }
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == json_text(doc).encode("utf-8")
 
 
 def dense_gram(stack, mean, weights):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from court_fda.export import json_text
 from court_fda.ingest import (
@@ -15,6 +17,7 @@ from court_fda.ingest import (
     CourtSpec,
     IngestError,
     ParseError,
+    PlayerRecord,
     Position,
     ShotTable,
     exclude_impossible,
@@ -334,20 +337,60 @@ class TestRoundTrip:
         # the former writer encoded the whole payload in one call
         events = make_events("a", 7, 9) + make_events("b", 12, 4, Position.CENTER) + make_events("c", 3, 8)
         records = filter_players(table(events), 10)
-        payload = [
-            {
-                "player_id": r.player_id,
-                "player_name": r.player_name,
-                "position": r.position.value,
-                "made_points": r.made_points.tolist(),
-                "missed_points": r.missed_points.tolist(),
-            }
-            for r in records
-        ]
         path = tmp_path / "players.json"
         for subset in (records, records[:1], []):
             write_players_json(subset, path)
-            assert path.read_bytes() == json_text(payload[: len(subset)]).encode("utf-8")
+            assert path.read_bytes() == one_call_players_json(subset)
+
+
+def one_call_players_json(records) -> bytes:
+    """The former writer: the whole payload encoded in one call."""
+    payload = [
+        {
+            "player_id": r.player_id,
+            "player_name": r.player_name,
+            "position": r.position.value,
+            "made_points": r.made_points.tolist(),
+            "missed_points": r.missed_points.tolist(),
+        }
+        for r in records
+    ]
+    return json_text(payload).encode("utf-8")
+
+
+# signed zeros side by side, the smallest subnormal, the 1e-5 threshold where
+# repr turns to exponent form, and the non-finite values JSON spells out; a
+# small pool makes values recur across players and across the x and y axes
+COORDINATE_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-05, 9.999999999999999e-06, 0.5, 1.0, 0.1 + 0.2,
+                   float("nan"), float("inf"), float("-inf")]
+
+point_field = st.lists(
+    st.tuples(*[st.one_of(st.sampled_from(COORDINATE_POOL), st.floats(width=64))] * 2), max_size=5
+).map(lambda points: np.array(points, dtype=float).reshape(-1, 2))
+
+player_record = st.builds(
+    PlayerRecord,
+    player_id=st.text(max_size=4),
+    player_name=st.text(max_size=6),
+    position=st.sampled_from(POSITION_ORDER),
+    made_points=point_field,
+    missed_points=point_field,
+)
+
+
+class TestPlayersJsonMemo:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(player_record, max_size=4))
+    @example([])
+    @example([PlayerRecord("a", "A", Position.GUARD, np.array([[0.0, -0.0]]), np.array([[-0.0, 0.0]]))])
+    @example([
+        PlayerRecord("a", "A", Position.GUARD, np.array([[5e-324, 1e-05]]), np.zeros((0, 2))),
+        PlayerRecord("b", "B", Position.CENTER, np.array([[1e-05, 5e-324], [-0.0, 0.0]]), np.array([[1e-05, 1e-05]])),
+    ])
+    def test_bytes_match_one_call_encoding(self, tmp_path, records):
+        path = tmp_path / "players.json"
+        write_players_json(records, path)
+        assert path.read_bytes() == one_call_players_json(records)
 
 
 class TestMemory:
