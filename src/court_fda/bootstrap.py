@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from court_fda.density import COMPONENTS, DensityStack
+from court_fda.density import DensityStack
+from court_fda.export import export_model_heatmaps
 from court_fda.fda import (
     MfpcaModel,
     eigendecompose,
@@ -230,17 +231,7 @@ def stability_study(
 
 
 def _dump_replicate(model: MfpcaModel, out_dir: Path, index: int) -> None:
-    from court_fda.export import export_heatmap
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for comp_idx, comp in enumerate(COMPONENTS):
-        export_heatmap(model.mean[comp_idx], model.grid, out_dir / f"replicate{index}_mean_{comp}")
-        for j, pair in enumerate(model.pairs, start=1):
-            export_heatmap(
-                pair.eigenfunction[comp_idx],
-                model.grid,
-                out_dir / f"replicate{index}_eigenfunction_{j}_{comp}",
-            )
+    export_model_heatmaps(model, out_dir, prefix=f"replicate{index}_")
 
 
 def report_to_dict(report: StabilityReport) -> dict:

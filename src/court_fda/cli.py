@@ -26,18 +26,16 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
-from court_fda.density import build_samples
-from court_fda.export import export_heatmap, export_medoid_heatmaps, json_text, write_heatmap_csv, write_json
-from court_fda.fda import load_model, project_scores_all, reconstruct, save_model, fit_mfpca
+from court_fda.export import export_heatmap, export_medoid_heatmaps, export_model_heatmaps, json_text, write_json
+from court_fda.fda import fit_mfpca, load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
-from court_fda.ingest import (
-    CourtSpec,
-    exclude_impossible,
-    filter_players,
-    load_events,
-    read_players_json,
-    write_players_json,
-)
+from court_fda.ingest import CourtSpec, read_players_json
+
+# The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
+from court_fda.density import build_samples  # noqa: F401
+from court_fda.export import write_heatmap_csv  # noqa: F401
+from court_fda.fda import save_model  # noqa: F401
+from court_fda.ingest import exclude_impossible, filter_players, load_events, write_players_json  # noqa: F401
 
 USAGE_EXIT = 1
 STAGE_EXIT = {stage: code for code, stage in enumerate(pl.STAGES, start=2)}
@@ -52,21 +50,18 @@ def _threads_default() -> int:
         return 1
 
 
-def _court(args) -> CourtSpec:
-    return CourtSpec(args.court_width, args.court_depth)
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def cmd_ingest(args) -> int:
-    events = load_events(args.input, _court(args))
-    if not events:
-        raise ValueError(f"no shot events in {args.input}")
-    retained = exclude_impossible(events)
-    records = filter_players(retained, args.min_attempts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_players_json(records, out / "players.json")
+    out = _out_dir(args)
+    records, parsed, retained = pl.ingest(args.input, CourtSpec(args.court_width, args.court_depth),
+                                          args.min_attempts, out)
     print(
-        f"parsed {len(events)} events, retained {len(retained)} in bounds, "
+        f"parsed {parsed} events, retained {retained} in bounds, "
         f"{len(records)} players above {args.min_attempts} attempts -> {out / 'players.json'}"
     )
     return 0
@@ -75,28 +70,17 @@ def cmd_ingest(args) -> int:
 def cmd_density(args) -> int:
     records = read_players_json(args.players)
     grid = GridSpec(args.grid, args.grid)
-    stack = build_samples(records, grid, threads=args.threads)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pl.write_densities(out, stack)
-    if args.dump_densities:
-        dump = Path(args.dump_densities)
-        dump.mkdir(parents=True, exist_ok=True)
-        for i, pid in enumerate(stack.player_ids):
-            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in pid)
-            for comp, values in zip(pl.COMPONENTS, stack.values[:, i]):
-                write_heatmap_csv(values, grid, dump / f"{safe}_{comp}.csv")
+    out = _out_dir(args)
+    stack = pl.estimate_densities(records, grid, args.threads, out, args.dump_densities)
     print(f"estimated {len(stack)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}")
     return 0
 
 
 def cmd_mfpca_fit(args) -> int:
     stack = pl.read_densities(args.densities)
-    model = fit_mfpca(stack, n_components=args.components, variance_threshold=args.variance)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
-    pl.write_scores_csv(model.scores, out / "scores.csv")
+    out = _out_dir(args)
+    components = args.components if args.variance is None else None
+    model = pl.fit_and_save(stack, out, components, args.variance)
     shares = ", ".join(f"{r:.4f}" for r in model.variance_ratios)
     print(f"fitted {model.n_components} components (variance shares {shares}) -> {out / 'model.json'}")
     return 0
@@ -106,8 +90,7 @@ def cmd_mfpca_scores(args) -> int:
     model = load_model(args.model)
     stack = pl.read_densities(args.densities)
     scores = project_scores_all(stack, model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     pl.write_scores_csv(scores, out / "scores.csv")
     print(f"projected {len(stack)} samples onto {model.n_components} components -> {out / 'scores.csv'}")
     return 0
@@ -136,21 +119,9 @@ def cmd_cluster(args) -> int:
         if not args.model:
             raise ValueError("--model is required for variance-proportion weighting")
         eigenvalues = load_model(args.model).eigenvalues
-    standardized = cl.standardize_scores(scores)
-    dist = cl.distance_matrix(standardized, scheme, eigenvalues)
-    clustering = cl.kmedoids(dist, args.k)
-    weights = cl.resolve_weights(scheme, scores.n_components, eigenvalues)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = pl.clustering_to_dict(clustering, scheme, weights, scores.player_ids)
-    write_json(doc, out / f"clusters_{scheme.value}.json")
-    if args.players:
-        records = read_players_json(args.players)
-        by_id = {r.player_id: r for r in records}
-        ordered = [by_id[pid] for pid in scores.player_ids]
-        (out / f"roster_{scheme.value}.txt").write_text(
-            cl.format_roster(clustering, ordered), encoding="utf-8"
-        )
+    records = read_players_json(args.players, scores.player_ids) if args.players else None
+    out = _out_dir(args)
+    [(clustering, _)] = pl.cluster_schemes(scores, [scheme], args.k, out, eigenvalues, records).values()
     print(
         f"k-medoids (k={args.k}, {scheme.value} weights): total cost {clustering.total_cost:.6f} -> {out}"
     )
@@ -177,9 +148,7 @@ def cmd_evaluate(args) -> int:
     if args.against == "nba":
         if not args.players:
             raise ValueError("--players is required to evaluate against the position labels")
-        records = read_players_json(args.players)
-        by_id = {r.player_id: r for r in records}
-        part_b = mt.positions_partition([by_id[pid] for pid in ids_a])
+        part_b = mt.positions_partition(read_players_json(args.players, ids_a))
         name_b = "nba"
     else:
         part_b, doc_b = _load_cluster_partition(args.against)
@@ -187,13 +156,9 @@ def cmd_evaluate(args) -> int:
             raise ValueError("the two clusterings cover different players")
         name_b = doc_b["scheme"]
 
-    values, mean = mt.silhouette(dist, part_a)
     result = {
         "comparison": pl.comparison_report(doc_a["scheme"], part_a, name_b, part_b),
-        "silhouette": {
-            "mean": mean,
-            "per_cluster": {f"cluster_{c + 1}": v for c, v in mt.per_cluster_silhouette(values, part_a).items()},
-        },
+        "silhouette": pl.silhouette_entry(dist, part_a),
     }
     if args.out:
         write_json(result, args.out)
@@ -205,8 +170,7 @@ def cmd_evaluate(args) -> int:
 def cmd_bootstrap(args) -> int:
     stack = pl.read_densities(args.densities)
     reference = fit_mfpca(stack, n_components=args.components)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report = bt.stability_study(
         stack,
         reference,
@@ -225,15 +189,12 @@ def cmd_export(args) -> int:
     if args.what in ("mean", "eigenfunction"):
         model = load_model(args.model)
         if args.what == "mean":
-            for comp_idx, comp in enumerate(pl.COMPONENTS):
-                export_heatmap(model.mean[comp_idx], model.grid, out / f"mean_{comp}")
+            export_model_heatmaps(model, out, eigenfunctions=())
             print(f"exported mean components -> {out}")
         else:
             if args.k is None or not 1 <= args.k <= model.n_components:
                 raise ValueError(f"--k must be in [1, {model.n_components}]")
-            pair = model.pairs[args.k - 1]
-            for comp_idx, comp in enumerate(pl.COMPONENTS):
-                export_heatmap(pair.eigenfunction[comp_idx], model.grid, out / f"eigenfunction_{args.k}_{comp}")
+            export_model_heatmaps(model, out, mean=False, eigenfunctions=[args.k])
             print(f"exported eigenfunction {args.k} -> {out}")
     elif args.what == "player":
         model = load_model(args.model)
@@ -260,29 +221,13 @@ def cmd_export(args) -> int:
 
 def cmd_run(args) -> int:
     base = pl.PipelineConfig.from_file(args.config).to_dict() if args.config else pl.PipelineConfig().to_dict()
-    overrides = {
-        "input": args.input,
-        "out": args.out,
-        "min_attempts": args.min_attempts,
-        "grid": args.grid,
-        "components": args.components,
-        "variance_threshold": args.variance,
-        "clusters": args.k,
-        "weight_scheme": args.weights,
-        "bootstrap_replicates": args.replicates,
-        "seed": args.seed,
-        "court_width": args.court_width,
-        "court_depth": args.court_depth,
-        "threads": args.threads,
-        "dump_densities": args.dump_densities or None,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    if args.variance is not None and args.components is None:
-        base["components"] = None
-    if args.components is not None and args.variance is None:
+    flags = {key: value for key, value in vars(args).items() if key in base}
+    # either component-count flag clears the other setting
+    if "components" in flags:
         base["variance_threshold"] = None
+    if "variance_threshold" in flags:
+        base["components"] = None
+    base.update(flags)
     config = pl.PipelineConfig.from_dict(base)
     manifest = pl.run_pipeline(config)
     print(
@@ -298,15 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads = _threads_default()
 
-    def add_court(p):
-        p.add_argument("--court-width", type=float, default=50.0)
-        p.add_argument("--court-depth", type=float, default=47.0)
-
     p = sub.add_parser("ingest", help="parse, normalize, and filter a shot export")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-attempts", type=int, default=1000)
-    add_court(p)
+    p.add_argument("--court-width", type=float, default=50.0)
+    p.add_argument("--court-depth", type=float, default=47.0)
     p.set_defaults(func=cmd_ingest, stage="ingest")
 
     p = sub.add_parser("density", help="estimate per-player density pairs")
@@ -324,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--densities", required=True, help="directory holding the density stack")
     pf.add_argument("--out", required=True)
     group = pf.add_mutually_exclusive_group()
-    group.add_argument("--components", type=int, default=None)
+    group.add_argument("--components", type=int, default=4)
     group.add_argument("--variance", type=float, default=None)
-    pf.set_defaults(func=lambda a: cmd_mfpca_fit(_default_components(a)), stage="mfpca")
+    pf.set_defaults(func=cmd_mfpca_fit, stage="mfpca")
 
     ps = msub.add_parser("scores")
     ps.add_argument("--model", required=True)
@@ -377,44 +319,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export, stage="export")
 
-    p = sub.add_parser("run", help="full pipeline with manifest")
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None)
+    # only the flags given reach the namespace, named as the PipelineConfig fields they set
+    p = sub.add_parser("run", help="full pipeline with manifest", argument_default=argparse.SUPPRESS)
+    p.add_argument("--input")
+    p.add_argument("--out")
     p.add_argument("--config", default=None, help="flat JSON config; flags override its values")
-    p.add_argument("--min-attempts", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--min-attempts", type=int)
+    p.add_argument("--grid", type=int)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--components", type=int, default=None)
-    group.add_argument("--variance", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="cluster count")
-    p.add_argument("--weights", choices=["equal", "variance", "both"], default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--court-width", type=float, default=None)
-    p.add_argument("--court-depth", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--dump-densities", action="store_true", default=False)
+    group.add_argument("--components", type=int)
+    group.add_argument("--variance", dest="variance_threshold", metavar="VARIANCE", type=float)
+    p.add_argument("--k", dest="clusters", metavar="K", type=int, help="cluster count")
+    p.add_argument("--weights", dest="weight_scheme", choices=["equal", "variance", "both"])
+    p.add_argument("--replicates", dest="bootstrap_replicates", metavar="REPLICATES", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--court-width", type=float)
+    p.add_argument("--court-depth", type=float)
+    p.add_argument("--threads", type=int)
+    p.add_argument("--dump-densities", action="store_true")
     p.set_defaults(func=cmd_run, stage="run")
 
     return parser
-
-
-def _default_components(args):
-    if args.components is None and args.variance is None:
-        args.components = 4
-    return args
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except pl.StageError as exc:
+    except (pl.StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return STAGE_EXIT.get(exc.stage, USAGE_EXIT)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return STAGE_EXIT.get(getattr(args, "stage", ""), USAGE_EXIT)
+        return STAGE_EXIT.get(getattr(exc, "stage", args.stage), USAGE_EXIT)
 
 
 if __name__ == "__main__":

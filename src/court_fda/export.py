@@ -129,28 +129,42 @@ def export_heatmap(
     return csv_path, pgm_path
 
 
-def export_medoid_heatmaps(
-    stack: DensityStack, medoids: Mapping[str, Sequence[int]], out_dir: str | Path
-) -> list[Path]:
+def export_model_heatmaps(
+    model, out_dir: str | Path, prefix: str = "", mean: bool = True, eigenfunctions: Sequence[int] | None = None
+) -> None:
+    """Write a fitted ``MfpcaModel``'s mean and eigenfunctions as symmetric heatmaps.
+
+    The files are ``<prefix>mean_<component>`` and ``<prefix>eigenfunction_<j>_<component>``
+    plus .csv / .pgm in ``out_dir``; ``eigenfunctions`` lists the 1-based ``j`` to write,
+    all of them by default.
+    """
+    out_dir = Path(out_dir)
+    if eigenfunctions is None:
+        eigenfunctions = range(1, len(model.pairs) + 1)
+    for c, comp in enumerate(COMPONENTS):
+        if mean:
+            export_heatmap(model.mean[c], model.grid, out_dir / f"{prefix}mean_{comp}")
+        for j in eigenfunctions:
+            base = out_dir / f"{prefix}eigenfunction_{j}_{comp}"
+            export_heatmap(model.pairs[j - 1].eigenfunction[c], model.grid, base)
+
+
+def export_medoid_heatmaps(stack: DensityStack, medoids: Mapping[str, Sequence[int]], out_dir: str | Path) -> None:
     """Write each scheme's medoid density pairs as unit-rescaled heatmaps.
 
     ``medoids`` maps a weight scheme to its medoids' rows of ``stack``, in
     cluster order; the files are ``medoid_<scheme>_cluster<j>_<component>``
     plus .csv / .pgm. A row that is a medoid under an earlier scheme is not
-    rendered again: its finished files are copied. Returns the written paths.
+    rendered again: its finished files are copied.
     """
     out_dir = Path(out_dir)
     rendered: dict[tuple[int, int], tuple[Path, Path]] = {}
-    paths: list[Path] = []
     for scheme, rows in medoids.items():
         for j, row in enumerate(rows, start=1):
             for c, comp in enumerate(COMPONENTS):
                 base = out_dir / f"medoid_{scheme}_cluster{j}_{comp}"
                 if (row, c) in rendered:
-                    written = (base.with_suffix(".csv"), base.with_suffix(".pgm"))
-                    for source, target in zip(rendered[row, c], written):
-                        shutil.copyfile(source, target)
+                    for source, suffix in zip(rendered[row, c], (".csv", ".pgm")):
+                        shutil.copyfile(source, base.with_suffix(suffix))
                 else:
-                    written = rendered[row, c] = export_heatmap(stack.values[c, row], stack.grid, base, mode="unit")
-                paths.extend(written)
-    return paths
+                    rendered[row, c] = export_heatmap(stack.values[c, row], stack.grid, base, mode="unit")

@@ -445,16 +445,41 @@ def _point_list(cells: np.ndarray) -> str:
     return "[[" + text[:-2] + "]" if text else "[]"
 
 
-def read_players_json(path: str | Path) -> list[PlayerRecord]:
-    """Inverse of :func:`write_players_json`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        PlayerRecord(
-            player_id=obj["player_id"],
-            player_name=obj["player_name"],
-            position=Position(obj["position"]),
-            made_points=np.array(obj["made_points"], dtype=float).reshape(-1, 2),
-            missed_points=np.array(obj["missed_points"], dtype=float).reshape(-1, 2),
-        )
-        for obj in payload
-    ]
+class PlayersFileError(ValueError):
+    """A players file that is not what :func:`write_players_json` writes, or lacks a player that is needed."""
+
+
+def read_players_json(path: str | Path, player_ids: Sequence[str] | None = None) -> list[PlayerRecord]:
+    """Inverse of :func:`write_players_json`; with ``player_ids``, only those players, in that order.
+
+    Raises :class:`PlayersFileError` for a missing key, an unknown position, a point
+    list that is not n x 2 or holds a non-finite coordinate, a player id listed
+    twice, or a requested player that the file does not hold.
+    """
+    try:
+        records = {}
+        for obj in json.loads(Path(path).read_text(encoding="utf-8")):
+            pid = str(obj["player_id"])
+            if pid in records:
+                raise ValueError(f"player {pid!r} is listed twice")
+            made, missed = (_point_array(obj[k], f"player {pid!r} {k}") for k in ("made_points", "missed_points"))
+            records[pid] = PlayerRecord(pid, str(obj["player_name"]), Position(obj["position"]), made, missed)
+        if player_ids is None:
+            return list(records.values())
+        missing = [pid for pid in player_ids if pid not in records]
+        if missing:
+            raise ValueError(f"player {missing[0]!r} is not in the file")
+        return [records[pid] for pid in player_ids]
+    except KeyError as exc:
+        raise PlayersFileError(f"players file {path}: a player has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise PlayersFileError(f"players file {path}: {exc}") from exc
+
+
+def _point_array(cells, name: str) -> np.ndarray:
+    points = np.array(cells, dtype=float)
+    if points.size and points.shape[1:] != (2,):
+        raise ValueError(f"{name} has shape {points.shape}, not (n, 2)")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name} holds a non-finite coordinate")
+    return points.reshape(-1, 2)

@@ -1,21 +1,24 @@
 """End-to-end orchestration with deterministic outputs and a hashed manifest.
 
-The full run executes ingest, density estimation, the component fit,
-clustering under the requested weight schemes, partition metrics, the
-bootstrap stability check, and the figure exports, writing every product
-under one output directory. ``run.json`` lists each written file with
-its SHA-256 hash; identical input, config, and seed yield byte-identical
-outputs. On a stage failure all files written so far are removed.
+Each stage that writes files is one function here, which :func:`run_pipeline`
+and the matching CLI subcommand both call. The full run writes every product
+into a new directory beside the output directory, ``run.json`` last with the
+SHA-256 hash of each file, and moves it into place only when every stage has
+succeeded. Identical input, config, and seed yield byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import math
+import os
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,11 +26,14 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda.density import COMPONENTS, DensityStack, build_samples
-from court_fda.export import export_heatmap, export_medoid_heatmaps, write_heatmap_csv, write_json
-from court_fda.fda import ScoreMatrix, fit_mfpca, save_model
+from court_fda.export import export_medoid_heatmaps, export_model_heatmaps, write_heatmap_csv, write_json
+from court_fda.export import export_heatmap  # noqa: F401  bound only for perfbench/spans.py to wrap
+from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, save_model
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
     CourtSpec,
+    IngestError,
+    PlayerRecord,
     exclude_impossible,
     filter_players,
     load_events,
@@ -44,6 +50,15 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException | str):
         super().__init__(f"{stage} stage failed: {cause}")
         self.stage = stage
+
+
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise any exception from the block as a :class:`StageError` of stage ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 @dataclass
@@ -101,51 +116,16 @@ class PipelineConfig:
         return [cl.WeightScheme(self.weight_scheme)]
 
 
-class _OutputTracker:
-    """Records every file written so a failed run can clean up after itself."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self.files: list[Path] = []
-
-    def track(self, *paths: Path) -> None:
-        self.files.extend(paths)
-
-    def write_json(self, relpath: str, obj) -> None:
-        path = self.root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(obj, path)
-        self.track(path)
-
-    def write_text(self, relpath: str, text: str) -> None:
-        path = self.root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        self.track(path)
-
-    def cleanup(self) -> None:
-        for path in self.files:
-            path.unlink(missing_ok=True)
-        for sub in sorted(self.root.rglob("*"), reverse=True):
-            if sub.is_dir():
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
-
-
 class DensityFileError(ValueError):
     """A density directory is missing a file or holds arrays that do not match its descriptor."""
 
 
-def write_densities(out_dir: Path, stack: DensityStack) -> list[Path]:
+def write_densities(out_dir: Path, stack: DensityStack) -> None:
     """Persist a density stack as one .npy array per component plus a JSON descriptor."""
-    paths = [out_dir / f"densities_{comp}.npy" for comp in COMPONENTS]
-    for path, values in zip(paths, stack.values):
-        np.save(path, values)
-    paths.append(out_dir / "densities_meta.json")
-    write_json({"player_ids": stack.player_ids, "grid": {"nx": stack.grid.nx, "ny": stack.grid.ny}}, paths[-1])
-    return paths
+    for comp, values in zip(COMPONENTS, stack.values):
+        np.save(out_dir / f"densities_{comp}.npy", values)
+    meta = {"player_ids": stack.player_ids, "grid": {"nx": stack.grid.nx, "ny": stack.grid.ny}}
+    write_json(meta, out_dir / "densities_meta.json")
 
 
 def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None) -> DensityStack:
@@ -192,15 +172,40 @@ def write_scores_csv(scores: ScoreMatrix, path: Path) -> None:
             writer.writerow([pid] + [repr(float(v)) for v in row])
 
 
+class ScoresFileError(ValueError):
+    """A scores file that is not a ``player_id,c1..cK`` table of finite numbers, one row per player."""
+
+
 def read_scores_csv(path: str | Path) -> ScoreMatrix:
+    """Inverse of :func:`write_scores_csv`.
+
+    Raises :class:`ScoresFileError` for a header other than ``player_id,c1..cK``, a file
+    with no score rows, a row whose field count differs from the header's, a score that is
+    not a finite number, or a player id listed twice.
+    """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        ids, rows = [], []
+        header = next(reader, [])
+        k = len(header) - 1
+        if k < 1 or header != ["player_id"] + [f"c{j + 1}" for j in range(k)]:
+            raise ScoresFileError(f"{path}: header {','.join(header)!r} is not player_id,c1..cK")
+        rows: dict[str, list[float]] = {}
         for parts in reader:
-            ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-    return ScoreMatrix(ids, np.array(rows))
+            where = f"{path} line {reader.line_num}"
+            if len(parts) != k + 1:
+                raise ScoresFileError(f"{where}: {len(parts)} fields, the header has {k + 1}")
+            try:
+                row = [float(v) for v in parts[1:]]
+            except ValueError:
+                row = [math.nan]
+            if not all(map(math.isfinite, row)):
+                raise ScoresFileError(f"{where}: scores must be finite numbers, got {','.join(parts[1:])!r}")
+            if parts[0] in rows:
+                raise ScoresFileError(f"{where}: player {parts[0]!r} is listed twice")
+            rows[parts[0]] = row
+    if not rows:
+        raise ScoresFileError(f"{path}: no score rows")
+    return ScoreMatrix(list(rows), np.array(list(rows.values())))
 
 
 def clustering_to_dict(
@@ -232,7 +237,7 @@ def comparison_report(name_a: str, part_a: mt.Partition, name_b: str, part_b: mt
     }
 
 
-def _silhouette_entry(dist: np.ndarray, partition: mt.Partition) -> dict:
+def silhouette_entry(dist: np.ndarray, partition: mt.Partition) -> dict:
     values, mean = mt.silhouette(dist, partition)
     per_cluster = mt.per_cluster_silhouette(values, partition)
     names = partition.label_names
@@ -242,23 +247,126 @@ def _silhouette_entry(dist: np.ndarray, partition: mt.Partition) -> dict:
     }
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute every stage and return the manifest that was written."""
-    out_root = Path(config.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker(out_root)
-    court = CourtSpec(config.court_width, config.court_depth)
-    grid = GridSpec(config.grid, config.grid)
+def ingest(
+    path: str | Path, court: CourtSpec, min_attempts: int, out_dir: Path
+) -> tuple[list[PlayerRecord], int, int]:
+    """Parse, exclude and filter a shot export and write ``players.json`` to ``out_dir``.
 
+    Returns the retained players and the counts of parsed and in-bounds rows. Raises
+    :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
+    """
+    events = load_events(path, court)
+    if not events:
+        raise IngestError(f"no shot events in {path}")
+    retained = exclude_impossible(events)
+    records = filter_players(retained, min_attempts)
+    if not records:
+        raise IngestError(f"no player exceeds {min_attempts} attempts")
+    counts = len(events), len(retained)
+    del events, retained  # only their row counts are kept; free the tables before writing
+    write_players_json(records, out_dir / "players.json")
+    return records, *counts
+
+
+def estimate_densities(
+    records: Sequence[PlayerRecord], grid: GridSpec, threads: int, out_dir: Path, dump_dir: str | Path | None = None
+) -> DensityStack:
+    """Estimate every player's density pair and write the stack to ``out_dir``.
+
+    With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``.
+    """
+    stack = build_samples(records, grid, threads=threads)
+    write_densities(out_dir, stack)
+    if dump_dir is not None:
+        dump_dir = Path(dump_dir)
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        for i, pid in enumerate(stack.player_ids):
+            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in pid)
+            for comp, values in zip(COMPONENTS, stack.values[:, i]):
+                write_heatmap_csv(values, grid, dump_dir / f"{safe}_{comp}.csv")
+    return stack
+
+
+def fit_and_save(
+    stack: DensityStack, out_dir: Path, components: int | None, variance_threshold: float | None
+) -> MfpcaModel:
+    """Fit the decomposition and write ``model.json`` and ``scores.csv`` to ``out_dir``."""
+    model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold)
+    save_model(model, out_dir / "model.json")
+    write_scores_csv(model.scores, out_dir / "scores.csv")
+    return model
+
+
+def cluster_schemes(
+    scores: ScoreMatrix,
+    schemes: Sequence[cl.WeightScheme],
+    k: int,
+    out_dir: Path,
+    eigenvalues: np.ndarray | None,
+    records: Sequence[PlayerRecord] | None,
+) -> dict[str, tuple[cl.Clustering, np.ndarray]]:
+    """k-medoids on the standardized scores under each weight scheme.
+
+    Writes ``clusters_<scheme>.json`` and, given the players in score order,
+    ``roster_<scheme>.txt`` to ``out_dir``. Returns each scheme's clustering and
+    distance matrix, keyed by the scheme's name.
+    """
+    standardized = cl.standardize_scores(scores)
+    results = {}
+    for scheme in schemes:
+        dist = cl.distance_matrix(standardized, scheme, eigenvalues)
+        clustering = cl.kmedoids(dist, k)
+        weights = cl.resolve_weights(scheme, scores.n_components, eigenvalues)
+        doc = clustering_to_dict(clustering, scheme, weights, scores.player_ids)
+        write_json(doc, out_dir / f"clusters_{scheme.value}.json")
+        if records is not None:
+            roster = cl.format_roster(clustering, records)
+            (out_dir / f"roster_{scheme.value}.txt").write_text(roster, encoding="utf-8")
+        results[scheme.value] = clustering, dist
+    return results
+
+
+def run_pipeline(config: PipelineConfig) -> dict:
+    """Execute every stage and return the manifest that was written.
+
+    The outputs are staged beside ``config.out`` and replace it only when every
+    stage has succeeded; a failed run leaves ``config.out`` as it was. A
+    ``config.out`` that is not empty and holds no ``run.json`` is refused with a
+    ``ValueError`` before any stage runs, so only an earlier run's output is replaced.
+    """
+    out = Path(os.path.abspath(config.out))
+    if out.exists() and not (out / "run.json").is_file() and (not out.is_dir() or any(out.iterdir())):
+        raise ValueError(f"{config.out} is not empty and holds no run.json; not replacing it")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = _sibling(out)
+    staging.mkdir()  # a plain mkdir, so the output gets the usual permissions
     try:
-        manifest = _run_stages(config, court, grid, tracker)
-    except StageError:
-        tracker.cleanup()
+        manifest = _run_stages(config, staging)
+        _move_into_place(staging, out)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
         raise
-    except Exception as exc:  # pragma: no cover - defensive catch-all
-        tracker.cleanup()
-        raise StageError("run", exc) from exc
     return manifest
+
+
+def _sibling(path: Path) -> Path:
+    """A new hidden name beside ``path``: ``.<name>.<random hex>``."""
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+
+
+def _move_into_place(staging: Path, out: Path) -> None:
+    """Rename ``staging`` to ``out``; an earlier ``out`` is renamed aside first and removed last."""
+    if not os.path.lexists(out):
+        os.rename(staging, out)
+        return
+    aside = _sibling(out)
+    os.rename(out, aside)
+    try:
+        os.rename(staging, out)
+    except OSError:
+        os.rename(aside, out)
+        raise
+    shutil.rmtree(aside)
 
 
 def _sha256(path: Path) -> str:
@@ -269,117 +377,43 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracker: _OutputTracker) -> dict:
-    out_root = tracker.root
+def _run_stages(config: PipelineConfig, out: Path) -> dict:
+    court, grid = CourtSpec(config.court_width, config.court_depth), GridSpec(config.grid, config.grid)
+    with _stage("ingest"):
+        records, events_parsed, events_retained = ingest(config.input, court, config.min_attempts, out)
+    with _stage("density"):
+        dump_dir = out / "density_dumps" if config.dump_densities else None
+        stack = estimate_densities(records, grid, config.threads, out, dump_dir)
+    with _stage("mfpca"):
+        model = fit_and_save(stack, out, config.components, config.variance_threshold)
+    with _stage("cluster"):
+        clusterings = cluster_schemes(model.scores, config.schemes, config.clusters, out, model.eigenvalues, records)
 
-    # ingest
-    try:
-        events = load_events(config.input, court)
-        if not events:
-            raise ValueError(f"no shot events in {config.input}")
-        retained = exclude_impossible(events)
-        records = filter_players(retained, config.min_attempts)
-        if not records:
-            raise ValueError(f"no player exceeds {config.min_attempts} attempts")
-        events_parsed, events_retained = len(events), len(retained)
-        del events, retained  # only their row counts reach the manifest
-        players_path = out_root / "players.json"
-        write_players_json(records, players_path)
-        tracker.track(players_path)
-    except Exception as exc:
-        raise StageError("ingest", exc) from exc
-
-    # density
-    try:
-        stack = build_samples(records, grid, threads=config.threads)
-        tracker.track(*write_densities(out_root, stack))
-        if config.dump_densities:
-            dump_dir = out_root / "density_dumps"
-            dump_dir.mkdir(exist_ok=True)
-            for i, pid in enumerate(stack.player_ids):
-                safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in pid)
-                for comp, values in zip(COMPONENTS, stack.values[:, i]):
-                    path = dump_dir / f"{safe}_{comp}.csv"
-                    write_heatmap_csv(values, grid, path)
-                    tracker.track(path)
-    except Exception as exc:
-        raise StageError("density", exc) from exc
-
-    # mfpca
-    try:
-        model = fit_mfpca(
-            stack, n_components=config.components, variance_threshold=config.variance_threshold
-        )
-        model_path, scores_path = out_root / "model.json", out_root / "scores.csv"
-        tracker.track(model_path, scores_path)
-        save_model(model, model_path)
-        write_scores_csv(model.scores, scores_path)
-    except Exception as exc:
-        raise StageError("mfpca", exc) from exc
-
-    # cluster
-    try:
-        standardized = cl.standardize_scores(model.scores)
-        clusterings: dict[str, cl.Clustering] = {}
-        distances: dict[str, np.ndarray] = {}
-        for scheme in config.schemes:
-            dist = cl.distance_matrix(standardized, scheme, model.eigenvalues)
-            clustering = cl.kmedoids(dist, config.clusters)
-            name = scheme.value
-            clusterings[name] = clustering
-            distances[name] = dist
-            weights = cl.resolve_weights(scheme, model.n_components, model.eigenvalues)
-            tracker.write_json(
-                f"clusters_{name}.json",
-                clustering_to_dict(clustering, scheme, weights, model.scores.player_ids),
-            )
-            tracker.write_text(f"roster_{name}.txt", cl.format_roster(clustering, records))
-    except Exception as exc:
-        raise StageError("cluster", exc) from exc
-
-    # evaluate
-    try:
+    with _stage("evaluate"):
         nba = mt.positions_partition(records)
-        parts = {name: mt.Partition(c.labels) for name, c in clusterings.items()}
+        parts = {name: mt.Partition(c.labels) for name, (c, _) in clusterings.items()}
         comparisons = {}
         silhouettes = {}
         for name, part in parts.items():
+            dist = clusterings[name][1]
             comparisons[f"{name}_vs_nba"] = comparison_report(name, part, "nba", nba)
-            silhouettes[name] = _silhouette_entry(distances[name], part)
-            silhouettes[f"nba_on_{name}_distance"] = _silhouette_entry(distances[name], nba)
+            silhouettes[name] = silhouette_entry(dist, part)
+            silhouettes[f"nba_on_{name}_distance"] = silhouette_entry(dist, nba)
         if len(parts) == 2:
             comparisons["equal_vs_variance"] = comparison_report(
                 "equal", parts["equal"], "variance", parts["variance"]
             )
-        tracker.write_json("evaluation.json", {"comparisons": comparisons, "silhouettes": silhouettes})
-    except Exception as exc:
-        raise StageError("evaluate", exc) from exc
+        write_json({"comparisons": comparisons, "silhouettes": silhouettes}, out / "evaluation.json")
 
-    # bootstrap
     if config.bootstrap_replicates >= 1:
-        try:
-            report = bt.stability_study(
-                stack, model, n_replicates=config.bootstrap_replicates, seed=config.seed
-            )
-            tracker.write_json("stability.json", bt.report_to_dict(report))
-        except Exception as exc:
-            raise StageError("bootstrap", exc) from exc
+        with _stage("bootstrap"):
+            report = bt.stability_study(stack, model, n_replicates=config.bootstrap_replicates, seed=config.seed)
+            write_json(bt.report_to_dict(report), out / "stability.json")
 
-    # export
-    heat_dir = out_root / "heatmaps"
-    before = {p for p in heat_dir.rglob("*") if p.is_file()} if heat_dir.exists() else set()
-    try:
-        for comp_idx, comp in enumerate(COMPONENTS):
-            tracker.track(*export_heatmap(model.mean[comp_idx], grid, heat_dir / f"mean_{comp}"))
-            for j, pair in enumerate(model.pairs, start=1):
-                base = heat_dir / f"eigenfunction_{j}_{comp}"
-                tracker.track(*export_heatmap(pair.eigenfunction[comp_idx], grid, base))
-        medoids = {name: clustering.medoids for name, clustering in clusterings.items()}
-        tracker.track(*export_medoid_heatmaps(stack, medoids, heat_dir))
-    except Exception as exc:
-        for path in {p for p in heat_dir.rglob("*") if p.is_file()} - before:
-            path.unlink(missing_ok=True)
-        raise StageError("export", exc) from exc
+    with _stage("export"):
+        export_model_heatmaps(model, out / "heatmaps")
+        medoids = {name: clustering.medoids for name, (clustering, _) in clusterings.items()}
+        export_medoid_heatmaps(stack, medoids, out / "heatmaps")
 
     manifest = {
         "config": config.to_dict(),
@@ -390,7 +424,7 @@ def _run_stages(config: PipelineConfig, court: CourtSpec, grid: GridSpec, tracke
             "components": model.n_components,
             "variance_ratios": model.variance_ratios.tolist(),
         },
-        "files": {p.relative_to(out_root).as_posix(): _sha256(p) for p in sorted(tracker.files)},
+        "files": {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*")) if p.is_file()},
     }
-    write_json(manifest, out_root / "run.json")
+    write_json(manifest, out / "run.json")
     return manifest

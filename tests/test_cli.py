@@ -1,6 +1,8 @@
 """Command-line surface and pipeline orchestration."""
 
+import hashlib
 import json
+import stat
 
 import numpy as np
 import pytest
@@ -8,14 +10,18 @@ import pytest
 from court_fda.cli import main
 from court_fda.density import DensityStack
 from court_fda.export import export_heatmap
+from court_fda.fda import ScoreMatrix
 from court_fda.grids import GridSpec
 from court_fda.pipeline import (
     DensityFileError,
     PipelineConfig,
+    ScoresFileError,
     StageError,
     read_densities,
+    read_scores_csv,
     run_pipeline,
     write_densities,
+    write_scores_csv,
 )
 
 from conftest import write_mini_export
@@ -251,8 +257,7 @@ class TestRunCommand:
             "--components", 10, "--replicates", 0,
         )
         assert code == 4  # mfpca stage: 10 components from 4 players
-        leftovers = [p for p in out.rglob("*") if p.is_file()]
-        assert leftovers == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.csv"]  # no output, no staging directory
 
     def test_evaluate_matches_pipeline_silhouettes(self, tmp_path, fixture_csv):
         out = tmp_path / "run"
@@ -307,6 +312,139 @@ class TestRunCommand:
         assert m1["files"] == m2["files"]
 
 
+class TestAtomicRun:
+    ARGS = ("--min-attempts", 100, "--grid", 11, "--k", 2, "--replicates", 0)
+
+    @staticmethod
+    def snapshot(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_failed_rerun_keeps_the_previous_output(self, tmp_path, fixture_csv):
+        out = tmp_path / "run"
+        args = ("run", "--input", fixture_csv, "--out", out, "--grid", 11, "--replicates", 0)
+        assert run_cli(*args) == 0
+        before = self.snapshot(out)
+        assert run_cli(*args, "--components", 12) == 4  # mfpca stage: 12 components from 12 players
+        assert self.snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+    def test_successful_rerun_holds_only_its_listed_files(self, tmp_path, mini_csv):
+        out = tmp_path / "run"
+        assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 2, "--dump-densities") == 0
+        assert (out / "density_dumps").is_dir()
+        assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 1) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        files = self.snapshot(out)
+        assert sorted(files) == sorted([*manifest["files"], "run.json"])
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256(files[name]).hexdigest() == digest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.csv", "run"]
+
+    def test_refuses_a_directory_that_is_not_a_run(self, tmp_path, mini_csv, capsys):
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 2) == 1
+        assert "holds no run.json" in capsys.readouterr().err
+        assert self.snapshot(out) == {"notes.txt": b"keep me"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mine", "mini.csv"]
+
+    def test_an_empty_directory_is_filled_with_plain_permissions(self, tmp_path, mini_csv):
+        out, plain = tmp_path / "empty", tmp_path / "plain"
+        out.mkdir(mode=0o700)
+        plain.mkdir()
+        assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 2) == 0
+        assert (out / "run.json").is_file()
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+@pytest.fixture
+def work(tmp_path, mini_csv):
+    """A stage-by-stage work directory up to an equal-weight clustering."""
+    out = tmp_path / "work"
+    assert run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100) == 0
+    assert run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 11) == 0
+    assert run_cli("mfpca", "fit", "--densities", out, "--out", out, "--components", 2) == 0
+    assert run_cli("cluster", "--scores", out / "scores.csv", "--k", 2, "--out", out) == 0
+    return out
+
+
+def evaluate_nba(work):
+    return run_cli(
+        "evaluate", "--clusters", work / "clusters_equal.json", "--against", "nba",
+        "--scores", work / "scores.csv", "--players", work / "players.json",
+    )
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("", "header"),
+        ("player,c1\nm1,1.0\n", "header"),
+        ("player_id\nm1\n", "header"),
+        ("player_id,c1,c3\nm1,1.0,2.0\n", "header"),
+        ("player_id,c1,c2\n", "no score rows"),
+        ("player_id,c1,c2\nm1,1.0,2.0\nm2,1.0\n", "line 3: 2 fields"),
+        ("player_id,c1,c2\nm1,1.0,abc\n", "finite numbers"),
+        ("player_id,c1,c2\nm1,1.0,nan\n", "finite numbers"),
+        ("player_id,c1,c2\nm1,-inf,1.0\n", "finite numbers"),
+        ("player_id,c1,c2\nm1,1.0,2.0\nm1,3.0,4.0\n", "'m1' is listed twice"),
+    ])
+    def test_malformed_scores(self, tmp_path, text, message):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(ScoresFileError, match=message):
+            read_scores_csv(path)
+
+    def test_scores_round_trip(self, tmp_path):
+        scores = ScoreMatrix(["a", "b"], np.array([[0.1, -0.0], [1e-300, 2.5]]))
+        write_scores_csv(scores, tmp_path / "scores.csv")
+        loaded = read_scores_csv(tmp_path / "scores.csv")
+        assert loaded.player_ids == scores.player_ids
+        assert loaded.values.tobytes() == scores.values.tobytes()
+
+    def test_bad_scores_exit_with_the_stage_code(self, work, capsys):
+        path = work / "scores.csv"
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, "m1,nan,nan", *rest]) + "\n")
+        assert run_cli("cluster", "--scores", path, "--k", 2, "--out", work) == 5
+        assert evaluate_nba(work) == 6
+        assert "finite numbers" in capsys.readouterr().err
+        path.write_text(header + "\n")
+        assert run_cli("cluster", "--scores", path, "--k", 2, "--out", work) == 5
+        assert evaluate_nba(work) == 6
+        assert "no score rows" in capsys.readouterr().err
+
+    def edit_players(self, work, edit):
+        path = work / "players.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    def test_a_scored_player_missing_from_players_json(self, work, capsys):
+        self.edit_players(work, lambda doc: doc.pop(1))
+        assert run_cli("cluster", "--scores", work / "scores.csv", "--players", work / "players.json",
+                       "--k", 2, "--out", work) == 5
+        assert evaluate_nba(work) == 6
+        assert "player 'm2' is not in the file" in capsys.readouterr().err
+
+    def test_a_missing_key(self, work, capsys):
+        self.edit_players(work, lambda doc: doc[0].pop("position"))
+        assert evaluate_nba(work) == 6
+        assert "no key 'position'" in capsys.readouterr().err
+
+    def test_a_non_finite_coordinate(self, work, tmp_path, capsys):
+        self.edit_players(work, lambda doc: doc[2]["missed_points"][0].__setitem__(1, float("nan")))
+        assert run_cli("density", "--players", work / "players.json", "--out", tmp_path / "d", "--grid", 11) == 3
+        assert "player 'm3' missed_points holds a non-finite coordinate" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "densities_made.npy").exists()
+
+    def test_ingest_exits_2_when_no_player_is_retained(self, tmp_path, mini_csv, capsys):
+        out = tmp_path / "work"
+        assert run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 1000) == 2
+        assert "no player exceeds 1000 attempts" in capsys.readouterr().err
+        assert not (out / "players.json").exists()
+
+
 class TestBundledFixture:
     def test_golden_structure(self, tmp_path, fixture_csv):
         # file inventory generated once from a reference run and frozen
@@ -340,7 +478,7 @@ class TestBundledFixture:
             assert labels == set(range(5))
 
     def test_shared_medoid_charts_are_copied(self, tmp_path, fixture_csv, monkeypatch):
-        from court_fda import export, pipeline
+        from court_fda import export
 
         calls = []
 
@@ -351,7 +489,6 @@ class TestBundledFixture:
             return wrapper
 
         monkeypatch.setattr(export, "export_heatmap", counted(export.export_heatmap))
-        monkeypatch.setattr(pipeline, "export_heatmap", counted(pipeline.export_heatmap))
         out = tmp_path / "out"
         run_pipeline(PipelineConfig(input=str(fixture_csv), out=str(out), grid=31, bootstrap_replicates=0))
         monkeypatch.undo()

@@ -18,6 +18,7 @@ from court_fda.ingest import (
     IngestError,
     ParseError,
     PlayerRecord,
+    PlayersFileError,
     Position,
     ShotTable,
     exclude_impossible,
@@ -341,6 +342,48 @@ class TestRoundTrip:
         for subset in (records, records[:1], []):
             write_players_json(subset, path)
             assert path.read_bytes() == one_call_players_json(subset)
+
+
+class TestReadPlayersJson:
+    @pytest.fixture
+    def path(self, tmp_path):
+        events = make_events("a", 7, 9) + make_events("b", 12, 4, Position.CENTER) + make_events("c", 3, 8)
+        path = tmp_path / "players.json"
+        write_players_json(filter_players(table(events), 10), path)
+        return path
+
+    def edit(self, path, key, value):
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[1][key]
+        else:
+            doc[1][key] = value
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("position", None, "a player has no key 'position'"),
+        ("made_points", None, "a player has no key 'made_points'"),
+        ("position", "point", "'point' is not a valid Position"),
+        ("made_points", [[0.1, float("nan")]], "player 'b' made_points holds a non-finite coordinate"),
+        ("missed_points", [[float("inf"), 0.5]], "player 'b' missed_points holds a non-finite coordinate"),
+        ("made_points", [[0.1, 0.2, 0.3]], r"player 'b' made_points has shape \(1, 3\), not \(n, 2\)"),
+        ("made_points", [0.1, 0.2], r"player 'b' made_points has shape \(2,\)"),
+        ("made_points", [[0.1, 0.2], [0.3]], "players file"),
+        ("player_id", "a", "player 'a' is listed twice"),
+    ])
+    def test_rejects(self, path, key, value, message):
+        self.edit(path, key, value)
+        with pytest.raises(PlayersFileError, match=message):
+            read_players_json(path)
+
+    def test_selected_players(self, path):
+        assert [r.player_id for r in read_players_json(path, ["c", "a"])] == ["c", "a"]
+        with pytest.raises(PlayersFileError, match="player 'z' is not in the file"):
+            read_players_json(path, ["a", "z"])
+
+    def test_empty_point_list_reads_as_0_by_2(self, path):
+        self.edit(path, "made_points", [])
+        assert read_players_json(path)[1].made_points.shape == (0, 2)
 
 
 def one_call_players_json(records) -> bytes:
