@@ -8,9 +8,10 @@ The file name matches no test pattern, so the default test run does not
 collect it. Sizes follow the paper-scale workload (173 players, about
 4,100 shots each, 4 components, k = 5, 5 bootstrap replicates) on a
 51 x 51 grid instead of 201 x 201, so a full pass takes seconds. The
-writers are timed at the sizes a paper-scale run writes them, except
-``players.json``, which gets a tenth of the shots, once with coordinates
-on the 0.01 ft lattice of real exports and once with no repeated value.
+writers and the model loader are timed at the sizes a paper-scale run
+writes and reads them, except ``players.json``, which gets a tenth of the
+shots, once with coordinates on the 0.01 ft lattice of real exports and
+once with no repeated value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from court_fda.bootstrap import stability_study
 from court_fda.cluster import WeightScheme, _pam_medoids, distance_matrix, standardize_scores
 from court_fda.density import DensityStack, kde_raw, silverman_bandwidth
 from court_fda.export import write_heatmap_csv
-from court_fda.fda import QuadratureWeights, eigendecompose, fit_mfpca, gram_matrix, mean_function, save_model
+from court_fda.fda import (
+    QuadratureWeights,
+    eigendecompose,
+    fit_mfpca,
+    gram_matrix,
+    load_model,
+    mean_function,
+    save_model,
+)
 from court_fda.grids import GridSpec
 from court_fda.ingest import PlayerRecord, Position, write_players_json
 
@@ -94,12 +103,20 @@ def test_write_players_json(benchmark, tmp_path, coordinates):
     benchmark(write_players_json, records, tmp_path / "players.json")
 
 
-def test_save_model(benchmark, tmp_path):
+@pytest.fixture(scope="module")
+def paper_model():
     rng = np.random.default_rng(3)
     values = 1.0 + 0.1 * rng.normal(size=(2, PLAYERS, PAPER_GRID.nx, PAPER_GRID.ny))
-    paper_model = fit_mfpca(DensityStack([f"p{i:03d}" for i in range(PLAYERS)], PAPER_GRID, values), n_components=4)
-    del values
+    return fit_mfpca(DensityStack([f"p{i:03d}" for i in range(PLAYERS)], PAPER_GRID, values), n_components=4)
+
+
+def test_save_model(benchmark, tmp_path, paper_model):
     benchmark(save_model, paper_model, tmp_path / "model.json")
+
+
+def test_load_model(benchmark, tmp_path, paper_model):
+    save_model(paper_model, tmp_path / "model.json")
+    benchmark(load_model, tmp_path / "model.json")
 
 
 def test_write_heatmap_csv(benchmark, tmp_path):

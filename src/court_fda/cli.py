@@ -50,14 +50,8 @@ def _threads_default() -> int:
         return 1
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     records, parsed, retained = pl.ingest(args.input, CourtSpec(args.court_width, args.court_depth),
                                           args.min_attempts, out)
     print(
@@ -70,7 +64,7 @@ def cmd_ingest(args) -> int:
 def cmd_density(args) -> int:
     records = read_players_json(args.players)
     grid = GridSpec(args.grid, args.grid)
-    out = _out_dir(args)
+    out = Path(args.out)
     stack = pl.estimate_densities(records, grid, args.threads, out, args.dump_densities)
     print(f"estimated {len(stack)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}")
     return 0
@@ -78,7 +72,7 @@ def cmd_density(args) -> int:
 
 def cmd_mfpca_fit(args) -> int:
     stack = pl.read_densities(args.densities)
-    out = _out_dir(args)
+    out = Path(args.out)
     components = args.components if args.variance is None else None
     model = pl.fit_and_save(stack, out, components, args.variance)
     shares = ", ".join(f"{r:.4f}" for r in model.variance_ratios)
@@ -90,7 +84,8 @@ def cmd_mfpca_scores(args) -> int:
     model = load_model(args.model)
     stack = pl.read_densities(args.densities)
     scores = project_scores_all(stack, model)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     pl.write_scores_csv(scores, out / "scores.csv")
     print(f"projected {len(stack)} samples onto {model.n_components} components -> {out / 'scores.csv'}")
     return 0
@@ -120,7 +115,7 @@ def cmd_cluster(args) -> int:
             raise ValueError("--model is required for variance-proportion weighting")
         eigenvalues = load_model(args.model).eigenvalues
     records = read_players_json(args.players, scores.player_ids) if args.players else None
-    out = _out_dir(args)
+    out = Path(args.out)
     [(clustering, _)] = pl.cluster_schemes(scores, [scheme], args.k, out, eigenvalues, records).values()
     print(
         f"k-medoids (k={args.k}, {scheme.value} weights): total cost {clustering.total_cost:.6f} -> {out}"
@@ -170,7 +165,6 @@ def cmd_evaluate(args) -> int:
 def cmd_bootstrap(args) -> int:
     stack = pl.read_densities(args.densities)
     reference = fit_mfpca(stack, n_components=args.components)
-    out = _out_dir(args)
     report = bt.stability_study(
         stack,
         reference,
@@ -178,6 +172,8 @@ def cmd_bootstrap(args) -> int:
         seed=args.seed,
         dump_dir=args.dump_replicates,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(bt.report_to_dict(report), out / "stability.json")
     mean_alignment = ", ".join(f"{a:.4f}" for a in report.mean_alignment())
     print(f"{args.replicates} replicates, mean alignments per component: {mean_alignment} -> {out}")

@@ -7,7 +7,7 @@ import json
 import operator
 import shutil
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from court_fda.density import COMPONENTS, DensityStack
 from court_fda.grids import GridSpec
 
 
-#: Values the streaming writers format per piece; it bounds the text they hold at a time.
+#: Values the heatmap CSV writer formats per piece; it bounds the text held at a time.
 WRITE_BLOCK = 4096
 
 
@@ -26,17 +26,6 @@ def json_text(obj) -> str:
     keep reruns byte-identical.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def json_floats(values: np.ndarray) -> Iterator[str]:
-    """The JSON list of a flat float array in pieces of :data:`WRITE_BLOCK` values.
-
-    Joined, the pieces are :func:`json_text` of ``values.tolist()`` without its newline.
-    """
-    yield "["
-    for lo in range(0, len(values), WRITE_BLOCK):
-        yield ("," if lo else "") + json_text(values[lo:lo + WRITE_BLOCK].tolist())[1:-2]
-    yield "]"
 
 
 def write_json(obj, path: str | Path) -> None:

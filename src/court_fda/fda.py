@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from court_fda.density import DensityStack
-from court_fda.export import json_floats, json_text
+from court_fda.export import write_json
 from court_fda.grids import GridSpec, trapezoid_weights
 
 #: Relative cutoff under which a Gram eigenvalue counts as numerically zero.
@@ -364,18 +364,22 @@ def covariance_oracle(stack: DensityStack) -> tuple[np.ndarray, np.ndarray]:
     return vals[:rank], np.stack(funcs) if funcs else np.empty((0, 2, grid.nx, grid.ny))
 
 
-def save_model(model: MfpcaModel, path: str | Path) -> None:
-    """Serialize a model to one JSON document.
+class ModelFileError(ValueError):
+    """A model document or its function array is unreadable, incomplete, inconsistent, or not finite."""
 
-    Bivariate functions are stored as flat row-major lists, missed
-    component first; floats use Python's shortest round-trip repr, so
-    loading restores bit-identical values. The document is written one
-    top-level key at a time, functions in blocks of values; its bytes are
-    :func:`~court_fda.export.json_text` of the whole document.
+
+def save_model(model: MfpcaModel, path: str | Path) -> None:
+    """Write a model as the JSON document ``path`` and ``<stem>_functions.npy`` beside it.
+
+    The array is float64 of shape (1 + K, 2, nx, ny): the mean, then each eigenfunction.
+    It is written first, so a document on disk always has its array. The quadrature
+    weights follow from the grid and are not stored.
     """
+    path = Path(path)
+    functions = np.stack([model.mean, *(p.eigenfunction for p in model.pairs)])
+    np.save(path.with_name(f"{path.stem}_functions.npy"), functions)
     doc = {
         "grid": {"nx": model.grid.nx, "ny": model.grid.ny},
-        "quadrature": {"wx": model.weights.wx.tolist(), "wy": model.weights.wy.tolist()},
         "eigenvalues": [p.eigenvalue for p in model.pairs],
         "variance_ratios": model.variance_ratios.tolist(),
         "total_variance": model.total_variance,
@@ -383,48 +387,56 @@ def save_model(model: MfpcaModel, path: str | Path) -> None:
         "player_ids": model.scores.player_ids,
         "scores": model.scores.values.tolist(),
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, key in enumerate(sorted([*doc, "eigenfunctions", "mean"])):
-            fh.write(("," if i else "{") + json.dumps(key) + ":")
-            if key == "eigenfunctions":
-                fh.write("[")
-                for j, pair in enumerate(model.pairs):
-                    fh.write("," if j else "")
-                    fh.writelines(json_floats(pair.eigenfunction.ravel()))
-                fh.write("]")
-            elif key == "mean":
-                fh.writelines(json_floats(model.mean.ravel()))
-            else:
-                fh.write(json_text(doc[key])[:-1])
-        fh.write("}\n")
+    write_json(doc, path)
+
+
+def _finite(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array, refused unless it holds only finite numbers in ``shape``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf" or values.shape != shape:
+        raise ValueError(f"{name} holds {values.dtype} of shape {values.shape}, expected numbers of shape {shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return values.astype(float, copy=False)
 
 
 def load_model(path: str | Path) -> MfpcaModel:
-    """Inverse of :func:`save_model`."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    required = {
-        "grid", "quadrature", "mean", "eigenvalues", "eigenfunctions",
-        "variance_ratios", "total_variance", "n_samples", "player_ids", "scores",
-    }
-    missing = required - set(doc)
-    if missing:
-        raise ValueError(f"malformed model document {path}: missing keys {sorted(missing)}")
-    grid = GridSpec(doc["grid"]["nx"], doc["grid"]["ny"])
-    shape = (2, grid.nx, grid.ny)
-    weights = QuadratureWeights(np.array(doc["quadrature"]["wx"]), np.array(doc["quadrature"]["wy"]))
-    pairs = [
-        EigenPair(float(val), np.array(fun, dtype=float).reshape(shape))
-        for val, fun in zip(doc["eigenvalues"], doc["eigenfunctions"])
-    ]
+    """Inverse of :func:`save_model`; the mean and the eigenfunctions are views of one array.
+
+    Raises :class:`ModelFileError` for a missing or unreadable file, a missing key, a field
+    of the wrong type or shape, an array that is not float64, or a non-finite value.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        nx, ny, n_samples, player_ids = doc["grid"]["nx"], doc["grid"]["ny"], doc["n_samples"], doc["player_ids"]
+        if not all(type(v) is int for v in (nx, ny, n_samples)):
+            raise ValueError("the grid sizes and n_samples must be integers")
+        if not isinstance(player_ids, list) or not all(isinstance(pid, str) for pid in player_ids):
+            raise ValueError("player_ids must be a list of strings")
+        grid, k = GridSpec(nx, ny), len(doc["eigenvalues"])
+        eigenvalues, ratios = (_finite(key, doc[key], (k,)) for key in ("eigenvalues", "variance_ratios"))
+        scores = _finite("scores", doc["scores"], (len(player_ids), k))
+        total_variance = float(_finite("total_variance", doc["total_variance"], ()))
+        name = f"{path.stem}_functions.npy"
+        with path.with_name(name).open("rb") as fh:  # an .npy array only, never a pickle or an .npz archive
+            functions = np.lib.format.read_array(fh, allow_pickle=False)
+        if functions.dtype != np.float64:
+            raise ValueError(f"{name} holds {functions.dtype}, not float64")
+        functions = _finite(name, functions, (1 + k, 2, nx, ny))
+    except (KeyError, TypeError) as exc:
+        raise ModelFileError(f"model file {path}: a key is missing or a field has the wrong type: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ModelFileError(f"model file {path}: {exc}") from exc
     return MfpcaModel(
         grid=grid,
-        weights=weights,
-        mean=np.array(doc["mean"], dtype=float).reshape(shape),
-        pairs=pairs,
-        n_samples=int(doc["n_samples"]),
-        variance_ratios=np.array(doc["variance_ratios"], dtype=float),
-        total_variance=float(doc["total_variance"]),
-        scores=ScoreMatrix(list(doc["player_ids"]), np.array(doc["scores"], dtype=float).reshape(len(doc["player_ids"]), -1)),
+        weights=QuadratureWeights.for_grid(grid),
+        mean=functions[0],
+        pairs=[EigenPair(float(val), fun) for val, fun in zip(eigenvalues, functions[1:])],
+        n_samples=n_samples,
+        variance_ratios=ratios,
+        total_variance=total_variance,
+        scores=ScoreMatrix(player_ids, scores),
     )
 
 

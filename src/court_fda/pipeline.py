@@ -1,9 +1,10 @@
 """End-to-end orchestration with deterministic outputs and a hashed manifest.
 
 Each stage that writes files is one function here, which :func:`run_pipeline`
-and the matching CLI subcommand both call. The full run writes every product
-into a new directory beside the output directory, ``run.json`` last with the
-SHA-256 hash of each file, and moves it into place only when every stage has
+and the matching CLI subcommand both call; it creates its output directory
+only just before its first write. The full run writes every product into a
+new directory beside the output directory, ``run.json`` last with the SHA-256
+hash of each file, and moves it into place only when every stage has
 succeeded. Identical input, config, and seed yield byte-identical outputs.
 """
 
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import shutil
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -67,6 +69,7 @@ class PipelineConfig:
 
     Exactly one of ``components`` and ``variance_threshold`` selects the
     component count. ``weight_scheme`` is "equal", "variance", or "both".
+    Each value must have its field's annotated type; an int passes as a float.
     """
 
     input: str = ""
@@ -85,6 +88,10 @@ class PipelineConfig:
     dump_densities: bool = False
 
     def __post_init__(self) -> None:
+        for name, hint in typing.get_type_hints(type(self)).items():
+            allowed, value = typing.get_args(hint) or (hint,), getattr(self, name)
+            if type(value) not in allowed and not (type(value) is int and float in allowed):
+                raise ValueError(f"config key {name!r} must be {self.__dataclass_fields__[name].type}, got {value!r}")
         if (self.components is None) == (self.variance_threshold is None):
             raise ValueError("specify exactly one of components and variance_threshold")
         if self.weight_scheme not in ("equal", "variance", "both"):
@@ -264,6 +271,7 @@ def ingest(
         raise IngestError(f"no player exceeds {min_attempts} attempts")
     counts = len(events), len(retained)
     del events, retained  # only their row counts are kept; free the tables before writing
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_players_json(records, out_dir / "players.json")
     return records, *counts
 
@@ -276,6 +284,7 @@ def estimate_densities(
     With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``.
     """
     stack = build_samples(records, grid, threads=threads)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, stack)
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
@@ -290,8 +299,9 @@ def estimate_densities(
 def fit_and_save(
     stack: DensityStack, out_dir: Path, components: int | None, variance_threshold: float | None
 ) -> MfpcaModel:
-    """Fit the decomposition and write ``model.json`` and ``scores.csv`` to ``out_dir``."""
+    """Fit the decomposition and write ``model.json``, its function array and ``scores.csv`` to ``out_dir``."""
     model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
     write_scores_csv(model.scores, out_dir / "scores.csv")
     return model
@@ -318,6 +328,7 @@ def cluster_schemes(
         clustering = cl.kmedoids(dist, k)
         weights = cl.resolve_weights(scheme, scores.n_components, eigenvalues)
         doc = clustering_to_dict(clustering, scheme, weights, scores.player_ids)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_json(doc, out_dir / f"clusters_{scheme.value}.json")
         if records is not None:
             roster = cl.format_roster(clustering, records)

@@ -34,6 +34,7 @@ CORE_FILES = [
     "densities_missed.npy",
     "evaluation.json",
     "model.json",
+    "model_functions.npy",
     "players.json",
     "roster_equal.txt",
     "roster_variance.txt",
@@ -148,6 +149,7 @@ class TestStageCommands:
         code = run_cli("bootstrap", "--densities", out, "--components", 2, "--out", tmp_path / "boot")
         assert code == 7  # bootstrap stage exit code
         assert "different players" in capsys.readouterr().err
+        assert not (tmp_path / "boot").exists()
 
     def test_unknown_player_errors(self, tmp_path, mini_csv):
         out = tmp_path / "work"
@@ -444,6 +446,50 @@ class TestLoaderErrors:
         assert "no player exceeds 1000 attempts" in capsys.readouterr().err
         assert not (out / "players.json").exists()
 
+    @pytest.mark.parametrize("argv, code", [
+        (lambda work: ["ingest", "--input", work.parent / "mini.csv", "--min-attempts", 100000], 2),
+        (lambda work: ["mfpca", "fit", "--densities", work, "--components", 12], 4),
+        (lambda work: ["cluster", "--scores", work / "scores.csv", "--k", 9], 5),
+    ])
+    def test_a_failed_stage_leaves_no_out(self, work, tmp_path, argv, code):
+        assert run_cli(*argv(work), "--out", tmp_path / "new") == code
+        assert not (tmp_path / "new").exists()
+
+    def test_scores_on_another_grid_leave_no_out(self, work, tmp_path):
+        assert run_cli("density", "--players", work / "players.json", "--out", tmp_path / "d21", "--grid", 21) == 0
+        assert run_cli("mfpca", "scores", "--model", work / "model.json", "--densities", tmp_path / "d21",
+                       "--out", tmp_path / "new") == 4
+        assert not (tmp_path / "new").exists()
+
+    @staticmethod
+    def edit_functions(work, edit):
+        path = work / "model_functions.npy"
+        np.save(path, edit(np.load(path)))
+
+    def test_a_non_finite_mean_exits_4(self, work, tmp_path, capsys):
+        def nan_mean(functions):
+            functions[0, 1, 5, 5] = np.nan
+            return functions
+
+        self.edit_functions(work, nan_mean)
+        scored = tmp_path / "scored"
+        assert run_cli("mfpca", "scores", "--model", work / "model.json", "--densities", work, "--out", scored) == 4
+        assert "model_functions.npy holds a non-finite value" in capsys.readouterr().err
+        assert not (scored / "scores.csv").exists()
+
+    def test_a_missing_function_array_exits_5(self, work, capsys):
+        (work / "model_functions.npy").unlink()
+        assert run_cli("cluster", "--scores", work / "scores.csv", "--k", 2, "--weights", "variance",
+                       "--model", work / "model.json", "--out", work) == 5
+        assert "model_functions.npy" in capsys.readouterr().err
+        assert not (work / "clusters_variance.json").exists()
+
+    def test_a_misshapen_function_array_exits_8(self, work, tmp_path, capsys):
+        self.edit_functions(work, lambda functions: functions[:, :, :-1])
+        assert run_cli("export", "mean", "--model", work / "model.json", "--out", tmp_path / "figs") == 8
+        assert "expected numbers of shape (3, 2, 11, 11)" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
 
 class TestBundledFixture:
     def test_golden_structure(self, tmp_path, fixture_csv):
@@ -461,7 +507,7 @@ class TestBundledFixture:
         assert sum("medoid_" in f for f in heat) == 40
         assert sum(f.startswith("heatmaps/eigenfunction_") for f in heat) == 16
         assert sum(f.startswith("heatmaps/mean_") for f in heat) == 4
-        assert len(files) == 72
+        assert len(files) == 73
 
         scores = (out / "scores.csv").read_text().splitlines()
         assert scores[0] == "player_id,c1,c2,c3,c4"
@@ -616,3 +662,18 @@ class TestConfig:
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
             PipelineConfig(input="a", weight_scheme="all")
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", "x"), ("grid", True), ("seed", 1.5), ("components", "4"), ("variance_threshold", "0.9"),
+        ("court_width", None), ("dump_densities", 1), ("input", None),
+    ])
+    def test_rejects_a_value_of_the_wrong_type(self, tmp_path, mini_csv, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert run_cli("run", "--config", config, "--input", mini_csv, "--out", tmp_path / "o") == 1
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mini.csv"]
+
+    def test_accepts_an_int_for_a_float_field(self):
+        config = PipelineConfig(input="a.csv", court_width=50, components=None, variance_threshold=1)
+        assert (config.court_width, config.variance_threshold) == (50, 1)

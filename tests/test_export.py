@@ -8,9 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from court_fda.export import (
-    WRITE_BLOCK,
     export_heatmap,
-    json_floats,
     json_text,
     rescale_symmetric,
     rescale_unit,
@@ -150,12 +148,6 @@ class TestHeatmapCsv:
 
 
 class TestJsonText:
-    @pytest.mark.parametrize("size", [0, 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 3])
-    def test_float_pieces_join_to_one_call_encoding(self, size):
-        values = np.random.default_rng(size).normal(size=size)
-        values[:2] = [-0.0, 5e-324][:size]
-        assert "".join(json_floats(values)) == json_text(values.tolist())[:-1]
-
     def test_compact_sorted_and_parse_equal(self):
         doc = {"b": [1.5, -0.0, 1e-05], "a": {"z": None, "y": "Dončić"}, "c": float("nan")}
         text = json_text(doc)

@@ -1,5 +1,6 @@
 """Inner products, the Gram-route decomposition, and its direct-route oracle."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from court_fda import fda
 from court_fda.density import DensityStack
-from court_fda.export import json_text
 from court_fda.fda import (
     GridMismatchError,
+    ModelFileError,
     QuadratureWeights,
     RankDeficiencyError,
     covariance_oracle,
@@ -385,15 +386,21 @@ class TestRectangularGrids:
 
 
 class TestSerialization:
-    def test_round_trip_bit_identical(self, grid11, tmp_path):
-        samples = random_dataset(grid11, 6, 40)
-        model = fit_mfpca(stack_of(samples), n_components=3)
+    @pytest.fixture
+    def saved(self, grid11, tmp_path):
+        model = fit_mfpca(stack_of(random_dataset(grid11, 6, 40)), n_components=3)
         path = tmp_path / "model.json"
         save_model(model, path)
+        return model, path
+
+    def test_round_trip_bit_identical(self, saved):
+        model, path = saved
         loaded = load_model(path)
         assert loaded.grid == model.grid
         assert loaded.n_samples == model.n_samples
         assert loaded.total_variance == model.total_variance
+        assert loaded.weights.wx.tobytes() == model.weights.wx.tobytes()
+        assert loaded.weights.wy.tobytes() == model.weights.wy.tobytes()
         np.testing.assert_array_equal(loaded.mean, model.mean)
         np.testing.assert_array_equal(loaded.variance_ratios, model.variance_ratios)
         np.testing.assert_array_equal(loaded.scores.values, model.scores.values)
@@ -401,25 +408,101 @@ class TestSerialization:
         for lp, mp_ in zip(loaded.pairs, model.pairs):
             assert lp.eigenvalue == mp_.eigenvalue
             np.testing.assert_array_equal(lp.eigenfunction, mp_.eigenfunction)
+            assert lp.eigenfunction.base is loaded.mean.base  # views of the one loaded array
 
-    def test_bytes_match_one_call_encoding(self, tmp_path):
-        # 2 x 51 x 51 values per function: two blocks of the streaming writer
-        model = fit_mfpca(stack_of(random_dataset(GridSpec(51, 51), 5, 41)), n_components=2)
-        doc = {
-            "grid": {"nx": 51, "ny": 51},
-            "quadrature": {"wx": model.weights.wx.tolist(), "wy": model.weights.wy.tolist()},
-            "mean": model.mean.ravel().tolist(),
-            "eigenvalues": [p.eigenvalue for p in model.pairs],
-            "eigenfunctions": [p.eigenfunction.ravel().tolist() for p in model.pairs],
-            "variance_ratios": model.variance_ratios.tolist(),
-            "total_variance": model.total_variance,
-            "n_samples": model.n_samples,
-            "player_ids": model.scores.player_ids,
-            "scores": model.scores.values.tolist(),
-        }
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        assert path.read_bytes() == json_text(doc).encode("utf-8")
+    def test_file_layout(self, saved):
+        model, path = saved
+        functions = np.load(path.with_name("model_functions.npy"))
+        assert functions.dtype == np.float64 and functions.flags.c_contiguous
+        assert functions.tobytes() == np.stack([model.mean, *model.eigenfunctions()]).tobytes()
+        doc = json.loads(path.read_text())
+        assert sorted(doc) == [
+            "eigenvalues", "grid", "n_samples", "player_ids", "scores", "total_variance", "variance_ratios",
+        ]
+
+    def test_array_is_written_before_the_document(self, saved, monkeypatch):
+        model, path = saved
+        path.unlink()
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert not path.exists()
+
+    @staticmethod
+    def edit_doc(path, edit):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("scores"), "a key is missing or a field has the wrong type: 'scores'"),
+        (lambda doc: doc["grid"].pop("ny"), "a key is missing or a field has the wrong type: 'ny'"),
+        (lambda doc: doc.update(grid=[11, 11]), "a field has the wrong type: list indices"),
+        (lambda doc: doc["grid"].update(nx=11.0), "grid sizes and n_samples must be integers"),
+        (lambda doc: doc.update(n_samples=True), "grid sizes and n_samples must be integers"),
+        (lambda doc: doc["player_ids"].__setitem__(0, 7), "player_ids must be a list of strings"),
+        (lambda doc: doc.update(player_ids="abcdef"), "player_ids must be a list of strings"),
+        (lambda doc: doc.update(total_variance="1.0"), r"total_variance holds <U3 of shape \(\), expected numbers"),
+        (lambda doc: doc.update(eigenvalues=1.0), "a field has the wrong type: .* has no len"),
+        (lambda doc: doc["eigenvalues"].__setitem__(0, "1.0"), r"eigenvalues holds <U\d+ of shape \(3,\)"),
+        (lambda doc: doc["variance_ratios"].pop(), r"variance_ratios holds float64 of shape \(2,\), expected numbers of shape \(3,\)"),
+        (lambda doc: doc["scores"].pop(), r"scores holds float64 of shape \(5, 3\), expected numbers of shape \(6, 3\)"),
+        (lambda doc: [row.pop() for row in doc["scores"]], r"scores holds float64 of shape \(6, 2\)"),
+        (lambda doc: doc["scores"][0].pop(), "inhomogeneous"),
+        (lambda doc: doc["eigenvalues"].__setitem__(1, float("nan")), "eigenvalues holds a non-finite value"),
+        (lambda doc: doc["variance_ratios"].__setitem__(0, float("inf")), "variance_ratios holds a non-finite value"),
+        (lambda doc: doc["scores"][2].__setitem__(1, float("-inf")), "scores holds a non-finite value"),
+    ])
+    def test_malformed_document(self, saved, edit, message):
+        _, path = saved
+        self.edit_doc(path, edit)
+        with pytest.raises(ModelFileError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, message", [(None, "No such file"), ("{", "Expecting"), ("[]", "a field has the wrong type")])
+    def test_unreadable_document(self, saved, text, message):
+        _, path = saved
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        with pytest.raises(ModelFileError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: b"", "EOF"),
+        (lambda f: b"PK\x03\x04 an archive, not an array", "magic string"),
+        (lambda f: f.astype(np.float32), "model_functions.npy holds float32, not float64"),
+        (lambda f: f[:-1], r"shape \(3, 2, 11, 11\), expected numbers of shape \(4, 2, 11, 11\)"),
+        (lambda f: f[:, :, :, :-1], r"shape \(4, 2, 11, 10\)"),
+        (lambda f: np.concatenate([f.ravel()[:300], [np.nan], f.ravel()[301:]]).reshape(f.shape), "non-finite"),
+    ])
+    def test_malformed_array(self, saved, edit, message):
+        _, path = saved
+        array_path = path.with_name("model_functions.npy")
+        edited = edit(np.load(array_path))
+        if isinstance(edited, bytes):
+            array_path.write_bytes(edited)
+        else:
+            np.save(array_path, edited)
+        with pytest.raises(ModelFileError, match=message):
+            load_model(path)
+
+    def test_text_only_model_is_refused(self, saved):
+        # the former single-document layout held the functions as JSON lists and had no array file
+        model, path = saved
+        self.edit_doc(path, lambda doc: doc.update(
+            mean=model.mean.ravel().tolist(),
+            eigenfunctions=[f.ravel().tolist() for f in model.eigenfunctions()],
+            quadrature={"wx": model.weights.wx.tolist(), "wy": model.weights.wy.tolist()},
+        ))
+        path.with_name("model_functions.npy").unlink()
+        with pytest.raises(ModelFileError, match="No such file.*model_functions.npy"):
+            load_model(path)
 
 
 def dense_gram(stack, mean, weights):
