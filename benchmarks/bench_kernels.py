@@ -24,7 +24,6 @@ from court_fda.cluster import WeightScheme, _pam_medoids, distance_matrix, stand
 from court_fda.density import DensityStack, kde_raw, silverman_bandwidth
 from court_fda.export import write_heatmap_csv
 from court_fda.fda import (
-    QuadratureWeights,
     eigendecompose,
     fit_mfpca,
     gram_matrix,
@@ -68,11 +67,11 @@ def test_kde_raw(benchmark):
 
 
 def test_gram_matrix(benchmark, stack):
-    benchmark(gram_matrix, stack, mean_function(stack), QuadratureWeights.for_grid(GRID))
+    benchmark(gram_matrix, stack, mean_function(stack))
 
 
 def test_eigendecompose(benchmark, stack):
-    gram = gram_matrix(stack, mean_function(stack), QuadratureWeights.for_grid(GRID))
+    gram = gram_matrix(stack, mean_function(stack))
     benchmark(eigendecompose, gram)
 
 

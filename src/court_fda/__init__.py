@@ -7,13 +7,11 @@ k-medoids, and provides partition metrics plus a bootstrap stability
 check.
 """
 
-from court_fda.bootstrap import StabilityReport, align_signs, resample, stability_study
+from court_fda.bootstrap import StabilityReport, stability_study
 from court_fda.cluster import Clustering, WeightScheme, distance_matrix, kmedoids, standardize_scores
 from court_fda.density import DensityStack, build_samples, kde, kde_raw, silverman_bandwidth
 from court_fda.fda import (
-    EigenPair,
     MfpcaModel,
-    QuadratureWeights,
     ScoreMatrix,
     covariance_oracle,
     fit_mfpca,
@@ -43,20 +41,17 @@ __all__ = [
     "CourtSpec",
     "Clustering",
     "DensityStack",
-    "EigenPair",
     "GridSpec",
     "MfpcaModel",
     "Partition",
     "PipelineConfig",
     "PlayerRecord",
     "Position",
-    "QuadratureWeights",
     "ScoreMatrix",
     "ShotTable",
     "StabilityReport",
     "WeightScheme",
     "adjusted_rand_index",
-    "align_signs",
     "build_samples",
     "confusion_matrix",
     "covariance_oracle",
@@ -74,7 +69,6 @@ __all__ = [
     "mean_function",
     "project_scores",
     "reconstruct",
-    "resample",
     "run_pipeline",
     "save_model",
     "silhouette",

@@ -20,21 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from court_fda.density import DensityStack
 from court_fda.export import export_model_heatmaps
-from court_fda.fda import (
-    MfpcaModel,
-    eigendecompose,
-    fit_mfpca,
-    flip_component_signs,
-    gram_matrix,
-    inner_product,
-    numerical_rank,
-)
+from court_fda.fda import MfpcaModel, eigendecompose, fit_mfpca, gram_matrix, numerical_rank
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -77,33 +68,6 @@ def resample_indices(n: int, seed: int) -> np.ndarray:
     """n indices drawn uniformly with replacement from a seeded SplitMix64."""
     gen = SplitMix64(_mix64(seed))
     return np.array([gen.below(n) for _ in range(n)], dtype=int)
-
-
-def resample(samples: Sequence, seed: int) -> list:
-    """Bootstrap draw of the sample list; identical seeds give identical draws."""
-    if len(samples) < 1:
-        raise ValueError("cannot resample an empty sample list")
-    return [samples[i] for i in resample_indices(len(samples), seed)]
-
-
-def align_signs(reference: MfpcaModel, candidate: MfpcaModel) -> MfpcaModel:
-    """Flip candidate components so each aligns non-negatively with the reference.
-
-    Scores flip together with their eigenfunctions, so the candidate's
-    reconstructions are unchanged. Alignments can only grow: flipping by
-    the sign of the inner product maps it to its absolute value.
-    """
-    if reference.grid != candidate.grid:
-        raise ValueError(f"grid mismatch: {reference.grid} vs {candidate.grid}")
-    if reference.n_components != candidate.n_components:
-        raise ValueError(
-            f"component count mismatch: {reference.n_components} vs {candidate.n_components}"
-        )
-    signs = []
-    for ref_pair, cand_pair in zip(reference.pairs, candidate.pairs):
-        ip = inner_product(cand_pair.eigenfunction, ref_pair.eigenfunction, reference.weights)
-        signs.append(-1.0 if ip < 0.0 else 1.0)
-    return flip_component_signs(candidate, signs)
 
 
 @dataclass
@@ -189,7 +153,7 @@ def stability_study(
         raise ValueError(f"need at least 1 replicate, got {n_replicates}")
     _check_reference(stack, reference)
     n, k = len(stack), reference.n_components
-    gram = gram_matrix(stack, reference.mean, reference.weights)
+    gram = gram_matrix(stack, reference.mean)
     ref_ell = (n - 1) * reference.eigenvalues
     ref_scores = reference.scores.values
     # The algebra needs the reference scores to be eigenvectors of this Gram matrix.

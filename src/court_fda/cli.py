@@ -98,6 +98,8 @@ def cmd_mfpca_reconstruct(args) -> int:
     except ValueError:
         raise ValueError(f"player {args.player!r} is not in the fitted model") from None
     k = args.k if args.k is not None else model.n_components
+    if not 1 <= k <= model.n_components:
+        raise ValueError(f"--k must be in [1, {model.n_components}]")
     field = reconstruct(model.scores.values[idx, :k], model)
     out = Path(args.out)
     for comp_idx, comp in enumerate(pl.COMPONENTS):
@@ -201,11 +203,9 @@ def cmd_export(args) -> int:
             export_heatmap(sample[comp_idx], model.grid, out / f"player_{args.player}_{comp}", mode="unit")
             export_heatmap(model.mean[comp_idx], model.grid, out / f"player_{args.player}_mean_{comp}")
             if scores is not None:
-                for j, pair in enumerate(model.pairs, start=1):
-                    contribution = scores[j - 1] * pair.eigenfunction[comp_idx]
-                    export_heatmap(
-                        contribution, model.grid, out / f"player_{args.player}_component_{j}_{comp}"
-                    )
+                for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
+                    base = out / f"player_{args.player}_component_{j}_{comp}"
+                    export_heatmap(score * phi[comp_idx], model.grid, base)
         print(f"exported decomposition of {args.player} -> {out}")
     else:  # medoids
         _, doc = _load_cluster_partition(args.clusters)

@@ -214,17 +214,13 @@ def kmedoids(dist: np.ndarray, k: int) -> Clustering:
     return Clustering(labels=labels, medoids=[int(m) for m in meds], total_cost=total)
 
 
-def format_roster(
-    clustering: Clustering, records: Sequence[PlayerRecord], cluster_names: Sequence[str] | None = None
-) -> str:
-    """Plain-text roster: members per cluster plus position counts."""
-    k = len(clustering.medoids)
-    names = cluster_names or [f"Cluster {j + 1}" for j in range(k)]
+def format_roster(clustering: Clustering, records: Sequence[PlayerRecord]) -> str:
+    """Plain-text roster: members per cluster, headed ``Cluster <j>``, plus position counts."""
     lines: list[str] = []
-    for j in range(k):
+    for j in range(len(clustering.medoids)):
         members = [records[i] for i in np.nonzero(clustering.labels == j)[0]]
         medoid = records[clustering.medoids[j]]
-        lines.append(f"{names[j]} (medoid: {medoid.player_name})")
+        lines.append(f"Cluster {j + 1} (medoid: {medoid.player_name})")
         lines.append("  " + ", ".join(sorted(r.player_name for r in members)))
         counts = {pos: 0 for pos in POSITION_ORDER}
         for r in members:

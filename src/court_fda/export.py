@@ -129,13 +129,13 @@ def export_model_heatmaps(
     """
     out_dir = Path(out_dir)
     if eigenfunctions is None:
-        eigenfunctions = range(1, len(model.pairs) + 1)
+        eigenfunctions = range(1, model.n_components + 1)
     for c, comp in enumerate(COMPONENTS):
         if mean:
             export_heatmap(model.mean[c], model.grid, out_dir / f"{prefix}mean_{comp}")
         for j in eigenfunctions:
             base = out_dir / f"{prefix}eigenfunction_{j}_{comp}"
-            export_heatmap(model.pairs[j - 1].eigenfunction[c], model.grid, base)
+            export_heatmap(model.eigenfunctions[j - 1, c], model.grid, base)
 
 
 def export_medoid_heatmaps(stack: DensityStack, medoids: Mapping[str, Sequence[int]], out_dir: str | Path) -> None:

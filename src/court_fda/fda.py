@@ -17,7 +17,7 @@ the grid nodes of each component, never as a whole copy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -25,10 +25,16 @@ import numpy as np
 
 from court_fda.density import DensityStack
 from court_fda.export import write_json
-from court_fda.grids import GridSpec, trapezoid_weights
+from court_fda.grids import GridSpec, grid_integral
 
 #: Relative cutoff under which a Gram eigenvalue counts as numerically zero.
 RANK_RTOL = 1e-12
+
+#: Largest entrywise gap |G - G'| that :func:`eigendecompose` accepts as symmetric.
+SYMMETRY_TOL = 1e-12
+
+#: Negative eigenvalues this close to zero are rounding and read as 0.
+CLAMP_TOL = 1e-10
 
 #: Largest per-axis node count the direct covariance route will accept.
 MAX_ORACLE_NODES = 21
@@ -50,42 +56,6 @@ class RankDeficiencyError(ValueError):
         self.achievable_rank = achievable_rank
 
 
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Product trapezoid weights discretizing the unit-square integral.
-
-    The combined weight of node (i, j) is wx[i] * wy[j]; each 1-D weight
-    vector sums to 1 and every weight is positive.
-    """
-
-    wx: np.ndarray
-    wy: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, w in (("wx", self.wx), ("wy", self.wy)):
-            if np.any(w <= 0):
-                raise ValueError(f"{name} must be strictly positive")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError(f"{name} must sum to 1 over the unit interval")
-
-    @classmethod
-    def for_grid(cls, grid: GridSpec) -> "QuadratureWeights":
-        return cls(trapezoid_weights(grid.nx), trapezoid_weights(grid.ny))
-
-    @property
-    def w2d(self) -> np.ndarray:
-        """Node-weight matrix of shape (nx, ny)."""
-        return np.outer(self.wx, self.wy)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """One mode of variation: eigenvalue plus unit-norm bivariate eigenfunction."""
-
-    eigenvalue: float
-    eigenfunction: np.ndarray
-
-
 @dataclass
 class ScoreMatrix:
     """Per-player component scores; rows follow the dataset order."""
@@ -100,55 +70,55 @@ class ScoreMatrix:
 
 @dataclass
 class MfpcaModel:
-    """Fitted decomposition: mean, ordered eigenpairs, and training scores.
+    """Fitted decomposition: mean and eigenfunctions on one grid, eigenvalues, and training scores.
 
+    ``functions`` is C-order float64 of shape (1 + K, 2, nx, ny): the mean,
+    then the K unit-norm eigenfunctions in descending eigenvalue order.
     Eigenvalues are variances under the n-1 convention, so the k-th score
-    column of the training set has sample variance equal to
-    pairs[k].eigenvalue. variance_ratios divide each eigenvalue by the
-    total spectral mass of the data, retained or not.
+    column of the training set has sample variance eigenvalues[k].
+    variance_ratios divide each eigenvalue by the total spectral mass of
+    the data, retained or not.
     """
 
     grid: GridSpec
-    weights: QuadratureWeights
-    mean: np.ndarray
-    pairs: list[EigenPair]
+    functions: np.ndarray
+    eigenvalues: np.ndarray
     n_samples: int
     variance_ratios: np.ndarray
     total_variance: float
     scores: ScoreMatrix
 
     @property
-    def n_components(self) -> int:
-        return len(self.pairs)
+    def mean(self) -> np.ndarray:
+        return self.functions[0]
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.eigenvalue for p in self.pairs])
-
     def eigenfunctions(self) -> np.ndarray:
-        """Stacked eigenfunctions, shape (K, 2, nx, ny)."""
-        return np.stack([p.eigenfunction for p in self.pairs])
+        return self.functions[1:]
+
+    @property
+    def n_components(self) -> int:
+        return len(self.eigenvalues)
 
 
-def _bivariate(f, weights: QuadratureWeights) -> np.ndarray:
+def _bivariate(f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != 2:
         raise ValueError(f"expected a bivariate grid function of shape (2, nx, ny), got {arr.shape}")
-    if arr.shape[1:] != (len(weights.wx), len(weights.wy)):
-        raise GridMismatchError(f"function shape {arr.shape} does not match quadrature weights")
     return arr
 
 
-def inner_product(f, g, weights: QuadratureWeights) -> float:
-    """Product-space inner product: the two component integrals, summed."""
-    F, G = _bivariate(f, weights), _bivariate(g, weights)
-    both = (F * G).sum(axis=0)
-    return float(weights.wx @ both @ weights.wy)
+def inner_product(f, g) -> float:
+    """Product-space inner product: the two component integrals, summed, on the operands' grid."""
+    F, G = _bivariate(f), _bivariate(g)
+    if F.shape != G.shape:
+        raise GridMismatchError(f"functions of shapes {F.shape} and {G.shape} lie on different grids")
+    return grid_integral((F * G).sum(axis=0))
 
 
-def h_norm(f, weights: QuadratureWeights) -> float:
+def h_norm(f) -> float:
     """Norm induced by :func:`inner_product`."""
-    return float(np.sqrt(max(inner_product(f, f, weights), 0.0)))
+    return float(np.sqrt(max(inner_product(f, f), 0.0)))
 
 
 def mean_function(stack: DensityStack) -> np.ndarray:
@@ -170,7 +140,7 @@ def _centered_blocks(stack: DensityStack, mean: np.ndarray) -> Iterator[tuple[in
             yield c, cols, rows[:, cols] - m[cols]
 
 
-def gram_matrix(stack: DensityStack, mean: np.ndarray, weights: QuadratureWeights) -> np.ndarray:
+def gram_matrix(stack: DensityStack, mean: np.ndarray) -> np.ndarray:
     """Matrix of centered inner products, exactly symmetric by mirroring.
 
     Entry (i, j) is the product-space inner product of the centered
@@ -179,7 +149,7 @@ def gram_matrix(stack: DensityStack, mean: np.ndarray, weights: QuadratureWeight
     """
     if len(stack) < 2:
         raise ValueError("need at least 2 samples")
-    sqrt_w = np.sqrt(weights.w2d).ravel()
+    sqrt_w = np.sqrt(stack.grid.weights).ravel()
     raw = np.zeros((len(stack), len(stack)))
     for _, cols, block in _centered_blocks(stack, mean):
         block *= sqrt_w[cols]
@@ -187,23 +157,24 @@ def gram_matrix(stack: DensityStack, mean: np.ndarray, weights: QuadratureWeight
     return np.triu(raw) + np.triu(raw, 1).T
 
 
-def eigendecompose(gram: np.ndarray, *, symmetry_tol: float = 1e-12, clamp_tol: float = 1e-10):
+def eigendecompose(gram: np.ndarray):
     """Full spectral decomposition of a symmetric PSD matrix.
 
     Returns eigenvalues in descending order and the matching orthonormal
-    eigenvectors as columns. Small negative eigenvalues (within clamp_tol
-    of zero) are clamped to 0.
+    eigenvectors as columns. A matrix further than SYMMETRY_TOL from its
+    transpose is refused; negative eigenvalues within CLAMP_TOL of zero
+    are clamped to 0.
     """
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
     asym = float(np.max(np.abs(G - G.T))) if G.size else 0.0
-    if asym > symmetry_tol:
+    if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is asymmetric beyond tolerance: max |G - G^T| = {asym:.3e}")
     vals, vecs = np.linalg.eigh(G)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    vals[(vals < 0.0) & (vals >= -clamp_tol)] = 0.0
+    vals[(vals < 0.0) & (vals >= -CLAMP_TOL)] = 0.0
     return vals, vecs
 
 
@@ -212,16 +183,14 @@ def numerical_rank(ell: np.ndarray) -> int:
     return int(np.sum(ell > RANK_RTOL * ell[0])) if ell[0] > 0 else 0
 
 
-def _signed_canonical(phi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Flip a grid function so its largest-magnitude value is positive.
+def _canonical_sign(phi: np.ndarray) -> float:
+    """The sign that makes a grid function's largest-magnitude value positive.
 
     Ties break at the lowest row-major node index, scanning the missed
     component before the made one; this pins an otherwise arbitrary sign.
     """
     flat = phi.ravel()
-    idx = int(np.argmax(np.abs(flat)))
-    sign = -1.0 if flat[idx] < 0.0 else 1.0
-    return phi * sign, sign
+    return -1.0 if flat[int(np.argmax(np.abs(flat)))] < 0.0 else 1.0
 
 
 def fit_mfpca(
@@ -243,9 +212,8 @@ def fit_mfpca(
     n = len(stack)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    weights = QuadratureWeights.for_grid(stack.grid)
     mean = mean_function(stack)
-    gram = gram_matrix(stack, mean, weights)
+    gram = gram_matrix(stack, mean)
     ell, u = eigendecompose(gram)
 
     rank = numerical_rank(ell)
@@ -275,22 +243,22 @@ def fit_mfpca(
             )
         k = int(reached[0]) + 1
 
-    projections = np.empty((k, 2, mean[0].size))  # u_j' (X - m), one block at a time
+    functions = np.empty((1 + k, *mean.shape))
+    functions[0] = mean
+    projections = functions[1:].reshape(k, 2, -1)  # u_j' (X - m), one block at a time
     for c, cols, block in _centered_blocks(stack, mean):
         projections[:, c, cols] = u[:, :k].T @ block
-    pairs: list[EigenPair] = []
     score_values = u[:, :k] * np.sqrt(ell[:k])
-    for j in range(k):
-        phi = projections[j].reshape(mean.shape) / np.sqrt(ell[j])
-        phi, sign = _signed_canonical(phi)
+    for j, phi in enumerate(functions[1:]):
+        phi /= np.sqrt(ell[j])
+        sign = _canonical_sign(phi)
+        phi *= sign
         score_values[:, j] *= sign
-        pairs.append(EigenPair(float(ell[j] / (n - 1)), phi))
 
     return MfpcaModel(
         grid=stack.grid,
-        weights=weights,
-        mean=mean,
-        pairs=pairs,
+        functions=functions,
+        eigenvalues=ell[:k] / (n - 1),
         n_samples=n,
         variance_ratios=ratios_all[:k].copy(),
         total_variance=total_variance,
@@ -304,14 +272,14 @@ def project_scores(sample, model: MfpcaModel) -> np.ndarray:
     if x.shape != model.mean.shape:
         raise GridMismatchError(f"sample shape {x.shape} does not match model grid {model.mean.shape}")
     centered = x - model.mean
-    return np.array([inner_product(centered, p.eigenfunction, model.weights) for p in model.pairs])
+    return np.array([inner_product(centered, phi) for phi in model.eigenfunctions])
 
 
 def project_scores_all(stack: DensityStack, model: MfpcaModel) -> ScoreMatrix:
     """Scores for a whole stack, one row per sample, summed over column blocks."""
     if stack.grid != model.grid:
         raise GridMismatchError(f"samples lie on {stack.grid}, the model on {model.grid}")
-    weighted = (model.eigenfunctions() * model.weights.w2d).reshape(model.n_components, 2, -1)
+    weighted = (model.eigenfunctions * model.grid.weights).reshape(model.n_components, 2, -1)
     values = np.zeros((len(stack), model.n_components))
     for c, cols, block in _centered_blocks(stack, model.mean):
         values += block @ weighted[:, c, cols].T
@@ -324,8 +292,8 @@ def reconstruct(scores: Sequence[float], model: MfpcaModel) -> np.ndarray:
     if c.ndim != 1 or len(c) > model.n_components:
         raise ValueError(f"score vector of shape {c.shape} exceeds the model's {model.n_components} components")
     out = model.mean.copy()
-    for ck, pair in zip(c, model.pairs):
-        out += ck * pair.eigenfunction
+    for ck, phi in zip(c, model.eigenfunctions):
+        out += ck * phi
     return out
 
 
@@ -349,18 +317,17 @@ def covariance_oracle(stack: DensityStack) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"covariance oracle refuses grids above {MAX_ORACLE_NODES}x{MAX_ORACLE_NODES}; got {grid.nx}x{grid.ny}"
         )
-    weights = QuadratureWeights.for_grid(grid)
     stacked = stack.values.transpose(1, 0, 2, 3).reshape(n, -1)
     centered = stacked - stacked.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
-    sqrt_w = np.sqrt(np.tile(weights.w2d.ravel(), 2))
+    sqrt_w = np.sqrt(np.tile(grid.weights.ravel(), 2))
     sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
     vals, vecs = eigendecompose(0.5 * (sym + sym.T))
     rank = numerical_rank(vals)
     funcs = []
     for j in range(rank):
         phi = (vecs[:, j] / sqrt_w).reshape((2, grid.nx, grid.ny))
-        funcs.append(_signed_canonical(phi)[0])
+        funcs.append(phi * _canonical_sign(phi))
     return vals[:rank], np.stack(funcs) if funcs else np.empty((0, 2, grid.nx, grid.ny))
 
 
@@ -371,16 +338,14 @@ class ModelFileError(ValueError):
 def save_model(model: MfpcaModel, path: str | Path) -> None:
     """Write a model as the JSON document ``path`` and ``<stem>_functions.npy`` beside it.
 
-    The array is float64 of shape (1 + K, 2, nx, ny): the mean, then each eigenfunction.
-    It is written first, so a document on disk always has its array. The quadrature
-    weights follow from the grid and are not stored.
+    The array is ``model.functions`` as it is. It is written first, so a document on disk
+    always has its array. The quadrature weights follow from the grid and are not stored.
     """
     path = Path(path)
-    functions = np.stack([model.mean, *(p.eigenfunction for p in model.pairs)])
-    np.save(path.with_name(f"{path.stem}_functions.npy"), functions)
+    np.save(path.with_name(f"{path.stem}_functions.npy"), model.functions)
     doc = {
         "grid": {"nx": model.grid.nx, "ny": model.grid.ny},
-        "eigenvalues": [p.eigenvalue for p in model.pairs],
+        "eigenvalues": model.eigenvalues.tolist(),
         "variance_ratios": model.variance_ratios.tolist(),
         "total_variance": model.total_variance,
         "n_samples": model.n_samples,
@@ -391,17 +356,23 @@ def save_model(model: MfpcaModel, path: str | Path) -> None:
 
 
 def _finite(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
-    """``values`` as a float array, refused unless it holds only finite numbers in ``shape``."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf" or values.shape != shape:
-        raise ValueError(f"{name} holds {values.dtype} of shape {values.shape}, expected numbers of shape {shape}")
-    if not np.isfinite(values).all():
+    """``values`` as a float array, refused unless it holds only finite numbers in ``shape``.
+
+    A JSON ``true`` or ``false`` is not a number, though numpy would read it as 1 or 0.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf" or array.shape != shape:
+        raise ValueError(f"{name} holds {array.dtype} of shape {array.shape}, expected numbers of shape {shape}")
+    if not np.isfinite(array).all():
         raise ValueError(f"{name} holds a non-finite value")
-    return values.astype(float, copy=False)
+    kinds = set() if isinstance(values, np.ndarray) else set(map(type, np.asarray(values, dtype=object).ravel()))
+    if not kinds <= {int, float}:
+        raise ValueError(f"{name} holds true or false where a number belongs")
+    return array.astype(float, copy=False)
 
 
 def load_model(path: str | Path) -> MfpcaModel:
-    """Inverse of :func:`save_model`; the mean and the eigenfunctions are views of one array.
+    """Inverse of :func:`save_model`; the model keeps the function array it reads, in C order.
 
     Raises :class:`ModelFileError` for a missing or unreadable file, a missing key, a field
     of the wrong type or shape, an array that is not float64, or a non-finite value.
@@ -430,27 +401,11 @@ def load_model(path: str | Path) -> MfpcaModel:
         raise ModelFileError(f"model file {path}: {exc}") from exc
     return MfpcaModel(
         grid=grid,
-        weights=QuadratureWeights.for_grid(grid),
-        mean=functions[0],
-        pairs=[EigenPair(float(val), fun) for val, fun in zip(eigenvalues, functions[1:])],
+        functions=np.ascontiguousarray(functions),
+        eigenvalues=eigenvalues,
         n_samples=n_samples,
         variance_ratios=ratios,
         total_variance=total_variance,
         scores=ScoreMatrix(player_ids, scores),
     )
 
-
-def flip_component_signs(model: MfpcaModel, signs: Sequence[float]) -> MfpcaModel:
-    """Return a copy of the model with selected components negated.
-
-    signs holds +1/-1 per component; scores flip along with their
-    eigenfunctions so reconstructions are unchanged.
-    """
-    if len(signs) != model.n_components:
-        raise ValueError(f"expected {model.n_components} signs, got {len(signs)}")
-    pairs = [
-        EigenPair(p.eigenvalue, p.eigenfunction * s) if s < 0 else p
-        for p, s in zip(model.pairs, signs)
-    ]
-    values = model.scores.values * np.asarray(signs, dtype=float)
-    return replace(model, pairs=pairs, scores=ScoreMatrix(list(model.scores.player_ids), values))

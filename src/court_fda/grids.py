@@ -34,6 +34,11 @@ class GridSpec:
     def ys(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.ny)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Product trapezoid weights of the nodes, shape (nx, ny); they sum to 1."""
+        return np.outer(trapezoid_weights(self.nx), trapezoid_weights(self.ny))
+
 
 def trapezoid_weights(n: int) -> np.ndarray:
     """Composite trapezoid weights for n uniform nodes spanning [0, 1].

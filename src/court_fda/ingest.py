@@ -16,7 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -453,8 +453,8 @@ def read_players_json(path: str | Path, player_ids: Sequence[str] | None = None)
     """Inverse of :func:`write_players_json`; with ``player_ids``, only those players, in that order.
 
     Raises :class:`PlayersFileError` for a missing key, an unknown position, a point
-    list that is not n x 2 or holds a non-finite coordinate, a player id listed
-    twice, or a requested player that the file does not hold.
+    list that is not n x 2 or holds a coordinate that is not a finite number, a player
+    id listed twice, or a requested player that the file does not hold.
     """
     try:
         records = {}
@@ -480,6 +480,8 @@ def _point_array(cells, name: str) -> np.ndarray:
     points = np.array(cells, dtype=float)
     if points.size and points.shape[1:] != (2,):
         raise ValueError(f"{name} has shape {points.shape}, not (n, 2)")
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:  # numpy reads "0.5" and true too
+        raise ValueError(f"{name} holds a coordinate that is not a number")
     if not np.isfinite(points).all():
         raise ValueError(f"{name} holds a non-finite coordinate")
     return points.reshape(-1, 2)

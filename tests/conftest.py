@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from court_fda.density import DensityStack
-from court_fda.fda import QuadratureWeights, inner_product
+from court_fda.fda import inner_product
 from court_fda.grids import GridSpec
 
 
@@ -29,7 +29,6 @@ def smooth_factor_basis(grid: GridSpec, count: int) -> list[np.ndarray]:
     Gram-Schmidt runs in the product-space inner product, so the returned
     fields are exactly orthonormal under the trapezoid quadrature.
     """
-    w = QuadratureWeights.for_grid(grid)
     xx, yy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     seeds = []
     freq = 1
@@ -44,8 +43,8 @@ def smooth_factor_basis(grid: GridSpec, count: int) -> list[np.ndarray]:
     for seed in seeds[:count]:
         f = seed.copy()
         for q in basis:
-            f -= inner_product(f, q, w) * q
-        norm = np.sqrt(inner_product(f, f, w))
+            f -= inner_product(f, q) * q
+        norm = np.sqrt(inner_product(f, f))
         assert norm > 1e-8, "factor seeds collapsed; pick different frequencies"
         basis.append(f / norm)
     return basis

@@ -17,7 +17,6 @@ from court_fda.bootstrap import stability_study
 from court_fda.cluster import WeightScheme, distance_matrix, kmedoids
 from court_fda.density import kde, kde_raw, silverman_bandwidth
 from court_fda.fda import (
-    QuadratureWeights,
     covariance_oracle,
     fit_mfpca,
     h_norm,
@@ -42,10 +41,9 @@ def report(name: str, started: float) -> None:
 
 def ramp_inner_product(n: int) -> float:
     grid = GridSpec(n, n)
-    w = QuadratureWeights.for_grid(grid)
     f = np.zeros((2, n, n))
     f[0] = grid.xs[:, None] * np.ones(n)[None, :]
-    return inner_product(f, f, w)
+    return inner_product(f, f)
 
 
 def test_c1_quadrature_correctness():
@@ -91,7 +89,6 @@ def test_c2_density_validity():
 def test_c3_dual_route_equivalence(grid11):
     started = time.perf_counter()
     rng = np.random.default_rng(7)
-    w = QuadratureWeights.for_grid(grid11)
     for trial in range(20):
         n = int(rng.integers(3, 16))
         samples = stack_of([rng.normal(size=(2, 11, 11)) for _ in range(n)])
@@ -100,7 +97,7 @@ def test_c3_dual_route_equivalence(grid11):
         assert len(vals) >= n - 1
         np.testing.assert_allclose(vals[: n - 1], model.eigenvalues, rtol=1e-8)
         for k in range(n - 1):
-            align = abs(inner_product(funcs[k], model.pairs[k].eigenfunction, w))
+            align = abs(inner_product(funcs[k], model.eigenfunctions[k]))
             assert align >= 1.0 - 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -112,10 +109,9 @@ def test_c4_karhunen_loeve_invariants(grid11):
     rng = np.random.default_rng(11)
     samples = [rng.normal(size=(2, 11, 11)) for _ in range(12)]
     model = fit_mfpca(stack_of(samples), n_components=11)
-    w = model.weights
     for j in range(11):
         for k in range(j, 11):
-            ip = inner_product(model.pairs[j].eigenfunction, model.pairs[k].eigenfunction, w)
+            ip = inner_product(model.eigenfunctions[j], model.eigenfunctions[k])
             assert abs(ip - (1.0 if j == k else 0.0)) <= 1e-8
     lam = model.eigenvalues
     np.testing.assert_allclose(model.scores.values.var(axis=0, ddof=1), lam, rtol=1e-6)
@@ -123,7 +119,7 @@ def test_c4_karhunen_loeve_invariants(grid11):
     np.testing.assert_allclose(projected.values, model.scores.values, atol=1e-8)
     for s in samples:
         scores = project_scores(s, model)
-        errs = [h_norm(reconstruct(scores[:k], model) - s, w) for k in range(1, 12)]
+        errs = [h_norm(reconstruct(scores[:k], model) - s) for k in range(1, 12)]
         assert np.all(np.diff(errs) <= 1e-12)
         assert errs[-1] <= 1e-6
     report("C4 KL invariants: orthonormal basis, score variances, monotone reconstruction", started)
@@ -133,10 +129,9 @@ def test_c5_synthetic_factor_recovery(grid21):
     started = time.perf_counter()
     shares = [0.8, 0.15, 0.03, 0.02]  # two factors plus 5% noise spread over two directions
     samples, factors, _ = planted_dataset(grid21, shares, 40, seed=17)
-    w = QuadratureWeights.for_grid(grid21)
     model = fit_mfpca(samples, n_components=2)
     for k in range(2):
-        align = abs(inner_product(model.pairs[k].eigenfunction, factors[k], w))
+        align = abs(inner_product(model.eigenfunctions[k], factors[k]))
         assert align >= 0.99
     by_threshold = fit_mfpca(samples, variance_threshold=0.90)
     assert by_threshold.n_components == 2

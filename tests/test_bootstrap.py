@@ -1,4 +1,4 @@
-"""Resampler portability, sign alignment, and the stability study.
+"""Resampler portability and the stability study.
 
 The Gram-space stability study is checked against ``refit_study``, the
 former route that refits every replicate on the grid, kept here as the
@@ -14,8 +14,6 @@ from court_fda import bootstrap
 from court_fda.bootstrap import (
     ReferenceMismatchError,
     SplitMix64,
-    align_signs,
-    resample,
     resample_indices,
     stability_study,
     stream_seed,
@@ -26,7 +24,6 @@ from court_fda.fda import (
     RankDeficiencyError,
     eigendecompose,
     fit_mfpca,
-    flip_component_signs,
     gram_matrix,
     h_norm,
     inner_product,
@@ -53,7 +50,7 @@ def refit_study(stack, reference, n_replicates, seed):
     gaps = np.full((n_replicates, k), np.nan)
     for r in range(n_replicates):
         draw = stack.take(resample_indices(len(stack), stream_seed(seed, r)))
-        ell = eigendecompose(gram_matrix(draw, mean_function(draw), reference.weights))[0]
+        ell = eigendecompose(gram_matrix(draw, mean_function(draw)))[0]
         spacing = np.abs(np.diff(ell)) / ell[0] if ell[0] > 0 else np.zeros(len(ell) - 1)
         nearest = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
         gaps[r] = nearest[:k]
@@ -66,10 +63,10 @@ def refit_study(stack, reference, n_replicates, seed):
             model = fit_mfpca(draw, n_components=exc.achievable_rank)
         achieved[r] = model.n_components
         for j in range(model.n_components):
-            ip = inner_product(model.pairs[j].eigenfunction, reference.pairs[j].eigenfunction, reference.weights)
+            ip = inner_product(model.eigenfunctions[j], reference.eigenfunctions[j])
             alignments[r, j] = min(abs(ip), 1.0)
-            ratios[r, j] = model.pairs[j].eigenvalue / reference.pairs[j].eigenvalue
-        mean_distances[r] = h_norm(model.mean - reference.mean, reference.weights)
+            ratios[r, j] = model.eigenvalues[j] / reference.eigenvalues[j]
+        mean_distances[r] = h_norm(model.mean - reference.mean)
     return alignments, ratios, mean_distances, achieved, gaps
 
 
@@ -100,10 +97,6 @@ class TestResample:
     def test_different_seeds_differ(self):
         assert not np.array_equal(resample_indices(20, 1), resample_indices(20, 2))
 
-    def test_single_sample_repeats_once(self):
-        out = resample(["only"], seed=5)
-        assert out == ["only"]
-
     def test_frequencies_uniform(self):
         # 10000 resamples of 5 items: each index near frequency 0.2
         counts = np.zeros(5)
@@ -116,56 +109,6 @@ class TestResample:
     def test_stream_seeds_distinct(self):
         seeds = {stream_seed(7, r) for r in range(1000)}
         assert len(seeds) == 1000
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            resample([], seed=0)
-
-
-class TestAlignSigns:
-    def fit_pair(self, grid, seed):
-        samples, _, _ = planted_dataset(grid, [0.6, 0.3, 0.1], 14, seed=seed)
-        return fit_mfpca(samples, n_components=3), samples
-
-    def test_identity(self, grid11):
-        model, _ = self.fit_pair(grid11, 1)
-        aligned = align_signs(model, model)
-        for a, b in zip(aligned.pairs, model.pairs):
-            np.testing.assert_array_equal(a.eigenfunction, b.eigenfunction)
-        np.testing.assert_array_equal(aligned.scores.values, model.scores.values)
-
-    def test_repairs_flipped_component(self, grid11):
-        model, _ = self.fit_pair(grid11, 2)
-        flipped = flip_component_signs(model, [1.0, -1.0, 1.0])
-        repaired = align_signs(model, flipped)
-        for a, b in zip(repaired.pairs, model.pairs):
-            np.testing.assert_array_equal(a.eigenfunction, b.eigenfunction)
-        np.testing.assert_array_equal(repaired.scores.values, model.scores.values)
-
-    def test_alignment_never_decreases(self, grid11):
-        ref, _ = self.fit_pair(grid11, 3)
-        cand, _ = self.fit_pair(grid11, 4)
-        cand = flip_component_signs(cand, [-1.0, 1.0, -1.0])
-        aligned = align_signs(ref, cand)
-        for k in range(3):
-            before = inner_product(cand.pairs[k].eigenfunction, ref.pairs[k].eigenfunction, ref.weights)
-            after = inner_product(aligned.pairs[k].eigenfunction, ref.pairs[k].eigenfunction, ref.weights)
-            assert after >= abs(before) - 1e-15
-
-    def test_mismatched_component_count(self, grid11):
-        samples, _, _ = planted_dataset(grid11, [0.6, 0.3, 0.1], 14, seed=5)
-        a = fit_mfpca(samples, n_components=3)
-        b = fit_mfpca(samples, n_components=2)
-        with pytest.raises(ValueError, match="component count"):
-            align_signs(a, b)
-
-    def test_mismatched_grid(self, grid11, grid21):
-        sa, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=6)
-        sb, _, _ = planted_dataset(grid21, [0.7, 0.3], 10, seed=6)
-        a = fit_mfpca(sa, n_components=2)
-        b = fit_mfpca(sb, n_components=2)
-        with pytest.raises(ValueError, match="grid"):
-            align_signs(a, b)
 
 
 class TestStabilityStudy:

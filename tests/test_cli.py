@@ -159,6 +159,14 @@ class TestStageCommands:
         code = run_cli("mfpca", "reconstruct", "--model", out / "model.json", "--player", "nobody", "--out", out)
         assert code == 4  # mfpca stage exit code
 
+    @pytest.mark.parametrize("k", [9, -1])
+    def test_reconstruct_k_out_of_range(self, work, tmp_path, capsys, k):
+        out = tmp_path / "recon"
+        argv = ("mfpca", "reconstruct", "--model", work / "model.json", "--player", "m2", "--k", k, "--out", out)
+        assert run_cli(*argv) == 4  # mfpca stage exit code
+        assert "--k must be in [1, 2]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_variance_weights_need_model(self, tmp_path, mini_csv):
         out = tmp_path / "work"
         run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100)

@@ -13,7 +13,6 @@ from court_fda.density import DensityStack
 from court_fda.fda import (
     GridMismatchError,
     ModelFileError,
-    QuadratureWeights,
     RankDeficiencyError,
     covariance_oracle,
     eigendecompose,
@@ -28,7 +27,7 @@ from court_fda.fda import (
     reconstruct,
     save_model,
 )
-from court_fda.grids import GridSpec
+from court_fda.grids import GridSpec, trapezoid_weights
 
 from conftest import planted_dataset, smooth_factor_basis, stack_of
 
@@ -67,46 +66,35 @@ def random_dataset(grid, n, seed):
 
 class TestInnerProduct:
     def test_constant_ones_give_two(self, grid11):
-        w = QuadratureWeights.for_grid(grid11)
         ones = np.ones((2, 11, 11))
-        assert inner_product(ones, ones, w) == pytest.approx(2.0, abs=1e-14)
+        assert inner_product(ones, ones) == pytest.approx(2.0, abs=1e-14)
 
     def test_disjoint_components_orthogonal(self, grid11):
-        w = QuadratureWeights.for_grid(grid11)
         f = np.zeros((2, 11, 11))
         g = np.zeros((2, 11, 11))
         f[0] = 1.0
         g[1] = 1.0
-        assert inner_product(f, g, w) == 0.0
+        assert inner_product(f, g) == 0.0
 
     @pytest.mark.parametrize("n", [51, 101, 201])
     def test_linear_ramp_matches_exact_trapezoid(self, n):
         grid = GridSpec(n, n)
-        w = QuadratureWeights.for_grid(grid)
         f = np.zeros((2, n, n))
         f[0] = grid.xs[:, None] * np.ones(n)[None, :]
-        value = inner_product(f, f, w)
+        value = inner_product(f, f)
         assert value == pytest.approx(RAMP_TRAPEZOID[n], abs=1e-15)
 
     def test_linear_ramp_converges_to_third(self):
         grid = GridSpec(201, 201)
-        w = QuadratureWeights.for_grid(grid)
         f = np.zeros((2, 201, 201))
         f[0] = grid.xs[:, None] * np.ones(201)[None, :]
-        assert abs(inner_product(f, f, w) - 1.0 / 3.0) <= 5e-6
+        assert abs(inner_product(f, f) - 1.0 / 3.0) <= 5e-6
 
-    def test_grid_mismatch(self, grid11):
-        w = QuadratureWeights.for_grid(grid11)
+    def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            inner_product(np.zeros((2, 11, 11)), np.zeros((2, 5, 5)), w)
+            inner_product(np.zeros((2, 11, 11)), np.zeros((2, 5, 5)))
         with pytest.raises(GridMismatchError):
-            inner_product(np.zeros((2, 5, 5)), np.zeros((2, 5, 5)), w)
-
-    def test_weights_validate(self):
-        with pytest.raises(ValueError):
-            QuadratureWeights(np.array([0.5, 0.5]), np.array([0.5, -0.5]))
-        with pytest.raises(ValueError):
-            QuadratureWeights(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
+            inner_product(np.zeros((2, 11, 11)), np.zeros((2, 11, 5)))
 
 
 class TestMeanFunction:
@@ -131,27 +119,23 @@ class TestGramMatrix:
     def test_hand_computed_three_by_three(self):
         samples = hand_gram_samples()
         grid = GridSpec(3, 3)
-        w = QuadratureWeights.for_grid(grid)
-        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)), w)
+        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)))
         np.testing.assert_allclose(g, HAND_GRAM, atol=1e-14)
 
     def test_identical_samples_center_to_zero(self, grid11):
         f = random_dataset(grid11, 1, 4)[0]
-        w = QuadratureWeights.for_grid(grid11)
-        g = gram_matrix(stack_of([f, f.copy()]), mean_function(stack_of([f, f])), w)
+        g = gram_matrix(stack_of([f, f.copy()]), mean_function(stack_of([f, f])))
         np.testing.assert_allclose(g, np.zeros((2, 2)), atol=1e-14)
 
     def test_duplicated_rows_match(self, grid11):
         samples = random_dataset(grid11, 4, 5)
         samples.append(samples[1].copy())
-        w = QuadratureWeights.for_grid(grid11)
-        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)), w)
+        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)))
         np.testing.assert_allclose(g[1], g[4], atol=1e-13)
 
     def test_exactly_symmetric(self, grid11):
         samples = random_dataset(grid11, 6, 6)
-        w = QuadratureWeights.for_grid(grid11)
-        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)), w)
+        g = gram_matrix(stack_of(samples), mean_function(stack_of(samples)))
         assert np.array_equal(g, g.T)
         assert np.all(np.diag(g) >= 0)
 
@@ -195,10 +179,9 @@ class TestEigendecompose:
 class TestFitMfpca:
     def test_two_samples_single_component(self, grid11):
         a, b = random_dataset(grid11, 2, 8)
-        w = QuadratureWeights.for_grid(grid11)
         model = fit_mfpca(stack_of([a, b]), n_components=1)
-        diff = (a - b) / h_norm(a - b, w)
-        assert abs(abs(inner_product(model.pairs[0].eigenfunction, diff, w)) - 1.0) <= 1e-12
+        diff = (a - b) / h_norm(a - b)
+        assert abs(abs(inner_product(model.eigenfunctions[0], diff)) - 1.0) <= 1e-12
 
     def test_component_count_bounded_by_n_minus_one(self, grid11):
         samples = random_dataset(grid11, 2, 9)
@@ -206,15 +189,14 @@ class TestFitMfpca:
             fit_mfpca(stack_of(samples), n_components=2)
 
     def test_rank_one_synthetic(self, grid21):
-        w = QuadratureWeights.for_grid(grid21)
         psi = smooth_factor_basis(grid21, 1)[0]
         rng = np.random.default_rng(10)
         coeffs = rng.normal(0.0, 2.0, size=12)
         mu = np.ones((2, 21, 21))
         samples = [mu + c * psi for c in coeffs]
         model = fit_mfpca(stack_of(samples), n_components=1)
-        assert abs(inner_product(model.pairs[0].eigenfunction, psi, w)) >= 1.0 - 1e-6
-        assert model.pairs[0].eigenvalue == pytest.approx(np.var(coeffs, ddof=1), rel=1e-10)
+        assert abs(inner_product(model.eigenfunctions[0], psi)) >= 1.0 - 1e-6
+        assert model.eigenvalues[0] == pytest.approx(np.var(coeffs, ddof=1), rel=1e-10)
 
     def test_threshold_selects_two_factors(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.8, 0.15, 0.05], 20, seed=11)
@@ -242,10 +224,9 @@ class TestFitMfpca:
     def test_orthonormal_eigenfunctions(self, grid11):
         samples = random_dataset(grid11, 8, 14)
         model = fit_mfpca(stack_of(samples), n_components=5)
-        w = model.weights
         for j in range(5):
             for k in range(j, 5):
-                ip = inner_product(model.pairs[j].eigenfunction, model.pairs[k].eigenfunction, w)
+                ip = inner_product(model.eigenfunctions[j], model.eigenfunctions[k])
                 assert abs(ip - (1.0 if j == k else 0.0)) <= 1e-8
 
     def test_variance_ratios_monotone_and_bounded(self, grid11):
@@ -267,9 +248,8 @@ class TestFitMfpca:
         m1 = fit_mfpca(stack_of(samples), n_components=4)
         m2 = fit_mfpca(stack_of(samples), n_components=4)
         assert np.array_equal(m1.scores.values, m2.scores.values)
-        for p1, p2 in zip(m1.pairs, m2.pairs):
-            assert p1.eigenvalue == p2.eigenvalue
-            assert np.array_equal(p1.eigenfunction, p2.eigenfunction)
+        assert np.array_equal(m1.eigenvalues, m2.eigenvalues)
+        assert np.array_equal(m1.functions, m2.functions)
 
     def test_scores_carry_stack_player_ids(self, grid11):
         rng = np.random.default_rng(18)
@@ -289,7 +269,7 @@ class TestScoresAndReconstruction:
     def test_basis_direction_recovers_coefficient(self, grid11):
         samples = random_dataset(grid11, 6, 21)
         model = fit_mfpca(stack_of(samples), n_components=4)
-        target = model.mean + 3.0 * model.pairs[1].eigenfunction
+        target = model.mean + 3.0 * model.eigenfunctions[1]
         scores = project_scores(target, model)
         np.testing.assert_allclose(scores, [0.0, 3.0, 0.0, 0.0], atol=1e-8)
 
@@ -308,18 +288,16 @@ class TestScoresAndReconstruction:
     def test_full_rank_reconstruction(self, grid11):
         samples = random_dataset(grid11, 6, 24)
         model = fit_mfpca(stack_of(samples), n_components=5)
-        w = model.weights
         for s in samples:
-            err = h_norm(reconstruct(project_scores(s, model), model) - s, w)
+            err = h_norm(reconstruct(project_scores(s, model), model) - s)
             assert err <= 1e-6
 
     def test_reconstruction_error_monotone_in_k(self, grid11):
         samples = random_dataset(grid11, 7, 25)
         model = fit_mfpca(stack_of(samples), n_components=6)
-        w = model.weights
         for s in samples:
             scores = project_scores(s, model)
-            errs = [h_norm(reconstruct(scores[:k], model) - s, w) for k in range(1, 7)]
+            errs = [h_norm(reconstruct(scores[:k], model) - s) for k in range(1, 7)]
             assert np.all(np.diff(errs) <= 1e-12)
 
     def test_too_many_scores_rejected(self, grid11):
@@ -341,9 +319,8 @@ class TestCovarianceOracle:
         model = fit_mfpca(stack_of(samples), n_components=6)
         vals, funcs = covariance_oracle(stack_of(samples))
         np.testing.assert_allclose(vals[:6], model.eigenvalues, rtol=1e-8)
-        w = model.weights
         for k in range(6):
-            align = abs(inner_product(funcs[k], model.pairs[k].eigenfunction, w))
+            align = abs(inner_product(funcs[k], model.eigenfunctions[k]))
             assert align >= 1.0 - 1e-6
 
     def test_rank_one_agreement(self, grid11):
@@ -352,7 +329,7 @@ class TestCovarianceOracle:
         vals, _ = covariance_oracle(stack_of(samples))
         model = fit_mfpca(stack_of(samples), n_components=1)
         assert len(vals) == 1
-        assert vals[0] == pytest.approx(model.pairs[0].eigenvalue, rel=1e-10)
+        assert vals[0] == pytest.approx(model.eigenvalues[0], rel=1e-10)
 
     def test_refuses_large_grids(self):
         grid = GridSpec(22, 22)
@@ -364,14 +341,13 @@ class TestCovarianceOracle:
 class TestRectangularGrids:
     def test_ramp_along_each_axis(self):
         grid = GridSpec(9, 17)
-        w = QuadratureWeights.for_grid(grid)
         fx = np.zeros((2, 9, 17))
         fx[0] = grid.xs[:, None] * np.ones(17)[None, :]
         fy = np.zeros((2, 9, 17))
         fy[1] = np.ones(9)[:, None] * grid.ys[None, :]
         # exact trapezoid values of t^2 with 9 and 17 nodes: 1/3 + h^2/6
-        assert inner_product(fx, fx, w) == pytest.approx(1.0 / 3.0 + 1.0 / (6 * 64), abs=1e-15)
-        assert inner_product(fy, fy, w) == pytest.approx(1.0 / 3.0 + 1.0 / (6 * 256), abs=1e-15)
+        assert inner_product(fx, fx) == pytest.approx(1.0 / 3.0 + 1.0 / (6 * 64), abs=1e-15)
+        assert inner_product(fy, fy) == pytest.approx(1.0 / 3.0 + 1.0 / (6 * 256), abs=1e-15)
 
     def test_dual_route_on_rectangular_grid(self):
         grid = GridSpec(9, 13)
@@ -380,9 +356,8 @@ class TestRectangularGrids:
         model = fit_mfpca(stack_of(samples), n_components=5)
         vals, funcs = covariance_oracle(stack_of(samples))
         np.testing.assert_allclose(vals[:5], model.eigenvalues, rtol=1e-8)
-        w = model.weights
         for k in range(5):
-            assert abs(inner_product(funcs[k], model.pairs[k].eigenfunction, w)) >= 1.0 - 1e-6
+            assert abs(inner_product(funcs[k], model.eigenfunctions[k])) >= 1.0 - 1e-6
 
 
 class TestSerialization:
@@ -399,22 +374,17 @@ class TestSerialization:
         assert loaded.grid == model.grid
         assert loaded.n_samples == model.n_samples
         assert loaded.total_variance == model.total_variance
-        assert loaded.weights.wx.tobytes() == model.weights.wx.tobytes()
-        assert loaded.weights.wy.tobytes() == model.weights.wy.tobytes()
-        np.testing.assert_array_equal(loaded.mean, model.mean)
+        assert loaded.functions.tobytes() == model.functions.tobytes() and loaded.functions.flags.c_contiguous
+        assert loaded.eigenvalues.tobytes() == model.eigenvalues.tobytes()
         np.testing.assert_array_equal(loaded.variance_ratios, model.variance_ratios)
         np.testing.assert_array_equal(loaded.scores.values, model.scores.values)
         assert loaded.scores.player_ids == model.scores.player_ids
-        for lp, mp_ in zip(loaded.pairs, model.pairs):
-            assert lp.eigenvalue == mp_.eigenvalue
-            np.testing.assert_array_equal(lp.eigenfunction, mp_.eigenfunction)
-            assert lp.eigenfunction.base is loaded.mean.base  # views of the one loaded array
 
     def test_file_layout(self, saved):
         model, path = saved
         functions = np.load(path.with_name("model_functions.npy"))
         assert functions.dtype == np.float64 and functions.flags.c_contiguous
-        assert functions.tobytes() == np.stack([model.mean, *model.eigenfunctions()]).tobytes()
+        assert functions.tobytes() == model.functions.tobytes()
         doc = json.loads(path.read_text())
         assert sorted(doc) == [
             "eigenvalues", "grid", "n_samples", "player_ids", "scores", "total_variance", "variance_ratios",
@@ -454,6 +424,8 @@ class TestSerialization:
         (lambda doc: [row.pop() for row in doc["scores"]], r"scores holds float64 of shape \(6, 2\)"),
         (lambda doc: doc["scores"][0].pop(), "inhomogeneous"),
         (lambda doc: doc["eigenvalues"].__setitem__(1, float("nan")), "eigenvalues holds a non-finite value"),
+        (lambda doc: doc["eigenvalues"].__setitem__(0, True), "eigenvalues holds true or false where a number belongs"),
+        (lambda doc: doc["scores"][3].__setitem__(0, False), "scores holds true or false where a number belongs"),
         (lambda doc: doc["variance_ratios"].__setitem__(0, float("inf")), "variance_ratios holds a non-finite value"),
         (lambda doc: doc["scores"][2].__setitem__(1, float("-inf")), "scores holds a non-finite value"),
     ])
@@ -497,18 +469,18 @@ class TestSerialization:
         model, path = saved
         self.edit_doc(path, lambda doc: doc.update(
             mean=model.mean.ravel().tolist(),
-            eigenfunctions=[f.ravel().tolist() for f in model.eigenfunctions()],
-            quadrature={"wx": model.weights.wx.tolist(), "wy": model.weights.wy.tolist()},
+            eigenfunctions=[f.ravel().tolist() for f in model.eigenfunctions],
+            quadrature={"wx": trapezoid_weights(11).tolist(), "wy": trapezoid_weights(11).tolist()},
         ))
         path.with_name("model_functions.npy").unlink()
         with pytest.raises(ModelFileError, match="No such file.*model_functions.npy"):
             load_model(path)
 
 
-def dense_gram(stack, mean, weights):
+def dense_gram(stack, mean):
     """The former unblocked Gram matrix: one centered, weighted N x 2·nx·ny copy."""
     flat = (stack.values.transpose(1, 0, 2, 3) - mean).reshape(len(stack), -1)
-    weighted = flat * np.sqrt(np.tile(weights.w2d.ravel(), 2))
+    weighted = flat * np.sqrt(np.tile(stack.grid.weights.ravel(), 2))
     raw = weighted @ weighted.T
     return np.triu(raw) + np.triu(raw, 1).T
 
@@ -525,12 +497,11 @@ def test_blocked_gram_matches_dense_formula(n, nx, ny, block, seed):
     # small blocks split grid rows and end part-way through a component
     rng = np.random.default_rng(seed)
     stack = DensityStack([str(i) for i in range(n)], GridSpec(nx, ny), rng.normal(size=(2, n, nx, ny)))
-    weights = QuadratureWeights.for_grid(stack.grid)
     mean = mean_function(stack)
-    want = dense_gram(stack, mean, weights)
+    want = dense_gram(stack, mean)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fda, "GRAM_BLOCK", block)
-        got = gram_matrix(stack, mean, weights)
+        got = gram_matrix(stack, mean)
     assert np.array_equal(got, got.T)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -557,7 +528,7 @@ def test_stack_fit_matches_covariance_oracle(n, nx, ny, block, seed):
     gaps = np.abs(np.diff(vals)) / vals[0]
     separated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-6
     for j in np.flatnonzero(separated):
-        np.testing.assert_allclose(model.pairs[j].eigenfunction, funcs[j], atol=1e-7)
+        np.testing.assert_allclose(model.eigenfunctions[j], funcs[j], atol=1e-7)
     np.testing.assert_allclose(projected.values, model.scores.values, atol=1e-9 * np.max(np.abs(model.scores.values)))
 
 

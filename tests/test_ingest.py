@@ -369,6 +369,8 @@ class TestReadPlayersJson:
         ("made_points", [[0.1, 0.2, 0.3]], r"player 'b' made_points has shape \(1, 3\), not \(n, 2\)"),
         ("made_points", [0.1, 0.2], r"player 'b' made_points has shape \(2,\)"),
         ("made_points", [[0.1, 0.2], [0.3]], "players file"),
+        ("made_points", [[True, 0.5]], "player 'b' made_points holds a coordinate that is not a number"),
+        ("missed_points", [["0.25", 0.5]], "player 'b' missed_points holds a coordinate that is not a number"),
         ("player_id", "a", "player 'a' is listed twice"),
     ])
     def test_rejects(self, path, key, value, message):

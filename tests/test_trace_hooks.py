@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from court_fda.cli import main
 from conftest import write_mini_export
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKER = SPANS.with_name("worker.py")
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +52,23 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
         assert name in names, name
     # the run and the ingest subcommand each parse the export once
     assert names.count("ingest.load_events") == 2
+
+
+def run_worker(tmp_path, *mode) -> dict:
+    """One benchmark worker process, as perfbench/run.py starts it; returns its report."""
+    report = tmp_path / "report.json"
+    argv = [sys.executable, str(WORKER), str(report), repr(time.monotonic()), *map(str, mode)]
+    assert subprocess.run(argv, cwd=tmp_path, timeout=300).returncode == 0
+    return json.loads(report.read_text(encoding="utf-8"))
+
+
+def test_the_benchmark_probe_reads_the_default_config(tmp_path):
+    # the probe reads PipelineConfig().threads; without it every benchmark run fails at its first probe
+    report = run_worker(tmp_path, "--probe")
+    assert {"setup_s", "threads", "blas_threads"} <= set(report)
+
+
+def test_the_benchmark_worker_runs_the_pipeline(tmp_path, fixture_csv):
+    report = run_worker(tmp_path, "--run", "--", "run", "--input", fixture_csv, "--out", tmp_path / "run", "--grid", 21)
+    assert report["exit"] == 0
+    assert (tmp_path / "run" / "run.json").exists()
