@@ -9,13 +9,13 @@ Subcommands cover each pipeline stage plus the full run:
 Exit codes: 0 on success, 1 for usage or configuration problems, and a
 distinct code per failing stage: ingest 2, density 3, mfpca 4,
 cluster 5, evaluate 6, bootstrap 7, export 8. The COURT_FDA_THREADS
-environment variable sets the default worker count; --threads overrides.
+environment variable sets the default of density's --threads; run's
+--threads defaults to 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -40,6 +40,14 @@ from court_fda.ingest import exclude_impossible, filter_players, load_events, wr
 USAGE_EXIT = 1
 STAGE_EXIT = {stage: code for code, stage in enumerate(pl.STAGES, start=2)}
 STAGE_EXIT["run"] = USAGE_EXIT
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits with USAGE_EXIT on a usage error, not argparse's 2, which is ingest's code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def _threads_default() -> int:
@@ -125,16 +133,8 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _load_cluster_partition(path: str) -> tuple[mt.Partition, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or not {"players", "weights", "scheme"} <= set(doc):
-        raise ValueError(f"malformed clustering document {path}")
-    labels = np.array([p["cluster"] for p in doc["players"]], dtype=int)
-    return mt.Partition(labels), doc
-
-
 def cmd_evaluate(args) -> int:
-    part_a, doc_a = _load_cluster_partition(args.clusters)
+    part_a, doc_a = pl.read_clusters_json(args.clusters)
     ids_a = [p["player_id"] for p in doc_a["players"]]
     scores = pl.read_scores_csv(args.scores)
     if scores.player_ids != ids_a:
@@ -148,7 +148,7 @@ def cmd_evaluate(args) -> int:
         part_b = mt.positions_partition(read_players_json(args.players, ids_a))
         name_b = "nba"
     else:
-        part_b, doc_b = _load_cluster_partition(args.against)
+        part_b, doc_b = pl.read_clusters_json(args.against)
         if [p["player_id"] for p in doc_b["players"]] != ids_a:
             raise ValueError("the two clusterings cover different players")
         name_b = doc_b["scheme"]
@@ -190,7 +190,7 @@ def cmd_export(args) -> int:
             export_model_heatmaps(model, out, eigenfunctions=())
             print(f"exported mean components -> {out}")
         else:
-            if args.k is None or not 1 <= args.k <= model.n_components:
+            if not 1 <= args.k <= model.n_components:
                 raise ValueError(f"--k must be in [1, {model.n_components}]")
             export_model_heatmaps(model, out, mean=False, eigenfunctions=[args.k])
             print(f"exported eigenfunction {args.k} -> {out}")
@@ -208,7 +208,7 @@ def cmd_export(args) -> int:
                     export_heatmap(score * phi[comp_idx], model.grid, base)
         print(f"exported decomposition of {args.player} -> {out}")
     else:  # medoids
-        _, doc = _load_cluster_partition(args.clusters)
+        _, doc = pl.read_clusters_json(args.clusters)
         stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
         export_medoid_heatmaps(stack, {doc["scheme"]: range(len(stack))}, out)
         print(f"exported {len(stack)} medoid charts -> {out}")
@@ -235,7 +235,7 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="court-fda", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="court-fda", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     threads = _threads_default()
 
@@ -306,14 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bootstrap, stage="bootstrap")
 
     p = sub.add_parser("export", help="heatmap exports of fitted or raw fields")
-    p.add_argument("what", choices=["mean", "eigenfunction", "player", "medoids"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--densities", default=None)
-    p.add_argument("--clusters", default=None)
-    p.add_argument("--player", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export, stage="export")
+    esub = p.add_subparsers(dest="what", required=True)
+    for what, flags in (
+        ("mean", ["--model"]),
+        ("eigenfunction", ["--model", "--k"]),
+        ("player", ["--model", "--densities", "--player"]),
+        ("medoids", ["--clusters", "--densities"]),
+    ):
+        pe = esub.add_parser(what)
+        for flag in flags:
+            pe.add_argument(flag, required=True, type=int if flag == "--k" else str)
+        pe.add_argument("--out", required=True)
+        pe.set_defaults(func=cmd_export, stage="export")
 
     # only the flags given reach the namespace, named as the PipelineConfig fields they set
     p = sub.add_parser("run", help="full pipeline with manifest", argument_default=argparse.SUPPRESS)

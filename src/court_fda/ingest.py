@@ -14,7 +14,6 @@ import enum
 import functools
 import io
 import json
-import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -111,27 +110,6 @@ class ShotTable:
             made=self.made[rows],
         )
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, str, Position, float, float, bool]]) -> "ShotTable":
-        """Table of ``(player_id, player_name, position, x, y, made)`` rows.
-
-        Coordinates are taken as already normalized onto the unit square.
-        """
-        columns = list(zip(*rows)) or [()] * 6
-        ids, names = sorted(set(columns[0])), sorted(set(columns[1]))
-        id_index = {v: i for i, v in enumerate(ids)}
-        name_index = {v: i for i, v in enumerate(names)}
-        return cls(
-            player_ids=ids,
-            player_names=names,
-            player=np.array([id_index[v] for v in columns[0]], dtype=np.intp),
-            name=np.array([name_index[v] for v in columns[1]], dtype=np.intp),
-            position=np.array([_POSITION_INDEX[p] for p in columns[2]], dtype=np.intp),
-            x=np.array(columns[3], dtype=float),
-            y=np.array(columns[4], dtype=float),
-            made=np.array(columns[5], dtype=bool),
-        )
-
 
 @dataclass
 class PlayerRecord:
@@ -158,29 +136,6 @@ def normalize_point(x_ft, y_ft, court: CourtSpec = CourtSpec()):
     unclamped so the exclusion step can drop them later.
     """
     return x_ft / court.width, y_ft / court.depth
-
-
-def _parse_position(raw: str, row: int) -> Position:
-    key = raw.strip().lower()
-    try:
-        return _POSITION_ALIASES[key]
-    except KeyError:
-        raise ParseError(row, f"unknown position label {raw!r}") from None
-
-
-def _parse_float(raw, name: str, row: int) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(row, f"non-numeric {name} {raw!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(row, f"non-finite {name} {value!r}")
-    return value
-
-
-def _check_header(header: list[str]) -> None:
-    if [h.strip() for h in header] != list(CSV_FIELDS):
-        raise ParseError(1, f"expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}")
 
 
 #: Data rows the csv module splits per batch before they become columns;
@@ -270,10 +225,14 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
 def _read_csv(source: TextIO, reopen: Callable[[], TextIO], court: CourtSpec) -> ShotTable:
     """The rows of ``source`` as a table; ``reopen`` reads it again to locate an invalid row."""
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        return ShotTable.from_rows([])
-    _check_header(header)
+    if (header := next(reader, None)) is not None and [h.strip() for h in header] != list(CSV_FIELDS):
+        raise ParseError(1, f"expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}")
+    return _read_rows(reader, functools.partial(_line_of, reopen), court)
+
+
+def _read_rows(rows: Iterable[Sequence[str]], locate: Callable[[int], int], court: CourtSpec) -> ShotTable:
+    """CSV data rows as a table; an invalid row reports ``locate(its index among the non-blank rows)``."""
+    reader = iter(rows)
     ids, names, labels, flags = _TextColumn(), _TextColumn(), _TextColumn(), _TextColumn()
     xs, ys = _NumberColumn("x_ft"), _NumberColumn("y_ft")
     wrong_count = None  # (data row index, field count) of the first row without seven fields
@@ -307,40 +266,37 @@ def _read_csv(source: TextIO, reopen: Callable[[], TextIO], court: CourtSpec) ->
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
-        raise ParseError(_line_of(reopen, i), next(message(i) for mask, message in checks if mask[i]))
+        raise ParseError(locate(i), next(message(i) for mask, message in checks if mask[i]))
     if wrong_count is not None:
         i, count = wrong_count
-        raise ParseError(_line_of(reopen, i), f"expected {len(CSV_FIELDS)} fields, got {count}")
+        raise ParseError(locate(i), f"expected {len(CSV_FIELDS)} fields, got {count}")
     x, y = normalize_point(x_ft, y_ft, court)
     return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
 
 
 def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
-    """Parse a JSON array of shot objects (same keys as the CSV columns).
+    """Parse a JSON array of shot objects, each with exactly the CSV columns as keys.
 
-    ``made`` may be a boolean or a 0/1 integer. Row numbers in errors are
-    1-based positions within the array.
+    Each object is read as the CSV row of its values' ``str``, so the CSV rules
+    hold, except that ``made`` may also be ``true`` or ``false``. Row numbers in
+    errors are 1-based positions within the array; an element that is not such
+    an object is reported after any invalid value above it, as a short CSV row is.
     """
     data = json.loads(text)
     if not isinstance(data, list):
         raise ParseError(1, "expected a JSON array of shot objects")
     rows = []
-    for i, obj in enumerate(data, start=1):
+    for obj in data:
         if not isinstance(obj, dict) or set(obj) != set(CSV_FIELDS):
-            raise ParseError(i, f"expected an object with keys {','.join(CSV_FIELDS)}")
-        position = _parse_position(str(obj["position"]), i)
-        x_ft = _parse_float(obj["x_ft"], "x_ft", i)
-        y_ft = _parse_float(obj["y_ft"], "y_ft", i)
-        made_raw = obj["made"]
-        if isinstance(made_raw, bool):
-            made = made_raw
-        elif made_raw in (0, 1):
-            made = bool(made_raw)
-        else:
-            raise ParseError(i, f"made flag must be boolean or 0/1, got {made_raw!r}")
-        x, y = normalize_point(x_ft, y_ft, court)
-        rows.append((str(obj["player_id"]), str(obj["player_name"]), position, x, y, made))
-    return ShotTable.from_rows(rows)
+            break
+        row = {k: str(v) for k, v in obj.items()}
+        if isinstance(obj["made"], bool):
+            row["made"] = str(int(obj["made"]))
+        rows.append([row[k] for k in CSV_FIELDS])
+    table = _read_rows(rows, lambda i: i + 1, court)
+    if len(rows) < len(data):
+        raise ParseError(len(rows) + 1, f"expected an object with keys {','.join(CSV_FIELDS)}")
+    return table
 
 
 def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> ShotTable:

@@ -140,8 +140,8 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
 
     With ``player_ids``, only those players' rows are read from the memory-mapped arrays,
     in that order. Raises :class:`DensityFileError` for a missing or unreadable file, an
-    array whose shape is not the descriptor's (players, nx, ny), a player the descriptor
-    does not list, or a non-finite value in a row that is read.
+    array that is not float64 or whose shape is not the descriptor's (players, nx, ny), a
+    player the descriptor does not list, or a non-finite value in a row that is read.
     """
     dir_path = Path(dir_path)
     try:
@@ -159,6 +159,8 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
         stack = DensityStack([ids[i] for i in rows], grid, np.empty((2, len(rows), grid.nx, grid.ny)))
         for comp, slot in zip(COMPONENTS, stack.values):
             values = np.load(dir_path / f"densities_{comp}.npy", mmap_mode="r")
+            if values.dtype != np.float64:
+                raise ValueError(f"densities_{comp}.npy holds {values.dtype}, not float64")
             if values.shape != shape:
                 raise ValueError(f"densities_{comp}.npy has shape {values.shape}, the descriptor lists {shape}")
             for i, row in enumerate(rows):
@@ -230,6 +232,39 @@ def clustering_to_dict(
             for i, (pid, lab) in enumerate(zip(player_ids, clustering.labels))
         ],
     }
+
+
+class ClustersFileError(ValueError):
+    """A clustering document that is not what :func:`clustering_to_dict` writes."""
+
+
+def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
+    """The partition a clustering document holds, and the document.
+
+    Raises :class:`ClustersFileError` when the document is not a JSON object,
+    lacks ``scheme``, ``weights``, ``players`` or ``medoid_player_ids``, has a
+    player entry without ``player_id`` or ``cluster`` or a cluster label that is
+    not a non-negative integer, or names a medoid that is not among its players.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        missing = [k for k in ("scheme", "weights", "players", "medoid_player_ids") if k not in doc]
+        if missing:
+            raise ValueError(f"no key {missing[0]!r}")
+        ids, labels = {p["player_id"] for p in doc["players"]}, [p["cluster"] for p in doc["players"]]
+        wrong = [c for c in labels if type(c) is not int or c < 0]
+        if wrong:
+            raise ValueError(f"cluster label {wrong[0]!r} is not a non-negative integer")
+        strays = [m for m in doc["medoid_player_ids"] if m not in ids]
+        if strays:
+            raise ValueError(f"medoid {strays[0]!r} is not among the players")
+        return mt.Partition(np.array(labels, dtype=int)), doc
+    except KeyError as exc:
+        raise ClustersFileError(f"clustering document {path}: a player has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ClustersFileError(f"clustering document {path}: {exc}") from exc
 
 
 def comparison_report(name_a: str, part_a: mt.Partition, name_b: str, part_b: mt.Partition) -> dict:

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import re
+import shlex
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from court_fda.cli import main
-from court_fda.density import DensityStack
+from court_fda import pipeline as pl
+from court_fda.cli import build_parser, main
+from court_fda.density import DensityStack, build_samples
 from court_fda.export import export_heatmap
 from court_fda.fda import ScoreMatrix
 from court_fda.grids import GridSpec
@@ -320,6 +324,48 @@ class TestRunCommand:
         m1 = json.loads((out1 / "run.json").read_text())
         m2 = json.loads((out2 / "run.json").read_text())
         assert m1["files"] == m2["files"]
+        assert m1["config"]["threads"] == 1  # the variable sets density's default only
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return build_samples(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "build_samples", spy)
+        monkeypatch.setenv("COURT_FDA_THREADS", "3")
+        assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "d", "--grid", 11) == 0
+        assert seen == [3]
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["ingest"],
+        ["cluster", "--scores", "scores.csv", "--k", "notanint"],
+        ["export", "mean"],
+        ["export", "eigenfunction", "--model", "model.json"],
+        ["export", "player", "--player", "m1"],
+        ["export", "medoids", "--densities", "work"],
+    ])
+    def test_a_usage_error_exits_1_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv, "--out", out)
+        assert stop.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_readme_command_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+        commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("court-fda ")]
+        assert {line.split()[1] for line in commands} == {"run", *pl.STAGES}
+        for line in commands:
+            try:
+                build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
 
 class TestAtomicRun:
@@ -498,6 +544,25 @@ class TestLoaderErrors:
         assert "expected numbers of shape (3, 2, 11, 11)" in capsys.readouterr().err
         assert not (tmp_path / "figs").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "not a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "medoid_player_ids"}, "no key 'medoid_player_ids'"),
+        (lambda doc: {**doc, "players": [{"player_id": "m1"}, *doc["players"][1:]]}, "a player has no key 'cluster'"),
+        (lambda doc: {**doc, "players": [{**p, "cluster": "a"} for p in doc["players"]]}, "cluster label 'a'"),
+        (lambda doc: {**doc, "players": [{**p, "cluster": True} for p in doc["players"]]}, "cluster label True"),
+        (lambda doc: {**doc, "players": [{**p, "cluster": -1} for p in doc["players"]]}, "cluster label -1"),
+        (lambda doc: {**doc, "medoid_player_ids": ["nobody"]}, "medoid 'nobody' is not among the players"),
+    ])
+    def test_a_malformed_clustering_document(self, work, tmp_path, capsys, edit, message):
+        good, bad = work / "clusters_equal.json", tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(good.read_text()))))
+        scores = ("--scores", work / "scores.csv", "--players", work / "players.json")
+        assert run_cli("evaluate", "--clusters", bad, "--against", "nba", *scores) == 6
+        assert run_cli("evaluate", "--clusters", good, "--against", bad, *scores) == 6
+        assert run_cli("export", "medoids", "--clusters", bad, "--densities", work, "--out", tmp_path / "figs") == 8
+        assert capsys.readouterr().err.count(f"clustering document {bad}: {message}") == 3
+        assert not (tmp_path / "figs").exists()
+
 
 class TestBundledFixture:
     def test_golden_structure(self, tmp_path, fixture_csv):
@@ -614,6 +679,13 @@ class TestReadDensities:
         made[2, 4, 6] = np.nan
         np.save(path / "densities_made.npy", made)
         with pytest.raises(DensityFileError, match="non-finite"):
+            read_densities(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, bool])
+    def test_array_that_is_not_float64(self, density_dir, dtype):
+        path, stack = density_dir
+        np.save(path / "densities_made.npy", stack.values[1].astype(dtype))
+        with pytest.raises(DensityFileError, match=f"densities_made.npy holds {np.dtype(dtype)}, not float64"):
             read_densities(path)
 
     def test_selected_rows(self, density_dir):

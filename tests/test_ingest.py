@@ -224,7 +224,7 @@ class TestParseJson:
 
 class TestExcludeImpossible:
     def table(self, *points):
-        return ShotTable.from_rows(("p", "N", Position.GUARD, x, y, True) for x, y in points)
+        return table(("p", "N", Position.GUARD, x, y, True) for x, y in points)
 
     def points(self, table):
         return list(zip(table.x.tolist(), table.y.tolist()))
@@ -258,7 +258,12 @@ def make_events(pid, n_made, n_missed, position=Position.GUARD):
 
 
 def table(rows) -> ShotTable:
-    return ShotTable.from_rows(rows)
+    """Table of ``(player_id, player_name, position, x, y, made)`` rows with unit-square coordinates.
+
+    On a 1 x 1 ft court the parsed ``repr`` of a coordinate is the coordinate itself.
+    """
+    lines = [f"{pid},{name},{pos.value},{x!r},{y!r},{int(made)},s" for pid, name, pos, x, y, made in rows]
+    return parse_events("\n".join([HEADER, *lines]), CourtSpec(1.0, 1.0))
 
 
 class TestFilterPlayers:

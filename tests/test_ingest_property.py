@@ -7,14 +7,16 @@ fields, position aliases, coordinates on and beyond the court edges,
 blank lines and three kinds of line end; both paths must agree on every count and
 record, and on the line number of a planted bad row. Each export is also
 parsed in batches of three rows, which must change neither the table nor
-the error, and streamed from a file by ``load_events``, which must give
-what ``parse_events`` gives for its text.
+the error, streamed from a file by ``load_events``, which must give
+what ``parse_events`` gives for its text, and written again as a JSON array,
+which ``parse_events_json`` must read as ``parse_events`` reads the CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -35,6 +37,7 @@ from court_fda.ingest import (
     filter_players,
     load_events,
     parse_events,
+    parse_events_json,
 )
 
 
@@ -268,3 +271,70 @@ def test_streamed_file_reports_same_line(data):
     with pytest.raises(ParseError) as got:
         load_file(text, court)
     assert str(got.value) == str(want.value)
+
+
+def as_json(text: str, rnd) -> tuple[str, list[int]]:
+    """The data rows of a CSV export as a JSON array, and the file line of each element.
+
+    A row of seven fields becomes an object with the CSV keys. ``rnd`` picks the
+    coordinates that ``float`` reads to be written as JSON numbers, and the 0/1
+    made flags to be written as integers or booleans; other values stay strings.
+    Any other row becomes an object whose keys are not the CSV keys.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    array, lines = [], []
+    for row in reader:
+        if not row:
+            continue
+        obj = dict(zip([*CSV_FIELDS, "extra"], row))
+        if len(row) == len(CSV_FIELDS):
+            for key in ("x_ft", "y_ft"):
+                try:
+                    obj[key] = float(obj[key]) if rnd.random() < 0.5 else obj[key]
+                except ValueError:
+                    pass
+            if obj["made"].strip() in ("0", "1") and rnd.random() < 0.5:
+                obj["made"] = rnd.choice([int, bool])(int(obj["made"]))
+        array.append(obj)
+        lines.append(reader.line_num)
+    return json.dumps(array), lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(export(), st.randoms(use_true_random=False))
+def test_json_array_matches_csv(data, rnd):
+    court = CourtSpec()
+    text = join(*data)
+    array, _ = as_json(text, rnd)
+    assert same_table(parse_events_json(array, court), parse_events(text, court))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_export(), st.randoms(use_true_random=False))
+def test_json_array_reports_same_row(data, rnd):
+    court = CourtSpec()
+    text = join(*data)
+    array, lines = as_json(text, rnd)
+    with pytest.raises(ParseError) as want:
+        parse_events(text, court)
+    with pytest.raises(ParseError) as got:
+        parse_events_json(array, court)
+    message = str(want.value).split(": ", 1)[1]
+    if message.startswith(f"expected {len(CSV_FIELDS)} fields"):
+        message = f"expected an object with keys {','.join(CSV_FIELDS)}"
+    position = lines.index(want.value.row) + 1
+    assert (got.value.row, str(got.value)) == (position, f"row {position}: {message}")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("x_ft", True, "non-numeric x_ft 'True'"),
+    ("x_ft", 10**400, "non-finite x_ft inf"),
+    ("made", 1.0, "made flag must be 0 or 1, got '1.0'"),
+], ids=["true-coordinate", "400-digit-coordinate", "float-made-flag"])
+def test_json_value_the_csv_rules_refuse(key, value, message):
+    good = {"player_id": "p", "player_name": "N", "position": "center",
+            "x_ft": 1, "y_ft": 2, "made": 1, "season": "s"}
+    with pytest.raises(ParseError) as err:
+        parse_events_json(json.dumps([good, {**good, key: value}]))
+    assert str(err.value) == f"row 2: {message}"
