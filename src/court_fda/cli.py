@@ -22,19 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
 from court_fda.export import export_heatmap, export_medoid_heatmaps, export_model_heatmaps, json_text, write_json
-from court_fda.fda import fit_mfpca, load_model, project_scores_all, reconstruct
+from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import CourtSpec, read_players_json
 
 # The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
 from court_fda.density import build_samples  # noqa: F401
 from court_fda.export import write_heatmap_csv  # noqa: F401
-from court_fda.fda import save_model  # noqa: F401
+from court_fda.fda import fit_mfpca, save_model  # noqa: F401
 from court_fda.ingest import exclude_impossible, filter_players, load_events, write_players_json  # noqa: F401
 
 USAGE_EXIT = 1
@@ -139,6 +138,8 @@ def cmd_evaluate(args) -> int:
     scores = pl.read_scores_csv(args.scores)
     if scores.player_ids != ids_a:
         raise ValueError("score rows do not match the clustering's player order")
+    if len(doc_a["weights"]) != scores.n_components:
+        raise ValueError(f"the clustering has {len(doc_a['weights'])} weights for {scores.n_components} score columns")
     standardized = cl.standardize_scores(scores)
     dist = cl.weighted_distances(standardized.values, np.array(doc_a["weights"], dtype=float))
 
@@ -166,17 +167,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     stack = pl.read_densities(args.densities)
-    reference = fit_mfpca(stack, n_components=args.components)
-    report = bt.stability_study(
-        stack,
-        reference,
-        n_replicates=args.replicates,
-        seed=args.seed,
-        dump_dir=args.dump_replicates,
-    )
+    model = load_model(args.model or Path(args.densities) / "model.json")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(bt.report_to_dict(report), out / "stability.json")
+    report = pl.bootstrap_stability(stack, model, args.replicates, args.seed, out, args.dump_replicates)
     mean_alignment = ", ".join(f"{a:.4f}" for a in report.mean_alignment())
     print(f"{args.replicates} replicates, mean alignments per component: {mean_alignment} -> {out}")
     return 0
@@ -298,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bootstrap", help="resampling stability of the components")
     p.add_argument("--densities", required=True)
+    p.add_argument("--model", default=None, help="model.json fitted on --densities (default: model.json there)")
     p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--components", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-replicates", default=None, help="directory for per-replicate heatmap dumps")

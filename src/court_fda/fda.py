@@ -374,8 +374,8 @@ def _finite(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
 def load_model(path: str | Path) -> MfpcaModel:
     """Inverse of :func:`save_model`; the model keeps the function array it reads, in C order.
 
-    Raises :class:`ModelFileError` for a missing or unreadable file, a missing key, a field
-    of the wrong type or shape, an array that is not float64, or a non-finite value.
+    Raises :class:`ModelFileError` for a missing or unreadable file, a missing key, a field of the
+    wrong type or shape, a player id listed twice, an array that is not float64, or a non-finite value.
     """
     path = Path(path)
     try:
@@ -385,6 +385,8 @@ def load_model(path: str | Path) -> MfpcaModel:
             raise ValueError("the grid sizes and n_samples must be integers")
         if not isinstance(player_ids, list) or not all(isinstance(pid, str) for pid in player_ids):
             raise ValueError("player_ids must be a list of strings")
+        if len(set(player_ids)) < len(player_ids):
+            raise ValueError(f"player {max(player_ids, key=player_ids.count)!r} is listed twice")
         grid, k = GridSpec(nx, ny), len(doc["eigenvalues"])
         eigenvalues, ratios = (_finite(key, doc[key], (k,)) for key in ("eigenvalues", "variance_ratios"))
         scores = _finite("scores", doc["scores"], (len(player_ids), k))

@@ -282,7 +282,7 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     errors are 1-based positions within the array; an element that is not such
     an object is reported after any invalid value above it, as a short CSV row is.
     """
-    data = json.loads(text)
+    data = json.loads(text, parse_int=str)  # integer digits reach the row checks as the CSV text would
     if not isinstance(data, list):
         raise ParseError(1, "expected a JSON array of shot objects")
     rows = []

@@ -1,11 +1,13 @@
 """End-to-end orchestration with deterministic outputs and a hashed manifest.
 
-Each stage that writes files is one function here, which :func:`run_pipeline`
-and the matching CLI subcommand both call; it creates its output directory
-only just before its first write. The full run writes every product into a
-new directory beside the output directory, ``run.json`` last with the SHA-256
-hash of each file, and moves it into place only when every stage has
-succeeded. Identical input, config, and seed yield byte-identical outputs.
+Each stage that writes files is one function that :func:`run_pipeline` and its CLI
+subcommand both call: :func:`ingest`, :func:`estimate_densities`, :func:`fit_and_save`,
+:func:`cluster_schemes`, :func:`bootstrap_stability`, and export's heatmap functions. Each
+creates its output directory just before its first write. ``evaluate``'s two documents
+differ, but both are built from :func:`comparison_report` and :func:`silhouette_entry`.
+The full run writes every product into a new directory beside the output directory,
+``run.json`` last with the SHA-256 hash of each file, and moves it into place only when
+every stage has succeeded. Identical input, config, and seed yield byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -141,13 +144,15 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
     With ``player_ids``, only those players' rows are read from the memory-mapped arrays,
     in that order. Raises :class:`DensityFileError` for a missing or unreadable file, an
     array that is not float64 or whose shape is not the descriptor's (players, nx, ny), a
-    player the descriptor does not list, or a non-finite value in a row that is read.
+    player the descriptor lists twice or does not list, or a non-finite value in a row that is read.
     """
     dir_path = Path(dir_path)
     try:
         meta = json.loads((dir_path / "densities_meta.json").read_text(encoding="utf-8"))
         ids, grid = [str(pid) for pid in meta["player_ids"]], GridSpec(meta["grid"]["nx"], meta["grid"]["ny"])
         shape = (len(ids), grid.nx, grid.ny)
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"player {max(ids, key=ids.count)!r} is listed twice")
         if player_ids is None:
             rows = range(len(ids))
         else:
@@ -241,10 +246,10 @@ class ClustersFileError(ValueError):
 def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
     """The partition a clustering document holds, and the document.
 
-    Raises :class:`ClustersFileError` when the document is not a JSON object,
-    lacks ``scheme``, ``weights``, ``players`` or ``medoid_player_ids``, has a
-    player entry without ``player_id`` or ``cluster`` or a cluster label that is
-    not a non-negative integer, or names a medoid that is not among its players.
+    Raises :class:`ClustersFileError` when the document is not a JSON object, lacks ``scheme``,
+    ``weights``, ``players`` or ``medoid_player_ids``, has weights that are not finite non-negative
+    numbers, not all zero, has a player entry without ``player_id`` or ``cluster`` or a cluster
+    label that is not a non-negative integer, or names a medoid that is not among its players.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -253,6 +258,10 @@ def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
         missing = [k for k in ("scheme", "weights", "players", "medoid_player_ids") if k not in doc]
         if missing:
             raise ValueError(f"no key {missing[0]!r}")
+        weights = doc["weights"]
+        if not (isinstance(weights, list) and all(type(w) in (int, float) and 0 <= w <= sys.float_info.max
+                                                   for w in weights) and any(weights)):
+            raise ValueError(f"weights {weights!r} are not finite non-negative numbers, not all zero")
         ids, labels = {p["player_id"] for p in doc["players"]}, [p["cluster"] for p in doc["players"]]
         wrong = [c for c in labels if type(c) is not int or c < 0]
         if wrong:
@@ -372,6 +381,21 @@ def cluster_schemes(
     return results
 
 
+def bootstrap_stability(
+    stack: DensityStack, model: MfpcaModel, replicates: int, seed: int, out_dir: Path,
+    dump_dir: str | Path | None = None,
+) -> bt.StabilityReport:
+    """Study the stability of ``model``'s components over ``stack`` and write ``stability.json`` to ``out_dir``.
+
+    ``model`` must be the one fitted on ``stack``; the study keeps its component count. With
+    ``dump_dir``, each replicate is refit and its heatmaps are written there.
+    """
+    report = bt.stability_study(stack, model, n_replicates=replicates, seed=seed, dump_dir=dump_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(bt.report_to_dict(report), out_dir / "stability.json")
+    return report
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and return the manifest that was written.
 
@@ -453,8 +477,7 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
 
     if config.bootstrap_replicates >= 1:
         with _stage("bootstrap"):
-            report = bt.stability_study(stack, model, n_replicates=config.bootstrap_replicates, seed=config.seed)
-            write_json(bt.report_to_dict(report), out / "stability.json")
+            bootstrap_stability(stack, model, config.bootstrap_replicates, config.seed, out)
 
     with _stage("export"):
         export_model_heatmaps(model, out / "heatmaps")

@@ -109,12 +109,12 @@ class TestStageCommands:
 
         boot_dir = tmp_path / "boot"
         assert run_cli(
-            "bootstrap", "--densities", out, "--replicates", 2, "--components", 2,
+            "bootstrap", "--densities", out, "--replicates", 2,
             "--seed", 3, "--out", boot_dir,
         ) == 0
         assert sorted(p.name for p in boot_dir.rglob("*")) == ["stability.json"]
         assert run_cli(
-            "bootstrap", "--densities", out, "--replicates", 2, "--components", 2,
+            "bootstrap", "--densities", out, "--replicates", 2,
             "--seed", 3, "--out", boot_dir, "--dump-replicates", boot_dir / "replicates",
         ) == 0
         assert (boot_dir / "replicates" / "replicate0_mean_missed.csv").exists()
@@ -142,18 +142,32 @@ class TestStageCommands:
         ) == 0
         assert (exp_dir / "reconstruction_m2_k1_made.csv").exists()
 
-    def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, tmp_path, mini_csv, monkeypatch, capsys):
-        from court_fda import cli
-
-        out = tmp_path / "work"
-        run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100)
-        run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 11)
-        fit = cli.fit_mfpca
-        monkeypatch.setattr(cli, "fit_mfpca", lambda stack, **kw: fit(stack.take(range(len(stack))[::-1]), **kw))
-        code = run_cli("bootstrap", "--densities", out, "--components", 2, "--out", tmp_path / "boot")
+    def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, work, tmp_path, capsys):
+        stack, other = read_densities(work), tmp_path / "reversed"
+        other.mkdir()
+        write_densities(other, stack.take(range(len(stack))[::-1]))
+        assert run_cli("mfpca", "fit", "--densities", other, "--out", other, "--components", 2) == 0
+        code = run_cli("bootstrap", "--densities", work, "--model", other / "model.json", "--out", tmp_path / "boot")
         assert code == 7  # bootstrap stage exit code
         assert "different players" in capsys.readouterr().err
         assert not (tmp_path / "boot").exists()
+
+    def test_bootstrap_without_a_fitted_model_leaves_no_out(self, tmp_path, mini_csv, capsys):
+        out = tmp_path / "work"
+        run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100)
+        run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 11)
+        assert run_cli("bootstrap", "--densities", out, "--out", tmp_path / "boot") == 7
+        assert "model.json" in capsys.readouterr().err
+        assert not (tmp_path / "boot").exists()
+
+    def test_bootstrap_studies_the_fitted_component_count(self, tmp_path, fixture_csv):
+        out = tmp_path / "work"
+        run_cli("ingest", "--input", fixture_csv, "--out", out)
+        run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 11)
+        assert run_cli("mfpca", "fit", "--densities", out, "--out", out, "--components", 3) == 0
+        assert run_cli("bootstrap", "--densities", out, "--replicates", 2, "--out", tmp_path / "boot") == 0
+        report = json.loads((tmp_path / "boot" / "stability.json").read_text())
+        assert report["n_components"] == 3 and len(report["alignments"][0]) == 3
 
     def test_unknown_player_errors(self, tmp_path, mini_csv):
         out = tmp_path / "work"
@@ -552,6 +566,12 @@ class TestLoaderErrors:
         (lambda doc: {**doc, "players": [{**p, "cluster": True} for p in doc["players"]]}, "cluster label True"),
         (lambda doc: {**doc, "players": [{**p, "cluster": -1} for p in doc["players"]]}, "cluster label -1"),
         (lambda doc: {**doc, "medoid_player_ids": ["nobody"]}, "medoid 'nobody' is not among the players"),
+        (lambda doc: {**doc, "weights": [-1, 1]}, "weights [-1, 1] are not finite non-negative numbers"),
+        (lambda doc: {**doc, "weights": [0, 0]}, "weights [0, 0] are not finite non-negative numbers, not all zero"),
+        (lambda doc: {**doc, "weights": [float("nan")] * 2}, "weights [nan, nan] are not finite"),
+        (lambda doc: {**doc, "weights": [True, True]}, "weights [True, True] are not finite"),
+        (lambda doc: {**doc, "weights": [10**400, 1]}, "weights [1" + "0" * 9),
+        (lambda doc: {**doc, "weights": "0.5,0.5"}, "weights '0.5,0.5' are not finite"),
     ])
     def test_a_malformed_clustering_document(self, work, tmp_path, capsys, edit, message):
         good, bad = work / "clusters_equal.json", tmp_path / "bad.json"
@@ -562,6 +582,13 @@ class TestLoaderErrors:
         assert run_cli("export", "medoids", "--clusters", bad, "--densities", work, "--out", tmp_path / "figs") == 8
         assert capsys.readouterr().err.count(f"clustering document {bad}: {message}") == 3
         assert not (tmp_path / "figs").exists()
+
+    def test_a_weight_per_score_column(self, work, tmp_path, capsys):
+        doc = json.loads((work / "clusters_equal.json").read_text())
+        (tmp_path / "one.json").write_text(json.dumps({**doc, "weights": [1.0]}))
+        assert run_cli("evaluate", "--clusters", tmp_path / "one.json", "--against", "nba",
+                       "--scores", work / "scores.csv", "--players", work / "players.json") == 6
+        assert "the clustering has 1 weights for 2 score columns" in capsys.readouterr().err
 
 
 class TestBundledFixture:
@@ -688,6 +715,12 @@ class TestReadDensities:
         with pytest.raises(DensityFileError, match=f"densities_made.npy holds {np.dtype(dtype)}, not float64"):
             read_densities(path)
 
+    def test_repeated_player(self, density_dir):
+        path, _ = density_dir
+        self.edit_meta(path, player_ids=["a", "b", "a"])
+        with pytest.raises(DensityFileError, match="player 'a' is listed twice"):
+            read_densities(path)
+
     def test_selected_rows(self, density_dir):
         path, stack = density_dir
         loaded = read_densities(path, ["c", "a"])
@@ -714,7 +747,7 @@ class TestReadDensities:
         values[0, 0, 0] = np.inf
         np.save(path / "densities_missed.npy", values)
         assert run_cli("mfpca", "fit", "--densities", path, "--out", tmp_path / "fit", "--components", 1) == 4
-        assert run_cli("bootstrap", "--densities", path, "--components", 1, "--out", tmp_path / "boot") == 7
+        assert run_cli("bootstrap", "--densities", path, "--out", tmp_path / "boot") == 7
         assert "non-finite" in capsys.readouterr().err
 
 

@@ -416,6 +416,7 @@ class TestSerialization:
         (lambda doc: doc.update(n_samples=True), "grid sizes and n_samples must be integers"),
         (lambda doc: doc["player_ids"].__setitem__(0, 7), "player_ids must be a list of strings"),
         (lambda doc: doc.update(player_ids="abcdef"), "player_ids must be a list of strings"),
+        (lambda doc: doc["player_ids"].__setitem__(4, doc["player_ids"][1]), "player '.+' is listed twice"),
         (lambda doc: doc.update(total_variance="1.0"), r"total_variance holds <U3 of shape \(\), expected numbers"),
         (lambda doc: doc.update(eigenvalues=1.0), "a field has the wrong type: .* has no len"),
         (lambda doc: doc["eigenvalues"].__setitem__(0, "1.0"), r"eigenvalues holds <U\d+ of shape \(3,\)"),

@@ -327,14 +327,19 @@ def test_json_array_reports_same_row(data, rnd):
     assert (got.value.row, str(got.value)) == (position, f"row {position}: {message}")
 
 
+# json.dumps cannot write an integer of more than 4300 digits, so this one is spliced into the text as a bare number
+HUGE_INTEGER = "9" * 5000
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("x_ft", True, "non-numeric x_ft 'True'"),
     ("x_ft", 10**400, "non-finite x_ft inf"),
+    ("x_ft", HUGE_INTEGER, "non-finite x_ft inf"),
     ("made", 1.0, "made flag must be 0 or 1, got '1.0'"),
-], ids=["true-coordinate", "400-digit-coordinate", "float-made-flag"])
+], ids=["true-coordinate", "400-digit-coordinate", "5000-digit-coordinate", "float-made-flag"])
 def test_json_value_the_csv_rules_refuse(key, value, message):
     good = {"player_id": "p", "player_name": "N", "position": "center",
             "x_ft": 1, "y_ft": 2, "made": 1, "season": "s"}
     with pytest.raises(ParseError) as err:
-        parse_events_json(json.dumps([good, {**good, key: value}]))
+        parse_events_json(json.dumps([good, {**good, key: value}]).replace(f'"{HUGE_INTEGER}"', HUGE_INTEGER))
     assert str(err.value) == f"row 2: {message}"

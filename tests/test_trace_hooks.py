@@ -54,6 +54,23 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
     assert names.count("ingest.load_events") == 2
 
 
+def test_the_stage_chain_fits_the_model_once(spans, tmp_path, monkeypatch):
+    # bootstrap reads the model that mfpca fit wrote instead of fitting its own
+    recorder = spans.Recorder("test")
+    for module_name, attr, name, count in spans.WRAPS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, recorder.wrap(name, getattr(module, attr), count))
+    work = str(tmp_path / "work")
+    assert main(["ingest", "--input", str(write_mini_export(tmp_path / "mini.csv")), "--out", work,
+                 "--min-attempts", "100"]) == 0
+    assert main(["density", "--players", f"{work}/players.json", "--out", work, "--grid", "11"]) == 0
+    assert main(["mfpca", "fit", "--densities", work, "--out", work, "--components", "2"]) == 0
+    assert main(["bootstrap", "--densities", work, "--replicates", "2", "--out", str(tmp_path / "boot")]) == 0
+    names = [span["name"] for span in recorder.spans]
+    assert names.count("fda.fit_mfpca") == 1
+    assert names.count("bootstrap.stability_study") == 1 and "bootstrap.refit" not in names
+
+
 def run_worker(tmp_path, *mode) -> dict:
     """One benchmark worker process, as perfbench/run.py starts it; returns its report."""
     report = tmp_path / "report.json"
