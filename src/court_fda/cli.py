@@ -110,7 +110,8 @@ def cmd_mfpca_reconstruct(args) -> int:
     field = reconstruct(model.scores.values[idx, :k], model)
     out = Path(args.out)
     for comp_idx, comp in enumerate(pl.COMPONENTS):
-        export_heatmap(field[comp_idx], model.grid, out / f"reconstruction_{args.player}_k{k}_{comp}", mode="unit")
+        base = out / f"reconstruction_{pl.safe_name(args.player)}_k{k}_{comp}"
+        export_heatmap(field[comp_idx], model.grid, base, mode="unit")
     print(f"reconstructed {args.player} with {k} components -> {out}")
     return 0
 
@@ -189,21 +190,23 @@ def cmd_export(args) -> int:
             print(f"exported eigenfunction {args.k} -> {out}")
     elif args.what == "player":
         model = load_model(args.model)
-        sample = pl.read_densities(args.densities, [args.player]).values[:, 0]
+        stack = pl.read_densities(args.densities, [args.player])
+        if stack.grid != model.grid:
+            raise ValueError(f"the densities lie on {stack.grid}, the model on {model.grid}")
         idx = model.scores.player_ids.index(args.player) if args.player in model.scores.player_ids else None
         scores = model.scores.values[idx] if idx is not None else None
+        name = f"player_{pl.safe_name(args.player)}"
         for comp_idx, comp in enumerate(pl.COMPONENTS):
-            export_heatmap(sample[comp_idx], model.grid, out / f"player_{args.player}_{comp}", mode="unit")
-            export_heatmap(model.mean[comp_idx], model.grid, out / f"player_{args.player}_mean_{comp}")
+            export_heatmap(stack.values[comp_idx, 0], model.grid, out / f"{name}_{comp}", mode="unit")
+            export_heatmap(model.mean[comp_idx], model.grid, out / f"{name}_mean_{comp}")
             if scores is not None:
                 for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
-                    base = out / f"player_{args.player}_component_{j}_{comp}"
-                    export_heatmap(score * phi[comp_idx], model.grid, base)
+                    export_heatmap(score * phi[comp_idx], model.grid, out / f"{name}_component_{j}_{comp}")
         print(f"exported decomposition of {args.player} -> {out}")
     else:  # medoids
         _, doc = pl.read_clusters_json(args.clusters)
         stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
-        export_medoid_heatmaps(stack, {doc["scheme"]: range(len(stack))}, out)
+        export_medoid_heatmaps(stack, doc["scheme"], out)
         print(f"exported {len(stack)} medoid charts -> {out}")
     return 0
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 import functools
 import json
 import operator
-import shutil
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +30,11 @@ def json_text(obj) -> str:
 def write_json(obj, path: str | Path) -> None:
     """Write ``obj`` to ``path`` as :func:`json_text`."""
     Path(path).write_text(json_text(obj), encoding="utf-8")
+
+
+def safe_name(text: str) -> str:
+    """``text`` as a file name in one directory: each character but letters, digits, ``-`` and ``_`` becomes ``_``."""
+    return "".join(c if c.isalnum() or c in "-_" else "_" for c in text)
 
 
 def rescale_symmetric(values: np.ndarray) -> np.ndarray:
@@ -138,22 +142,14 @@ def export_model_heatmaps(
             export_heatmap(model.eigenfunctions[j - 1, c], model.grid, base)
 
 
-def export_medoid_heatmaps(stack: DensityStack, medoids: Mapping[str, Sequence[int]], out_dir: str | Path) -> None:
-    """Write each scheme's medoid density pairs as unit-rescaled heatmaps.
+def export_medoid_heatmaps(stack: DensityStack, scheme: str, out_dir: str | Path) -> None:
+    """Write each row of ``stack`` as the unit-rescaled medoid chart of one ``scheme`` cluster.
 
-    ``medoids`` maps a weight scheme to its medoids' rows of ``stack``, in
-    cluster order; the files are ``medoid_<scheme>_cluster<j>_<component>``
-    plus .csv / .pgm. A row that is a medoid under an earlier scheme is not
-    rendered again: its finished files are copied.
+    The rows are the medoids in cluster order; the files are
+    ``medoid_<scheme>_cluster<j>_<component>`` plus .csv / .pgm.
     """
     out_dir = Path(out_dir)
-    rendered: dict[tuple[int, int], tuple[Path, Path]] = {}
-    for scheme, rows in medoids.items():
-        for j, row in enumerate(rows, start=1):
-            for c, comp in enumerate(COMPONENTS):
-                base = out_dir / f"medoid_{scheme}_cluster{j}_{comp}"
-                if (row, c) in rendered:
-                    for source, suffix in zip(rendered[row, c], (".csv", ".pgm")):
-                        shutil.copyfile(source, base.with_suffix(suffix))
-                else:
-                    rendered[row, c] = export_heatmap(stack.values[c, row], stack.grid, base, mode="unit")
+    for j in range(len(stack)):
+        for c, comp in enumerate(COMPONENTS):
+            base = out_dir / f"medoid_{scheme}_cluster{j + 1}_{comp}"
+            export_heatmap(stack.values[c, j], stack.grid, base, mode="unit")

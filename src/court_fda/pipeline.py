@@ -2,9 +2,10 @@
 
 Each stage that writes files is one function that :func:`run_pipeline` and its CLI
 subcommand both call: :func:`ingest`, :func:`estimate_densities`, :func:`fit_and_save`,
-:func:`cluster_schemes`, :func:`bootstrap_stability`, and export's heatmap functions. Each
-creates its output directory just before its first write. ``evaluate``'s two documents
-differ, but both are built from :func:`comparison_report` and :func:`silhouette_entry`.
+:func:`cluster_schemes` and :func:`bootstrap_stability`. Each creates its output directory
+just before its first write. ``evaluate``'s two documents differ, but both are built from
+:func:`comparison_report` and :func:`silhouette_entry`. The run renders no charts: the
+``export`` subcommands draw them from the model and density files it writes.
 The full run writes every product into a new directory beside the output directory,
 ``run.json`` last with the SHA-256 hash of each file, and moves it into place only when
 every stage has succeeded. Identical input, config, and seed yield byte-identical outputs.
@@ -31,7 +32,7 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda.density import COMPONENTS, DensityStack, build_samples
-from court_fda.export import export_medoid_heatmaps, export_model_heatmaps, write_heatmap_csv, write_json
+from court_fda.export import safe_name, write_heatmap_csv, write_json
 from court_fda.export import export_heatmap  # noqa: F401  bound only for perfbench/spans.py to wrap
 from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, save_model
 from court_fda.grids import GridSpec
@@ -46,6 +47,7 @@ from court_fda.ingest import (
 )
 
 #: Pipeline stages in execution order; the CLI derives exit codes from this.
+#: :func:`run_pipeline` executes every stage but ``export``.
 STAGES = ("ingest", "density", "mfpca", "cluster", "evaluate", "bootstrap", "export")
 
 
@@ -247,9 +249,10 @@ def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
     """The partition a clustering document holds, and the document.
 
     Raises :class:`ClustersFileError` when the document is not a JSON object, lacks ``scheme``,
-    ``weights``, ``players`` or ``medoid_player_ids``, has weights that are not finite non-negative
-    numbers, not all zero, has a player entry without ``player_id`` or ``cluster`` or a cluster
-    label that is not a non-negative integer, or names a medoid that is not among its players.
+    ``weights``, ``players`` or ``medoid_player_ids``, has a scheme other than ``"equal"`` or
+    ``"variance"``, has weights that are not finite non-negative numbers, not all zero, has a
+    player entry without ``player_id`` or ``cluster`` or a cluster label that is not a
+    non-negative integer, or names a medoid that is not among its players.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -258,6 +261,8 @@ def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
         missing = [k for k in ("scheme", "weights", "players", "medoid_player_ids") if k not in doc]
         if missing:
             raise ValueError(f"no key {missing[0]!r}")
+        if doc["scheme"] not in [scheme.value for scheme in cl.WeightScheme]:
+            raise ValueError(f"scheme {doc['scheme']!r} is not 'equal' or 'variance'")
         weights = doc["weights"]
         if not (isinstance(weights, list) and all(type(w) in (int, float) and 0 <= w <= sys.float_info.max
                                                    for w in weights) and any(weights)):
@@ -334,9 +339,8 @@ def estimate_densities(
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for i, pid in enumerate(stack.player_ids):
-            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in pid)
             for comp, values in zip(COMPONENTS, stack.values[:, i]):
-                write_heatmap_csv(values, grid, dump_dir / f"{safe}_{comp}.csv")
+                write_heatmap_csv(values, grid, dump_dir / f"{safe_name(pid)}_{comp}.csv")
     return stack
 
 
@@ -478,11 +482,6 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     if config.bootstrap_replicates >= 1:
         with _stage("bootstrap"):
             bootstrap_stability(stack, model, config.bootstrap_replicates, config.seed, out)
-
-    with _stage("export"):
-        export_model_heatmaps(model, out / "heatmaps")
-        medoids = {name: clustering.medoids for name, (clustering, _) in clusterings.items()}
-        export_medoid_heatmaps(stack, medoids, out / "heatmaps")
 
     manifest = {
         "config": config.to_dict(),

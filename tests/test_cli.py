@@ -13,7 +13,6 @@ import pytest
 from court_fda import pipeline as pl
 from court_fda.cli import build_parser, main
 from court_fda.density import DensityStack, build_samples
-from court_fda.export import export_heatmap
 from court_fda.fda import ScoreMatrix
 from court_fda.grids import GridSpec
 from court_fda.pipeline import (
@@ -141,6 +140,23 @@ class TestStageCommands:
             "--k", 1, "--out", exp_dir,
         ) == 0
         assert (exp_dir / "reconstruction_m2_k1_made.csv").exists()
+
+    def test_chart_names_from_player_ids_stay_inside_out(self, tmp_path, mini_csv):
+        mini_csv.write_text(mini_csv.read_text().replace("\nm1,", "\n../../../evil,"))
+        work, figs = tmp_path / "work", tmp_path / "a" / "figs"
+        assert run_cli("ingest", "--input", mini_csv, "--out", work, "--min-attempts", 100) == 0
+        assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 0
+        assert run_cli("mfpca", "fit", "--densities", work, "--out", work, "--components", 2) == 0
+        before = set(tmp_path.rglob("*"))
+        model = ("--model", work / "model.json")
+        for player in ("../../../evil", "m2"):
+            assert run_cli("export", "player", "--player", player, *model, "--densities", work, "--out", figs) == 0
+            assert run_cli("mfpca", "reconstruct", "--player", player, *model, "--k", 1, "--out", figs) == 0
+        written = set(tmp_path.rglob("*")) - before
+        assert written - {tmp_path / "a", figs} == {p for p in figs.iterdir() if p.is_file()}
+        names = {p.name for p in figs.iterdir()}
+        for player in ("_________evil", "m2"):
+            assert {f"player_{player}_made.csv", f"reconstruction_{player}_k1_made.pgm"} <= names
 
     def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, work, tmp_path, capsys):
         stack, other = read_densities(work), tmp_path / "reversed"
@@ -529,6 +545,14 @@ class TestLoaderErrors:
                        "--out", tmp_path / "new") == 4
         assert not (tmp_path / "new").exists()
 
+    def test_a_player_chart_on_another_grid_leaves_no_out(self, work, tmp_path, capsys):
+        assert run_cli("density", "--players", work / "players.json", "--out", tmp_path / "d21", "--grid", 21) == 0
+        assert run_cli("export", "player", "--player", "m1", "--model", work / "model.json",
+                       "--densities", tmp_path / "d21", "--out", tmp_path / "new") == 8
+        err = capsys.readouterr().err
+        assert "the densities lie on GridSpec(nx=21, ny=21), the model on GridSpec(nx=11, ny=11)" in err
+        assert not (tmp_path / "new").exists()
+
     @staticmethod
     def edit_functions(work, edit):
         path = work / "model_functions.npy"
@@ -572,6 +596,8 @@ class TestLoaderErrors:
         (lambda doc: {**doc, "weights": [True, True]}, "weights [True, True] are not finite"),
         (lambda doc: {**doc, "weights": [10**400, 1]}, "weights [1" + "0" * 9),
         (lambda doc: {**doc, "weights": "0.5,0.5"}, "weights '0.5,0.5' are not finite"),
+        (lambda doc: {**doc, "scheme": "x/../../../escaped"}, "scheme 'x/../../../escaped' is not 'equal' or"),
+        (lambda doc: {**doc, "scheme": 5}, "scheme 5 is not 'equal' or 'variance'"),
     ])
     def test_a_malformed_clustering_document(self, work, tmp_path, capsys, edit, message):
         good, bad = work / "clusters_equal.json", tmp_path / "bad.json"
@@ -601,13 +627,8 @@ class TestBundledFixture:
         )
         manifest = run_pipeline(config)
         files = sorted(manifest["files"])
-        assert [f for f in files if not f.startswith("heatmaps/")] == CORE_FILES
-        heat = [f for f in files if f.startswith("heatmaps/")]
-        assert sum(f.startswith("heatmaps/bootstrap/") for f in heat) == 0
-        assert sum("medoid_" in f for f in heat) == 40
-        assert sum(f.startswith("heatmaps/eigenfunction_") for f in heat) == 16
-        assert sum(f.startswith("heatmaps/mean_") for f in heat) == 4
-        assert len(files) == 73
+        assert files == CORE_FILES and len(files) == 13
+        assert not (out / "heatmaps").exists()
 
         scores = (out / "scores.csv").read_text().splitlines()
         assert scores[0] == "player_id,c1,c2,c3,c4"
@@ -623,34 +644,29 @@ class TestBundledFixture:
             labels = {p["cluster"] for p in doc["players"]}
             assert labels == set(range(5))
 
-    def test_shared_medoid_charts_are_copied(self, tmp_path, fixture_csv, monkeypatch):
-        from court_fda import export
-
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(args[2])
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(export, "export_heatmap", counted(export.export_heatmap))
-        out = tmp_path / "out"
-        run_pipeline(PipelineConfig(input=str(fixture_csv), out=str(out), grid=31, bootstrap_replicates=0))
-        monkeypatch.undo()
-        equal = json.loads((out / "clusters_equal.json").read_text())["medoids"]
-        variance = json.loads((out / "clusters_variance.json").read_text())["medoids"]
-        shared = [(j, row) for j, row in enumerate(variance, start=1) if row in equal]
-        assert [row for _, row in shared] == [2, 5, 8, 11]
-        # mean 2 + eigenfunctions 8 + medoids 20, less the shared rows' 2 x 4 charts
-        assert len(calls) == 30 - 2 * len(shared)
-        stack = read_densities(out)
-        for j, row in shared:
-            for c, comp in enumerate(("missed", "made")):
-                fresh = export_heatmap(stack.values[c, row], stack.grid, tmp_path / "fresh" / f"{j}_{comp}", mode="unit")
-                copied = out / "heatmaps" / f"medoid_variance_cluster{j}_{comp}"
-                for path, suffix in zip(fresh, (".csv", ".pgm")):
-                    assert copied.with_suffix(suffix).read_bytes() == path.read_bytes()
+    def test_readme_exports_draw_the_charts_of_a_run(self, tmp_path, fixture_csv):
+        run_dir = tmp_path / "fixture"
+        run_pipeline(PipelineConfig(input=str(fixture_csv), out=str(run_dir), grid=31, bootstrap_replicates=0))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = re.findall(r"^court-fda export .*out/fixture\b.*$", readme, re.M)
+        assert len(lines) == 7
+        for line in lines:
+            assert main(shlex.split(line.replace("out/fixture", str(run_dir)))[1:]) == 0
+        charts = sorted(tmp_path.glob("fixture-charts/*"))
+        names = [p.name for p in charts]
+        assert len(names) == 60
+        assert sum(n.startswith("mean_") for n in names) == 4
+        assert sum(n.startswith("eigenfunction_") for n in names) == 16
+        assert sum(n.startswith("medoid_") for n in names) == 40
+        equal = json.loads((run_dir / "clusters_equal.json").read_text())["medoids"]
+        variance = json.loads((run_dir / "clusters_variance.json").read_text())["medoids"]
+        shared = [(equal.index(row) + 1, j, row) for j, row in enumerate(variance, start=1) if row in equal]
+        assert [row for *_, row in shared] == [2, 5, 8, 11]
+        figs = tmp_path / "fixture-charts"
+        for i, j, _ in shared:
+            for name in ("missed.csv", "missed.pgm", "made.csv", "made.pgm"):
+                drawn = (figs / f"medoid_variance_cluster{j}_{name}").read_bytes()
+                assert drawn == (figs / f"medoid_equal_cluster{i}_{name}").read_bytes()
 
     def test_stage_error_type(self, tmp_path, fixture_csv):
         config = PipelineConfig(

@@ -39,6 +39,7 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
     mini = write_mini_export(tmp_path / "mini.csv")
     args = ["--min-attempts", "100", "--grid", "11", "--components", "2", "--k", "2", "--replicates", "1"]
     assert main(["run", "--input", str(mini), "--out", str(tmp_path / "run"), *args]) == 0
+    assert main(["export", "mean", "--model", f"{tmp_path}/run/model.json", "--out", str(tmp_path / "figs")]) == 0
     work = str(tmp_path / "work")
     assert main(["ingest", "--input", str(mini), "--out", work, "--min-attempts", "100"]) == 0
     assert main(["density", "--players", f"{work}/players.json", "--out", work, "--grid", "11",
