@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from court_fda.density import DensityStack
-from court_fda.export import export_model_heatmaps
+from court_fda.export import export_field
 from court_fda.fda import MfpcaModel, eigendecompose, fit_mfpca, gram_matrix, numerical_rank
 
 _MASK64 = (1 << 64) - 1
@@ -195,7 +195,9 @@ def stability_study(
 
 
 def _dump_replicate(model: MfpcaModel, out_dir: Path, index: int) -> None:
-    export_model_heatmaps(model, out_dir, prefix=f"replicate{index}_")
+    export_field(model.mean, model.grid, out_dir / f"replicate{index}_mean")
+    for j, phi in enumerate(model.eigenfunctions, start=1):
+        export_field(phi, model.grid, out_dir / f"replicate{index}_eigenfunction_{j}")
 
 
 def report_to_dict(report: StabilityReport) -> dict:

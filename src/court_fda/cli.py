@@ -25,14 +25,14 @@ import numpy as np
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
-from court_fda.export import export_heatmap, export_medoid_heatmaps, export_model_heatmaps, json_text, write_json
+from court_fda.export import export_field, json_text, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import CourtSpec, read_players_json
 
 # The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
 from court_fda.density import build_samples  # noqa: F401
-from court_fda.export import write_heatmap_csv  # noqa: F401
+from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401
 from court_fda.fda import fit_mfpca, save_model  # noqa: F401
 from court_fda.ingest import exclude_impossible, filter_players, load_events, write_players_json  # noqa: F401
 
@@ -109,9 +109,7 @@ def cmd_mfpca_reconstruct(args) -> int:
         raise ValueError(f"--k must be in [1, {model.n_components}]")
     field = reconstruct(model.scores.values[idx, :k], model)
     out = Path(args.out)
-    for comp_idx, comp in enumerate(pl.COMPONENTS):
-        base = out / f"reconstruction_{pl.safe_name(args.player)}_k{k}_{comp}"
-        export_heatmap(field[comp_idx], model.grid, base, mode="unit")
+    export_field(field, model.grid, out / f"reconstruction_{pl.safe_name(args.player)}_k{k}", mode="unit")
     print(f"reconstructed {args.player} with {k} components -> {out}")
     return 0
 
@@ -181,32 +179,31 @@ def cmd_export(args) -> int:
     if args.what in ("mean", "eigenfunction"):
         model = load_model(args.model)
         if args.what == "mean":
-            export_model_heatmaps(model, out, eigenfunctions=())
+            export_field(model.mean, model.grid, out / "mean")
             print(f"exported mean components -> {out}")
         else:
             if not 1 <= args.k <= model.n_components:
                 raise ValueError(f"--k must be in [1, {model.n_components}]")
-            export_model_heatmaps(model, out, mean=False, eigenfunctions=[args.k])
+            export_field(model.eigenfunctions[args.k - 1], model.grid, out / f"eigenfunction_{args.k}")
             print(f"exported eigenfunction {args.k} -> {out}")
     elif args.what == "player":
         model = load_model(args.model)
         stack = pl.read_densities(args.densities, [args.player])
         if stack.grid != model.grid:
             raise ValueError(f"the densities lie on {stack.grid}, the model on {model.grid}")
-        idx = model.scores.player_ids.index(args.player) if args.player in model.scores.player_ids else None
-        scores = model.scores.values[idx] if idx is not None else None
-        name = f"player_{pl.safe_name(args.player)}"
-        for comp_idx, comp in enumerate(pl.COMPONENTS):
-            export_heatmap(stack.values[comp_idx, 0], model.grid, out / f"{name}_{comp}", mode="unit")
-            export_heatmap(model.mean[comp_idx], model.grid, out / f"{name}_mean_{comp}")
-            if scores is not None:
-                for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
-                    export_heatmap(score * phi[comp_idx], model.grid, out / f"{name}_component_{j}_{comp}")
+        ids = model.scores.player_ids
+        scores = model.scores.values[ids.index(args.player)] if args.player in ids else ()
+        base = out / f"player_{pl.safe_name(args.player)}"
+        export_field(stack.values[:, 0], model.grid, base, mode="unit")
+        export_field(model.mean, model.grid, f"{base}_mean")
+        for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
+            export_field(score * phi, model.grid, f"{base}_component_{j}")
         print(f"exported decomposition of {args.player} -> {out}")
     else:  # medoids
         _, doc = pl.read_clusters_json(args.clusters)
         stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
-        export_medoid_heatmaps(stack, doc["scheme"], out)
+        for j in range(len(stack)):
+            export_field(stack.values[:, j], stack.grid, out / f"medoid_{doc['scheme']}_cluster{j + 1}", mode="unit")
         print(f"exported {len(stack)} medoid charts -> {out}")
     return 0
 
@@ -238,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse, normalize, and filter a shot export")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-attempts", type=int, default=1000)
-    p.add_argument("--court-width", type=float, default=50.0)
-    p.add_argument("--court-depth", type=float, default=47.0)
+    p.add_argument("--min-attempts", type=int, default=pl.PipelineConfig.min_attempts)
+    p.add_argument("--court-width", type=float, default=pl.PipelineConfig.court_width)
+    p.add_argument("--court-depth", type=float, default=pl.PipelineConfig.court_depth)
     p.set_defaults(func=cmd_ingest, stage="ingest")
 
     p = sub.add_parser("density", help="estimate per-player density pairs")
     p.add_argument("--players", required=True, help="players.json from ingest")
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=int, default=pl.PipelineConfig.grid)
     p.add_argument("--dump-densities", default=None, help="directory for per-player CSV dumps")
     p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_density, stage="density")
@@ -258,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--densities", required=True, help="directory holding the density stack")
     pf.add_argument("--out", required=True)
     group = pf.add_mutually_exclusive_group()
-    group.add_argument("--components", type=int, default=4)
+    group.add_argument("--components", type=int, default=pl.PipelineConfig.components)
     group.add_argument("--variance", type=float, default=None)
     pf.set_defaults(func=cmd_mfpca_fit, stage="mfpca")
 
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="k-medoids on component scores")
     p.add_argument("--scores", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=pl.PipelineConfig.clusters)
     p.add_argument("--weights", choices=["equal", "variance"], default="equal")
     p.add_argument("--model", default=None, help="model.json (required for variance weights)")
     p.add_argument("--players", default=None, help="players.json for the roster listing")
@@ -295,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bootstrap", help="resampling stability of the components")
     p.add_argument("--densities", required=True)
     p.add_argument("--model", default=None, help="model.json fitted on --densities (default: model.json there)")
-    p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicates", type=int, default=pl.PipelineConfig.bootstrap_replicates)
+    p.add_argument("--seed", type=int, default=pl.PipelineConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-replicates", default=None, help="directory for per-replicate heatmap dumps")
     p.set_defaults(func=cmd_bootstrap, stage="bootstrap")

@@ -6,11 +6,10 @@ import functools
 import json
 import operator
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from court_fda.density import COMPONENTS, DensityStack
+from court_fda.density import COMPONENTS
 from court_fda.grids import GridSpec
 
 
@@ -122,34 +121,10 @@ def export_heatmap(
     return csv_path, pgm_path
 
 
-def export_model_heatmaps(
-    model, out_dir: str | Path, prefix: str = "", mean: bool = True, eigenfunctions: Sequence[int] | None = None
-) -> None:
-    """Write a fitted ``MfpcaModel``'s mean and eigenfunctions as symmetric heatmaps.
+def export_field(field: np.ndarray, grid: GridSpec, base: str | Path, mode: str = "symmetric") -> None:
+    """Write a bivariate ``(2, nx, ny)`` field as the charts ``<base>_missed`` and ``<base>_made``.
 
-    The files are ``<prefix>mean_<component>`` and ``<prefix>eigenfunction_<j>_<component>``
-    plus .csv / .pgm in ``out_dir``; ``eigenfunctions`` lists the 1-based ``j`` to write,
-    all of them by default.
+    Each component goes through :func:`export_heatmap` with the same ``mode``.
     """
-    out_dir = Path(out_dir)
-    if eigenfunctions is None:
-        eigenfunctions = range(1, model.n_components + 1)
-    for c, comp in enumerate(COMPONENTS):
-        if mean:
-            export_heatmap(model.mean[c], model.grid, out_dir / f"{prefix}mean_{comp}")
-        for j in eigenfunctions:
-            base = out_dir / f"{prefix}eigenfunction_{j}_{comp}"
-            export_heatmap(model.eigenfunctions[j - 1, c], model.grid, base)
-
-
-def export_medoid_heatmaps(stack: DensityStack, scheme: str, out_dir: str | Path) -> None:
-    """Write each row of ``stack`` as the unit-rescaled medoid chart of one ``scheme`` cluster.
-
-    The rows are the medoids in cluster order; the files are
-    ``medoid_<scheme>_cluster<j>_<component>`` plus .csv / .pgm.
-    """
-    out_dir = Path(out_dir)
-    for j in range(len(stack)):
-        for c, comp in enumerate(COMPONENTS):
-            base = out_dir / f"medoid_{scheme}_cluster{j + 1}_{comp}"
-            export_heatmap(stack.values[c, j], stack.grid, base, mode="unit")
+    for comp, values in zip(COMPONENTS, field):
+        export_heatmap(values, grid, f"{base}_{comp}", mode)

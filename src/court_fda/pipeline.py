@@ -101,6 +101,8 @@ class PipelineConfig:
             raise ValueError("specify exactly one of components and variance_threshold")
         if self.weight_scheme not in ("equal", "variance", "both"):
             raise ValueError(f"weight_scheme must be equal, variance, or both, got {self.weight_scheme!r}")
+        if self.clusters < 2:
+            raise ValueError(f"config key 'clusters' must be at least 2, got {self.clusters}")
         if self.bootstrap_replicates < 0:
             raise ValueError(f"bootstrap_replicates must be non-negative, got {self.bootstrap_replicates}")
 
@@ -330,8 +332,15 @@ def estimate_densities(
 ) -> DensityStack:
     """Estimate every player's density pair and write the stack to ``out_dir``.
 
-    With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``.
+    With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``, named by
+    :func:`safe_name`; two players whose names would be the same raise a ``ValueError`` before any work.
     """
+    if dump_dir is not None:
+        owners: dict[str, str] = {}
+        for pid in (record.player_id for record in records):
+            name = safe_name(pid)
+            if owners.setdefault(name, pid) != pid:
+                raise ValueError(f"players {owners[name]!r} and {pid!r} would share the density dump {name}_*.csv")
     stack = build_samples(records, grid, threads=threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, stack)

@@ -1,7 +1,9 @@
 """Command-line surface and pipeline orchestration."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 import stat
@@ -10,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import court_fda
+from court_fda import bootstrap as bt
 from court_fda import pipeline as pl
 from court_fda.cli import build_parser, main
 from court_fda.density import DensityStack, build_samples
-from court_fda.fda import ScoreMatrix
+from court_fda.export import export_heatmap
+from court_fda.fda import ScoreMatrix, fit_mfpca, load_model, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.pipeline import (
     DensityFileError,
@@ -157,6 +162,25 @@ class TestStageCommands:
         names = {p.name for p in figs.iterdir()}
         for player in ("_________evil", "m2"):
             assert {f"player_{player}_made.csv", f"reconstruction_{player}_k1_made.pgm"} <= names
+
+    def test_density_dumps_whose_names_collide_are_refused(self, tmp_path, mini_csv, capsys):
+        mini_csv.write_text(mini_csv.read_text().replace("\nm1,", "\na/b,").replace("\nm2,", "\na_b,"))
+        work, run_out = tmp_path / "work", tmp_path / "run"
+        args = ("--min-attempts", 100, "--grid", 11, "--components", 2, "--k", 2, "--replicates", 0)
+        assert run_cli("ingest", "--input", mini_csv, "--out", work, "--min-attempts", 100) == 0
+        assert run_cli("density", "--players", work / "players.json", "--out", tmp_path / "d", "--grid", 11,
+                       "--dump-densities", tmp_path / "d" / "dumps") == 3  # density stage exit code
+        assert not (tmp_path / "d").exists()
+        assert run_cli("run", "--input", mini_csv, "--out", run_out, *args) == 0
+        before = TestAtomicRun.snapshot(run_out)
+        assert run_cli("run", "--input", mini_csv, "--out", run_out, *args, "--dump-densities") == 3
+        assert TestAtomicRun.snapshot(run_out) == before
+        err = capsys.readouterr().err
+        assert err.count("players 'a/b' and 'a_b' would share the density dump a_b_*.csv") == 2
+
+    def test_cluster_accepts_one_cluster(self, work):
+        assert run_cli("cluster", "--scores", work / "scores.csv", "--k", 1, "--out", work) == 0
+        assert json.loads((work / "clusters_equal.json").read_text())["k"] == 1
 
     def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, work, tmp_path, capsys):
         stack, other = read_densities(work), tmp_path / "reversed"
@@ -396,6 +420,30 @@ class TestUsage:
                 build_parser().parse_args(shlex.split(line, comments=True)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+
+    def test_every_readme_module_name_resolves(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        modules = {m.name for m in pkgutil.iter_modules(court_fda.__path__)}
+        names = [(m, attr) for m, attr in re.findall(r"`(\w+)\.(\w+)", readme) if m in modules]
+        assert len(names) >= 8
+        missing = [f"{m}.{attr}" for m, attr in names if not hasattr(importlib.import_module(f"court_fda.{m}"), attr)]
+        assert missing == []
+
+    def test_stage_defaults_are_the_config_defaults(self):
+        config, parser = PipelineConfig(), build_parser()
+        stages = {
+            ("ingest", "--input", "x.csv"): {"min_attempts": "min_attempts", "court_width": "court_width",
+                                             "court_depth": "court_depth"},
+            ("density", "--players", "players.json"): {"grid": "grid"},
+            ("mfpca", "fit", "--densities", "work"): {"components": "components"},
+            ("cluster", "--scores", "scores.csv"): {"k": "clusters"},
+            ("bootstrap", "--densities", "work"): {"replicates": "bootstrap_replicates", "seed": "seed"},
+        }
+        for argv, fields in stages.items():
+            args = parser.parse_args([*argv, "--out", "o"])
+            for flag, field in fields.items():
+                assert getattr(args, flag) == getattr(config, field), (argv[0], flag)
 
 
 class TestAtomicRun:
@@ -678,6 +726,88 @@ class TestBundledFixture:
         assert err.value.stage == "mfpca"
 
 
+class TestChartOracle:
+    """Each chart producer writes ``export_heatmap`` of each component of its field, under the documented names."""
+
+    @staticmethod
+    def draw(root, charts):
+        """``charts`` maps a base name to ``(field, mode)``; each ``(2, nx, ny)`` field is drawn per component."""
+        root.mkdir()
+        for base, (field, mode) in charts.items():
+            for comp, values in zip(("missed", "made"), field):
+                export_heatmap(values, GridSpec(*values.shape), root / f"{base}_{comp}", mode=mode)
+        return {p.name: p.read_bytes() for p in root.iterdir()}
+
+    @staticmethod
+    def readme_patterns():
+        """Each kind of README's ``export`` table with one file-name regex per pattern it lists."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| `export` kind |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        subs = {"{missed,made}": "(missed|made)", "*": "(missed|made)", "{j}": r"\d+", "{id}": "m1",
+                "{scheme}": "equal"}
+        patterns = {}
+        for row in table:
+            kind, names = row.strip("| ").split(" | ")
+            patterns[kind.strip("`").split()[0]] = [
+                "".join(subs.get(part, re.escape(part)) for part in re.split(r"(\{[^}]*\}|\*)", name)) + r"\.(csv|pgm)"
+                for name in re.findall(r"`([^`]+)`", names)
+            ]
+        return patterns
+
+    def test_every_chart_is_export_heatmap_of_its_field(self, work, tmp_path):
+        model, stack = load_model(work / "model.json"), read_densities(work)
+        doc = json.loads((work / "clusters_equal.json").read_text())
+        density = {pid: stack.values[:, i] for i, pid in enumerate(stack.player_ids)}
+        scores = dict(zip(model.scores.player_ids, model.scores.values))
+        model_args = ("--model", work / "model.json")
+        producers = {
+            "mean": (["export", "mean", *model_args], {"mean": (model.mean, "symmetric")}),
+            "player": (
+                ["export", "player", "--player", "m1", *model_args, "--densities", work],
+                {"player_m1": (density["m1"], "unit"), "player_m1_mean": (model.mean, "symmetric"),
+                 **{f"player_m1_component_{j}": (s * phi, "symmetric")
+                    for j, (s, phi) in enumerate(zip(scores["m1"], model.eigenfunctions), start=1)}},
+            ),
+            "medoids": (
+                ["export", "medoids", "--clusters", work / "clusters_equal.json", "--densities", work],
+                {f"medoid_equal_cluster{j}": (density[pid], "unit")
+                 for j, pid in enumerate(doc["medoid_player_ids"], start=1)},
+            ),
+            "reconstruct": (
+                ["mfpca", "reconstruct", *model_args, "--player", "m2", "--k", 1],
+                {"reconstruction_m2_k1": (reconstruct(scores["m2"][:1], model), "unit")},
+            ),
+        }
+        for k, phi in enumerate(model.eigenfunctions, start=1):
+            producers[f"eigenfunction{k}"] = (["export", "eigenfunction", "--k", k, *model_args],
+                                              {f"eigenfunction_{k}": (phi, "symmetric")})
+        patterns = self.readme_patterns()
+        assert sorted(patterns) == ["eigenfunction", "mean", "medoids", "player"]
+        for name, (argv, charts) in producers.items():
+            assert run_cli(*argv, "--out", tmp_path / name) == 0
+            written = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            assert written == self.draw(tmp_path / f"{name}_oracle", charts), name
+            kind = name.rstrip("0123456789")
+            if kind in patterns:
+                for regex in patterns[kind]:
+                    assert any(re.fullmatch(regex, n) for n in written), (kind, regex)
+                for n in written:
+                    assert any(re.fullmatch(regex, n) for regex in patterns[kind]), (kind, n)
+
+    def test_every_replicate_chart_is_export_heatmap_of_its_refit(self, work, tmp_path):
+        stack, dump = read_densities(work), tmp_path / "replicates"
+        assert run_cli("bootstrap", "--densities", work, "--replicates", 3, "--seed", 1, "--out", tmp_path / "boot",
+                       "--dump-replicates", dump) == 0
+        ranks = json.loads((tmp_path / "boot" / "stability.json").read_text())["achieved_ranks"]
+        charts = {}
+        for r, rank in enumerate(ranks):
+            refit = fit_mfpca(stack.take(bt.resample_indices(len(stack), bt.stream_seed(1, r))), n_components=rank)
+            charts[f"replicate{r}_mean"] = (refit.mean, "symmetric")
+            for j, phi in enumerate(refit.eigenfunctions, start=1):
+                charts[f"replicate{r}_eigenfunction_{j}"] = (phi, "symmetric")
+        assert {p.name: p.read_bytes() for p in dump.iterdir()} == self.draw(tmp_path / "oracle", charts)
+
+
 class TestReadDensities:
     @pytest.fixture
     def density_dir(self, tmp_path):
@@ -802,6 +932,12 @@ class TestConfig:
         assert run_cli("run", "--config", config, "--input", mini_csv, "--out", tmp_path / "o") == 1
         assert f"config key {key!r} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mini.csv"]
+
+    def test_run_refuses_fewer_than_two_clusters_before_any_stage(self, tmp_path, capsys):
+        # a missing input would fail ingest with exit 2; the config is refused first
+        assert run_cli("run", "--input", tmp_path / "missing.csv", "--out", tmp_path / "o", "--k", 1) == 1
+        assert "config key 'clusters' must be at least 2, got 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_accepts_an_int_for_a_float_field(self):
         config = PipelineConfig(input="a.csv", court_width=50, components=None, variance_threshold=1)
