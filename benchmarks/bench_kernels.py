@@ -11,17 +11,20 @@ collect it. Sizes follow the paper-scale workload (173 players, about
 writers and the model loader are timed at the sizes a paper-scale run
 writes and reads them, except ``players.json``, which gets a tenth of the
 shots, once with coordinates on the 0.01 ft lattice of real exports and
-once with no repeated value.
+once with no repeated value. BLAS runs on one thread, as court-fda runs it;
+``build_samples`` is timed on one worker and on one per available core.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from court_fda.bootstrap import stability_study
 from court_fda.cluster import WeightScheme, _pam_medoids, distance_matrix, standardize_scores
-from court_fda.density import DensityStack, kde_raw, silverman_bandwidth
+from court_fda.density import KDE_BLOCK, DensityStack, build_samples, kde_raw, silverman_bandwidth
 from court_fda.export import write_heatmap_csv
 from court_fda.fda import (
     eigendecompose,
@@ -33,12 +36,18 @@ from court_fda.fda import (
 )
 from court_fda.grids import GridSpec
 from court_fda.ingest import PlayerRecord, Position, write_players_json
+from court_fda.native import pin_blas_single_thread
 
 GRID = GridSpec(51, 51)
 PAPER_GRID = GridSpec(201, 201)
 PLAYERS = 173
 SHOTS = 4100
 COMPONENTS = 4
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_blas_thread():
+    pin_blas_single_thread()
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +70,23 @@ def model(stack):
     return fit_mfpca(stack, n_components=COMPONENTS)
 
 
-def test_kde_raw(benchmark):
-    points = np.random.default_rng(1).uniform(size=(SHOTS, 2))
+@pytest.mark.parametrize("shots", [KDE_BLOCK, SHOTS])
+def test_kde_raw(benchmark, shots):
+    """One point block, and a player's worth of shots: 16 full blocks and a partial one."""
+    points = np.random.default_rng(1).uniform(size=(shots, 2))
     benchmark(kde_raw, points, silverman_bandwidth(points), GRID)
+
+
+@pytest.mark.parametrize("workers", ["one", "all"])
+def test_build_samples(benchmark, workers):
+    rng = np.random.default_rng(5)
+    records = [
+        PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, rng.uniform(size=(SHOTS // 2, 2)),
+                     rng.uniform(size=(SHOTS // 2, 2)))
+        for i in range(PLAYERS)
+    ]
+    threads = 1 if workers == "one" else len(os.sched_getaffinity(0))
+    benchmark(build_samples, records, GRID, threads=threads)
 
 
 def test_gram_matrix(benchmark, stack):

@@ -8,9 +8,13 @@ Subcommands cover each pipeline stage plus the full run:
 
 Exit codes: 0 on success, 1 for usage or configuration problems, and a
 distinct code per failing stage: ingest 2, density 3, mfpca 4,
-cluster 5, evaluate 6, bootstrap 7, export 8. The COURT_FDA_THREADS
-environment variable sets the default of density's --threads; run's
---threads defaults to 1.
+cluster 5, evaluate 6, bootstrap 7, export 8.
+
+The density estimation of run and density uses one worker per available
+core; --threads caps that count, and the COURT_FDA_THREADS environment
+variable sets the default cap of both (no cap when it is unset). BLAS runs
+on one thread. On one machine and one BLAS core type, every output is the
+same bytes at any worker count and any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from court_fda.export import export_field, json_text, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import CourtSpec, read_players_json
+from court_fda.native import pin_blas_single_thread
 
 # The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
 from court_fda.density import build_samples  # noqa: F401
@@ -49,12 +54,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _threads_default() -> int:
-    raw = os.environ.get("COURT_FDA_THREADS", "")
+def _threads_default() -> int | None:
+    """The worker cap COURT_FDA_THREADS sets, or None (no cap) when it is unset or not an integer."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return max(1, int(os.environ["COURT_FDA_THREADS"]))
+    except (KeyError, ValueError):
+        return None
+
+
+def _chart_name(player_id: str, player_ids: list[str]) -> str:
+    """The ``safe_name`` of ``player_id``, refused when another id in ``player_ids`` gives the same name."""
+    name = pl.safe_name(player_id)
+    others = [pid for pid in player_ids if pid != player_id and pl.safe_name(pid) == name]
+    if others:
+        raise ValueError(f"players {player_id!r} and {others[0]!r} would share the chart name {name}")
+    return name
 
 
 def cmd_ingest(args) -> int:
@@ -107,9 +121,10 @@ def cmd_mfpca_reconstruct(args) -> int:
     k = args.k if args.k is not None else model.n_components
     if not 1 <= k <= model.n_components:
         raise ValueError(f"--k must be in [1, {model.n_components}]")
+    name = _chart_name(args.player, model.scores.player_ids)
     field = reconstruct(model.scores.values[idx, :k], model)
     out = Path(args.out)
-    export_field(field, model.grid, out / f"reconstruction_{pl.safe_name(args.player)}_k{k}", mode="unit")
+    export_field(field, model.grid, out / f"reconstruction_{name}_k{k}", mode="unit")
     print(f"reconstructed {args.player} with {k} components -> {out}")
     return 0
 
@@ -188,12 +203,12 @@ def cmd_export(args) -> int:
             print(f"exported eigenfunction {args.k} -> {out}")
     elif args.what == "player":
         model = load_model(args.model)
+        base = out / f"player_{_chart_name(args.player, model.scores.player_ids)}"
         stack = pl.read_densities(args.densities, [args.player])
         if stack.grid != model.grid:
             raise ValueError(f"the densities lie on {stack.grid}, the model on {model.grid}")
         ids = model.scores.player_ids
         scores = model.scores.values[ids.index(args.player)] if args.player in ids else ()
-        base = out / f"player_{pl.safe_name(args.player)}"
         export_field(stack.values[:, 0], model.grid, base, mode="unit")
         export_field(model.mean, model.grid, f"{base}_mean")
         for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
@@ -328,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--court-width", type=float)
     p.add_argument("--court-depth", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=argparse.SUPPRESS if threads is None else threads)
     p.add_argument("--dump-densities", action="store_true")
     p.set_defaults(func=cmd_run, stage="run")
 
@@ -337,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas_single_thread()
     try:
         return args.func(args)
     except (pl.StageError, ValueError, OSError) as exc:

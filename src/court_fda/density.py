@@ -20,7 +20,8 @@ import numpy as np
 from court_fda.grids import GridSpec, grid_integral
 from court_fda.ingest import PlayerRecord
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Points per kernel block in :func:`kde_raw`; it bounds each block's kernels to (nodes, KDE_BLOCK).
+KDE_BLOCK = 256
 
 #: The components of a :class:`DensityStack`, in the order of its first axis.
 COMPONENTS = ("missed", "made")
@@ -87,8 +88,10 @@ def kde_raw(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec =
 
         f(t) = 1/(n hx hy) * sum_i G((t1 - x_i)/hx) G((t2 - y_i)/hy)
 
-    with G the standard normal density. The value at a node depends only
-    on the node coordinates, not on the rest of the grid.
+    with G the standard normal density. The sum runs over blocks of
+    :data:`KDE_BLOCK` points in input order, one kernel product per block,
+    so the working set does not grow with n. The value at a node depends
+    only on the node coordinates, not on the rest of the grid.
     """
     hx, hy = bandwidth
     if hx <= 0 or hy <= 0:
@@ -97,21 +100,22 @@ def kde_raw(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec =
     n = len(pts)
     if n == 0:
         raise ValueError("cannot estimate a density from an empty point set")
-    kx = _kernel(grid.xs, pts[:, 0], hx)
-    ky = _kernel(grid.ys, pts[:, 1], hy)
-    out = kx @ ky.T
-    out /= n * hx * hy
+    xs, ys, out = grid.xs, grid.ys, np.zeros(grid.shape)
+    for block in (pts[i:i + KDE_BLOCK] for i in range(0, n, KDE_BLOCK)):
+        out += _kernel(xs, block[:, 0], hx) @ _kernel(ys, block[:, 1], hy).T
+    out /= 2.0 * math.pi * n * hx * hy
     return out
 
 
 def _kernel(nodes: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
-    """G((t - c) / h) for every node t and coordinate c, built in one buffer."""
+    """exp(-((t - c) / h)**2 / 2) for every node t and coordinate c, built in one buffer.
+
+    This is G((t - c) / h) without its 1/sqrt(2 pi) factor, which :func:`kde_raw` applies once.
+    """
     k = np.subtract.outer(nodes, coords)
-    k /= h
     np.square(k, out=k)
-    k *= -0.5
+    k *= -0.5 / (h * h)
     np.exp(k, out=k)
-    k *= _INV_SQRT_2PI
     return k
 
 
@@ -126,7 +130,9 @@ def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), 
 
     Each component gets its own bandwidth pair. Rows follow record order
     and are identical for any thread count: each field is evaluated in a
-    fixed node order and players are independent.
+    fixed node and point order on its own thread, and players are
+    independent. With BLAS on one thread (:func:`court_fda.native.pin_blas_single_thread`)
+    they are also identical for any BLAS thread setting.
     """
     values = np.empty((2, len(records), grid.nx, grid.ny))
 

@@ -45,6 +45,7 @@ from court_fda.ingest import (
     load_events,
     write_players_json,
 )
+from court_fda.native import pin_blas_single_thread, trim_heap
 
 #: Pipeline stages in execution order; the CLI derives exit codes from this.
 #: :func:`run_pipeline` executes every stage but ``export``.
@@ -75,6 +76,8 @@ class PipelineConfig:
     Exactly one of ``components`` and ``variance_threshold`` selects the
     component count. ``weight_scheme`` is "equal", "variance", or "both".
     Each value must have its field's annotated type; an int passes as a float.
+    ``threads`` caps the density workers (None: one per available core); it does not
+    change any output, so the ``run.json`` config echo leaves it out.
     """
 
     input: str = ""
@@ -89,7 +92,7 @@ class PipelineConfig:
     seed: int = 0
     court_width: float = 50.0
     court_depth: float = 47.0
-    threads: int = 1
+    threads: int | None = None
     dump_densities: bool = False
 
     def __post_init__(self) -> None:
@@ -101,8 +104,12 @@ class PipelineConfig:
             raise ValueError("specify exactly one of components and variance_threshold")
         if self.weight_scheme not in ("equal", "variance", "both"):
             raise ValueError(f"weight_scheme must be equal, variance, or both, got {self.weight_scheme!r}")
-        if self.clusters < 2:
-            raise ValueError(f"config key 'clusters' must be at least 2, got {self.clusters}")
+        for name, low in (("components", 1), ("clusters", 2), ("threads", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"config key {name!r} must be at least {low}, got {value}")
+        if self.variance_threshold is not None and not 0 < self.variance_threshold <= 1:
+            raise ValueError(f"config key 'variance_threshold' must be in (0, 1], got {self.variance_threshold}")
         if self.bootstrap_replicates < 0:
             raise ValueError(f"bootstrap_replicates must be non-negative, got {self.bootstrap_replicates}")
 
@@ -328,20 +335,28 @@ def ingest(
 
 
 def estimate_densities(
-    records: Sequence[PlayerRecord], grid: GridSpec, threads: int, out_dir: Path, dump_dir: str | Path | None = None
+    records: Sequence[PlayerRecord], grid: GridSpec, threads: int | None, out_dir: Path,
+    dump_dir: str | Path | None = None,
 ) -> DensityStack:
     """Estimate every player's density pair and write the stack to ``out_dir``.
 
+    The C heap is trimmed first, so the stack does not land on top of the pages the
+    ingest freed. The players are spread over one worker per available core, at most
+    ``threads`` of them (None: no cap); the stack is the same for any worker count.
     With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``, named by
     :func:`safe_name`; two players whose names would be the same raise a ``ValueError`` before any work.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    trim_heap()
     if dump_dir is not None:
         owners: dict[str, str] = {}
         for pid in (record.player_id for record in records):
             name = safe_name(pid)
             if owners.setdefault(name, pid) != pid:
                 raise ValueError(f"players {owners[name]!r} and {pid!r} would share the density dump {name}_*.csv")
-    stack = build_samples(records, grid, threads=threads)
+    workers = len(os.sched_getaffinity(0))
+    stack = build_samples(records, grid, threads=workers if threads is None else min(threads, workers))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, stack)
     if dump_dir is not None:
@@ -416,7 +431,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     stage has succeeded; a failed run leaves ``config.out`` as it was. A
     ``config.out`` that is not empty and holds no ``run.json`` is refused with a
     ``ValueError`` before any stage runs, so only an earlier run's output is replaced.
+    BLAS is pinned to one thread first, so the outputs do not depend on its thread count.
     """
+    pin_blas_single_thread()
     out = Path(os.path.abspath(config.out))
     if out.exists() and not (out / "run.json").is_file() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"{config.out} is not empty and holds no run.json; not replacing it")
@@ -493,7 +510,7 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
             bootstrap_stability(stack, model, config.bootstrap_replicates, config.seed, out)
 
     manifest = {
-        "config": config.to_dict(),
+        "config": {key: value for key, value in config.to_dict().items() if key != "threads"},
         "summary": {
             "events_parsed": events_parsed,
             "events_retained": events_retained,

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import shlex
@@ -177,6 +178,21 @@ class TestStageCommands:
         assert TestAtomicRun.snapshot(run_out) == before
         err = capsys.readouterr().err
         assert err.count("players 'a/b' and 'a_b' would share the density dump a_b_*.csv") == 2
+
+    def test_charts_whose_names_collide_are_refused(self, tmp_path, mini_csv, capsys):
+        mini_csv.write_text(mini_csv.read_text().replace("\nm1,", "\na/b,").replace("\nm2,", "\na_b,"))
+        work, figs = tmp_path / "work", tmp_path / "figs"
+        assert run_cli("ingest", "--input", mini_csv, "--out", work, "--min-attempts", 100) == 0
+        assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 0
+        assert run_cli("mfpca", "fit", "--densities", work, "--out", work, "--components", 2) == 0
+        model = ("--model", work / "model.json")
+        for player, other in (("a/b", "a_b"), ("a_b", "a/b")):
+            assert run_cli("export", "player", "--player", player, *model, "--densities", work, "--out", figs) == 8
+            assert run_cli("mfpca", "reconstruct", "--player", player, *model, "--out", figs) == 4
+            err = capsys.readouterr().err
+            assert err.count(f"players {player!r} and {other!r} would share the chart name a_b") == 2
+        assert not figs.exists()
+        assert run_cli("export", "player", "--player", "m3", *model, "--densities", work, "--out", figs) == 0
 
     def test_cluster_accepts_one_cluster(self, work):
         assert run_cli("cluster", "--scores", work / "scores.csv", "--k", 1, "--out", work) == 0
@@ -367,19 +383,10 @@ class TestRunCommand:
         assert not any("variance" in f for f in manifest["files"])
 
     def test_threads_env_variable(self, tmp_path, mini_csv, monkeypatch):
+        # the variable sets the default worker cap of run and density; the cap changes no byte
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ("--input", mini_csv, "--min-attempts", 100, "--grid", 21, "--components", 2,
                 "--k", 2, "--replicates", 0)
-        monkeypatch.setenv("COURT_FDA_THREADS", "3")
-        assert run_cli("run", "--out", out1, *args) == 0
-        monkeypatch.delenv("COURT_FDA_THREADS")
-        assert run_cli("run", "--out", out2, "--threads", 1, *args) == 0
-        assert (out1 / "densities_missed.npy").read_bytes() == (out2 / "densities_missed.npy").read_bytes()
-        m1 = json.loads((out1 / "run.json").read_text())
-        m2 = json.loads((out2 / "run.json").read_text())
-        assert m1["files"] == m2["files"]
-        assert m1["config"]["threads"] == 1  # the variable sets density's default only
-
         seen = []
 
         def spy(*args, **kwargs):
@@ -387,9 +394,23 @@ class TestRunCommand:
             return build_samples(*args, **kwargs)
 
         monkeypatch.setattr(pl, "build_samples", spy)
+        cores = len(os.sched_getaffinity(0))
         monkeypatch.setenv("COURT_FDA_THREADS", "3")
+        assert run_cli("run", "--out", out1, *args) == 0
+        monkeypatch.delenv("COURT_FDA_THREADS")
+        assert run_cli("run", "--out", out2, "--threads", 1, *args) == 0
+        assert seen == [min(3, cores), 1]
+        assert (out1 / "densities_missed.npy").read_bytes() == (out2 / "densities_missed.npy").read_bytes()
+        m1 = json.loads((out1 / "run.json").read_text())
+        m2 = json.loads((out2 / "run.json").read_text())
+        assert m1["files"] == m2["files"]
+        assert "threads" not in m1["config"]  # a worker count that changes no byte is not echoed
+
+        monkeypatch.setenv("COURT_FDA_THREADS", "1")
         assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "d", "--grid", 11) == 0
-        assert seen == [3]
+        monkeypatch.delenv("COURT_FDA_THREADS")
+        assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "e", "--grid", 11) == 0
+        assert seen[2:] == [1, cores]
 
 
 class TestUsage:
@@ -937,6 +958,18 @@ class TestConfig:
         # a missing input would fail ingest with exit 2; the config is refused first
         assert run_cli("run", "--input", tmp_path / "missing.csv", "--out", tmp_path / "o", "--k", 1) == 1
         assert "config key 'clusters' must be at least 2, got 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--components", 0), "config key 'components' must be at least 1, got 0"),
+        (("--variance", 0), "config key 'variance_threshold' must be in (0, 1], got 0"),
+        (("--variance", 1.5), "config key 'variance_threshold' must be in (0, 1], got 1.5"),
+        (("--threads", 0), "config key 'threads' must be at least 1, got 0"),
+    ])
+    def test_run_refuses_an_out_of_range_value_before_any_stage(self, tmp_path, capsys, flags, message):
+        # a missing input would fail ingest with exit 2; the config is refused first
+        assert run_cli("run", "--input", tmp_path / "missing.csv", "--out", tmp_path / "o", *flags) == 1
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_accepts_an_int_for_a_float_field(self):
