@@ -17,8 +17,6 @@ once with no repeated value. BLAS runs on one thread, as court-fda runs it;
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -36,7 +34,7 @@ from court_fda.fda import (
 )
 from court_fda.grids import GridSpec
 from court_fda.ingest import PlayerRecord, Position, write_players_json
-from court_fda.native import pin_blas_single_thread
+from court_fda.native import available_cores, pin_blas_single_thread
 
 GRID = GridSpec(51, 51)
 PAPER_GRID = GridSpec(201, 201)
@@ -85,7 +83,7 @@ def test_build_samples(benchmark, workers):
                      rng.uniform(size=(SHOTS // 2, 2)))
         for i in range(PLAYERS)
     ]
-    threads = 1 if workers == "one" else len(os.sched_getaffinity(0))
+    threads = 1 if workers == "one" else available_cores()
     benchmark(build_samples, records, GRID, threads=threads)
 
 

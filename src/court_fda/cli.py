@@ -11,10 +11,11 @@ distinct code per failing stage: ingest 2, density 3, mfpca 4,
 cluster 5, evaluate 6, bootstrap 7, export 8.
 
 The density estimation of run and density uses one worker per available
-core; --threads caps that count, and the COURT_FDA_THREADS environment
-variable sets the default cap of both (no cap when it is unset). BLAS runs
-on one thread. On one machine and one BLAS core type, every output is the
-same bytes at any worker count and any OPENBLAS_NUM_THREADS.
+core, and no more than one per 32 players; --threads caps that count. The
+COURT_FDA_THREADS environment variable sets the default cap of density
+(no cap when it is unset); run's is the config's threads (no cap by
+default). BLAS runs on one thread. On one machine and one BLAS core type, every output is the same
+bytes at any worker count and any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--court-width", type=float)
     p.add_argument("--court-depth", type=float)
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS if threads is None else threads)
+    p.add_argument("--threads", type=int)
     p.add_argument("--dump-densities", action="store_true")
     p.set_defaults(func=cmd_run, stage="run")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import enum
 import functools
-import gc
 import io
 import json
 from dataclasses import dataclass, replace
@@ -237,22 +236,16 @@ def _read_rows(rows: Iterable[Sequence[str]], locate: Callable[[int], int], cour
     ids, names, labels, flags = _TextColumn(), _TextColumn(), _TextColumn(), _TextColumn()
     xs, ys = _NumberColumn("x_ft"), _NumberColumn("y_ft")
     wrong_count = None  # (data row index, field count) of the first row without seven fields
-    collecting = gc.isenabled()
-    gc.disable()  # the row lists hold no cycles; a collection would only walk them
-    try:
-        while wrong_count is None and (batch := list(islice(reader, _BATCH_ROWS))):
-            rows = list(filter(None, batch))  # tolerate blank lines
-            if rows and set(map(len, rows)) != {len(CSV_FIELDS)}:
-                i = next(i for i, row in enumerate(rows) if len(row) != len(CSV_FIELDS))
-                # rows above it may still hold an invalid value, reported first
-                wrong_count = (xs.rows + i, len(rows[i]))
-                rows = rows[:i]
-            if rows:
-                for column, values in zip((ids, names, labels, xs, ys, flags), zip(*rows)):
-                    column.add(values)
-    finally:
-        if collecting:
-            gc.enable()
+    while wrong_count is None and (batch := list(islice(reader, _BATCH_ROWS))):
+        rows = list(filter(None, batch))  # tolerate blank lines
+        if rows and set(map(len, rows)) != {len(CSV_FIELDS)}:
+            i = next(i for i, row in enumerate(rows) if len(row) != len(CSV_FIELDS))
+            # rows above it may still hold an invalid value, reported first
+            wrong_count = (xs.rows + i, len(rows[i]))
+            rows = rows[:i]
+        if rows:
+            for column, values in zip((ids, names, labels, xs, ys, flags), zip(*rows)):
+                column.add(values)
 
     player_ids, player = ids.coded()
     player_names, name = names.coded()

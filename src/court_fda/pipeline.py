@@ -45,11 +45,15 @@ from court_fda.ingest import (
     load_events,
     write_players_json,
 )
-from court_fda.native import pin_blas_single_thread, trim_heap
+from court_fda.native import available_cores, pin_blas_single_thread, trim_heap
 
 #: Pipeline stages in execution order; the CLI derives exit codes from this.
 #: :func:`run_pipeline` executes every stage but ``export``.
 STAGES = ("ingest", "density", "mfpca", "cluster", "evaluate", "bootstrap", "export")
+
+#: Players each density worker gets at least. A worker holds its own kernels and BLAS
+#: buffers (1-2 MB), which a few players' worth of KDE time does not pay for.
+_PLAYERS_PER_WORKER = 32
 
 
 class StageError(RuntimeError):
@@ -341,8 +345,9 @@ def estimate_densities(
     """Estimate every player's density pair and write the stack to ``out_dir``.
 
     The C heap is trimmed first, so the stack does not land on top of the pages the
-    ingest freed. The players are spread over one worker per available core, at most
-    ``threads`` of them (None: no cap); the stack is the same for any worker count.
+    ingest freed. The players are spread over one worker per available core and per
+    ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap); the
+    stack is the same for any worker count.
     With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``, named by
     :func:`safe_name`; two players whose names would be the same raise a ``ValueError`` before any work.
     """
@@ -355,7 +360,7 @@ def estimate_densities(
             name = safe_name(pid)
             if owners.setdefault(name, pid) != pid:
                 raise ValueError(f"players {owners[name]!r} and {pid!r} would share the density dump {name}_*.csv")
-    workers = len(os.sched_getaffinity(0))
+    workers = min(available_cores(), max(1, len(records) // _PLAYERS_PER_WORKER))
     stack = build_samples(records, grid, threads=workers if threads is None else min(threads, workers))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, stack)

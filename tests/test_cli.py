@@ -3,7 +3,6 @@
 import hashlib
 import importlib
 import json
-import os
 import pkgutil
 import re
 import shlex
@@ -21,6 +20,7 @@ from court_fda.density import DensityStack, build_samples
 from court_fda.export import export_heatmap
 from court_fda.fda import ScoreMatrix, fit_mfpca, load_model, reconstruct
 from court_fda.grids import GridSpec
+from court_fda.ingest import PlayerRecord, Position
 from court_fda.pipeline import (
     DensityFileError,
     PipelineConfig,
@@ -383,7 +383,7 @@ class TestRunCommand:
         assert not any("variance" in f for f in manifest["files"])
 
     def test_threads_env_variable(self, tmp_path, mini_csv, monkeypatch):
-        # the variable sets the default worker cap of run and density; the cap changes no byte
+        # the variable sets density's default worker cap only; run's cap is its flag or config; no cap changes a byte
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ("--input", mini_csv, "--min-attempts", 100, "--grid", 21, "--components", 2,
                 "--k", 2, "--replicates", 0)
@@ -394,23 +394,48 @@ class TestRunCommand:
             return build_samples(*args, **kwargs)
 
         monkeypatch.setattr(pl, "build_samples", spy)
-        cores = len(os.sched_getaffinity(0))
-        monkeypatch.setenv("COURT_FDA_THREADS", "3")
+        monkeypatch.setattr(pl, "available_cores", lambda: 3)
+        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)  # four players: room for up to four workers
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 2}))
+        monkeypatch.setenv("COURT_FDA_THREADS", "1")
         assert run_cli("run", "--out", out1, *args) == 0
-        monkeypatch.delenv("COURT_FDA_THREADS")
-        assert run_cli("run", "--out", out2, "--threads", 1, *args) == 0
-        assert seen == [min(3, cores), 1]
+        assert run_cli("run", "--config", config, "--out", out2, *args) == 0
+        assert seen == [3, 2]
         assert (out1 / "densities_missed.npy").read_bytes() == (out2 / "densities_missed.npy").read_bytes()
         m1 = json.loads((out1 / "run.json").read_text())
         m2 = json.loads((out2 / "run.json").read_text())
         assert m1["files"] == m2["files"]
         assert "threads" not in m1["config"]  # a worker count that changes no byte is not echoed
 
-        monkeypatch.setenv("COURT_FDA_THREADS", "1")
         assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "d", "--grid", 11) == 0
         monkeypatch.delenv("COURT_FDA_THREADS")
         assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "e", "--grid", 11) == 0
-        assert seen[2:] == [1, cores]
+        assert seen[2:] == [1, 3]
+
+
+    @pytest.mark.parametrize("players, cores, cap, workers", [
+        (12, 8, None, 1),  # the fixture's twelve players: one worker however many cores
+        (64, 8, None, 2),
+        (173, 8, None, 5),
+        (173, 2, None, 2),
+        (173, 8, 3, 3),
+        (173, 1, 4, 1),
+    ])
+    def test_density_workers_follow_cores_players_and_cap(self, tmp_path, monkeypatch, players, cores, cap, workers):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return build_samples(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "build_samples", spy)
+        monkeypatch.setattr(pl, "available_cores", lambda: cores)
+        rng = np.random.default_rng(0)
+        records = [PlayerRecord(f"p{i}", f"Player {i}", Position.GUARD, rng.uniform(size=(5, 2)),
+                                rng.uniform(size=(5, 2))) for i in range(players)]
+        pl.estimate_densities(records, GridSpec(5, 5), cap, tmp_path)
+        assert seen == [workers]
 
 
 class TestUsage:

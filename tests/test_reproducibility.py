@@ -14,12 +14,19 @@ from conftest import write_mini_export
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# The fixture's twelve players would get one density worker; this gives --threads 2 two workers on any host.
+RUN = """import sys
+from court_fda import cli, pipeline
+pipeline.available_cores = lambda: 2
+pipeline._PLAYERS_PER_WORKER = 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 
 def run_fixture(fixture_csv, out, blas_threads, threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("COURT_FDA_THREADS", None)
-    argv = [sys.executable, "-m", "court_fda.cli", "run", "--input", str(fixture_csv), "--out", str(out),
+    argv = [sys.executable, "-c", RUN, "run", "--input", str(fixture_csv), "--out", str(out),
             "--seed", "1", "--threads", str(threads)]
     assert subprocess.run(argv, env=env, capture_output=True, timeout=300).returncode == 0
     files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
@@ -29,6 +36,7 @@ def run_fixture(fixture_csv, out, blas_threads, threads):
 
 
 def test_outputs_do_not_depend_on_blas_or_worker_threads(tmp_path, fixture_csv):
+    assert native.pin_blas_single_thread()  # a pin that finds no OpenBLAS would leave the matrix untested
     runs = {
         (blas, workers): run_fixture(fixture_csv, tmp_path / f"blas{blas}_workers{workers}", blas, workers)
         for blas, workers in itertools.product((1, 2), (1, 2))
