@@ -14,8 +14,10 @@ The density estimation of run and density uses one worker per available
 core, and no more than one per 32 players; --threads caps that count. The
 COURT_FDA_THREADS environment variable sets the default cap of density
 (no cap when it is unset); run's is the config's threads (no cap by
-default). BLAS runs on one thread. On one machine and one BLAS core type, every output is the same
-bytes at any worker count and any OPENBLAS_NUM_THREADS.
+default). A cap from either flag or the variable that is not a positive
+integer is a usage error (exit 1). BLAS runs on one thread. On one
+machine and one BLAS core type, every output is the same bytes at any
+worker count and any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -55,12 +57,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _threads_default() -> int | None:
-    """The worker cap COURT_FDA_THREADS sets, or None (no cap) when it is unset or not an integer."""
+def _positive_int(text: str) -> int:
+    """The type of both ``--threads`` flags: ``text`` as a positive integer."""
     try:
-        return max(1, int(os.environ["COURT_FDA_THREADS"]))
-    except (KeyError, ValueError):
-        return None
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _threads_default(parser: argparse.ArgumentParser) -> int | None:
+    """The worker cap COURT_FDA_THREADS sets, or None (no cap) when it is unset.
+
+    Any other value than a positive integer is a usage error that names the variable.
+    """
+    value = os.environ.get("COURT_FDA_THREADS")
+    try:
+        return None if value is None else _positive_int(value)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"COURT_FDA_THREADS {exc}")
 
 
 def _chart_name(player_id: str, player_ids: list[str]) -> str:
@@ -246,7 +263,6 @@ def cmd_run(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="court-fda", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = _threads_default()
 
     p = sub.add_parser("ingest", help="parse, normalize, and filter a shot export")
     p.add_argument("--input", required=True)
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=pl.PipelineConfig.grid)
     p.add_argument("--dump-densities", default=None, help="directory for per-player CSV dumps")
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=_positive_int, default=None, help="worker cap (default: COURT_FDA_THREADS)")
     p.set_defaults(func=cmd_density, stage="density")
 
     p = sub.add_parser("mfpca", help="fit, score, or reconstruct")
@@ -344,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--court-width", type=float)
     p.add_argument("--court-depth", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_positive_int)
     p.add_argument("--dump-densities", action="store_true")
     p.set_defaults(func=cmd_run, stage="run")
 
@@ -352,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "density" and args.threads is None:
+        args.threads = _threads_default(parser)
     pin_blas_single_thread()
     try:
         return args.func(args)

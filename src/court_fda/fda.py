@@ -129,15 +129,21 @@ def mean_function(stack: DensityStack) -> np.ndarray:
 
 
 def _centered_blocks(stack: DensityStack, mean: np.ndarray) -> Iterator[tuple[int, slice, np.ndarray]]:
-    """(component, node slice, centered N x block copy) over fixed column blocks."""
+    """(component, node slice, centered C-contiguous N x block array) over fixed column blocks.
+
+    Every block is written into one buffer allocated per call, so a block is valid only
+    until the next one is requested: a consumer may change it in place but must not keep it.
+    """
     if mean.shape != (2, stack.grid.nx, stack.grid.ny):
         raise GridMismatchError(f"samples lie on a {stack.grid.nx}x{stack.grid.ny} grid, mean has {mean.shape}")
     n, nodes = len(stack), stack.grid.nx * stack.grid.ny
+    buf = np.empty(n * min(GRAM_BLOCK, nodes))
     for c in range(2):
         rows, m = stack.values[c].reshape(n, nodes), mean[c].ravel()
         for lo in range(0, nodes, GRAM_BLOCK):
             cols = slice(lo, lo + GRAM_BLOCK)
-            yield c, cols, rows[:, cols] - m[cols]
+            width = min(GRAM_BLOCK, nodes - lo)
+            yield c, cols, np.subtract(rows[:, cols], m[cols], out=buf[:n * width].reshape(n, width))
 
 
 def gram_matrix(stack: DensityStack, mean: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -154,12 +154,13 @@ def write_densities(out_dir: Path, stack: DensityStack) -> None:
 
 
 def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None) -> DensityStack:
-    """Inverse of :func:`write_densities`; each array is read into its slot of one stack.
+    """Inverse of :func:`write_densities`; each array's bytes are read straight into its slot of one stack.
 
-    With ``player_ids``, only those players' rows are read from the memory-mapped arrays,
-    in that order. Raises :class:`DensityFileError` for a missing or unreadable file, an
-    array that is not float64 or whose shape is not the descriptor's (players, nx, ny), a
-    player the descriptor lists twice or does not list, or a non-finite value in a row that is read.
+    With ``player_ids``, only those players' rows are read, in that order. Raises
+    :class:`DensityFileError` for a missing or unreadable file, an array that is not
+    float64, is stored in Fortran order, is shorter than its header says, or whose shape
+    is not the descriptor's (players, nx, ny), a player the descriptor lists twice or does
+    not list, or a non-finite value in a row that is read.
     """
     dir_path = Path(dir_path)
     try:
@@ -178,19 +179,39 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
             rows = [index[pid] for pid in player_ids]
         stack = DensityStack([ids[i] for i in rows], grid, np.empty((2, len(rows), grid.nx, grid.ny)))
         for comp, slot in zip(COMPONENTS, stack.values):
-            values = np.load(dir_path / f"densities_{comp}.npy", mmap_mode="r")
-            if values.dtype != np.float64:
-                raise ValueError(f"densities_{comp}.npy holds {values.dtype}, not float64")
-            if values.shape != shape:
-                raise ValueError(f"densities_{comp}.npy has shape {values.shape}, the descriptor lists {shape}")
-            for i, row in enumerate(rows):
-                slot[i] = values[row]
-            del values  # closes the memory map
+            _read_npy_rows(dir_path / f"densities_{comp}.npy", shape, rows, slot)
             if not np.isfinite(slot).all():
                 raise ValueError(f"densities_{comp}.npy holds a non-finite value")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DensityFileError(f"density directory {dir_path}: {exc}") from exc
     return stack
+
+
+def _read_npy_rows(path: Path, shape: tuple[int, ...], rows: Sequence[int], slot: np.ndarray) -> None:
+    """Read rows ``rows`` of the C-order float64 array of ``shape`` in the ``.npy`` file ``path``
+    into ``slot``, in that order, with one seek and one read each and no copy between.
+
+    Raises ``ValueError`` for another .npy version, dtype, shape or order, or a file cut short.
+    """
+    with path.open("rb") as fh:
+        version = np.lib.format.read_magic(fh)  # numpy writes 1.0, or 2.0 for a header over 64 KiB
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{path.name} is .npy version {version}, not 1.0 or 2.0")
+        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        file_shape, fortran_order, dtype = read_header(fh)
+        if dtype != np.float64:
+            raise ValueError(f"{path.name} holds {dtype}, not float64")
+        if file_shape != shape:
+            raise ValueError(f"{path.name} has shape {file_shape}, the descriptor lists {shape}")
+        if fortran_order:
+            raise ValueError(f"{path.name} is stored in Fortran order")
+        start = fh.tell()
+        if os.fstat(fh.fileno()).st_size < start + math.prod(shape) * slot.itemsize:
+            raise ValueError(f"{path.name} is shorter than its header says")
+        for target, row in zip(slot, rows):
+            fh.seek(start + row * target.nbytes)
+            if fh.readinto(target) != target.nbytes:
+                raise ValueError(f"{path.name} is shorter than its header says")
 
 
 def write_scores_csv(scores: ScoreMatrix, path: Path) -> None:
@@ -325,6 +346,7 @@ def ingest(
     :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
     """
     events = load_events(path, court)
+    trim_heap()  # the parser's row lists and column parts are freed by now
     if not events:
         raise IngestError(f"no shot events in {path}")
     retained = exclude_impossible(events)
@@ -344,8 +366,9 @@ def estimate_densities(
 ) -> DensityStack:
     """Estimate every player's density pair and write the stack to ``out_dir``.
 
-    The C heap is trimmed first, so the stack does not land on top of the pages the
-    ingest freed. The players are spread over one worker per available core and per
+    The C heap is trimmed first, so the stack does not land on top of the pages that
+    parsing the players freed (``read_players_json`` for the ``density`` subcommand).
+    The players are spread over one worker per available core and per
     ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap); the
     stack is the same for any worker count.
     With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``, named by
@@ -489,6 +512,9 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     with _stage("density"):
         dump_dir = out / "density_dumps" if config.dump_densities else None
         stack = estimate_densities(records, grid, config.threads, out, dump_dir)
+    # the rosters and the position partition read ids, names and positions only: free the points
+    no_points = np.empty((0, 2))
+    records = [replace(record, made_points=no_points, missed_points=no_points) for record in records]
     with _stage("mfpca"):
         model = fit_and_save(stack, out, config.components, config.variance_threshold)
     with _stage("cluster"):

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import shlex
 import stat
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,13 @@ from court_fda.density import DensityStack, build_samples
 from court_fda.export import export_heatmap
 from court_fda.fda import ScoreMatrix, fit_mfpca, load_model, reconstruct
 from court_fda.grids import GridSpec
-from court_fda.ingest import PlayerRecord, Position
+from court_fda.ingest import PlayerRecord, Position, filter_players
 from court_fda.pipeline import (
     DensityFileError,
     PipelineConfig,
     ScoresFileError,
     StageError,
+    fit_and_save,
     read_densities,
     read_scores_csv,
     run_pipeline,
@@ -414,6 +416,27 @@ class TestRunCommand:
         assert seen[2:] == [1, 3]
 
 
+    def test_shot_points_are_freed_before_the_fit(self, tmp_path, mini_csv, monkeypatch):
+        # the rosters and the position partition need no points; the fit should not sit on top of them
+        seen = {}
+
+        def filter_spy(*args, **kwargs):
+            records = filter_players(*args, **kwargs)
+            seen["points"] = weakref.ref(records[0].made_points.base)
+            return records
+
+        def fit_spy(*args, **kwargs):
+            seen["alive_at_fit"] = seen["points"]() is not None
+            return fit_and_save(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "filter_players", filter_spy)
+        monkeypatch.setattr(pl, "fit_and_save", fit_spy)
+        run_pipeline(PipelineConfig(input=str(mini_csv), out=str(tmp_path / "run"), min_attempts=100, grid=21,
+                                    components=2, clusters=2, bootstrap_replicates=0))
+        assert seen["alive_at_fit"] is False
+        rosters = (tmp_path / "run" / "roster_equal.txt").read_text()
+        assert all(f"Player m{i}" in rosters for i in range(1, 5))
+
     @pytest.mark.parametrize("players, cores, cap, workers", [
         (12, 8, None, 1),  # the fixture's twelve players: one worker however many cores
         (64, 8, None, 2),
@@ -454,6 +477,27 @@ class TestUsage:
         assert stop.value.code == 1
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, variable, message", [
+        pytest.param(["density", "--threads", "0"], None, "argument --threads: must be a positive integer, got '0'",
+                     id="density-flag-0"),
+        pytest.param(["run", "--threads", "0"], None, "argument --threads: must be a positive integer, got '0'",
+                     id="run-flag-0"),
+        pytest.param(["density"], "abc", "COURT_FDA_THREADS must be a positive integer, got 'abc'", id="variable-abc"),
+        pytest.param(["density"], "0", "COURT_FDA_THREADS must be a positive integer, got '0'", id="variable-0"),
+    ])
+    def test_a_worker_cap_must_be_a_positive_integer(self, tmp_path, monkeypatch, capsys, argv, variable, message):
+        # the missing input would fail the stage itself (exit 2 or 3); the cap is refused first
+        if variable is None:
+            monkeypatch.delenv("COURT_FDA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COURT_FDA_THREADS", variable)
+        source = {"density": "--players", "run": "--input"}[argv[0]]
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv, source, tmp_path / "missing", "--out", tmp_path / "out")
+        assert stop.value.code == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_readme_command_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -907,6 +951,21 @@ class TestReadDensities:
         with pytest.raises(DensityFileError, match=f"densities_made.npy holds {np.dtype(dtype)}, not float64"):
             read_densities(path)
 
+    @pytest.mark.parametrize("player_ids", [None, ["a"]])
+    def test_truncated_file(self, density_dir, player_ids):
+        # a file cut short is refused even when the rows asked for lie before the cut
+        path, _ = density_dir
+        data = (path / "densities_made.npy").read_bytes()
+        (path / "densities_made.npy").write_bytes(data[:-8])
+        with pytest.raises(DensityFileError, match="densities_made.npy is shorter than its header says"):
+            read_densities(path, player_ids)
+
+    def test_fortran_order_array(self, density_dir):
+        path, stack = density_dir
+        np.save(path / "densities_made.npy", np.asfortranarray(stack.values[1]))
+        with pytest.raises(DensityFileError, match="densities_made.npy is stored in Fortran order"):
+            read_densities(path)
+
     def test_repeated_player(self, density_dir):
         path, _ = density_dir
         self.edit_meta(path, player_ids=["a", "b", "a"])
@@ -989,13 +1048,19 @@ class TestConfig:
         (("--components", 0), "config key 'components' must be at least 1, got 0"),
         (("--variance", 0), "config key 'variance_threshold' must be in (0, 1], got 0"),
         (("--variance", 1.5), "config key 'variance_threshold' must be in (0, 1], got 1.5"),
-        (("--threads", 0), "config key 'threads' must be at least 1, got 0"),
     ])
     def test_run_refuses_an_out_of_range_value_before_any_stage(self, tmp_path, capsys, flags, message):
         # a missing input would fail ingest with exit 2; the config is refused first
         assert run_cli("run", "--input", tmp_path / "missing.csv", "--out", tmp_path / "o", *flags) == 1
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_run_refuses_a_config_threads_below_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 0}))
+        assert run_cli("run", "--config", config, "--input", tmp_path / "missing.csv", "--out", tmp_path / "o") == 1
+        assert "config key 'threads' must be at least 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_accepts_an_int_for_a_float_field(self):
         config = PipelineConfig(input="a.csv", court_width=50, components=None, variance_threshold=1)

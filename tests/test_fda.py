@@ -533,16 +533,69 @@ def test_stack_fit_matches_covariance_oracle(n, nx, ny, block, seed):
     np.testing.assert_allclose(projected.values, model.scores.values, atol=1e-9 * np.max(np.abs(model.scores.values)))
 
 
+def copied_blocks(stack, mean):
+    """The former centering: a fresh ``rows[:, cols] - m[cols]`` copy for every block."""
+    n, nodes = len(stack), stack.grid.nx * stack.grid.ny
+    for c in range(2):
+        rows, m = stack.values[c].reshape(n, nodes), mean[c].ravel()
+        for lo in range(0, nodes, fda.GRAM_BLOCK):
+            cols = slice(lo, lo + fda.GRAM_BLOCK)
+            yield c, cols, rows[:, cols] - m[cols]
+
+
+@pytest.mark.parametrize("side", [21, 64, 71])  # nodes below one block, exactly one block, a block and a remainder
+def test_one_block_buffer_matches_a_copy_per_block_bit_for_bit(side):
+    rng = np.random.default_rng(side)
+    n = 12
+    values = rng.uniform(0.5, 1.5, size=(2, n, side, side))
+    stack = DensityStack([str(i) for i in range(n)], GridSpec(side, side), values)
+    mean = mean_function(stack)
+
+    def results():
+        model = fit_mfpca(stack, n_components=3)
+        return gram_matrix(stack, mean), model.functions, model.scores.values, project_scores_all(stack, model).values
+
+    fast = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fda, "_centered_blocks", copied_blocks)
+        slow = results()
+    for got, want in zip(fast, slow):
+        assert np.array_equal(got, want)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, as ``tracemalloc`` sees it (numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("kind", ["gram", "fit"])
+def test_centering_holds_one_block_at_a_time(kind):
+    # a block copy per step kept the previous block alive beside the next one: about 2.1 blocks
+    n, grid = 40, GridSpec(101, 101)
+    rng = np.random.default_rng(61)
+    stack = DensityStack([str(i) for i in range(n)], grid, rng.uniform(0.5, 1.5, size=(2, n, 101, 101)))
+    mean = mean_function(stack)
+    block = n * fda.GRAM_BLOCK * stack.values.itemsize
+    if kind == "gram":
+        gram, peak = traced_peak(lambda: gram_matrix(stack, mean))
+        extra = peak - gram.nbytes
+    else:
+        model, peak = traced_peak(lambda: fit_mfpca(stack, n_components=4))
+        extra = peak - model.functions.nbytes - model.scores.values.nbytes
+    assert extra <= 1.5 * block
+
+
 def test_fit_peak_memory_below_one_stack():
     # the fit centers the stack block by block, never a whole copy of it
     n, grid = 48, GridSpec(201, 201)
     rng = np.random.default_rng(60)
     stack = DensityStack([str(i) for i in range(n)], grid, rng.uniform(0.5, 1.5, size=(2, n, 201, 201)))
-    tracemalloc.start()
-    try:
-        model = fit_mfpca(stack, n_components=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model, peak = traced_peak(lambda: fit_mfpca(stack, n_components=4))
     assert model.n_components == 4
     assert peak < stack.values.nbytes
