@@ -11,11 +11,15 @@ collect it. Sizes follow the paper-scale workload (173 players, about
 writers and the model loader are timed at the sizes a paper-scale run
 writes and reads them, except ``players.json``, which gets a tenth of the
 shots, once with coordinates on the 0.01 ft lattice of real exports and
-once with no repeated value. BLAS runs on one thread, as court-fda runs it;
+once with no repeated value. ``read_players_json`` reads the lattice file
+back, and ``parse_events_json`` parses the same shots as a JSON shot
+export, one object per shot. BLAS runs on one thread, as court-fda runs it;
 ``build_samples`` is timed on one worker and on one per available core.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -33,7 +37,14 @@ from court_fda.fda import (
     save_model,
 )
 from court_fda.grids import GridSpec
-from court_fda.ingest import PlayerRecord, Position, write_players_json
+from court_fda.ingest import (
+    CSV_FIELDS,
+    PlayerRecord,
+    Position,
+    parse_events_json,
+    read_players_json,
+    write_players_json,
+)
 from court_fda.native import available_cores, pin_blas_single_thread
 
 GRID = GridSpec(51, 51)
@@ -109,9 +120,11 @@ def test_stability_study(benchmark, stack, model):
     benchmark(stability_study, stack, model, n_replicates=5, seed=0)
 
 
-@pytest.mark.parametrize("coordinates", ["lattice", "distinct"])
-def test_write_players_json(benchmark, tmp_path, coordinates):
-    """``lattice``: feet at 0.01 ft, as every input has them; ``distinct``: uniform floats, no value repeats."""
+def json_records(coordinates: str) -> list[PlayerRecord]:
+    """The players of the ``players.json`` benchmarks: a twentieth of a player's shots on each side.
+
+    ``lattice``: feet at 0.01 ft, as every input has them; ``distinct``: uniform floats, no value repeats.
+    """
     rng = np.random.default_rng(2)
     ft = (50.0, 47.0) if coordinates == "lattice" else None
 
@@ -119,8 +132,28 @@ def test_write_players_json(benchmark, tmp_path, coordinates):
         values = rng.uniform(size=(SHOTS // 20, 2))
         return values if ft is None else np.round(values * ft, 2) / ft
 
-    records = [PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, points(), points()) for i in range(PLAYERS)]
-    benchmark(write_players_json, records, tmp_path / "players.json")
+    return [PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, points(), points()) for i in range(PLAYERS)]
+
+
+@pytest.mark.parametrize("coordinates", ["lattice", "distinct"])
+def test_write_players_json(benchmark, tmp_path, coordinates):
+    benchmark(write_players_json, json_records(coordinates), tmp_path / "players.json")
+
+
+def test_read_players_json(benchmark, tmp_path):
+    write_players_json(json_records("lattice"), tmp_path / "players.json")
+    benchmark(read_players_json, tmp_path / "players.json")
+
+
+def test_parse_events_json(benchmark):
+    shots = [
+        dict(zip(CSV_FIELDS, (r.player_id, r.player_name, r.position.value, round(x * 50.0, 2), round(y * 47.0, 2),
+                              made, "2018-19")))
+        for r in json_records("lattice")
+        for made, points in ((1, r.made_points), (0, r.missed_points))
+        for x, y in points.tolist()
+    ]
+    benchmark(parse_events_json, json.dumps(shots))
 
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,7 @@ def stability_study(
     n_replicates: int = 5,
     seed: int = 0,
     dump_dir: str | Path | None = None,
+    gram: np.ndarray | None = None,
 ) -> StabilityReport:
     """Measure component stability over bootstrap draws of the players.
 
@@ -148,12 +149,17 @@ def stability_study(
     With ``dump_dir`` set, each replicate is refit on the grid at its
     achieved rank and its mean and eigenfunctions are exported as
     heatmap CSV/PGM pairs.
+
+    A caller that already holds G, ``gram_matrix(stack, reference.mean)``,
+    passes it as ``gram``; it is built here otherwise. Either way G must have
+    the reference scores as eigenvectors, or :class:`ReferenceMismatchError` is raised.
     """
     if n_replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {n_replicates}")
     _check_reference(stack, reference)
     n, k = len(stack), reference.n_components
-    gram = gram_matrix(stack, reference.mean)
+    if gram is None:
+        gram = gram_matrix(stack, reference.mean)
     ref_ell = (n - 1) * reference.eigenvalues
     ref_scores = reference.scores.values
     # The algebra needs the reference scores to be eigenvectors of this Gram matrix.

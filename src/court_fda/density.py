@@ -11,6 +11,7 @@ is folded back by that renormalization rather than by boundary kernels.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,7 +84,9 @@ def silverman_bandwidth(points: np.ndarray) -> tuple[float, float]:
     return float(sig[0] * factor), float(sig[1] * factor)
 
 
-def kde_raw(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec()) -> np.ndarray:
+def kde_raw(
+    points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec(), buffers=None
+) -> np.ndarray:
     """Unnormalized Gaussian product-kernel estimate at every grid node.
 
         f(t) = 1/(n hx hy) * sum_i G((t1 - x_i)/hx) G((t2 - y_i)/hy)
@@ -92,6 +95,8 @@ def kde_raw(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec =
     :data:`KDE_BLOCK` points in input order, one kernel product per block,
     so the working set does not grow with n. The value at a node depends
     only on the node coordinates, not on the rest of the grid.
+    Each block's kernels and their product are written into ``buffers``
+    (from :func:`_kde_buffers` for ``grid``), allocated for this call when not given.
     """
     hx, hy = bandwidth
     if hx <= 0 or hy <= 0:
@@ -100,28 +105,41 @@ def kde_raw(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec =
     n = len(pts)
     if n == 0:
         raise ValueError("cannot estimate a density from an empty point set")
+    kx_buf, ky_buf, prod = _kde_buffers(grid) if buffers is None else buffers
     xs, ys, out = grid.xs, grid.ys, np.zeros(grid.shape)
     for block in (pts[i:i + KDE_BLOCK] for i in range(0, n, KDE_BLOCK)):
-        out += _kernel(xs, block[:, 0], hx) @ _kernel(ys, block[:, 1], hy).T
+        kx = _kernel(xs, block[:, 0], hx, kx_buf[:grid.nx * len(block)].reshape(grid.nx, -1))
+        ky = _kernel(ys, block[:, 1], hy, ky_buf[:grid.ny * len(block)].reshape(grid.ny, -1))
+        out += np.matmul(kx, ky.T, out=prod)
     out /= 2.0 * math.pi * n * hx * hy
     return out
 
 
-def _kernel(nodes: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
-    """exp(-((t - c) / h)**2 / 2) for every node t and coordinate c, built in one buffer.
+def _kde_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat buffers for a block's x and y kernels, and the (nx, ny) buffer for their product."""
+    return np.empty(grid.nx * KDE_BLOCK), np.empty(grid.ny * KDE_BLOCK), np.empty(grid.shape)
+
+
+def _kernel(nodes: np.ndarray, coords: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """exp(-((t - c) / h)**2 / 2) for every node t and coordinate c, built in ``out``.
 
     This is G((t - c) / h) without its 1/sqrt(2 pi) factor, which :func:`kde_raw` applies once.
     """
-    k = np.subtract.outer(nodes, coords)
+    k = np.subtract.outer(nodes, coords, out=out)
     np.square(k, out=k)
     k *= -0.5 / (h * h)
     np.exp(k, out=k)
     return k
 
 
-def kde(points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec(), out=None) -> np.ndarray:
-    """Gaussian KDE renormalized to integrate to 1 over the grid, written to ``out`` if given."""
-    raw = kde_raw(points, bandwidth, grid)
+def kde(
+    points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec(), out=None, buffers=None
+) -> np.ndarray:
+    """Gaussian KDE renormalized to integrate to 1 over the grid, written to ``out`` if given.
+
+    ``buffers`` is :func:`kde_raw`'s scratch space.
+    """
+    raw = kde_raw(points, bandwidth, grid, buffers)
     return np.divide(raw, grid_integral(raw), out=out)
 
 
@@ -135,12 +153,15 @@ def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), 
     they are also identical for any BLAS thread setting.
     """
     values = np.empty((2, len(records), grid.nx, grid.ny))
+    local = threading.local()  # each worker's kernel buffers, freed when this call returns
 
     def fill(i: int) -> None:
         record = records[i]
+        if not hasattr(local, "buffers"):
+            local.buffers = _kde_buffers(grid)
         for component, pts, slot in zip(COMPONENTS, (record.missed_points, record.made_points), values[:, i]):
             try:
-                kde(pts, silverman_bandwidth(pts), grid, out=slot)
+                kde(pts, silverman_bandwidth(pts), grid, out=slot, buffers=local.buffers)
             except ValueError as exc:
                 raise DensityError(f"player {record.player_id}, {component} shots: {exc}") from exc
 

@@ -154,7 +154,7 @@ def gram_matrix(stack: DensityStack, mean: np.ndarray) -> np.ndarray:
     kept and reflected.
     """
     if len(stack) < 2:
-        raise ValueError("need at least 2 samples")
+        raise ValueError(f"need at least 2 samples, got {len(stack)}")
     sqrt_w = np.sqrt(stack.grid.weights).ravel()
     raw = np.zeros((len(stack), len(stack)))
     for _, cols, block in _centered_blocks(stack, mean):
@@ -203,6 +203,7 @@ def fit_mfpca(
     stack: DensityStack,
     n_components: int | None = None,
     variance_threshold: float | None = None,
+    gram: np.ndarray | None = None,
 ) -> MfpcaModel:
     """Fit the decomposition through the Gram (dual) route.
 
@@ -212,6 +213,8 @@ def fit_mfpca(
     RANK_RTOL times the leading one are never retained; asking for more
     components than that numerical rank raises
     :class:`RankDeficiencyError` stating the achievable rank.
+    A caller that already holds ``gram_matrix(stack, mean_function(stack))``
+    passes it as ``gram``; it is built here otherwise.
     """
     if (n_components is None) == (variance_threshold is None):
         raise ValueError("specify exactly one of n_components and variance_threshold")
@@ -219,8 +222,7 @@ def fit_mfpca(
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     mean = mean_function(stack)
-    gram = gram_matrix(stack, mean)
-    ell, u = eigendecompose(gram)
+    ell, u = eigendecompose(gram_matrix(stack, mean) if gram is None else gram)
 
     rank = numerical_rank(ell)
     if rank == 0:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -281,22 +281,71 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     hold, except that ``made`` may also be ``true`` or ``false``. Row numbers in
     errors are 1-based positions within the array; an element that is not such
     an object is reported after any invalid value above it, as a short CSV row is.
+    The objects are decoded one at a time, and a syntax error anywhere in the
+    document is raised before any invalid value or element.
     """
-    data = json.loads(text, parse_int=str)  # integer digits reach the row checks as the CSV text would
-    if not isinstance(data, list):
-        raise ParseError(1, "expected a JSON array of shot objects")
-    rows = []
-    for obj in data:
-        if not isinstance(obj, dict) or set(obj) != set(CSV_FIELDS):
-            break
-        row = {k: str(v) for k, v in obj.items()}
-        if isinstance(obj["made"], bool):
-            row["made"] = str(int(obj["made"]))
-        rows.append([row[k] for k in CSV_FIELDS])
-    table = _read_rows(rows, lambda i: i + 1, court)
-    if len(rows) < len(data):
-        raise ParseError(len(rows) + 1, f"expected an object with keys {','.join(CSV_FIELDS)}")
+    try:
+        # integer digits reach the row checks as the CSV text would
+        elements = _json_array(text, json.JSONDecoder(parse_int=str))
+    except TypeError:
+        raise ParseError(1, "expected a JSON array of shot objects") from None
+    stray = []  # the index of the first element that is not a shot object, once one is met
+
+    def shot_rows() -> Iterator[list[str]]:
+        for i, obj in enumerate(elements):
+            if not isinstance(obj, dict) or set(obj) != set(CSV_FIELDS):
+                stray.append(i)
+                for _ in elements:  # a syntax error further down is still raised first
+                    pass
+                return
+            row = {k: str(v) for k, v in obj.items()}
+            if isinstance(obj["made"], bool):
+                row["made"] = str(int(obj["made"]))
+            yield [row[k] for k in CSV_FIELDS]
+
+    table = _read_rows(shot_rows(), lambda i: i + 1, court)
+    if stray:
+        raise ParseError(stray[0] + 1, f"expected an object with keys {','.join(CSV_FIELDS)}")
     return table
+
+
+def _json_array(text: str, decoder: json.JSONDecoder) -> Iterator:
+    """The elements of the JSON array ``text``, each decoded by ``decoder`` when it is asked for.
+
+    Whitespace is skipped and faults are reported as ``json.loads`` does: text it refuses
+    raises its ``json.JSONDecodeError``, with the same message and position, once the
+    element holding the fault is reached. A document that ``json.loads`` reads as a value
+    other than an array is decoded whole and raises ``TypeError`` before any element.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    skip = json.decoder.WHITESPACE.match
+    start = skip(text).end()
+    if not text.startswith("[", start):
+        decoder.decode(text)  # text that json.loads refuses raises its error first
+        raise TypeError("the top-level JSON value is not an array")
+
+    def elements(pos: int) -> Iterator:
+        # the regex runs only where whitespace is (the empty string at the end of the text counts as some)
+        raw_decode, spaces = decoder.raw_decode, json.decoder.WHITESPACE_STR
+        if not text.startswith("]", pos):
+            while True:
+                value, pos = raw_decode(text, pos)
+                yield value
+                if text[pos:pos + 1] in spaces:
+                    pos = skip(text, pos).end()
+                if text.startswith("]", pos):
+                    break
+                if not text.startswith(",", pos):
+                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                pos += 1
+                if text[pos:pos + 1] in spaces:
+                    pos = skip(text, pos).end()
+        end = skip(text, pos + 1).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+
+    return elements(skip(text, start + 1).end())
 
 
 def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -408,13 +457,15 @@ class PlayersFileError(ValueError):
 def read_players_json(path: str | Path, player_ids: Sequence[str] | None = None) -> list[PlayerRecord]:
     """Inverse of :func:`write_players_json`; with ``player_ids``, only those players, in that order.
 
-    Raises :class:`PlayersFileError` for a missing key, an unknown position, a point
-    list that is not n x 2 or holds a coordinate that is not a finite number, a player
-    id listed twice, or a requested player that the file does not hold.
+    Raises :class:`PlayersFileError` for a document that is not a JSON array, a missing
+    key, an unknown position, a point list that is not n x 2 or holds a coordinate that
+    is not a finite number, a player id listed twice, or a requested player that the
+    file does not hold. Players are decoded and checked one at a time, so a fault in a
+    player is reported before a syntax error further down the file.
     """
     try:
         records = {}
-        for obj in json.loads(Path(path).read_text(encoding="utf-8")):
+        for obj in _json_array(Path(path).read_text(encoding="utf-8"), json.JSONDecoder()):
             pid = str(obj["player_id"])
             if pid in records:
                 raise ValueError(f"player {pid!r} is listed twice")

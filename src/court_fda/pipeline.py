@@ -34,7 +34,7 @@ from court_fda import metrics as mt
 from court_fda.density import COMPONENTS, DensityStack, build_samples
 from court_fda.export import safe_name, write_heatmap_csv, write_json
 from court_fda.export import export_heatmap  # noqa: F401  bound only for perfbench/spans.py to wrap
-from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, save_model
+from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, gram_matrix, mean_function, save_model
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
     CourtSpec,
@@ -397,10 +397,14 @@ def estimate_densities(
 
 
 def fit_and_save(
-    stack: DensityStack, out_dir: Path, components: int | None, variance_threshold: float | None
+    stack: DensityStack, out_dir: Path, components: int | None, variance_threshold: float | None,
+    gram: np.ndarray | None = None,
 ) -> MfpcaModel:
-    """Fit the decomposition and write ``model.json``, its function array and ``scores.csv`` to ``out_dir``."""
-    model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold)
+    """Fit the decomposition and write ``model.json``, its function array and ``scores.csv`` to ``out_dir``.
+
+    ``gram`` is the stack's Gram matrix about its mean, when the caller holds it (see :func:`fit_mfpca`).
+    """
+    model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold, gram=gram)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
     write_scores_csv(model.scores, out_dir / "scores.csv")
@@ -439,14 +443,15 @@ def cluster_schemes(
 
 def bootstrap_stability(
     stack: DensityStack, model: MfpcaModel, replicates: int, seed: int, out_dir: Path,
-    dump_dir: str | Path | None = None,
+    dump_dir: str | Path | None = None, gram: np.ndarray | None = None,
 ) -> bt.StabilityReport:
     """Study the stability of ``model``'s components over ``stack`` and write ``stability.json`` to ``out_dir``.
 
     ``model`` must be the one fitted on ``stack``; the study keeps its component count. With
-    ``dump_dir``, each replicate is refit and its heatmaps are written there.
+    ``dump_dir``, each replicate is refit and its heatmaps are written there. ``gram`` is the
+    fit's Gram matrix, when the caller holds it (see :func:`court_fda.bootstrap.stability_study`).
     """
-    report = bt.stability_study(stack, model, n_replicates=replicates, seed=seed, dump_dir=dump_dir)
+    report = bt.stability_study(stack, model, n_replicates=replicates, seed=seed, dump_dir=dump_dir, gram=gram)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(bt.report_to_dict(report), out_dir / "stability.json")
     return report
@@ -516,7 +521,8 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     no_points = np.empty((0, 2))
     records = [replace(record, made_points=no_points, missed_points=no_points) for record in records]
     with _stage("mfpca"):
-        model = fit_and_save(stack, out, config.components, config.variance_threshold)
+        gram = gram_matrix(stack, mean_function(stack))  # the fit and the bootstrap share it
+        model = fit_and_save(stack, out, config.components, config.variance_threshold, gram)
     with _stage("cluster"):
         clusterings = cluster_schemes(model.scores, config.schemes, config.clusters, out, model.eigenvalues, records)
 
@@ -538,7 +544,7 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
 
     if config.bootstrap_replicates >= 1:
         with _stage("bootstrap"):
-            bootstrap_stability(stack, model, config.bootstrap_replicates, config.seed, out)
+            bootstrap_stability(stack, model, config.bootstrap_replicates, config.seed, out, gram=gram)
 
     manifest = {
         "config": {key: value for key, value in config.to_dict().items() if key != "threads"},

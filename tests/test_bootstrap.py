@@ -131,6 +131,16 @@ class TestStabilityStudy:
         redraw = fit_mfpca(samples.take(range(12)), n_components=3)
         assert np.array_equal(redraw.eigenvalues, reference.eigenvalues)
 
+    def test_a_given_gram_gives_the_same_report(self, grid11):
+        # run hands the fit's Gram matrix to the study instead of building it again
+        samples, _, _ = planted_dataset(grid11, [0.6, 0.25, 0.15], 15, seed=12)
+        reference = fit_mfpca(samples, n_components=2)
+        gram = gram_matrix(samples, mean_function(samples))
+        assert np.array_equal(fit_mfpca(samples, n_components=2, gram=gram).functions, reference.functions)
+        built = stability_study(samples, reference, n_replicates=3, seed=4)
+        assert report_to_dict(stability_study(samples, reference, n_replicates=3, seed=4, gram=gram)) == \
+            report_to_dict(built)
+
     def test_bit_reproducible(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.6, 0.25, 0.15], 15, seed=10)
         r1 = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=3, seed=11)
@@ -274,3 +284,8 @@ class TestReferenceMismatch:
         reference = fit_mfpca(self.dataset(grid11, seed=21), n_components=2)
         with pytest.raises(ReferenceMismatchError, match="values"):
             stability_study(samples, reference)
+
+    def test_a_given_gram_of_other_values(self, grid11):
+        samples, other = self.dataset(grid11), self.dataset(grid11, seed=21)
+        with pytest.raises(ReferenceMismatchError, match="values"):
+            stability_study(samples, fit_mfpca(samples, n_components=2), gram=gram_matrix(other, mean_function(other)))

@@ -15,11 +15,12 @@ import pytest
 
 import court_fda
 from court_fda import bootstrap as bt
+from court_fda import fda
 from court_fda import pipeline as pl
 from court_fda.cli import build_parser, main
 from court_fda.density import DensityStack, build_samples
 from court_fda.export import export_heatmap
-from court_fda.fda import ScoreMatrix, fit_mfpca, load_model, reconstruct
+from court_fda.fda import ScoreMatrix, fit_mfpca, gram_matrix, load_model, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import PlayerRecord, Position, filter_players
 from court_fda.pipeline import (
@@ -436,6 +437,20 @@ class TestRunCommand:
         assert seen["alive_at_fit"] is False
         rosters = (tmp_path / "run" / "roster_equal.txt").read_text()
         assert all(f"Player m{i}" in rosters for i in range(1, 5))
+
+    def test_run_builds_the_gram_matrix_once(self, tmp_path, mini_csv, monkeypatch):
+        # the fit's Gram matrix serves the bootstrap too; only --dump-replicates refits
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return gram_matrix(*args, **kwargs)
+
+        for module in (pl, fda, bt):
+            monkeypatch.setattr(module, "gram_matrix", spy)
+        run_pipeline(PipelineConfig(input=str(mini_csv), out=str(tmp_path / "run"), min_attempts=100, grid=21,
+                                    components=2, clusters=2, bootstrap_replicates=3))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("players, cores, cap, workers", [
         (12, 8, None, 1),  # the fixture's twelve players: one worker however many cores

@@ -12,6 +12,7 @@ from court_fda.density import (
     KDE_BLOCK,
     DegenerateBandwidthError,
     DensityError,
+    _kde_buffers,
     build_samples,
     kde,
     kde_raw,
@@ -177,6 +178,38 @@ def test_in_place_kernels_match_former_expression(n, nx, ny, hx, hy, seed):
     grid = GridSpec(nx, ny)
     np.testing.assert_allclose(kde_raw(pts, (hx, hy), grid), former_kde_raw(pts, (hx, hy), grid), rtol=1e-12,
                                atol=1e-300)
+
+
+def allocating_kde_raw(points, bandwidth, grid):
+    """kde_raw as it was before the block buffers: fresh kernels and a fresh product for every block."""
+    hx, hy = bandwidth
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+
+    def kernel(nodes, coords, h):
+        k = np.subtract.outer(nodes, coords)
+        np.square(k, out=k)
+        k *= -0.5 / (h * h)
+        np.exp(k, out=k)
+        return k
+
+    out = np.zeros(grid.shape)
+    for block in (pts[i:i + KDE_BLOCK] for i in range(0, len(pts), KDE_BLOCK)):
+        out += kernel(grid.xs, block[:, 0], hx) @ kernel(grid.ys, block[:, 1], hy).T
+    out /= 2.0 * math.pi * len(pts) * hx * hy
+    return out
+
+
+@pytest.mark.parametrize("n", [KDE_BLOCK // 3, KDE_BLOCK, 2 * KDE_BLOCK + 37])
+def test_block_buffers_match_allocating_expression(n):
+    # the same operations in the same order, written into buffers: the same bits
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-0.1, 1.1, size=(n, 2))
+    grid, bandwidth = GridSpec(53, 47), (0.07, 0.11)
+    want = allocating_kde_raw(pts, bandwidth, grid).tobytes()
+    assert kde_raw(pts, bandwidth, grid).tobytes() == want
+    buffers = _kde_buffers(grid)  # reused, as a worker does, after a call that filled every row
+    kde_raw(rng.uniform(size=(3 * KDE_BLOCK, 2)), (0.2, 0.3), grid, buffers)
+    assert kde_raw(pts, bandwidth, grid, buffers).tobytes() == want
 
 
 class TestKde:

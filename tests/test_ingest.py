@@ -222,6 +222,27 @@ class TestParseJson:
         assert err.value.row == 2
 
 
+    SHOT = {"player_id": "p", "player_name": "N", "position": "center",
+            "x_ft": 1, "y_ft": 2, "made": 1, "season": "s"}
+
+    def test_empty_array(self):
+        assert len(parse_events_json(" [ ]\n")) == 0
+
+    def test_whitespace_only_tail(self):
+        assert len(parse_events_json(json.dumps([self.SHOT] * 2) + " \t\r\n \n")) == 2
+
+    def test_non_array_document(self):
+        with pytest.raises(ParseError, match="expected a JSON array of shot objects"):
+            parse_events_json(json.dumps(self.SHOT))
+
+    @pytest.mark.parametrize("bad", [{"player_id": "p"}, {**SHOT, "x_ft": "abc"}], ids=["element", "value"])
+    def test_syntax_error_below_wins(self, bad):
+        # the whole document is still decoded before an element or a value is reported
+        text = json.dumps([self.SHOT, bad, self.SHOT])[:-1] + ",]"
+        with pytest.raises(json.JSONDecodeError, match="Expecting value"):
+            parse_events_json(text)
+
+
 class TestExcludeImpossible:
     def table(self, *points):
         return table(("p", "N", Position.GUARD, x, y, True) for x, y in points)
@@ -388,6 +409,34 @@ class TestReadPlayersJson:
         with pytest.raises(PlayersFileError, match="player 'z' is not in the file"):
             read_players_json(path, ["a", "z"])
 
+    def test_empty_array(self, tmp_path):
+        path = tmp_path / "players.json"
+        path.write_text("[]\n")
+        assert read_players_json(path) == []
+
+    def test_whitespace_only_tail(self, path):
+        path.write_text(path.read_text() + " \t\r\n")
+        assert [r.player_id for r in read_players_json(path)] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("doc", [{"player_id": "a"}, "a", 3])
+    def test_rejects_a_document_that_is_not_an_array(self, tmp_path, doc):
+        path = tmp_path / "players.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlayersFileError, match="top-level JSON value is not an array"):
+            read_players_json(path)
+
+    def test_repeated_id_reported_before_a_syntax_error_below(self, path):
+        # players are checked as they are decoded, so the second player's fault comes first
+        self.edit(path, "player_id", "a")
+        path.write_text(path.read_text()[:-40])
+        with pytest.raises(PlayersFileError, match="player 'a' is listed twice"):
+            read_players_json(path)
+
+    def test_syntax_error_reported(self, path):
+        path.write_text(path.read_text()[:-40])
+        with pytest.raises(PlayersFileError, match="Expecting"):
+            read_players_json(path)
+
     def test_empty_point_list_reads_as_0_by_2(self, path):
         self.edit(path, "made_points", [])
         assert read_players_json(path)[1].made_points.shape == (0, 2)
@@ -465,3 +514,42 @@ class TestMemory:
             tracemalloc.stop()
         assert len(events) == n
         assert peak < 4 * path.stat().st_size
+
+    def test_read_players_json_peak_below_three_file_sizes(self, tmp_path):
+        # players are decoded one at a time: the text, the arrays so far and one player's lists
+        rng = np.random.default_rng(4)
+        records = [
+            PlayerRecord(f"p{i:02d}", f"Player {i}", Position.GUARD, rng.random((1000, 2)), rng.random((1000, 2)))
+            for i in range(40)
+        ]
+        path = tmp_path / "players.json"
+        write_players_json(records, path)
+        tracemalloc.start()
+        try:
+            loaded = read_players_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 40
+        assert peak < 3 * path.stat().st_size
+
+    def test_parse_events_json_peak_below_two_text_lengths(self):
+        # shot objects are decoded one at a time into the parser's row batches
+        rng = np.random.default_rng(5)
+        n = 40_000
+        player = rng.integers(0, 40, size=n)
+        xy = rng.uniform(0, 50, size=(n, 2)).round(2)
+        made = rng.integers(0, 2, size=n)
+        text = json.dumps([
+            {"player_id": f"p{p:03d}", "player_name": f"Player {p}", "position": "guard",
+             "x_ft": x, "y_ft": y, "made": m, "season": "2020-21"}
+            for p, (x, y), m in zip(player.tolist(), xy.tolist(), made.tolist())
+        ])
+        tracemalloc.start()
+        try:
+            events = parse_events_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == n
+        assert peak < 2 * len(text)

@@ -343,3 +343,73 @@ def test_json_value_the_csv_rules_refuse(key, value, message):
     with pytest.raises(ParseError) as err:
         parse_events_json(json.dumps([good, {**good, key: value}]).replace(f'"{HUGE_INTEGER}"', HUGE_INTEGER))
     assert str(err.value) == f"row 2: {message}"
+
+
+# The streamed JSON array against json.loads: the same elements for every layout json.dumps
+# writes, and the same JSONDecodeError message and position for every text json.loads refuses.
+
+WHITESPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def json_array_text(draw) -> str:
+    """A JSON array as json.dumps writes it under a drawn indent and separators, whitespace around it."""
+    separators = draw(st.tuples(WHITESPACE, WHITESPACE, WHITESPACE, WHITESPACE).map(
+        lambda ws: (ws[0] + "," + ws[1], ws[2] + ":" + ws[3])) | st.none())
+    indent = draw(st.none() | st.integers(0, 2) | st.just("\t"))
+    text = json.dumps(draw(st.lists(json_value, max_size=5)), indent=indent, separators=separators)
+    return draw(WHITESPACE) + text + draw(WHITESPACE)
+
+
+@st.composite
+def damaged_json_text(draw) -> str:
+    """A JSON array text after one or two drawn damages, or a document whose top level is not an array."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(WHITESPACE) + json.dumps(draw(json_value.filter(lambda v: not isinstance(v, list))))
+    text = draw(json_array_text())
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["truncate", "delete", "insert", "append"]))
+        if kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif kind == "delete" and (marks := [i for i, c in enumerate(text) if c in ",[]"]):
+            i = draw(st.sampled_from(marks))
+            text = text[:i] + text[i + 1:]
+        elif kind == "insert":
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(",[]")) + text[i:]
+        elif kind == "append":
+            text += draw(st.text(min_size=1, max_size=3))
+    return text
+
+
+def streamed(text: str, parse_int) -> list:
+    return list(ingest._json_array(text, json.JSONDecoder(parse_int=parse_int)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_array_text(), st.sampled_from([None, str]))
+def test_streamed_array_matches_json_loads(text, parse_int):
+    assert streamed(text, parse_int) == json.loads(text, parse_int=parse_int)
+
+
+@settings(max_examples=500, deadline=None)
+@given(damaged_json_text(), st.sampled_from([None, str]))
+def test_streamed_array_fails_where_json_loads_fails(text, parse_int):
+    try:
+        want = json.loads(text, parse_int=parse_int)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as got:
+            streamed(text, parse_int)
+        assert (got.value.msg, got.value.pos) == (exc.msg, exc.pos)
+        return
+    if isinstance(want, list):
+        assert streamed(text, parse_int) == want
+    else:
+        with pytest.raises(TypeError, match="not an array"):
+            streamed(text, parse_int)
