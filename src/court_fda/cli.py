@@ -3,7 +3,7 @@
 Subcommands cover each pipeline stage plus the full run:
 
     ingest, density, mfpca (fit | scores | reconstruct), cluster,
-    evaluate, bootstrap, export (mean | eigenfunction | player | medoids),
+    evaluate, bootstrap, export (mean | eigenfunction | player | medoids | densities),
     run
 
 Exit codes: 0 on success, 1 for usage or configuration problems, and a
@@ -32,7 +32,8 @@ import numpy as np
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
-from court_fda.export import export_field, json_text, write_json
+from court_fda.density import COMPONENTS
+from court_fda.export import export_field, json_text, safe_name, write_heatmap_csv, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import CourtSpec, read_players_json
@@ -40,7 +41,7 @@ from court_fda.native import pin_blas_single_thread
 
 # The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
 from court_fda.density import build_samples  # noqa: F401
-from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401
+from court_fda.export import export_heatmap  # noqa: F401
 from court_fda.fda import fit_mfpca, save_model  # noqa: F401
 from court_fda.ingest import exclude_impossible, filter_players, load_events, write_players_json  # noqa: F401
 
@@ -82,8 +83,8 @@ def _threads_default(parser: argparse.ArgumentParser) -> int | None:
 
 def _chart_name(player_id: str, player_ids: list[str]) -> str:
     """The ``safe_name`` of ``player_id``, refused when another id in ``player_ids`` gives the same name."""
-    name = pl.safe_name(player_id)
-    others = [pid for pid in player_ids if pid != player_id and pl.safe_name(pid) == name]
+    name = safe_name(player_id)
+    others = [pid for pid in player_ids if pid != player_id and safe_name(pid) == name]
     if others:
         raise ValueError(f"players {player_id!r} and {others[0]!r} would share the chart name {name}")
     return name
@@ -104,7 +105,7 @@ def cmd_density(args) -> int:
     records = read_players_json(args.players)
     grid = GridSpec(args.grid, args.grid)
     out = Path(args.out)
-    stack = pl.estimate_densities(records, grid, args.threads, out, args.dump_densities)
+    stack = pl.estimate_densities(records, grid, args.threads, out)
     print(f"estimated {len(stack)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}")
     return 0
 
@@ -232,6 +233,14 @@ def cmd_export(args) -> int:
         for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
             export_field(score * phi, model.grid, f"{base}_component_{j}")
         print(f"exported decomposition of {args.player} -> {out}")
+    elif args.what == "densities":
+        stack = pl.read_densities(args.densities)
+        names = [_chart_name(pid, stack.player_ids) for pid in stack.player_ids]
+        out.mkdir(parents=True, exist_ok=True)
+        for i, name in enumerate(names):
+            for comp, values in zip(COMPONENTS, stack.values[:, i]):
+                write_heatmap_csv(values, stack.grid, out / f"density_{name}_{comp}.csv")
+        print(f"exported {len(stack)} raw density pairs -> {out}")
     else:  # medoids
         _, doc = pl.read_clusters_json(args.clusters)
         stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
@@ -276,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--players", required=True, help="players.json from ingest")
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=pl.PipelineConfig.grid)
-    p.add_argument("--dump-densities", default=None, help="directory for per-player CSV dumps")
     p.add_argument("--threads", type=_positive_int, default=None, help="worker cap (default: COURT_FDA_THREADS)")
     p.set_defaults(func=cmd_density, stage="density")
 
@@ -337,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("eigenfunction", ["--model", "--k"]),
         ("player", ["--model", "--densities", "--player"]),
         ("medoids", ["--clusters", "--densities"]),
+        ("densities", ["--densities"]),
     ):
         pe = esub.add_parser(what)
         for flag in flags:
@@ -361,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--court-width", type=float)
     p.add_argument("--court-depth", type=float)
     p.add_argument("--threads", type=_positive_int)
-    p.add_argument("--dump-densities", action="store_true")
     p.set_defaults(func=cmd_run, stage="run")
 
     return parser

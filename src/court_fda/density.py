@@ -146,11 +146,11 @@ def kde(
 def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1) -> DensityStack:
     """Estimate both densities of every record into one preallocated stack.
 
-    Each component gets its own bandwidth pair. Rows follow record order
-    and are identical for any thread count: each field is evaluated in a
-    fixed node and point order on its own thread, and players are
-    independent. With BLAS on one thread (:func:`court_fda.native.pin_blas_single_thread`)
-    they are also identical for any BLAS thread setting.
+    Each component gets its own bandwidth pair. Players are mapped over a pool of ``threads``
+    workers. Rows follow record order and are identical for any thread count: each field is
+    evaluated in a fixed node and point order on one worker, and players are independent. With
+    BLAS on one thread (:func:`court_fda.native.pin_blas_single_thread`) they are also identical
+    for any BLAS thread setting.
     """
     values = np.empty((2, len(records), grid.nx, grid.ny))
     local = threading.local()  # each worker's kernel buffers, freed when this call returns
@@ -165,10 +165,6 @@ def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), 
             except ValueError as exc:
                 raise DensityError(f"player {record.player_id}, {component} shots: {exc}") from exc
 
-    if threads <= 1 or len(records) <= 1:
-        for i in range(len(records)):
-            fill(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(records))))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(len(records))))
     return DensityStack([r.player_id for r in records], grid, values)

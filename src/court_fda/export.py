@@ -1,11 +1,14 @@
-"""Output writers: compact JSON documents and rescaled heatmap grids as CSV and PGM files."""
+"""File formats: compact JSON documents, rescaled heatmap grids as CSV and PGM files, and checked ``.npy`` reads."""
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
+import os
 from pathlib import Path
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -29,6 +32,38 @@ def json_text(obj) -> str:
 def write_json(obj, path: str | Path) -> None:
     """Write ``obj`` to ``path`` as :func:`json_text`."""
     Path(path).write_text(json_text(obj), encoding="utf-8")
+
+
+def check_npy(fh: BinaryIO, shape: tuple[int, ...]) -> int:
+    """Check the header of the ``.npy`` file open as ``fh`` and return where its data start.
+
+    Raises ``ValueError`` unless the file is .npy version 1.0 or 2.0 and holds a C-order
+    float64 array of ``shape`` with every byte of it, so a caller can allocate that array safely.
+    """
+    name = Path(fh.name).name
+    version = np.lib.format.read_magic(fh)  # numpy writes 1.0, or 2.0 for a header over 64 KiB
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"{name} is .npy version {version}, not 1.0 or 2.0")
+    read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+    file_shape, fortran_order, dtype = read_header(fh)
+    if dtype != np.float64:
+        raise ValueError(f"{name} holds {dtype}, not float64")
+    if file_shape != shape:
+        raise ValueError(f"{name} has shape {file_shape}, expected numbers of shape {shape}")
+    if fortran_order:
+        raise ValueError(f"{name} is stored in Fortran order")
+    if os.fstat(fh.fileno()).st_size < fh.tell() + math.prod(shape) * 8:
+        raise ValueError(f"{name} is shorter than its header says")
+    return fh.tell()
+
+
+def read_npy_rows(fh: BinaryIO, start: int, rows: Sequence[int], out: np.ndarray) -> None:
+    """Read rows ``rows`` of the array :func:`check_npy` passed, whose data begin at ``start``,
+    into ``out``, in that order, with one seek and one read each and no copy between."""
+    for target, row in zip(out, rows):
+        fh.seek(start + row * target.nbytes)
+        if fh.readinto(target) != target.nbytes:
+            raise ValueError(f"{Path(fh.name).name} is shorter than its header says")
 
 
 def safe_name(text: str) -> str:

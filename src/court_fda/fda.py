@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from court_fda.density import DensityStack
-from court_fda.export import write_json
+from court_fda.export import check_npy, read_npy_rows, write_json
 from court_fda.grids import GridSpec, grid_integral
 
 #: Relative cutoff under which a Gram eigenvalue counts as numerically zero.
@@ -380,10 +380,11 @@ def _finite(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_model(path: str | Path) -> MfpcaModel:
-    """Inverse of :func:`save_model`; the model keeps the function array it reads, in C order.
+    """Inverse of :func:`save_model`; the function array is read straight into a C-order model array.
 
     Raises :class:`ModelFileError` for a missing or unreadable file, a missing key, a field of the
-    wrong type or shape, a player id listed twice, an array that is not float64, or a non-finite value.
+    wrong type or shape, a player id listed twice, a function array that is not C-order float64 of
+    the document's shape or is cut short (both checked before it is allocated), or a non-finite value.
     """
     path = Path(path)
     try:
@@ -399,19 +400,19 @@ def load_model(path: str | Path) -> MfpcaModel:
         eigenvalues, ratios = (_finite(key, doc[key], (k,)) for key in ("eigenvalues", "variance_ratios"))
         scores = _finite("scores", doc["scores"], (len(player_ids), k))
         total_variance = float(_finite("total_variance", doc["total_variance"], ()))
-        name = f"{path.stem}_functions.npy"
+        name, shape = f"{path.stem}_functions.npy", (1 + k, 2, nx, ny)
         with path.with_name(name).open("rb") as fh:  # an .npy array only, never a pickle or an .npz archive
-            functions = np.lib.format.read_array(fh, allow_pickle=False)
-        if functions.dtype != np.float64:
-            raise ValueError(f"{name} holds {functions.dtype}, not float64")
-        functions = _finite(name, functions, (1 + k, 2, nx, ny))
+            start = check_npy(fh, shape)
+            functions = np.empty(shape)
+            read_npy_rows(fh, start, range(1 + k), functions)
+        functions = _finite(name, functions, shape)
     except (KeyError, TypeError) as exc:
         raise ModelFileError(f"model file {path}: a key is missing or a field has the wrong type: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise ModelFileError(f"model file {path}: {exc}") from exc
     return MfpcaModel(
         grid=grid,
-        functions=np.ascontiguousarray(functions),
+        functions=functions,
         eigenvalues=eigenvalues,
         n_samples=n_samples,
         variance_ratios=ratios,

@@ -5,7 +5,7 @@ subcommand both call: :func:`ingest`, :func:`estimate_densities`, :func:`fit_and
 :func:`cluster_schemes` and :func:`bootstrap_stability`. Each creates its output directory
 just before its first write. ``evaluate``'s two documents differ, but both are built from
 :func:`comparison_report` and :func:`silhouette_entry`. The run renders no charts: the
-``export`` subcommands draw them from the model and density files it writes.
+``export`` subcommands draw them, and the raw density tables, from the files it writes.
 The full run writes every product into a new directory beside the output directory,
 ``run.json`` last with the SHA-256 hash of each file, and moves it into place only when
 every stage has succeeded. Identical input, config, and seed yield byte-identical outputs.
@@ -32,8 +32,8 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda.density import COMPONENTS, DensityStack, build_samples
-from court_fda.export import safe_name, write_heatmap_csv, write_json
-from court_fda.export import export_heatmap  # noqa: F401  bound only for perfbench/spans.py to wrap
+from court_fda.export import check_npy, read_npy_rows, write_json
+from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401  bound only for perfbench/spans.py to wrap
 from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, gram_matrix, mean_function, save_model
 from court_fda.grids import GridSpec
 from court_fda.ingest import (
@@ -97,7 +97,6 @@ class PipelineConfig:
     court_width: float = 50.0
     court_depth: float = 47.0
     threads: int | None = None
-    dump_densities: bool = False
 
     def __post_init__(self) -> None:
         for name, hint in typing.get_type_hints(type(self)).items():
@@ -160,13 +159,13 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
     :class:`DensityFileError` for a missing or unreadable file, an array that is not
     float64, is stored in Fortran order, is shorter than its header says, or whose shape
     is not the descriptor's (players, nx, ny), a player the descriptor lists twice or does
-    not list, or a non-finite value in a row that is read.
+    not list, or a non-finite value in a row that is read. Both arrays are checked
+    (:func:`~court_fda.export.check_npy`) before the stack is allocated.
     """
     dir_path = Path(dir_path)
     try:
         meta = json.loads((dir_path / "densities_meta.json").read_text(encoding="utf-8"))
         ids, grid = [str(pid) for pid in meta["player_ids"]], GridSpec(meta["grid"]["nx"], meta["grid"]["ny"])
-        shape = (len(ids), grid.nx, grid.ny)
         if len(set(ids)) < len(ids):
             raise ValueError(f"player {max(ids, key=ids.count)!r} is listed twice")
         if player_ids is None:
@@ -177,41 +176,17 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
             if missing:
                 raise ValueError(f"player {missing[0]!r} is not in the density set")
             rows = [index[pid] for pid in player_ids]
-        stack = DensityStack([ids[i] for i in rows], grid, np.empty((2, len(rows), grid.nx, grid.ny)))
-        for comp, slot in zip(COMPONENTS, stack.values):
-            _read_npy_rows(dir_path / f"densities_{comp}.npy", shape, rows, slot)
-            if not np.isfinite(slot).all():
-                raise ValueError(f"densities_{comp}.npy holds a non-finite value")
+        with contextlib.ExitStack() as files:
+            handles = [files.enter_context((dir_path / f"densities_{comp}.npy").open("rb")) for comp in COMPONENTS]
+            starts = [check_npy(fh, (len(ids), grid.nx, grid.ny)) for fh in handles]
+            stack = DensityStack([ids[i] for i in rows], grid, np.empty((2, len(rows), grid.nx, grid.ny)))
+            for comp, fh, start, slot in zip(COMPONENTS, handles, starts, stack.values):
+                read_npy_rows(fh, start, rows, slot)
+                if not np.isfinite(slot).all():
+                    raise ValueError(f"densities_{comp}.npy holds a non-finite value")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DensityFileError(f"density directory {dir_path}: {exc}") from exc
     return stack
-
-
-def _read_npy_rows(path: Path, shape: tuple[int, ...], rows: Sequence[int], slot: np.ndarray) -> None:
-    """Read rows ``rows`` of the C-order float64 array of ``shape`` in the ``.npy`` file ``path``
-    into ``slot``, in that order, with one seek and one read each and no copy between.
-
-    Raises ``ValueError`` for another .npy version, dtype, shape or order, or a file cut short.
-    """
-    with path.open("rb") as fh:
-        version = np.lib.format.read_magic(fh)  # numpy writes 1.0, or 2.0 for a header over 64 KiB
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"{path.name} is .npy version {version}, not 1.0 or 2.0")
-        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
-        file_shape, fortran_order, dtype = read_header(fh)
-        if dtype != np.float64:
-            raise ValueError(f"{path.name} holds {dtype}, not float64")
-        if file_shape != shape:
-            raise ValueError(f"{path.name} has shape {file_shape}, the descriptor lists {shape}")
-        if fortran_order:
-            raise ValueError(f"{path.name} is stored in Fortran order")
-        start = fh.tell()
-        if os.fstat(fh.fileno()).st_size < start + math.prod(shape) * slot.itemsize:
-            raise ValueError(f"{path.name} is shorter than its header says")
-        for target, row in zip(slot, rows):
-            fh.seek(start + row * target.nbytes)
-            if fh.readinto(target) != target.nbytes:
-                raise ValueError(f"{path.name} is shorter than its header says")
 
 
 def write_scores_csv(scores: ScoreMatrix, path: Path) -> None:
@@ -361,8 +336,7 @@ def ingest(
 
 
 def estimate_densities(
-    records: Sequence[PlayerRecord], grid: GridSpec, threads: int | None, out_dir: Path,
-    dump_dir: str | Path | None = None,
+    records: Sequence[PlayerRecord], grid: GridSpec, threads: int | None, out_dir: Path
 ) -> DensityStack:
     """Estimate every player's density pair and write the stack to ``out_dir``.
 
@@ -371,28 +345,14 @@ def estimate_densities(
     The players are spread over one worker per available core and per
     ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap); the
     stack is the same for any worker count.
-    With ``dump_dir``, each field is also written there as ``<player>_<component>.csv``, named by
-    :func:`safe_name`; two players whose names would be the same raise a ``ValueError`` before any work.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     trim_heap()
-    if dump_dir is not None:
-        owners: dict[str, str] = {}
-        for pid in (record.player_id for record in records):
-            name = safe_name(pid)
-            if owners.setdefault(name, pid) != pid:
-                raise ValueError(f"players {owners[name]!r} and {pid!r} would share the density dump {name}_*.csv")
     workers = min(available_cores(), max(1, len(records) // _PLAYERS_PER_WORKER))
     stack = build_samples(records, grid, threads=workers if threads is None else min(threads, workers))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, stack)
-    if dump_dir is not None:
-        dump_dir = Path(dump_dir)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        for i, pid in enumerate(stack.player_ids):
-            for comp, values in zip(COMPONENTS, stack.values[:, i]):
-                write_heatmap_csv(values, grid, dump_dir / f"{safe_name(pid)}_{comp}.csv")
     return stack
 
 
@@ -515,8 +475,7 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     with _stage("ingest"):
         records, events_parsed, events_retained = ingest(config.input, court, config.min_attempts, out)
     with _stage("density"):
-        dump_dir = out / "density_dumps" if config.dump_densities else None
-        stack = estimate_densities(records, grid, config.threads, out, dump_dir)
+        stack = estimate_densities(records, grid, config.threads, out)
     # the rosters and the position partition read ids, names and positions only: free the points
     no_points = np.empty((0, 2))
     records = [replace(record, made_points=no_points, missed_points=no_points) for record in records]

@@ -19,7 +19,7 @@ from court_fda import fda
 from court_fda import pipeline as pl
 from court_fda.cli import build_parser, main
 from court_fda.density import DensityStack, build_samples
-from court_fda.export import export_heatmap
+from court_fda.export import export_heatmap, write_heatmap_csv
 from court_fda.fda import ScoreMatrix, fit_mfpca, gram_matrix, load_model, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import PlayerRecord, Position, filter_players
@@ -70,12 +70,8 @@ class TestStageCommands:
         assert run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 100) == 0
         assert (out / "players.json").exists()
 
-        assert run_cli(
-            "density", "--players", out / "players.json", "--out", out, "--grid", 21,
-            "--dump-densities", out / "dumps",
-        ) == 0
+        assert run_cli("density", "--players", out / "players.json", "--out", out, "--grid", 21) == 0
         assert (out / "densities_missed.npy").exists()
-        assert (out / "dumps" / "m1_missed.csv").exists()
 
         assert run_cli("mfpca", "fit", "--densities", out, "--out", out, "--components", 2) == 0
         assert (out / "model.json").exists() and (out / "scores.csv").exists()
@@ -139,6 +135,8 @@ class TestStageCommands:
             "export", "medoids", "--clusters", out / "clusters_equal.json",
             "--densities", out, "--out", exp_dir,
         ) == 0
+        assert run_cli("export", "densities", "--densities", out, "--out", exp_dir) == 0
+        assert (exp_dir / "density_m1_missed.csv").exists()
         assert (exp_dir / "mean_missed.pgm").exists()
         assert (exp_dir / "eigenfunction_1_made.csv").exists()
         assert (exp_dir / "player_m1_component_2_made.csv").exists()
@@ -169,18 +167,12 @@ class TestStageCommands:
 
     def test_density_dumps_whose_names_collide_are_refused(self, tmp_path, mini_csv, capsys):
         mini_csv.write_text(mini_csv.read_text().replace("\nm1,", "\na/b,").replace("\nm2,", "\na_b,"))
-        work, run_out = tmp_path / "work", tmp_path / "run"
-        args = ("--min-attempts", 100, "--grid", 11, "--components", 2, "--k", 2, "--replicates", 0)
+        work, dumps = tmp_path / "work", tmp_path / "dumps"
         assert run_cli("ingest", "--input", mini_csv, "--out", work, "--min-attempts", 100) == 0
-        assert run_cli("density", "--players", work / "players.json", "--out", tmp_path / "d", "--grid", 11,
-                       "--dump-densities", tmp_path / "d" / "dumps") == 3  # density stage exit code
-        assert not (tmp_path / "d").exists()
-        assert run_cli("run", "--input", mini_csv, "--out", run_out, *args) == 0
-        before = TestAtomicRun.snapshot(run_out)
-        assert run_cli("run", "--input", mini_csv, "--out", run_out, *args, "--dump-densities") == 3
-        assert TestAtomicRun.snapshot(run_out) == before
-        err = capsys.readouterr().err
-        assert err.count("players 'a/b' and 'a_b' would share the density dump a_b_*.csv") == 2
+        assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 0
+        assert run_cli("export", "densities", "--densities", work, "--out", dumps) == 8  # export stage exit code
+        assert "players 'a/b' and 'a_b' would share the chart name a_b" in capsys.readouterr().err
+        assert not dumps.exists()
 
     def test_charts_whose_names_collide_are_refused(self, tmp_path, mini_csv, capsys):
         mini_csv.write_text(mini_csv.read_text().replace("\nm1,", "\na/b,").replace("\nm2,", "\na_b,"))
@@ -360,17 +352,25 @@ class TestRunCommand:
             assert standalone["silhouette"] == pipeline_eval["silhouettes"][scheme]
             assert standalone["comparison"] == pipeline_eval["comparisons"][f"{scheme}_vs_nba"]
 
-    def test_dump_densities_flag(self, tmp_path, mini_csv):
-        out = tmp_path / "run"
+    def test_export_densities_writes_the_raw_fields_of_a_run(self, tmp_path, mini_csv):
+        out, dumps, oracle = tmp_path / "run", tmp_path / "dumps", tmp_path / "oracle"
         code = run_cli(
             "run", "--input", mini_csv, "--out", out, "--min-attempts", 100, "--grid", 11,
-            "--components", 2, "--k", 2, "--replicates", 0, "--dump-densities",
+            "--components", 2, "--k", 2, "--replicates", 0,
         )
         assert code == 0
         manifest = json.loads((out / "run.json").read_text())
-        dumps = [f for f in manifest["files"] if f.startswith("density_dumps/")]
-        assert len(dumps) == 8  # 4 players x 2 components
-        assert (out / "density_dumps" / "m3_made.csv").read_text().splitlines()[0] == "x,y,value"
+        assert sorted(manifest["files"]) == [f for f in CORE_FILES if f != "stability.json"]
+        assert "dump_densities" not in manifest["config"]
+        assert run_cli("export", "densities", "--densities", out, "--out", dumps) == 0
+        stack = read_densities(out)
+        oracle.mkdir()
+        for i, pid in enumerate(stack.player_ids):
+            for c, comp in enumerate(("missed", "made")):
+                write_heatmap_csv(stack.values[c, i], stack.grid, oracle / f"density_{pid}_{comp}.csv")
+        written = {p.name: p.read_bytes() for p in dumps.iterdir()}
+        assert len(written) == 8  # 4 players x 2 components
+        assert written == {p.name: p.read_bytes() for p in oracle.iterdir()}
 
     def test_single_scheme_run(self, tmp_path, mini_csv):
         out = tmp_path / "run"
@@ -484,6 +484,9 @@ class TestUsage:
         ["export", "eigenfunction", "--model", "model.json"],
         ["export", "player", "--player", "m1"],
         ["export", "medoids", "--densities", "work"],
+        ["export", "densities"],
+        ["density", "--players", "players.json", "--dump-densities", "dumps"],
+        ["run", "--input", "shots.csv", "--dump-densities"],
     ])
     def test_a_usage_error_exits_1_and_writes_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -569,9 +572,10 @@ class TestAtomicRun:
 
     def test_successful_rerun_holds_only_its_listed_files(self, tmp_path, mini_csv):
         out = tmp_path / "run"
-        assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 2, "--dump-densities") == 0
-        assert (out / "density_dumps").is_dir()
+        assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 2, "--replicates", 1) == 0
+        assert (out / "stability.json").is_file()
         assert run_cli("run", "--input", mini_csv, "--out", out, *self.ARGS, "--components", 1) == 0
+        assert not (out / "stability.json").exists()
         manifest = json.loads((out / "run.json").read_text())
         files = self.snapshot(out)
         assert sorted(files) == sorted([*manifest["files"], "run.json"])
@@ -942,7 +946,7 @@ class TestReadDensities:
     def test_wrong_grid(self, density_dir):
         path, _ = density_dir
         self.edit_meta(path, grid={"nx": 7, "ny": 5})
-        with pytest.raises(DensityFileError, match="descriptor lists"):
+        with pytest.raises(DensityFileError, match=r"has shape \(3, 5, 7\), expected numbers of shape \(3, 7, 5\)"):
             read_densities(path)
 
     def test_missing_file(self, density_dir):
@@ -1038,13 +1042,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"inputs": "a.csv"})
 
+    def test_run_refuses_a_config_that_sets_dump_densities(self, tmp_path, mini_csv, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dump_densities": True}))
+        assert run_cli("run", "--config", config, "--input", mini_csv, "--out", tmp_path / "o") == 1
+        assert "unknown config keys: ['dump_densities']" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mini.csv"]
+
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
             PipelineConfig(input="a", weight_scheme="all")
 
     @pytest.mark.parametrize("key, value", [
         ("grid", "x"), ("grid", True), ("seed", 1.5), ("components", "4"), ("variance_threshold", "0.9"),
-        ("court_width", None), ("dump_densities", 1), ("input", None),
+        ("court_width", None), ("input", None),
     ])
     def test_rejects_a_value_of_the_wrong_type(self, tmp_path, mini_csv, capsys, key, value):
         config = tmp_path / "config.json"

@@ -42,8 +42,8 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
     assert main(["export", "mean", "--model", f"{tmp_path}/run/model.json", "--out", str(tmp_path / "figs")]) == 0
     work = str(tmp_path / "work")
     assert main(["ingest", "--input", str(mini), "--out", work, "--min-attempts", "100"]) == 0
-    assert main(["density", "--players", f"{work}/players.json", "--out", work, "--grid", "11",
-                 "--dump-densities", f"{work}/dumps"]) == 0
+    assert main(["density", "--players", f"{work}/players.json", "--out", work, "--grid", "11"]) == 0
+    assert main(["export", "densities", "--densities", work, "--out", str(tmp_path / "dumps")]) == 0
     names = [span["name"] for span in recorder.spans]
     for name in ("ingest.load_events", "ingest.exclude_impossible", "ingest.filter_players",
                  "ingest.write_players_json", "ingest.read_players_json", "density.build_samples",
@@ -53,6 +53,8 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
         assert name in names, name
     # the run and the ingest subcommand each parse the export once
     assert names.count("ingest.load_events") == 2
+    # export mean writes two tables through export_heatmap, export densities eight through the cli's binding
+    assert names.count("export.write_heatmap_csv") == 2 + 8
 
 
 def test_the_stage_chain_fits_the_model_once(spans, tmp_path, monkeypatch):
