@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from court_fda.density import DensityStack
-from court_fda.export import export_field
+from court_fda.export import export_fields
 from court_fda.fda import MfpcaModel, eigendecompose, fit_mfpca, gram_matrix, numerical_rank
 
 _MASK64 = (1 << 64) - 1
@@ -201,9 +201,10 @@ def stability_study(
 
 
 def _dump_replicate(model: MfpcaModel, out_dir: Path, index: int) -> None:
-    export_field(model.mean, model.grid, out_dir / f"replicate{index}_mean")
-    for j, phi in enumerate(model.eigenfunctions, start=1):
-        export_field(phi, model.grid, out_dir / f"replicate{index}_eigenfunction_{j}")
+    charts = [(model.mean, out_dir / f"replicate{index}_mean", "symmetric")]
+    charts += [(phi, out_dir / f"replicate{index}_eigenfunction_{j}", "symmetric")
+               for j, phi in enumerate(model.eigenfunctions, start=1)]
+    export_fields(charts, model.grid)
 
 
 def report_to_dict(report: StabilityReport) -> dict:

@@ -15,9 +15,12 @@ core, and no more than one per 32 players; --threads caps that count. The
 COURT_FDA_THREADS environment variable sets the default cap of density
 (no cap when it is unset); run's is the config's threads (no cap by
 default). A cap from either flag or the variable that is not a positive
-integer is a usage error (exit 1). BLAS runs on one thread. On one
-machine and one BLAS core type, every output is the same bytes at any
-worker count and any OPENBLAS_NUM_THREADS.
+integer is a usage error (exit 1). BLAS runs on one thread. The export
+subcommands, mfpca reconstruct and bootstrap --dump-replicates draw their
+charts on one forked process per available core, at most one per chart,
+each file written whole by one process. On one machine and one BLAS core
+type, every output is the same bytes at any worker count and any
+OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ import numpy as np
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
-from court_fda.density import COMPONENTS
-from court_fda.export import export_field, json_text, safe_name, write_heatmap_csv, write_json
+from court_fda.export import export_fields, json_text, safe_name, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import CourtSpec, read_players_json
@@ -41,7 +43,7 @@ from court_fda.native import pin_blas_single_thread
 
 # The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
 from court_fda.density import build_samples  # noqa: F401
-from court_fda.export import export_heatmap  # noqa: F401
+from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401
 from court_fda.fda import fit_mfpca, save_model  # noqa: F401
 from court_fda.ingest import exclude_impossible, filter_players, load_events, write_players_json  # noqa: F401
 
@@ -90,48 +92,44 @@ def _chart_name(player_id: str, player_ids: list[str]) -> str:
     return name
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> str:
     out = Path(args.out)
     records, parsed, retained = pl.ingest(args.input, CourtSpec(args.court_width, args.court_depth),
                                           args.min_attempts, out)
-    print(
+    return (
         f"parsed {parsed} events, retained {retained} in bounds, "
         f"{len(records)} players above {args.min_attempts} attempts -> {out / 'players.json'}"
     )
-    return 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> str:
     records = read_players_json(args.players)
     grid = GridSpec(args.grid, args.grid)
     out = Path(args.out)
     stack = pl.estimate_densities(records, grid, args.threads, out)
-    print(f"estimated {len(stack)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}")
-    return 0
+    return f"estimated {len(stack)} density pairs on a {grid.nx}x{grid.ny} grid -> {out}"
 
 
-def cmd_mfpca_fit(args) -> int:
+def cmd_mfpca_fit(args) -> str:
     stack = pl.read_densities(args.densities)
     out = Path(args.out)
     components = args.components if args.variance is None else None
     model = pl.fit_and_save(stack, out, components, args.variance)
     shares = ", ".join(f"{r:.4f}" for r in model.variance_ratios)
-    print(f"fitted {model.n_components} components (variance shares {shares}) -> {out / 'model.json'}")
-    return 0
+    return f"fitted {model.n_components} components (variance shares {shares}) -> {out / 'model.json'}"
 
 
-def cmd_mfpca_scores(args) -> int:
+def cmd_mfpca_scores(args) -> str:
     model = load_model(args.model)
     stack = pl.read_densities(args.densities)
     scores = project_scores_all(stack, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pl.write_scores_csv(scores, out / "scores.csv")
-    print(f"projected {len(stack)} samples onto {model.n_components} components -> {out / 'scores.csv'}")
-    return 0
+    return f"projected {len(stack)} samples onto {model.n_components} components -> {out / 'scores.csv'}"
 
 
-def cmd_mfpca_reconstruct(args) -> int:
+def cmd_mfpca_reconstruct(args) -> str:
     model = load_model(args.model)
     try:
         idx = model.scores.player_ids.index(args.player)
@@ -143,12 +141,11 @@ def cmd_mfpca_reconstruct(args) -> int:
     name = _chart_name(args.player, model.scores.player_ids)
     field = reconstruct(model.scores.values[idx, :k], model)
     out = Path(args.out)
-    export_field(field, model.grid, out / f"reconstruction_{name}_k{k}", mode="unit")
-    print(f"reconstructed {args.player} with {k} components -> {out}")
-    return 0
+    export_fields([(field, out / f"reconstruction_{name}_k{k}", "unit")], model.grid)
+    return f"reconstructed {args.player} with {k} components -> {out}"
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> str:
     scores = pl.read_scores_csv(args.scores)
     scheme = cl.WeightScheme(args.weights)
     eigenvalues = None
@@ -159,13 +156,10 @@ def cmd_cluster(args) -> int:
     records = read_players_json(args.players, scores.player_ids) if args.players else None
     out = Path(args.out)
     [(clustering, _)] = pl.cluster_schemes(scores, [scheme], args.k, out, eigenvalues, records).values()
-    print(
-        f"k-medoids (k={args.k}, {scheme.value} weights): total cost {clustering.total_cost:.6f} -> {out}"
-    )
-    return 0
+    return f"k-medoids (k={args.k}, {scheme.value} weights): total cost {clustering.total_cost:.6f} -> {out}"
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> str | None:
     part_a, doc_a = pl.read_clusters_json(args.clusters)
     ids_a = [p["player_id"] for p in doc_a["players"]]
     scores = pl.read_scores_csv(args.scores)
@@ -193,33 +187,32 @@ def cmd_evaluate(args) -> int:
     }
     if args.out:
         write_json(result, args.out)
-    else:
-        sys.stdout.write(json_text(result))
-    return 0
+        return None
+    return json_text(result).removesuffix("\n")
 
 
-def cmd_bootstrap(args) -> int:
+def cmd_bootstrap(args) -> str:
     stack = pl.read_densities(args.densities)
     model = load_model(args.model or Path(args.densities) / "model.json")
     out = Path(args.out)
     report = pl.bootstrap_stability(stack, model, args.replicates, args.seed, out, args.dump_replicates)
     mean_alignment = ", ".join(f"{a:.4f}" for a in report.mean_alignment())
-    print(f"{args.replicates} replicates, mean alignments per component: {mean_alignment} -> {out}")
-    return 0
+    return f"{args.replicates} replicates, mean alignments per component: {mean_alignment} -> {out}"
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> str:
     out = Path(args.out)
     if args.what in ("mean", "eigenfunction"):
         model = load_model(args.model)
         if args.what == "mean":
-            export_field(model.mean, model.grid, out / "mean")
-            print(f"exported mean components -> {out}")
+            export_fields([(model.mean, out / "mean", "symmetric")], model.grid)
+            return f"exported mean components -> {out}"
         else:
             if not 1 <= args.k <= model.n_components:
                 raise ValueError(f"--k must be in [1, {model.n_components}]")
-            export_field(model.eigenfunctions[args.k - 1], model.grid, out / f"eigenfunction_{args.k}")
-            print(f"exported eigenfunction {args.k} -> {out}")
+            phi = model.eigenfunctions[args.k - 1]
+            export_fields([(phi, out / f"eigenfunction_{args.k}", "symmetric")], model.grid)
+            return f"exported eigenfunction {args.k} -> {out}"
     elif args.what == "player":
         model = load_model(args.model)
         base = out / f"player_{_chart_name(args.player, model.scores.player_ids)}"
@@ -228,29 +221,26 @@ def cmd_export(args) -> int:
             raise ValueError(f"the densities lie on {stack.grid}, the model on {model.grid}")
         ids = model.scores.player_ids
         scores = model.scores.values[ids.index(args.player)] if args.player in ids else ()
-        export_field(stack.values[:, 0], model.grid, base, mode="unit")
-        export_field(model.mean, model.grid, f"{base}_mean")
-        for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1):
-            export_field(score * phi, model.grid, f"{base}_component_{j}")
-        print(f"exported decomposition of {args.player} -> {out}")
+        charts = [(stack.values[:, 0], base, "unit"), (model.mean, f"{base}_mean", "symmetric")]
+        charts += [(score * phi, f"{base}_component_{j}", "symmetric")
+                   for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1)]
+        export_fields(charts, model.grid)
+        return f"exported decomposition of {args.player} -> {out}"
     elif args.what == "densities":
         stack = pl.read_densities(args.densities)
         names = [_chart_name(pid, stack.player_ids) for pid in stack.player_ids]
-        out.mkdir(parents=True, exist_ok=True)
-        for i, name in enumerate(names):
-            for comp, values in zip(COMPONENTS, stack.values[:, i]):
-                write_heatmap_csv(values, stack.grid, out / f"density_{name}_{comp}.csv")
-        print(f"exported {len(stack)} raw density pairs -> {out}")
+        export_fields([(stack.values[:, i], out / f"density_{name}", "raw")
+                       for i, name in enumerate(names)], stack.grid)
+        return f"exported {len(stack)} raw density pairs -> {out}"
     else:  # medoids
         _, doc = pl.read_clusters_json(args.clusters)
         stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
-        for j in range(len(stack)):
-            export_field(stack.values[:, j], stack.grid, out / f"medoid_{doc['scheme']}_cluster{j + 1}", mode="unit")
-        print(f"exported {len(stack)} medoid charts -> {out}")
-    return 0
+        export_fields([(stack.values[:, j], out / f"medoid_{doc['scheme']}_cluster{j + 1}", "unit")
+                       for j in range(len(stack))], stack.grid)
+        return f"exported {len(stack)} medoid charts -> {out}"
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> str:
     base = pl.PipelineConfig.from_file(args.config).to_dict() if args.config else pl.PipelineConfig().to_dict()
     flags = {key: value for key, value in vars(args).items() if key in base}
     # either component-count flag clears the other setting
@@ -261,12 +251,11 @@ def cmd_run(args) -> int:
     base.update(flags)
     config = pl.PipelineConfig.from_dict(base)
     manifest = pl.run_pipeline(config)
-    print(
+    return (
         f"pipeline complete: {manifest['summary']['players_retained']} players, "
         f"{manifest['summary']['components']} components, "
         f"{len(manifest['files'])} files -> {Path(config.out) / 'run.json'}"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,16 +365,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its closing status line; returns the exit code.
+
+    Each ``cmd_*`` function returns that line (or None: nothing to print). A closed
+    standard output does not fail a command that has finished: the line is dropped.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "density" and args.threads is None:
         args.threads = _threads_default(parser)
     pin_blas_single_thread()
     try:
-        return args.func(args)
+        status = args.func(args)
     except (pl.StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STAGE_EXIT.get(getattr(exc, "stage", args.stage), USAGE_EXIT)
+    if status is not None:
+        try:
+            print(status, flush=True)
+        except BrokenPipeError:  # the reader is gone; send what is left, and the exit-time flush, nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    return 0
 
 
 if __name__ == "__main__":

@@ -204,6 +204,7 @@ def fit_mfpca(
     n_components: int | None = None,
     variance_threshold: float | None = None,
     gram: np.ndarray | None = None,
+    mean: np.ndarray | None = None,
 ) -> MfpcaModel:
     """Fit the decomposition through the Gram (dual) route.
 
@@ -213,15 +214,16 @@ def fit_mfpca(
     RANK_RTOL times the leading one are never retained; asking for more
     components than that numerical rank raises
     :class:`RankDeficiencyError` stating the achievable rank.
-    A caller that already holds ``gram_matrix(stack, mean_function(stack))``
-    passes it as ``gram``; it is built here otherwise.
+    A caller that already holds ``mean_function(stack)`` passes it as ``mean``, and
+    ``gram_matrix(stack, mean_function(stack))`` as ``gram``; each is built here otherwise.
     """
     if (n_components is None) == (variance_threshold is None):
         raise ValueError("specify exactly one of n_components and variance_threshold")
     n = len(stack)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    mean = mean_function(stack)
+    if mean is None:
+        mean = mean_function(stack)
     ell, u = eigendecompose(gram_matrix(stack, mean) if gram is None else gram)
 
     rank = numerical_rank(ell)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ class GridSpec:
     ny: int = 201
 
     def __post_init__(self) -> None:
+        for name in ("nx", "ny"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"grid node count {name} must be an integer, got {getattr(self, name)!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2 nodes per axis, got {self.nx}x{self.ny}")
 

@@ -358,13 +358,14 @@ def estimate_densities(
 
 def fit_and_save(
     stack: DensityStack, out_dir: Path, components: int | None, variance_threshold: float | None,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray | None = None, mean: np.ndarray | None = None,
 ) -> MfpcaModel:
     """Fit the decomposition and write ``model.json``, its function array and ``scores.csv`` to ``out_dir``.
 
-    ``gram`` is the stack's Gram matrix about its mean, when the caller holds it (see :func:`fit_mfpca`).
+    ``mean`` is the stack's mean and ``gram`` its Gram matrix about it, when the caller holds
+    them (see :func:`fit_mfpca`).
     """
-    model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold, gram=gram)
+    model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold, gram=gram, mean=mean)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
     write_scores_csv(model.scores, out_dir / "scores.csv")
@@ -480,8 +481,9 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     no_points = np.empty((0, 2))
     records = [replace(record, made_points=no_points, missed_points=no_points) for record in records]
     with _stage("mfpca"):
-        gram = gram_matrix(stack, mean_function(stack))  # the fit and the bootstrap share it
-        model = fit_and_save(stack, out, config.components, config.variance_threshold, gram)
+        mean = mean_function(stack)
+        gram = gram_matrix(stack, mean)  # the fit and the bootstrap share it
+        model = fit_and_save(stack, out, config.components, config.variance_threshold, gram, mean)
     with _stage("cluster"):
         clusterings = cluster_schemes(model.scores, config.schemes, config.clusters, out, model.eigenvalues, records)
 

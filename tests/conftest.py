@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -76,6 +77,12 @@ def stack_of(fields, ids=None) -> DensityStack:
     """Bivariate (2, nx, ny) fields as one stack; players are named by position unless ids are given."""
     values = np.stack([np.asarray(f, dtype=float) for f in fields], axis=1)
     return DensityStack(ids or [str(i) for i in range(len(fields))], GridSpec(*values.shape[2:]), values)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -94,6 +94,7 @@ MUTATIONS = {
         "repeat an id": json_edit(META, lambda doc: doc["player_ids"].__setitem__(1, doc["player_ids"][0])),
         "retype a value": json_edit(META, lambda doc: doc["grid"].__setitem__("nx", "11")),
         "non-finite": json_edit(META, lambda doc: doc["grid"].__setitem__("nx", np.nan)),
+        "non-integer node count": json_edit(META, lambda doc: doc["grid"].__setitem__("nx", 11.0)),
         "truncate": truncation(META),
         "oversized header": json_edit(META, lambda doc: doc.__setitem__("grid", HUGE_GRID)),
     },
@@ -169,3 +170,16 @@ def test_a_mutated_array_file_is_refused_by_every_reader(staged, tmp_path, capsy
         assert err.startswith("error: ") and "Traceback" not in err, argv
         assert peak < PEAK_LIMIT, (argv, peak)
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("nx", [11.0, 201.0])
+def test_a_node_count_that_is_not_an_integer_is_named(staged, tmp_path, capsys, nx):
+    # 11.0 equals the arrays' node count, so only the type check can refuse it
+    work = tmp_path / "work"
+    shutil.copytree(staged, work)
+    edit_json(work / META, lambda doc: doc["grid"].__setitem__("nx", nx))
+    with pytest.raises(DensityFileError, match=f"grid node count nx must be an integer, got {nx}"):
+        read_densities(work)
+    assert run_cli("mfpca", "fit", "--densities", work, "--out", tmp_path / "out", "--components", 2) == 4
+    assert f"grid node count nx must be an integer, got {nx}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,10 +3,13 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -15,12 +18,12 @@ import pytest
 
 import court_fda
 from court_fda import bootstrap as bt
-from court_fda import fda
+from court_fda import export, fda
 from court_fda import pipeline as pl
 from court_fda.cli import build_parser, main
 from court_fda.density import DensityStack, build_samples
 from court_fda.export import export_heatmap, write_heatmap_csv
-from court_fda.fda import ScoreMatrix, fit_mfpca, gram_matrix, load_model, reconstruct
+from court_fda.fda import ScoreMatrix, fit_mfpca, gram_matrix, load_model, mean_function, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import PlayerRecord, Position, filter_players
 from court_fda.pipeline import (
@@ -36,7 +39,7 @@ from court_fda.pipeline import (
     write_scores_csv,
 )
 
-from conftest import write_mini_export
+from conftest import assert_no_child_left, write_mini_export
 
 CORE_FILES = [
     "clusters_equal.json",
@@ -451,6 +454,33 @@ class TestRunCommand:
         run_pipeline(PipelineConfig(input=str(mini_csv), out=str(tmp_path / "run"), min_attempts=100, grid=21,
                                     components=2, clusters=2, bootstrap_replicates=3))
         assert len(calls) == 1
+
+    def test_run_takes_the_stack_mean_once(self, tmp_path, mini_csv, monkeypatch):
+        # the fit gets the mean the shared Gram matrix was built from
+        calls = []
+
+        def spy(stack):
+            calls.append(len(stack))
+            return mean_function(stack)
+
+        for module in (pl, fda):
+            monkeypatch.setattr(module, "mean_function", spy)
+        run_pipeline(PipelineConfig(input=str(mini_csv), out=str(tmp_path / "run"), min_attempts=100, grid=21,
+                                    components=2, clusters=2, bootstrap_replicates=3))
+        assert calls == [4]
+
+    def test_a_closed_stdout_does_not_fail_a_finished_run(self, tmp_path, fixture_csv):
+        out = tmp_path / "run"
+        env = dict(os.environ, PYTHONPATH=str(Path(court_fda.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "court_fda.cli", "run", "--input", str(fixture_csv), "--out", str(out),
+                "--grid", "21", "--replicates", "1"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env)
+        proc.stdout.close()  # the reader is gone before the closing status line
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 0, err
+        assert err == ""  # no traceback, no "Exception ignored" line from the exit-time flush
+        files = json.loads((out / "run.json").read_text())["files"]
+        assert sorted(files) == CORE_FILES
 
     @pytest.mark.parametrize("players, cores, cap, workers", [
         (12, 8, None, 1),  # the fixture's twelve players: one worker however many cores
@@ -915,6 +945,72 @@ class TestChartOracle:
             for j, phi in enumerate(refit.eigenfunctions, start=1):
                 charts[f"replicate{r}_eigenfunction_{j}"] = (phi, "symmetric")
         assert {p.name: p.read_bytes() for p in dump.iterdir()} == self.draw(tmp_path / "oracle", charts)
+
+
+class TestChartWorkers:
+    """Every chart command writes the same bytes over any number of forked chart workers, and reaps them all."""
+
+    @staticmethod
+    def commands(work, out):
+        """Each chart command's argv writing into ``out``, with its component count."""
+        model = ("--model", work / "model.json")
+        return {
+            "mean": (["export", "mean", *model, "--out", out], 2),
+            "eigenfunction": (["export", "eigenfunction", "--k", 2, *model, "--out", out], 2),
+            "player": (["export", "player", "--player", "m1", *model, "--densities", work, "--out", out], 8),
+            "medoids": (["export", "medoids", "--clusters", work / "clusters_equal.json", "--densities", work,
+                         "--out", out], 4),
+            "densities": (["export", "densities", "--densities", work, "--out", out], 8),
+            "reconstruct": (["mfpca", "reconstruct", *model, "--player", "m2", "--k", 2, "--out", out], 2),
+            "replicates": (["bootstrap", "--densities", work, "--replicates", 2, "--seed", 1, "--out", out / "boot",
+                            "--dump-replicates", out], 6),  # a mean and two eigenfunctions per replicate call
+        }
+
+    def test_the_bytes_do_not_depend_on_the_worker_count(self, work, tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)  # fork for the 11 x 11 charts too
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        written = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(export, "available_cores", lambda: cores)
+            for name in self.commands(work, tmp_path):
+                out = tmp_path / f"{cores}" / name
+                argv, components = self.commands(work, out)[name]
+                forks.clear()
+                assert run_cli(*argv) == 0, (name, cores)
+                calls = 2 if name == "replicates" else 1
+                assert len(forks) == calls * (min(cores, components) - 1), (name, cores)
+                assert_no_child_left()
+                written.setdefault(name, []).append(
+                    {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        for name, runs in written.items():
+            assert runs[0] and runs[0] == runs[1] == runs[2], name
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_a_failing_chart_gives_the_one_worker_message(self, work, tmp_path, monkeypatch, capsys, cores):
+        # the second medoid's made density is chart 3: worker 1's share at two workers, the command's at three
+        monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)
+        monkeypatch.setattr(export, "available_cores", lambda: cores)
+        read = pl.read_densities
+
+        def planted(*args):
+            stack = read(*args)
+            stack.values[1, 1, 5, 5] = np.nan
+            return stack
+
+        monkeypatch.setattr(pl, "read_densities", planted)
+        argv, _ = self.commands(work, tmp_path / "out")["medoids"]
+        assert run_cli(*argv) == 8
+        assert capsys.readouterr().err == "error: field contains non-finite values\n"
+        assert_no_child_left()
 
 
 class TestReadDensities:

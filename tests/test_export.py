@@ -1,13 +1,17 @@
 """Heatmap rescaling, the CSV/PGM writers and the JSON writer."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from court_fda import export
 from court_fda.export import (
+    _csv_line_starts,
+    export_fields,
     export_heatmap,
     json_text,
     rescale_symmetric,
@@ -16,6 +20,8 @@ from court_fda.export import (
     write_heatmap_pgm,
 )
 from court_fda.grids import GridSpec
+
+from conftest import assert_no_child_left
 
 
 class TestRescale:
@@ -145,6 +151,71 @@ class TestHeatmapCsv:
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="shape"):
             write_heatmap_csv(np.zeros((5, 3)), GridSpec(3, 5), tmp_path / "f.csv")
+
+
+class TestCsvLineStarts:
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (21, 21), (201, 201), (7, 3)])
+    def test_equal_to_the_per_node_form(self, nx, ny):
+        grid = GridSpec(nx, ny)
+        per_node = tuple(f"\n{x!r},{y!r}," for x in grid.xs.tolist() for y in grid.ys.tolist())
+        assert _csv_line_starts(nx, ny) == per_node
+
+
+class TestChartWorkers:
+    """``export_fields`` over forked workers: the bytes, the error and the reaping do not depend on the worker count."""
+
+    @pytest.fixture(autouse=True)
+    def fork_on_tiny_grids(self, monkeypatch):
+        monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)
+
+    @staticmethod
+    def charts(tmp_path, grid, n):
+        rng = np.random.default_rng(3)
+        return [(rng.normal(size=(2, *grid.shape)), tmp_path / f"f{i}", "symmetric") for i in range(n)]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_the_first_failing_chart_in_chart_order_wins(self, tmp_path, monkeypatch, cores):
+        # chart 3 (field 1, made) is non-finite and charts 4 and 5 have an unknown mode: at two workers
+        # process 0 fails at 4 and process 1 at 3, at three process 0 fails at 3 and the others at 4 and 5
+        monkeypatch.setattr(export, "available_cores", lambda: cores)
+        grid = GridSpec(5, 4)
+        charts = self.charts(tmp_path, grid, 3)
+        charts[1][0][1, 2, 2] = np.nan
+        charts[2] = (charts[2][0], charts[2][1], "log")
+        with pytest.raises(ValueError, match="^field contains non-finite values$"):
+            export_fields(charts, grid)
+        assert_no_child_left()
+        assert {"f0_missed.csv", "f0_made.csv", "f1_missed.csv"} <= {p.name for p in tmp_path.iterdir()}
+
+    def test_an_interrupt_reaps_every_worker(self, tmp_path, monkeypatch):
+        draw_share = export._draw_share
+
+        def interrupted(jobs, grid, first, step):
+            if first == 0:
+                raise KeyboardInterrupt
+            return draw_share(jobs, grid, first, step)
+
+        monkeypatch.setattr(export, "available_cores", lambda: 3)
+        monkeypatch.setattr(export, "_draw_share", interrupted)
+        grid = GridSpec(51, 51)
+        with pytest.raises(KeyboardInterrupt):
+            export_fields(self.charts(tmp_path, grid, 6), grid)
+        assert_no_child_left()
+
+    def test_a_worker_that_ends_without_reporting_is_an_error(self, tmp_path, monkeypatch):
+        draw_share = export._draw_share
+
+        def lost(jobs, grid, first, step):
+            if first == 1:
+                os._exit(3)
+            return draw_share(jobs, grid, first, step)
+
+        monkeypatch.setattr(export, "available_cores", lambda: 2)
+        monkeypatch.setattr(export, "_draw_share", lost)
+        grid = GridSpec(5, 4)
+        with pytest.raises(ChildProcessError, match="chart worker 1 ended with wait status 768 before reporting"):
+            export_fields(self.charts(tmp_path, grid, 1), grid)
+        assert_no_child_left()
 
 
 class TestJsonText:

@@ -349,6 +349,15 @@ class TestRectangularGrids:
         assert inner_product(fx, fx) == pytest.approx(1.0 / 3.0 + 1.0 / (6 * 64), abs=1e-15)
         assert inner_product(fy, fy) == pytest.approx(1.0 / 3.0 + 1.0 / (6 * 256), abs=1e-15)
 
+    @pytest.mark.parametrize("nx, ny, name", [(201.0, 201, "nx"), (float("nan"), 11, "nx"), (11, 11.5, "ny"),
+                                              (11, "11", "ny")])
+    def test_a_node_count_that_is_not_an_integer_is_refused(self, nx, ny, name):
+        with pytest.raises(ValueError, match=f"grid node count {name} must be an integer"):
+            GridSpec(nx, ny)
+
+    def test_numpy_integer_node_counts_are_accepted(self):
+        assert GridSpec(np.int64(9), np.int32(13)) == GridSpec(9, 13)
+
     def test_dual_route_on_rectangular_grid(self):
         grid = GridSpec(9, 13)
         rng = np.random.default_rng(50)

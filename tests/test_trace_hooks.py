@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from court_fda import export
 from court_fda.cli import main
 
 from conftest import write_mini_export
@@ -36,6 +37,8 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
     for module_name, attr, name, count in spans.WRAPS:
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, recorder.wrap(name, getattr(module, attr), count))
+    # forked chart workers record their spans in their own copy of the recorder: draw every chart here
+    monkeypatch.setattr(export, "available_cores", lambda: 1)
     mini = write_mini_export(tmp_path / "mini.csv")
     args = ["--min-attempts", "100", "--grid", "11", "--components", "2", "--k", "2", "--replicates", "1"]
     assert main(["run", "--input", str(mini), "--out", str(tmp_path / "run"), *args]) == 0
@@ -53,7 +56,7 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
         assert name in names, name
     # the run and the ingest subcommand each parse the export once
     assert names.count("ingest.load_events") == 2
-    # export mean writes two tables through export_heatmap, export densities eight through the cli's binding
+    # export mean writes two tables through export_heatmap, export densities eight straight
     assert names.count("export.write_heatmap_csv") == 2 + 8
 
 
