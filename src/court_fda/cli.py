@@ -18,7 +18,10 @@ default). A cap from either flag or the variable that is not a positive
 integer is a usage error (exit 1). BLAS runs on one thread. The export
 subcommands, mfpca reconstruct and bootstrap --dump-replicates draw their
 charts on one forked process per available core, at most one per chart,
-each file written whole by one process. On one machine and one BLAS core
+each file written whole by one process. run and ingest parse a CSV export
+on one forked process per available core, at most one per 512 KiB of it,
+each reading one line-aligned byte range, and join the ranges' rows in
+file order. On one machine and one BLAS core
 type, every output is the same bytes at any worker count and any
 OPENBLAS_NUM_THREADS.
 """

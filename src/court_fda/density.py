@@ -11,8 +11,8 @@ is folded back by that renormalization rather than by boundary kernels.
 from __future__ import annotations
 
 import math
+import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,25 +146,46 @@ def kde(
 def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1) -> DensityStack:
     """Estimate both densities of every record into one preallocated stack.
 
-    Each component gets its own bandwidth pair. Players are mapped over a pool of ``threads``
-    workers. Rows follow record order and are identical for any thread count: each field is
+    Each component gets its own bandwidth pair. ``threads`` workers, the caller and
+    ``threads - 1`` threads it starts, take players in record order from one shared
+    iterator. Rows follow record order and are identical for any thread count: each field is
     evaluated in a fixed node and point order on one worker, and players are independent. With
     BLAS on one thread (:func:`court_fda.native.pin_blas_single_thread`) they are also identical
-    for any BLAS thread setting.
+    for any BLAS thread setting. A failure raises the error of the first failing player in
+    record order, as a loop over them would.
     """
     values = np.empty((2, len(records), grid.nx, grid.ny))
-    local = threading.local()  # each worker's kernel buffers, freed when this call returns
+    players = iter(range(len(records)))  # next() on it is atomic, so each index goes to one worker
+    failures: list[tuple[int, Exception]] = []
 
-    def fill(i: int) -> None:
+    def fill(i: int, buffers) -> None:
         record = records[i]
-        if not hasattr(local, "buffers"):
-            local.buffers = _kde_buffers(grid)
         for component, pts, slot in zip(COMPONENTS, (record.missed_points, record.made_points), values[:, i]):
             try:
-                kde(pts, silverman_bandwidth(pts), grid, out=slot, buffers=local.buffers)
+                kde(pts, silverman_bandwidth(pts), grid, out=slot, buffers=buffers)
             except ValueError as exc:
                 raise DensityError(f"player {record.player_id}, {component} shots: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range(len(records))))
+    def work() -> None:
+        buffers = _kde_buffers(grid)
+        for i in players:
+            try:
+                fill(i, buffers)
+            except Exception as exc:
+                failures.append((i, exc))
+                for _ in players:  # the players before this one are all taken, and no later one can fail first
+                    pass
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for _ in players:  # on an interrupt, leave the helpers nothing more to take
+            pass
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
     return DensityStack([r.player_id for r in records], grid, values)

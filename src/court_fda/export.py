@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import operator
 import os
-import pickle
-import signal
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -17,7 +14,7 @@ import numpy as np
 
 from court_fda.density import COMPONENTS
 from court_fda.grids import GridSpec
-from court_fda.native import available_cores
+from court_fda.native import available_cores, run_shares
 
 
 #: Values the heatmap CSV writer formats per piece; it bounds the text held at a time.
@@ -174,49 +171,17 @@ def export_fields(charts: Sequence[tuple[np.ndarray, str | Path, str]], grid: Gr
     Modes "symmetric" and "unit" draw each component through :func:`export_heatmap`; mode
     "raw" writes its values unscaled, as ``<base>_<component>.csv`` alone. The components are
     spread over ``k = min(available_cores(), components, nodes // _NODES_PER_WORKER)``
-    processes (at least 1; 1 where ``os.fork`` is missing): component ``i`` in chart order goes
-    to process ``i mod k``, where process 0 is the caller and the others are forked from it.
-    Each file is written whole by one process, so the bytes do not depend on ``k``. The
-    workers leave through ``os._exit`` and are reaped before this returns or raises. A
-    failure raises the error of the first failing component in chart order, as a loop over
-    them would.
+    processes (at least 1; 1 where ``os.fork`` is missing) by :func:`court_fda.native.run_shares`:
+    component ``i`` in chart order goes to share ``i mod k``. Each file is written whole by one
+    process, so the bytes do not depend on ``k``. A failure raises the error of the first
+    failing component in chart order, as a loop over them would.
     """
     jobs = [(values, f"{base}_{comp}", mode) for field, base, mode in charts for comp, values in zip(COMPONENTS, field)]
     nodes = len(jobs) * grid.nx * grid.ny
     workers = min(available_cores(), len(jobs), max(1, nodes // _NODES_PER_WORKER)) if hasattr(os, "fork") else 1
     _csv_line_starts(grid.nx, grid.ny)  # built once here, so the forked workers inherit it
-    results: list[tuple[int, BaseException] | None] = []  # each process's first failure, if any
-    children: dict[int, tuple[int, BinaryIO]] = {}  # pid -> (worker, read end of its result pipe)
-    try:
-        for worker in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _worker(write_fd, jobs, grid, worker, workers)
-            os.close(write_fd)
-            children[pid] = worker, os.fdopen(read_fd, "rb")
-        results.append(_draw_share(jobs, grid, 0, workers))
-        for pid in list(children):
-            worker, fh = children[pid]
-            payload = fh.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            fh.close()
-            results.append(pickle.loads(payload) if payload else (worker, ChildProcessError(
-                f"chart worker {worker} ended with wait status {status} before reporting")))
-    finally:
-        for pid, (_, fh) in children.items():  # left running by an interrupt or a failed fork
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGTERM)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-            fh.close()
-    failures = [result for result in results if result is not None]
+    shares = run_shares(lambda worker: _draw_share(jobs, grid, worker, workers), workers, "chart")
+    failures = [failure for failure in shares if failure is not None]
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
 
@@ -235,19 +200,3 @@ def _draw_share(jobs: list, grid: GridSpec, first: int, step: int) -> tuple[int,
         except Exception as exc:
             return index, exc
     return None
-
-
-def _worker(write_fd: int, jobs: list, grid: GridSpec, first: int, step: int) -> None:
-    """A forked chart worker: draw its share, send the result down ``write_fd`` pickled, and exit.
-
-    It leaves through ``os._exit``, so no atexit handler, inherited stdio buffer or caller
-    code runs in it; exit status 1 and an empty pipe mean it ended before reporting.
-    """
-    status = 1
-    try:
-        payload = pickle.dumps(_draw_share(jobs, grid, first, step))
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(payload)
-        status = 0
-    finally:
-        os._exit(status)

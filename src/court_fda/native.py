@@ -1,4 +1,5 @@
-"""Process-wide settings of the native libraries under numpy, and the core count the process may use.
+"""Process-wide settings of the native libraries under numpy, the core count the process may use,
+and the runner that spreads work over processes forked from this one.
 
 The two settings, one BLAS thread and a trimmed C heap, reach their function
 through ``ctypes`` and return whether they called it; where the library or
@@ -7,11 +8,17 @@ symbol is missing they do nothing.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import pickle
+import signal
 from pathlib import Path
+from typing import BinaryIO, Callable, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 #: The OpenBLAS thread setters, newest wheel layout first: numpy 2 (scipy-openblas), numpy 1.2x, unsuffixed builds.
 _SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
@@ -30,6 +37,72 @@ def available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:
+    """``[work(0), ..., work(shares - 1)]``: share 0 runs in the caller, each other share in a process forked from it.
+
+    A child sends its share's result, or the exception its share raised, down a pipe pickled,
+    and leaves through ``os._exit``, so no atexit handler, inherited stdio buffer or caller
+    code runs in it. A share that raises makes this raise as a loop over the shares would:
+    share 0's error at once, a child's when it is reached in share order. A child that ended
+    without reporting raises ``ChildProcessError``, which names it as ``name`` worker ``share``.
+    Every child is reaped before this returns or raises; the ones still running when it raises
+    (an error, an interrupt or a failed fork) are sent SIGTERM first.
+    """
+    children: dict[int, tuple[int, BinaryIO]] = {}  # pid -> (share, read end of its result pipe), in share order
+    try:
+        for share in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _report(write_fd, work, share)
+            os.close(write_fd)
+            children[pid] = share, os.fdopen(read_fd, "rb")
+        results = [work(0)]
+        for pid, (share, fh) in list(children.items()):
+            payload = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            fh.close()
+            if not payload:
+                raise ChildProcessError(f"{name} worker {share} ended with wait status {status} before reporting")
+            failed, result = pickle.loads(payload)
+            if failed:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for pid, (_, fh) in children.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            fh.close()
+
+
+def _report(write_fd: int, work: Callable[[int], object], share: int) -> None:
+    """A forked child of :func:`run_shares`: run ``work(share)``, send the outcome down ``write_fd`` pickled, and exit.
+
+    Exit status 1 and an empty pipe mean it ended before reporting.
+    """
+    status = 1
+    try:
+        try:
+            outcome = False, work(share)
+        except Exception as exc:
+            outcome = True, exc
+        payload = pickle.dumps(outcome)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def pin_blas_single_thread() -> bool:

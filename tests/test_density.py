@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from court_fda import density
 from court_fda.density import (
     KDE_BLOCK,
     DegenerateBandwidthError,
@@ -272,3 +273,23 @@ class TestBuildSample:
             sys.setswitchinterval(interval)
         assert threaded.player_ids == serial.player_ids
         assert np.array_equal(threaded.values, serial.values)
+
+    @pytest.mark.parametrize("threads", [1, 3, 8])
+    def test_the_first_failing_player_in_record_order_wins(self, grid11, threads):
+        rng = np.random.default_rng(14)
+        records = [
+            self.make_record(rng.uniform(size=(30, 2)), rng.uniform(size=(25, 2)), pid=f"p{i:02d}") for i in range(24)
+        ]
+        for i, side in ((17, "made"), (5, "missed"), (9, "made")):
+            record = records[i]
+            setattr(record, f"{side}_points", np.array([(0.5, 0.5)]))
+        with pytest.raises(DensityError, match=r"^player p05, missed shots: need at least 2 points, got 1$"):
+            build_samples(records, grid11, threads=threads)
+
+    def test_one_thread_starts_no_thread(self, grid11, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(density.threading, "Thread", no_thread)
+        stack = build_samples([self.make_record(FIVE_POINTS, SIX_POINTS)], grid11, threads=1)
+        assert stack.player_ids == ["p1"]

@@ -1,7 +1,6 @@
 """Heatmap rescaling, the CSV/PGM writers and the JSON writer."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -162,7 +161,10 @@ class TestCsvLineStarts:
 
 
 class TestChartWorkers:
-    """``export_fields`` over forked workers: the bytes, the error and the reaping do not depend on the worker count."""
+    """``export_fields`` over forked workers: the error does not depend on the worker count.
+
+    The workers' lifecycle is tested on :func:`court_fda.native.run_shares`, in ``test_native.py``.
+    """
 
     @pytest.fixture(autouse=True)
     def fork_on_tiny_grids(self, monkeypatch):
@@ -186,36 +188,6 @@ class TestChartWorkers:
             export_fields(charts, grid)
         assert_no_child_left()
         assert {"f0_missed.csv", "f0_made.csv", "f1_missed.csv"} <= {p.name for p in tmp_path.iterdir()}
-
-    def test_an_interrupt_reaps_every_worker(self, tmp_path, monkeypatch):
-        draw_share = export._draw_share
-
-        def interrupted(jobs, grid, first, step):
-            if first == 0:
-                raise KeyboardInterrupt
-            return draw_share(jobs, grid, first, step)
-
-        monkeypatch.setattr(export, "available_cores", lambda: 3)
-        monkeypatch.setattr(export, "_draw_share", interrupted)
-        grid = GridSpec(51, 51)
-        with pytest.raises(KeyboardInterrupt):
-            export_fields(self.charts(tmp_path, grid, 6), grid)
-        assert_no_child_left()
-
-    def test_a_worker_that_ends_without_reporting_is_an_error(self, tmp_path, monkeypatch):
-        draw_share = export._draw_share
-
-        def lost(jobs, grid, first, step):
-            if first == 1:
-                os._exit(3)
-            return draw_share(jobs, grid, first, step)
-
-        monkeypatch.setattr(export, "available_cores", lambda: 2)
-        monkeypatch.setattr(export, "_draw_share", lost)
-        grid = GridSpec(5, 4)
-        with pytest.raises(ChildProcessError, match="chart worker 1 ended with wait status 768 before reporting"):
-            export_fields(self.charts(tmp_path, grid, 1), grid)
-        assert_no_child_left()
 
 
 class TestJsonText:

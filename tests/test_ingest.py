@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -186,6 +188,20 @@ class TestParseEvents:
         with pytest.raises(ParseError, match="position") as err:
             parse(text)
         assert err.value.row == 2
+
+    def test_load_events_reads_a_pipe(self, tmp_path):
+        # a pipe has no size: it is parsed whole by one process, read once from its start
+        text = f"{HEADER}\n" + "".join(f"p{i},N,guard,{i}.0,1.0,1,s\n" for i in range(50))
+        fifo = tmp_path / "shots.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            table = load_events(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert rows_of(table) == rows_of(parse(text))
 
 
 class TestParseJson:

@@ -8,8 +8,10 @@ blank lines and three kinds of line end; both paths must agree on every count an
 record, and on the line number of a planted bad row. Each export is also
 parsed in batches of three rows, which must change neither the table nor
 the error, streamed from a file by ``load_events``, which must give
-what ``parse_events`` gives for its text, and written again as a JSON array,
-which ``parse_events_json`` must read as ``parse_events`` reads the CSV.
+what ``parse_events`` gives for its text, split into byte ranges parsed by
+one to three processes, which must give what one process gives, and written
+again as a JSON array, which ``parse_events_json`` must read as
+``parse_events`` reads the CSV.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -39,6 +42,8 @@ from court_fda.ingest import (
     parse_events,
     parse_events_json,
 )
+
+from conftest import assert_no_child_left
 
 
 def oracle_parse(text: str, court: CourtSpec) -> list[tuple]:
@@ -126,9 +131,19 @@ PAD = st.sampled_from(["", " ", "  ", "\t"])
 LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
 
 
+# The players and names csv.writer writes without quotes: an export of theirs alone can be split.
+UNQUOTED_PLAYERS = [
+    ("1630", ["Smith Jr."], "g"),
+    ("s001", ["Player 001"], "fg"),
+    (" 203110", ["Shaq"], "c"),
+    ("zz", ["Åse Ørn"], "f"),
+    ("aa b", ["A B"], "fc"),
+]
+
+
 @st.composite
-def shot_row(draw) -> list[str]:
-    pid, names, group = draw(st.sampled_from(PLAYERS))
+def shot_row(draw, players=PLAYERS) -> list[str]:
+    pid, names, group = draw(st.sampled_from(players))
     x, y = draw(COORDINATE), draw(COORDINATE)
     number = draw(st.sampled_from(["{:.2f}", "{!r}", "{:.6g}"]))
     return [
@@ -213,12 +228,12 @@ BAD_FIELDS = [
 
 
 @st.composite
-def planted_export(draw):
-    records, end = draw(export(st.lists(shot_row(), min_size=1, max_size=40)))
+def planted_export(draw, players=PLAYERS):
+    records, end = draw(export(st.lists(shot_row(players), min_size=1, max_size=40)))
     for _ in range(draw(st.integers(1, 2))):
         index = draw(st.integers(0, len(records)))
         kind = draw(st.sampled_from(["value", "short", "long", "spaces"]))
-        row = draw(shot_row())
+        row = draw(shot_row(players))
         if kind == "value":
             field, value = draw(st.sampled_from(BAD_FIELDS))
             row[CSV_FIELDS.index(field)] = value
@@ -271,6 +286,126 @@ def test_streamed_file_reports_same_line(data):
     with pytest.raises(ParseError) as got:
         load_file(text, court)
     assert str(got.value) == str(want.value)
+
+
+def load_split(path: Path, cores: int):
+    """``load_events`` on ``path`` with byte ranges of any size at ``cores`` cores: the table, or the error raised."""
+    with mock.patch.object(ingest, "_BYTES_PER_WORKER", 1), mock.patch.object(ingest, "available_cores", lambda: cores):
+        try:
+            result = load_events(path)
+        except (ParseError, UnicodeDecodeError) as exc:
+            result = exc
+    assert_no_child_left()
+    return result
+
+
+def assert_same_outcome(got, want) -> None:
+    """The same table, or an error of the same type, row and text."""
+    if isinstance(want, Exception):
+        assert (type(got), getattr(got, "row", None), str(got)) == (type(want), getattr(want, "row", None), str(want))
+    else:
+        assert same_table(got, want)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(
+    export(),
+    export(st.lists(shot_row(UNQUOTED_PLAYERS), max_size=60)),
+    planted_export(),
+    planted_export(UNQUOTED_PLAYERS),
+))
+def test_split_file_matches_one_process(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shots.csv"
+        path.write_bytes(join(*data).encode("utf-8"))
+        one = load_split(path, 1)
+        for cores in (2, 3):
+            assert_same_outcome(load_split(path, cores), one)
+
+
+class TestSplitFile:
+    """Fixed cases over three byte ranges of a quote-free export with blank lines between some rows."""
+
+    @pytest.fixture
+    def export_file(self, tmp_path):
+        lines = [",".join(CSV_FIELDS)]
+        for i in range(60):
+            if i % 7 == 3:
+                lines.append("")
+            lines.append(f"p{i % 10:02d},Player {i % 10},guard,{10 + i % 7:.2f},20.00,{i % 2},2020-21")
+        path = tmp_path / "shots.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def range_lines(path: Path) -> list[int]:
+        """The first non-blank line of each of the three ranges, 1-based."""
+        data = path.read_bytes()
+        bounds = ingest._range_bounds(path, len(data), 3)
+        assert len(bounds) == 4
+        lines = data.split(b"\n")
+        starts = [data.count(b"\n", 0, b) + 1 for b in bounds[:-1]]
+        return [next(n for n in range(start, len(lines)) if lines[n - 1]) for start in starts]
+
+    @staticmethod
+    def damage(path: Path, line: int, old: str, new: str) -> None:
+        """Replace ``old`` by ``new``, of the same length, on 1-based ``line``, so the ranges do not move."""
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert old in lines[line - 1] and len(old) == len(new)
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    def check(self, path: Path, expected: str) -> None:
+        one = load_split(path, 1)
+        assert_same_outcome(load_split(path, 3), one)
+        assert str(one) == expected
+
+    def test_the_ranges_join_into_the_one_process_table(self, export_file):
+        self.range_lines(export_file)
+        assert_same_outcome(load_split(export_file, 3), load_split(export_file, 1))
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_a_bad_row_on_the_first_line_of_a_range(self, export_file, which):
+        line = self.range_lines(export_file)[which]
+        self.damage(export_file, line, "guard", "pivot")
+        self.check(export_file, f"row {line}: unknown position label 'pivot'")
+
+    def test_a_bad_row_inside_the_last_range(self, export_file):
+        line = self.range_lines(export_file)[2] + 3
+        self.damage(export_file, line, ",20.00,", ",2x.00,")
+        self.check(export_file, f"row {line}: non-numeric y_ft '2x.00'")
+
+    def test_a_short_row_in_range_1_wins_over_a_bad_value_in_range_2(self, export_file):
+        short, bad = self.range_lines(export_file)[1] + 1, self.range_lines(export_file)[2]
+        self.damage(export_file, short, ",2020-21", ";2020-21")
+        self.damage(export_file, bad, ",20.00,", ",1e999,")
+        self.check(export_file, f"row {short}: expected 7 fields, got 6")
+
+    def test_a_bad_value_in_range_0_wins_over_a_short_row_in_range_1(self, export_file):
+        bad, short = 3, self.range_lines(export_file)[1]
+        self.damage(export_file, bad, "guard", "pivot")
+        self.damage(export_file, short, ",2020-21", ";2020-21")
+        self.check(export_file, f"row {bad}: unknown position label 'pivot'")
+
+    def test_an_undecodable_byte_in_the_last_range_keeps_its_type(self, export_file):
+        data = export_file.read_bytes()
+        at = ingest._range_bounds(export_file, len(data), 3)[2] + 3
+        export_file.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        assert isinstance(load_split(export_file, 1), UnicodeDecodeError)
+        assert isinstance(load_split(export_file, 3), UnicodeDecodeError)
+
+    def test_a_bad_header_is_row_1(self, export_file):
+        self.damage(export_file, 1, "season", "seasun")
+        header = ",".join(CSV_FIELDS)
+        self.check(export_file, f"row 1: expected header {header!r}, got {header.replace('season', 'seasun')!r}")
+
+    def test_a_quote_before_a_boundary_keeps_the_file_whole(self, export_file):
+        self.damage(export_file, 2, "Player 0", '"Plyr 0"')
+        data = export_file.read_bytes()
+        assert ingest._range_bounds(export_file, len(data), 3) == [0, len(data)]
+        table = load_split(export_file, 3)
+        assert_same_outcome(table, load_split(export_file, 1))
+        assert "Plyr 0" in table.player_names
 
 
 def as_json(text: str, rnd) -> tuple[str, list[int]]:
