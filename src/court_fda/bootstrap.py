@@ -25,7 +25,9 @@ import numpy as np
 
 from court_fda.density import DensityStack
 from court_fda.export import export_fields
-from court_fda.fda import MfpcaModel, eigendecompose, fit_mfpca, gram_matrix, numerical_rank
+from court_fda.fda import MfpcaModel, eigendecompose, gram_functions, gram_matrix, numerical_rank
+from court_fda.fda import fit_mfpca  # noqa: F401  bound only for perfbench/spans.py to wrap
+from court_fda.grids import GridSpec
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -146,9 +148,15 @@ def stability_study(
     component count is compared at its achievable rank and flagged
     rather than treated as fatal.
 
-    With ``dump_dir`` set, each replicate is refit on the grid at its
-    achieved rank and its mean and eigenfunctions are exported as
-    heatmap CSV/PGM pairs.
+    With ``dump_dir`` set, each replicate's mean and eigenfunctions up to
+    its achieved rank are exported as heatmap CSV/PGM pairs. They come from
+    the same eigenpairs, with C the stack centered on the reference mean:
+    the j-th eigenfunction is C' v_j / sqrt(lam_j), sign-fixed, where v_j[i]
+    sums H u_j over the draws of player i, and the mean is the reference mean
+    plus C' w, which is X' w for the stack X since w sums to 0. H u_j is u_j
+    in exact arithmetic; centering it keeps the rounding in u_j's mean from
+    adding a multiple of the draw's mean shift. The stack is neither copied
+    nor refit.
 
     A caller that already holds G, ``gram_matrix(stack, reference.mean)``,
     passes it as ``gram``; it is built here otherwise. Either way G must have
@@ -187,7 +195,11 @@ def stability_study(
         shift = (np.bincount(idx, minlength=n) - 1.0) / n
         mean_distances[r] = np.sqrt(max(float(shift @ gram @ shift), 0.0))
         if dump_dir is not None:
-            _dump_replicate(fit_mfpca(stack.take(idx), n_components=a), Path(dump_dir), r)
+            hu = u[:, :a] - u[:, :a].mean(axis=0)  # H u_j
+            weights = np.array([np.bincount(idx, hu[:, j], minlength=n) for j in range(a)])
+            functions, _ = gram_functions(stack, reference.mean, weights, lam[:a])
+            functions[0] += (shift @ stack.values.reshape(2, n, -1)).reshape(reference.mean.shape)
+            _dump_replicate(functions, stack.grid, Path(dump_dir), r)
 
     return StabilityReport(
         n_replicates=n_replicates,
@@ -200,11 +212,12 @@ def stability_study(
     )
 
 
-def _dump_replicate(model: MfpcaModel, out_dir: Path, index: int) -> None:
-    charts = [(model.mean, out_dir / f"replicate{index}_mean", "symmetric")]
+def _dump_replicate(functions: np.ndarray, grid: GridSpec, out_dir: Path, index: int) -> None:
+    """Chart replicate ``index``'s mean, ``functions[0]``, and its eigenfunctions, the rest, on ``grid``."""
+    charts = [(functions[0], out_dir / f"replicate{index}_mean", "symmetric")]
     charts += [(phi, out_dir / f"replicate{index}_eigenfunction_{j}", "symmetric")
-               for j, phi in enumerate(model.eigenfunctions, start=1)]
-    export_fields(charts, model.grid)
+               for j, phi in enumerate(functions[1:], start=1)]
+    export_fields(charts, grid)
 
 
 def report_to_dict(report: StabilityReport) -> dict:

@@ -199,6 +199,30 @@ def _canonical_sign(phi: np.ndarray) -> float:
     return -1.0 if flat[int(np.argmax(np.abs(flat)))] < 0.0 else 1.0
 
 
+def gram_functions(
+    stack: DensityStack, center: np.ndarray, weights: np.ndarray, ell: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit, sign-fixed eigenfunctions from Gram eigenvectors, after ``center`` in one array.
+
+    With C the stack centered on ``center`` and ``weights`` a K x N matrix over its samples,
+    row 0 of the C-order (1 + K, 2, nx, ny) result is ``center`` and row j is
+    C' weights[j - 1] / sqrt(ell[j - 1]) times the sign :func:`_canonical_sign` picks for it,
+    one product per column block of C. Returns the functions and the K signs.
+    """
+    k = len(ell)
+    functions = np.empty((1 + k, *center.shape))
+    functions[0] = center
+    projections = functions[1:].reshape(k, 2, -1)
+    for c, cols, block in _centered_blocks(stack, center):
+        projections[:, c, cols] = weights @ block
+    signs = np.empty(k)
+    for j, phi in enumerate(functions[1:]):
+        phi /= np.sqrt(ell[j])
+        signs[j] = _canonical_sign(phi)
+        phi *= signs[j]
+    return functions, signs
+
+
 def fit_mfpca(
     stack: DensityStack,
     n_components: int | None = None,
@@ -253,17 +277,8 @@ def fit_mfpca(
             )
         k = int(reached[0]) + 1
 
-    functions = np.empty((1 + k, *mean.shape))
-    functions[0] = mean
-    projections = functions[1:].reshape(k, 2, -1)  # u_j' (X - m), one block at a time
-    for c, cols, block in _centered_blocks(stack, mean):
-        projections[:, c, cols] = u[:, :k].T @ block
-    score_values = u[:, :k] * np.sqrt(ell[:k])
-    for j, phi in enumerate(functions[1:]):
-        phi /= np.sqrt(ell[j])
-        sign = _canonical_sign(phi)
-        phi *= sign
-        score_values[:, j] *= sign
+    functions, signs = gram_functions(stack, mean, u[:, :k].T, ell[:k])
+    score_values = u[:, :k] * np.sqrt(ell[:k]) * signs
 
     return MfpcaModel(
         grid=stack.grid,

@@ -409,7 +409,7 @@ def bootstrap_stability(
     """Study the stability of ``model``'s components over ``stack`` and write ``stability.json`` to ``out_dir``.
 
     ``model`` must be the one fitted on ``stack``; the study keeps its component count. With
-    ``dump_dir``, each replicate is refit and its heatmaps are written there. ``gram`` is the
+    ``dump_dir``, each replicate's mean and eigenfunctions are charted there. ``gram`` is the
     fit's Gram matrix, when the caller holds it (see :func:`court_fda.bootstrap.stability_study`).
     """
     report = bt.stability_study(stack, model, n_replicates=replicates, seed=seed, dump_dir=dump_dir, gram=gram)

@@ -2,8 +2,11 @@
 
 The Gram-space stability study is checked against ``refit_study``, the
 former route that refits every replicate on the grid, kept here as the
-oracle.
+oracle. The replicate charts are checked against the same refit in
+``assert_replicates_match_refit``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +35,57 @@ from court_fda.fda import (
 from court_fda.grids import GridSpec
 
 from conftest import planted_dataset, smooth_factor_basis, stack_of
+
+
+def tilted_dataset(grid, shares, n_samples, seed):
+    """``planted_dataset`` times a field that grows along both axes.
+
+    A planted factor such as cos(pi x) takes its largest magnitude at two
+    nodes; the tilt leaves one, so rounding cannot decide an eigenfunction's
+    sign. The samples keep the planted rank.
+    """
+    samples, _, _ = planted_dataset(grid, shares, n_samples, seed)
+    xx, yy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return DensityStack(samples.player_ids, grid, samples.values * (1.0 + 0.3 * xx + 0.1 * yy))
+
+
+#: Eigengap, relative to the reference's leading Gram eigenvalue, from which a replicate's
+#: eigenfunction is compared with its refit.
+FUNCTION_GAP_RTOL = 1e-3
+
+
+def assert_replicates_match_refit(stack, reference, n_replicates, seed):
+    """Each replicate's charted functions match ``fit_mfpca`` refit on its draw at its achieved rank.
+
+    The mean and each eigenfunction of a separated eigenvalue match within 1e-12 of the refit
+    function's largest absolute value. The study's Gram matrix is centered on the reference
+    mean, so its rounding is on the scale of the reference's leading eigenvalue: an eigenvalue
+    of a draw closer than FUNCTION_GAP_RTOL of that to its neighbours fixes its eigenfunction
+    by rounding as much as by the data, and that eigenfunction is not compared.
+    Returns the report and the (replicate, eigenfunction) pairs compared.
+    """
+    dumped = {}
+
+    def keep(functions, grid, out_dir, index):
+        dumped[index] = functions.copy()
+
+    with mock.patch.object(bootstrap, "_dump_replicate", keep):
+        report = stability_study(stack, reference, n_replicates=n_replicates, seed=seed, dump_dir="unwritten")
+    assert sorted(dumped) == [r for r in range(n_replicates) if report.achieved_ranks[r] > 0]
+    compared = []
+    for r, functions in dumped.items():
+        draw = stack.take(resample_indices(len(stack), stream_seed(seed, r)))
+        refit = fit_mfpca(draw, n_components=int(report.achieved_ranks[r]))
+        assert functions.shape == refit.functions.shape
+        ell = eigendecompose(gram_matrix(draw, mean_function(draw)))[0]
+        spacing = np.abs(np.diff(ell)) / ((len(stack) - 1) * reference.eigenvalues[0])
+        gaps = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
+        separated = [j for j in range(1, len(functions)) if gaps[j - 1] > FUNCTION_GAP_RTOL]
+        for j in [0, *separated]:
+            peak = np.max(np.abs(refit.functions[j]))
+            assert np.max(np.abs(functions[j] - refit.functions[j])) <= 1e-12 * peak, (r, j)
+        compared += [(r, j) for j in separated]
+    return report, compared
 
 
 def refit_study(stack, reference, n_replicates, seed):
@@ -189,8 +243,9 @@ class TestStabilityStudy:
         monkeypatch.setattr(bootstrap, "fit_mfpca", counting_fit)
         report = stability_study(samples, reference, n_replicates=3, seed=4)
         assert fits == [] and report.n_components == 2
+        # the replicate charts come from the study's own eigenpairs
         stability_study(samples, reference, n_replicates=3, seed=4, dump_dir=tmp_path / "boot")
-        assert len(fits) == 3
+        assert fits == [] and len(list((tmp_path / "boot").iterdir())) == 3 * 3 * 4
 
     def test_dump_dir_writes_heatmaps(self, grid11, tmp_path):
         samples, _, _ = planted_dataset(grid11, [0.7, 0.3], 10, seed=15)
@@ -206,6 +261,20 @@ class TestStabilityStudy:
         report = stability_study(samples, fit_mfpca(samples, n_components=2), n_replicates=1, seed=seed)
         assert report.achieved_ranks[0] == 0 and report.flagged == [0]
         assert np.all(np.isnan(report.alignments[0])) and np.isnan(report.mean_distances[0])
+
+    def test_replicate_charts_match_refit_with_a_flagged_replicate(self, grid11):
+        # three samples of rank 2: a draw of two distinct players reaches rank 1 and is flagged
+        samples = tilted_dataset(grid11, [0.7, 0.3], 3, seed=12)
+        seed = next(
+            s for s in range(200) if len(set(resample_indices(3, stream_seed(s, 0)).tolist())) == 2
+        )
+        report, compared = assert_replicates_match_refit(samples, fit_mfpca(samples, n_components=2), 4, seed)
+        assert 0 in report.flagged and report.achieved_ranks[0] == 1 and (0, 1) in compared
+
+    def test_replicate_charts_match_refit_on_forty_players(self, grid21):
+        samples = tilted_dataset(grid21, [0.5, 0.25, 0.15, 0.1], 40, seed=18)
+        report, compared = assert_replicates_match_refit(samples, fit_mfpca(samples, n_components=4), 5, 2)
+        assert report.flagged == [] and len(compared) == 5 * 4
 
     def test_forty_players_match_refit_route(self, grid21):
         samples, _, _ = planted_dataset(grid21, [0.5, 0.25, 0.15, 0.1], 40, seed=18)
@@ -255,6 +324,20 @@ def test_gram_route_matches_refit_route(n, nx, ny, shares, data_seed, boot_seed,
         np.testing.assert_allclose(report.eigenvalue_ratios[r], ratios[r], rtol=0, atol=1e-10)
         np.testing.assert_allclose(report.mean_distances[r], distances[r], rtol=0, atol=1e-10)
     assert report.flagged == [r for r in range(n_replicates) if report.achieved_ranks[r] < k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    rank=st.integers(1, 3),
+    data_seed=st.integers(0, 2**16),
+    boot_seed=st.integers(0, 2**32),
+)
+def test_replicate_charts_match_refit(n, rank, data_seed, boot_seed):
+    rank = min(rank, n - 1)
+    shares = [0.55, 0.3, 0.15][:rank]
+    samples = tilted_dataset(GridSpec(9, 7), shares, n, seed=data_seed)
+    assert_replicates_match_refit(samples, fit_mfpca(samples, n_components=rank), 4, boot_seed)
 
 
 class TestReferenceMismatch:

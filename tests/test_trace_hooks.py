@@ -12,6 +12,7 @@ import pytest
 
 from court_fda import export
 from court_fda.cli import main
+from court_fda.density import DensityStack
 
 from conftest import write_mini_export
 
@@ -61,7 +62,8 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
 
 
 def test_the_stage_chain_fits_the_model_once(spans, tmp_path, monkeypatch):
-    # bootstrap reads the model that mfpca fit wrote instead of fitting its own
+    # bootstrap reads the model that mfpca fit wrote instead of fitting its own, and draws its
+    # replicate charts from its own eigenpairs without a copy of the stack
     recorder = spans.Recorder("test")
     for module_name, attr, name, count in spans.WRAPS:
         module = importlib.import_module(module_name)
@@ -71,10 +73,14 @@ def test_the_stage_chain_fits_the_model_once(spans, tmp_path, monkeypatch):
                  "--min-attempts", "100"]) == 0
     assert main(["density", "--players", f"{work}/players.json", "--out", work, "--grid", "11"]) == 0
     assert main(["mfpca", "fit", "--densities", work, "--out", work, "--components", "2"]) == 0
-    assert main(["bootstrap", "--densities", work, "--replicates", "2", "--out", str(tmp_path / "boot")]) == 0
+    takes = []
+    monkeypatch.setattr(DensityStack, "take", lambda self, indices: takes.append(indices))
+    assert main(["bootstrap", "--densities", work, "--replicates", "2", "--out", str(tmp_path / "boot"),
+                 "--dump-replicates", str(tmp_path / "charts")]) == 0
     names = [span["name"] for span in recorder.spans]
     assert names.count("fda.fit_mfpca") == 1
     assert names.count("bootstrap.stability_study") == 1 and "bootstrap.refit" not in names
+    assert names.count("bootstrap.dump") == 2 and takes == []
 
 
 def run_worker(tmp_path, *mode) -> dict:
