@@ -11,18 +11,17 @@ distinct code per failing stage: ingest 2, density 3, mfpca 4,
 cluster 5, evaluate 6, bootstrap 7, export 8.
 
 The density estimation of run and density uses one worker per available
-core, and no more than one per 32 players; --threads caps that count. The
-COURT_FDA_THREADS environment variable sets the default cap of density
-(no cap when it is unset); run's is the config's threads (no cap by
-default). A cap from either flag or the variable that is not a positive
-integer is a usage error (exit 1). BLAS runs on one thread. The export
-subcommands, mfpca reconstruct and bootstrap --dump-replicates draw their
-charts on one forked process per available core, at most one per chart,
-each file written whole by one process. run and ingest parse a CSV export
-on one forked process per available core, at most one per 512 KiB of it,
-each reading one line-aligned byte range, and join the ranges' rows in
-file order. On one machine and one BLAS core
-type, every output is the same bytes at any worker count and any
+core, and no more than one per 32 players; --threads caps that count (run's
+default cap is the config's threads; neither has one by default). A cap that
+is not a positive integer is a usage error (exit 1). BLAS runs on one
+thread. The export subcommands, mfpca reconstruct and bootstrap
+--dump-replicates draw their charts on one forked process per available
+core, at most one per chart, each drawing one contiguous run of the charts
+and writing each file whole. run and ingest parse a CSV export on one forked
+process per available core, at most one per 512 KiB of it, each reading one
+line-aligned byte range, and join the ranges' rows in file order. A failing
+chart or row gives the error one process gives. On one machine and one BLAS
+core type, every output is the same bytes at any worker count and any
 OPENBLAS_NUM_THREADS.
 """
 
@@ -72,18 +71,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
-
-
-def _threads_default(parser: argparse.ArgumentParser) -> int | None:
-    """The worker cap COURT_FDA_THREADS sets, or None (no cap) when it is unset.
-
-    Any other value than a positive integer is a usage error that names the variable.
-    """
-    value = os.environ.get("COURT_FDA_THREADS")
-    try:
-        return None if value is None else _positive_int(value)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"COURT_FDA_THREADS {exc}")
 
 
 def _chart_name(player_id: str, player_ids: list[str]) -> str:
@@ -277,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--players", required=True, help="players.json from ingest")
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=pl.PipelineConfig.grid)
-    p.add_argument("--threads", type=_positive_int, default=None, help="worker cap (default: COURT_FDA_THREADS)")
+    p.add_argument("--threads", type=_positive_int, help="worker cap (default: no cap)")
     p.set_defaults(func=cmd_density, stage="density")
 
     p = sub.add_parser("mfpca", help="fit, score, or reconstruct")
@@ -373,10 +360,7 @@ def main(argv=None) -> int:
     Each ``cmd_*`` function returns that line (or None: nothing to print). A closed
     standard output does not fail a command that has finished: the line is dropped.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "density" and args.threads is None:
-        args.threads = _threads_default(parser)
+    args = build_parser().parse_args(argv)
     pin_blas_single_thread()
     try:
         status = args.func(args)

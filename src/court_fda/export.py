@@ -169,34 +169,24 @@ def export_fields(charts: Sequence[tuple[np.ndarray, str | Path, str]], grid: Gr
     ``<base>_missed`` and ``<base>_made``.
 
     Modes "symmetric" and "unit" draw each component through :func:`export_heatmap`; mode
-    "raw" writes its values unscaled, as ``<base>_<component>.csv`` alone. The components are
-    spread over ``k = min(available_cores(), components, nodes // _NODES_PER_WORKER)``
-    processes (at least 1; 1 where ``os.fork`` is missing) by :func:`court_fda.native.run_shares`:
-    component ``i`` in chart order goes to share ``i mod k``. Each file is written whole by one
-    process, so the bytes do not depend on ``k``. A failure raises the error of the first
-    failing component in chart order, as a loop over them would.
+    "raw" writes its values unscaled, as ``<base>_<component>.csv`` alone. The components, in
+    chart order, are cut into ``k = min(available_cores(), components, nodes // _NODES_PER_WORKER)``
+    contiguous runs (at least 1), each drawn by one share of :func:`court_fda.native.run_shares`:
+    share order is chart order, so the first failing component in chart order raises, as in a
+    loop over them. Each file is written whole by one process, so the bytes do not depend on ``k``.
     """
     jobs = [(values, f"{base}_{comp}", mode) for field, base, mode in charts for comp, values in zip(COMPONENTS, field)]
     nodes = len(jobs) * grid.nx * grid.ny
-    workers = min(available_cores(), len(jobs), max(1, nodes // _NODES_PER_WORKER)) if hasattr(os, "fork") else 1
+    workers = max(1, min(available_cores(), len(jobs), nodes // _NODES_PER_WORKER))
     _csv_line_starts(grid.nx, grid.ny)  # built once here, so the forked workers inherit it
-    shares = run_shares(lambda worker: _draw_share(jobs, grid, worker, workers), workers, "chart")
-    failures = [failure for failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=operator.itemgetter(0))[1]
 
-
-def _draw_share(jobs: list, grid: GridSpec, first: int, step: int) -> tuple[int, BaseException] | None:
-    """Draw ``jobs[first::step]`` in order; stop at the first that fails and return its index and error."""
-    for index in range(first, len(jobs), step):
-        values, base, mode = jobs[index]
-        try:
+    def draw(worker: int) -> None:
+        for values, base, mode in jobs[len(jobs) * worker // workers:len(jobs) * (worker + 1) // workers]:
             if mode == "raw":
                 path = Path(f"{base}.csv")
                 path.parent.mkdir(parents=True, exist_ok=True)
                 write_heatmap_csv(values, grid, path)
             else:
                 export_heatmap(values, grid, base, mode)
-        except Exception as exc:
-            return index, exc
-    return None
+
+    run_shares(draw, workers, "chart")

@@ -9,12 +9,12 @@ only when their attempt count exceeds a threshold.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import functools
 import io
 import json
-import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -212,12 +212,13 @@ class _NumberColumn:
         return values, ~np.isfinite(values), message
 
 
-def _line_of(reopen: Callable[[], TextIO], index: int) -> int:
-    """File line number on which the index-th non-blank data row ends, read afresh."""
-    with reopen() as source:
-        reader = csv.reader(source)
+def _line_of(source: TextIO, header: bool, index: int) -> int:
+    """Line of ``source``, counted from where it stands, on which its ``index``-th non-blank data row
+    ends; with ``header``, the first row is a header, not a data row."""
+    reader = csv.reader(source)
+    if header:
         next(reader)
-        return next(islice((reader.line_num for row in reader if row), index, None))
+    return next(islice((reader.line_num for row in reader if row), index, None))
 
 
 def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -232,10 +233,9 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     number of the first such row; within a row the checks run in the
     order position, x_ft, y_ft, made.
     """
-    reopen = functools.partial(io.StringIO, text, newline="")
-    reader = csv.reader(reopen())
+    reader = csv.reader(io.StringIO(text, newline=""))
     _check_header(reader)
-    return _read_rows(reader, functools.partial(_line_of, reopen), court)
+    return _read_rows(reader, lambda index: _line_of(io.StringIO(text, newline=""), True, index), court)
 
 
 def _check_header(reader: Iterator[list[str]]) -> None:
@@ -366,33 +366,20 @@ def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> ShotTable:
     """Load shot events from a CSV or JSON file, dispatching on suffix.
 
     A CSV file is parsed by ``min(available_cores(), size // _BYTES_PER_WORKER)`` processes
-    (at least 1; 1 where ``os.fork`` is missing), each streaming one line-aligned byte range
-    of it (:func:`_range_bounds`) as strict UTF-8, row batch by row batch. Range 0 is parsed
-    by the caller and the others by processes forked from it
-    (:func:`court_fda.native.run_shares`), and their tables are joined in file order into the
-    table one process gives. The first failing range in file order raises: a
-    :class:`ParseError` carries the file line one process reports, found by reading the file
-    again, and a decoding or csv module error keeps its type. One process also reads on past
-    an invalid value, so it reports an undecodable byte further down instead; split, that
+    (at least 1), each streaming one line-aligned byte range of it (:func:`_range_bounds`) as
+    strict UTF-8, row batch by row batch (:func:`_read_range`). Range 0 is parsed by the caller
+    and the others by processes forked from it (:func:`court_fda.native.run_shares`), and their
+    tables are joined in file order into the table one process gives. The first failing range
+    in file order raises, with the file line one process reports. One process also reads on
+    past an invalid value, so it reports an undecodable byte further down instead; split, that
     byte is reported only when no earlier range fails. A JSON file is decoded by one process.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
         return parse_events_json(path.read_bytes().decode("utf-8"), court)
     size = path.stat().st_size
-    workers = min(available_cores(), max(1, size // _BYTES_PER_WORKER)) if hasattr(os, "fork") else 1
-    bounds = _range_bounds(path, size, workers)
-    ranges = list(zip(bounds, bounds[1:]))
-    parts = run_shares(functools.partial(_read_range, path, ranges, court), len(ranges), "parse")
-    rows = 0  # non-blank data rows in the ranges before this one
-    for part in parts:
-        if isinstance(part, ParseError):
-            reopen = functools.partial(path.open, newline="", encoding="utf-8")
-            raise ParseError(_line_of(reopen, rows + part.row), part.reason)
-        if isinstance(part, Exception):
-            raise part
-        rows += len(part)
-    return _join(parts)
+    bounds = _range_bounds(path, size, min(available_cores(), max(1, size // _BYTES_PER_WORKER)))
+    return _join(run_shares(functools.partial(_read_range, path, bounds, court), len(bounds) - 1, "parse"))
 
 
 def _range_bounds(path: Path, size: int, parts: int) -> list[int]:
@@ -448,27 +435,55 @@ class _ByteRange(io.RawIOBase):
         return count
 
 
-def _read_range(path: Path, ranges: list[tuple[int, int]], court: CourtSpec, share: int) -> ShotTable | Exception:
-    """The table of byte range ``ranges[share]`` of the CSV file ``path``, or the error reading it raised.
+def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> ShotTable:
+    """The table of byte range ``bounds[share]:bounds[share + 1]`` of the CSV file ``path``.
 
-    Only range 0 holds the header, whose error is raised. A returned :class:`ParseError`
-    carries the invalid row's index among the range's non-blank data rows as its row.
-    The last range is read on to the end of the file by the io module's own buffered
-    reader, which the text layer checks faster per line than a bounded one.
+    Only range 0 holds the header. An invalid row raises :class:`ParseError` at its file line,
+    the lines before the range plus its line within the range, which a second read of the range
+    finds: no range starts after a ``"`` byte, so no quoted line break comes before it. An
+    undecodable byte raises one at its own line, found by decoding the range's bytes at once.
     """
-    start, stop = ranges[share]
-    with path.open("rb") as fh:
-        if start:  # a pipe, always one range, cannot seek even to 0
-            fh.seek(start)
-        raw = fh if stop == ranges[-1][1] else _ByteRange(fh, stop - start)
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as source:
+    start, stop = bounds[share], bounds[share + 1]
+    text = functools.partial(_range_text, path, start, stop, stop == bounds[-1])
+
+    def locate(index: int) -> int:
+        with text() as source:
+            return _lines(path, start) + _line_of(source, share == 0, index)
+
+    try:
+        with text() as source:
             reader = csv.reader(source)
             if share == 0:
                 _check_header(reader)
-            try:
-                return _read_rows(reader, lambda index: index, court)
-            except (ParseError, UnicodeDecodeError, csv.Error) as exc:
-                return exc
+            return _read_rows(reader, locate, court)
+    except UnicodeDecodeError:
+        with text() as source:
+            data = source.buffer.read()  # the range's bytes
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            message = f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
+            raise ParseError(_lines(path, start + exc.start + 1), message) from None
+        raise  # the bytes changed since they were parsed
+
+
+@contextlib.contextmanager
+def _range_text(path: Path, start: int, stop: int, last: bool) -> Iterator[TextIO]:
+    """Bytes ``start:stop`` of the file ``path`` as strict UTF-8 text with line ends kept. The
+    ``last`` range is read by the io module's own buffered reader, which the text layer checks
+    faster per line than a bounded one."""
+    with path.open("rb") as fh:
+        if start:  # a pipe, always one range, cannot seek even to 0
+            fh.seek(start)
+        with io.TextIOWrapper(fh if last else _ByteRange(fh, stop - start), encoding="utf-8", newline="") as source:
+            yield source
+
+
+def _lines(path: Path, count: int) -> int:
+    """Lines in the first ``count`` bytes of the file ``path``, split as the csv module splits them:
+    at each ``\\n``, ``\\r\\n`` or bare ``\\r``."""
+    with path.open("rb") as fh, io.TextIOWrapper(_ByteRange(fh, count), encoding="latin-1", newline="") as text:
+        return sum(1 for _ in text)
 
 
 def _join(tables: list[ShotTable]) -> ShotTable:

@@ -42,14 +42,17 @@ def available_cores() -> int:
 def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:
     """``[work(0), ..., work(shares - 1)]``: share 0 runs in the caller, each other share in a process forked from it.
 
-    A child sends its share's result, or the exception its share raised, down a pipe pickled,
-    and leaves through ``os._exit``, so no atexit handler, inherited stdio buffer or caller
-    code runs in it. A share that raises makes this raise as a loop over the shares would:
-    share 0's error at once, a child's when it is reached in share order. A child that ended
-    without reporting raises ``ChildProcessError``, which names it as ``name`` worker ``share``.
-    Every child is reaped before this returns or raises; the ones still running when it raises
-    (an error, an interrupt or a failed fork) are sent SIGTERM first.
+    Every share runs to its end, and then the error of the first failing share in share order
+    is raised, as a loop over the shares would raise it. A child sends its share's outcome,
+    the ``(failed, result or exception)`` pair :func:`_outcome` builds for share 0 too, down a
+    pipe pickled, and leaves through ``os._exit``, so no atexit handler, inherited stdio buffer
+    or caller code runs in it. A child that ended without reporting fails its share with
+    ``ChildProcessError``, which names it as ``name`` worker ``share``. Every child is reaped
+    before this returns or raises; on an interrupt or a failed fork the ones still running are
+    sent SIGTERM first. Where ``os.fork`` is missing, the shares run one after another in the caller.
     """
+    if not hasattr(os, "fork"):
+        return [work(share) for share in range(shares)]
     children: dict[int, tuple[int, BinaryIO]] = {}  # pid -> (share, read end of its result pipe), in share order
     try:
         for share in range(1, shares):
@@ -64,19 +67,17 @@ def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:
                 _report(write_fd, work, share)
             os.close(write_fd)
             children[pid] = share, os.fdopen(read_fd, "rb")
-        results = [work(0)]
+        outcomes = [_outcome(work, 0)]
         for pid, (share, fh) in list(children.items()):
             payload = fh.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
             fh.close()
-            if not payload:
-                raise ChildProcessError(f"{name} worker {share} ended with wait status {status} before reporting")
-            failed, result = pickle.loads(payload)
-            if failed:
-                raise result
-            results.append(result)
-        return results
+            if payload:
+                outcomes.append(pickle.loads(payload))
+            else:
+                outcomes.append((True, ChildProcessError(
+                    f"{name} worker {share} ended with wait status {status} before reporting")))
     finally:
         for pid, (_, fh) in children.items():
             with contextlib.suppress(ProcessLookupError):
@@ -84,20 +85,28 @@ def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
             fh.close()
+    for failed, result in outcomes:
+        if failed:
+            raise result
+    return [result for _, result in outcomes]
+
+
+def _outcome(work: Callable[[int], T], share: int) -> tuple[bool, T | Exception]:
+    """``(False, work(share))``, or ``(True, the exception it raised)``."""
+    try:
+        return False, work(share)
+    except Exception as exc:
+        return True, exc
 
 
 def _report(write_fd: int, work: Callable[[int], object], share: int) -> None:
-    """A forked child of :func:`run_shares`: run ``work(share)``, send the outcome down ``write_fd`` pickled, and exit.
+    """A forked child of :func:`run_shares`: send ``_outcome(work, share)`` down ``write_fd`` pickled, and exit.
 
     Exit status 1 and an empty pipe mean it ended before reporting.
     """
     status = 1
     try:
-        try:
-            outcome = False, work(share)
-        except Exception as exc:
-            outcome = True, exc
-        payload = pickle.dumps(outcome)
+        payload = pickle.dumps(_outcome(work, share))
         with os.fdopen(write_fd, "wb") as fh:
             fh.write(payload)
         status = 0

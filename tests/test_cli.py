@@ -389,7 +389,7 @@ class TestRunCommand:
         assert not any("variance" in f for f in manifest["files"])
 
     def test_threads_env_variable(self, tmp_path, mini_csv, monkeypatch):
-        # the variable sets density's default worker cap only; run's cap is its flag or config; no cap changes a byte
+        # COURT_FDA_THREADS sets no cap; run's cap is its flag or config, density's its flag; no cap changes a byte
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ("--input", mini_csv, "--min-attempts", 100, "--grid", 21, "--components", 2,
                 "--k", 2, "--replicates", 0)
@@ -415,9 +415,9 @@ class TestRunCommand:
         assert "threads" not in m1["config"]  # a worker count that changes no byte is not echoed
 
         assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "d", "--grid", 11) == 0
-        monkeypatch.delenv("COURT_FDA_THREADS")
-        assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "e", "--grid", 11) == 0
-        assert seen[2:] == [1, 3]
+        assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "e", "--grid", 11,
+                       "--threads", 1) == 0
+        assert seen[2:] == [3, 1]
 
 
     def test_shot_points_are_freed_before_the_fit(self, tmp_path, mini_csv, monkeypatch):
@@ -526,20 +526,14 @@ class TestUsage:
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, variable, message", [
-        pytest.param(["density", "--threads", "0"], None, "argument --threads: must be a positive integer, got '0'",
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["density", "--threads", "0"], "argument --threads: must be a positive integer, got '0'",
                      id="density-flag-0"),
-        pytest.param(["run", "--threads", "0"], None, "argument --threads: must be a positive integer, got '0'",
+        pytest.param(["run", "--threads", "0"], "argument --threads: must be a positive integer, got '0'",
                      id="run-flag-0"),
-        pytest.param(["density"], "abc", "COURT_FDA_THREADS must be a positive integer, got 'abc'", id="variable-abc"),
-        pytest.param(["density"], "0", "COURT_FDA_THREADS must be a positive integer, got '0'", id="variable-0"),
     ])
-    def test_a_worker_cap_must_be_a_positive_integer(self, tmp_path, monkeypatch, capsys, argv, variable, message):
+    def test_a_worker_cap_must_be_a_positive_integer(self, tmp_path, capsys, argv, message):
         # the missing input would fail the stage itself (exit 2 or 3); the cap is refused first
-        if variable is None:
-            monkeypatch.delenv("COURT_FDA_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("COURT_FDA_THREADS", variable)
         source = {"density": "--players", "run": "--input"}[argv[0]]
         with pytest.raises(SystemExit) as stop:
             run_cli(*argv, source, tmp_path / "missing", "--out", tmp_path / "out")
@@ -716,6 +710,15 @@ class TestLoaderErrors:
         assert run_cli("ingest", "--input", mini_csv, "--out", out, "--min-attempts", 1000) == 2
         assert "no player exceeds 1000 attempts" in capsys.readouterr().err
         assert not (out / "players.json").exists()
+
+    def test_an_undecodable_byte_exits_2_naming_its_line(self, tmp_path, fixture_csv, capsys):
+        # the 0.7 MB fixture is parsed as one byte range; its byte 500,023 is on line 11128
+        data = bytearray(fixture_csv.read_bytes())
+        data[500_023] = 0xFF
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(bytes(data))
+        assert run_cli("ingest", "--input", bad, "--out", tmp_path / "work") == 2
+        assert capsys.readouterr().err == "error: row 11128: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
 
     @pytest.mark.parametrize("argv, code", [
         (lambda work: ["ingest", "--input", work.parent / "mini.csv", "--min-attempts", 100000], 2),
@@ -1009,7 +1012,7 @@ class TestChartWorkers:
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_a_failing_chart_gives_the_one_worker_message(self, work, tmp_path, monkeypatch, capsys, cores):
-        # the second medoid's made density is chart 3: worker 1's share at two workers, the command's at three
+        # the second medoid's made density is chart 3: the last of worker 1's run at two workers, of worker 2's at three
         monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)
         monkeypatch.setattr(export, "available_cores", lambda: cores)
         read = pl.read_densities

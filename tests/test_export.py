@@ -178,7 +178,7 @@ class TestChartWorkers:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_the_first_failing_chart_in_chart_order_wins(self, tmp_path, monkeypatch, cores):
         # chart 3 (field 1, made) is non-finite and charts 4 and 5 have an unknown mode: at two workers
-        # process 0 fails at 4 and process 1 at 3, at three process 0 fails at 3 and the others at 4 and 5
+        # process 0 draws charts 0-2 and process 1 fails at 3; at three process 1 fails at 3 and process 2 at 4
         monkeypatch.setattr(export, "available_cores", lambda: cores)
         grid = GridSpec(5, 4)
         charts = self.charts(tmp_path, grid, 3)

@@ -387,12 +387,46 @@ class TestSplitFile:
         self.damage(export_file, short, ",2020-21", ";2020-21")
         self.check(export_file, f"row {bad}: unknown position label 'pivot'")
 
-    def test_an_undecodable_byte_in_the_last_range_keeps_its_type(self, export_file):
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_an_undecodable_byte_is_a_parse_error_at_its_line(self, export_file, which):
         data = export_file.read_bytes()
-        at = ingest._range_bounds(export_file, len(data), 3)[2] + 3
+        at = ingest._range_bounds(export_file, len(data), 3)[which] + 3
         export_file.write_bytes(data[:at] + b"\xff" + data[at + 1:])
-        assert isinstance(load_split(export_file, 1), UnicodeDecodeError)
-        assert isinstance(load_split(export_file, 3), UnicodeDecodeError)
+        line = data.count(b"\n", 0, at) + 1
+        self.check(export_file, f"row {line}: 'utf-8' codec can't decode byte 0xff: invalid start byte")
+
+    def test_a_bad_row_in_range_2_is_located_by_reading_range_2_alone(self, export_file, tmp_path, monkeypatch):
+        # each csv reader logs its first non-blank row, from the forked workers too: ranges 0 and 1 are
+        # parsed once, range 2 twice (for its table, then to locate the row), and no reader reads from line 1 again
+        line = self.range_lines(export_file)[2] + 2
+        self.damage(export_file, line, "guard", "pivot")
+        log, reader = tmp_path / "first_rows.log", csv.reader
+
+        class LoggedReader:
+            def __init__(self, *args):
+                self.rows, self.logged = reader(*args), False
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(self.rows)
+                if row and not self.logged:
+                    with log.open("a") as fh:
+                        fh.write(",".join(row) + "\n")
+                    self.logged = True
+                return row
+
+            line_num = property(lambda self: self.rows.line_num)
+
+        monkeypatch.setattr(csv, "reader", LoggedReader)
+        split = load_split(export_file, 3)
+        lines = export_file.read_text(encoding="utf-8").split("\n")
+        starts = [1, *self.range_lines(export_file)[1:]]
+        assert sorted(log.read_text().splitlines()) == sorted(lines[n - 1] for n in [*starts, starts[2]])
+        one = load_split(export_file, 1)
+        assert_same_outcome(split, one)
+        assert str(one) == f"row {line}: unknown position label 'pivot'"
 
     def test_a_bad_header_is_row_1(self, export_file):
         self.damage(export_file, 1, "season", "seasun")
