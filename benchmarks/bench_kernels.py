@@ -15,6 +15,9 @@ once with no repeated value. ``read_players_json`` reads the lattice file
 back, and ``parse_events_json`` parses the same shots as a JSON shot
 export, one object per shot. BLAS runs on one thread, as court-fda runs it;
 ``build_samples`` is timed on one worker and on one per available core.
+Stacks are written through ``write_densities`` to a temporary directory and
+read from there, block by block, as a run reads them; the page cache holds
+them after the first pass.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from court_fda.fda import (
     save_model,
 )
 from court_fda.grids import GridSpec
+from court_fda.pipeline import write_densities
 from court_fda.ingest import (
     CSV_FIELDS,
     PlayerRecord,
@@ -59,8 +63,15 @@ def one_blas_thread():
     pin_blas_single_thread()
 
 
+def stack_on_disk(directory, values: np.ndarray) -> DensityStack:
+    """A (2, N, nx, ny) array written as a density directory, and the stack on it."""
+    ids, grid = [f"p{i:03d}" for i in range(values.shape[1])], GridSpec(*values.shape[2:])
+    write_densities(directory, ids, grid, [values])
+    return DensityStack(ids, grid, directory)
+
+
 @pytest.fixture(scope="module")
-def stack() -> DensityStack:
+def stack(tmp_path_factory) -> DensityStack:
     """Bivariate fields: a positive base plus eight smooth random modes and noise."""
     rng = np.random.default_rng(0)
     xx, yy = np.meshgrid(GRID.xs, GRID.ys, indexing="ij")
@@ -71,7 +82,7 @@ def stack() -> DensityStack:
     coef = rng.normal(size=(PLAYERS, len(modes))) / np.arange(1, len(modes) + 1)
     noise = 0.01 * rng.normal(size=(2, PLAYERS, GRID.nx, GRID.ny))
     values = np.ascontiguousarray(3.0 + np.einsum("pm,mcxy->cpxy", coef, modes) + noise)
-    return DensityStack([f"p{i:03d}" for i in range(PLAYERS)], GRID, values)
+    return stack_on_disk(tmp_path_factory.mktemp("stack"), values)
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +168,10 @@ def test_parse_events_json(benchmark):
 
 
 @pytest.fixture(scope="module")
-def paper_model():
+def paper_model(tmp_path_factory):
     rng = np.random.default_rng(3)
     values = 1.0 + 0.1 * rng.normal(size=(2, PLAYERS, PAPER_GRID.nx, PAPER_GRID.ny))
-    return fit_mfpca(DensityStack([f"p{i:03d}" for i in range(PLAYERS)], PAPER_GRID, values), n_components=4)
+    return fit_mfpca(stack_on_disk(tmp_path_factory.mktemp("paper"), values), n_components=4)
 
 
 def test_save_model(benchmark, tmp_path, paper_model):

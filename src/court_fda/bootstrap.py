@@ -25,7 +25,7 @@ import numpy as np
 
 from court_fda.density import DensityStack
 from court_fda.export import export_fields
-from court_fda.fda import MfpcaModel, eigendecompose, gram_functions, gram_matrix, numerical_rank
+from court_fda.fda import GRAM_BLOCK, MfpcaModel, eigendecompose, gram_functions, gram_matrix, numerical_rank
 from court_fda.fda import fit_mfpca  # noqa: F401  bound only for perfbench/spans.py to wrap
 from court_fda.grids import GridSpec
 
@@ -153,10 +153,11 @@ def stability_study(
     the same eigenpairs, with C the stack centered on the reference mean:
     the j-th eigenfunction is C' v_j / sqrt(lam_j), sign-fixed, where v_j[i]
     sums H u_j over the draws of player i, and the mean is the reference mean
-    plus C' w, which is X' w for the stack X since w sums to 0. H u_j is u_j
-    in exact arithmetic; centering it keeps the rounding in u_j's mean from
-    adding a multiple of the draw's mean shift. The stack is neither copied
-    nor refit.
+    plus C' w, which is X' w for the stack X since w sums to 0, summed block
+    by block of grid nodes. H u_j is u_j in exact arithmetic; centering it
+    keeps the rounding in u_j's mean from adding a multiple of the draw's mean
+    shift. The stack is neither copied nor refit: each replicate reads it in
+    two passes over its node blocks.
 
     A caller that already holds G, ``gram_matrix(stack, reference.mean)``,
     passes it as ``gram``; it is built here otherwise. Either way G must have
@@ -198,7 +199,9 @@ def stability_study(
             hu = u[:, :a] - u[:, :a].mean(axis=0)  # H u_j
             weights = np.array([np.bincount(idx, hu[:, j], minlength=n) for j in range(a)])
             functions, _ = gram_functions(stack, reference.mean, weights, lam[:a])
-            functions[0] += (shift @ stack.values.reshape(2, n, -1)).reshape(reference.mean.shape)
+            mean = functions[0].reshape(2, -1)
+            for c, cols, block in stack.blocks(GRAM_BLOCK):
+                mean[c, cols] += shift @ block
             _dump_replicate(functions, stack.grid, Path(dump_dir), r)
 
     return StabilityReport(

@@ -206,12 +206,13 @@ def cmd_export(args) -> str:
     elif args.what == "player":
         model = load_model(args.model)
         base = out / f"player_{_chart_name(args.player, model.scores.player_ids)}"
-        stack = pl.read_densities(args.densities, [args.player])
+        stack = pl.read_densities(args.densities)
+        fields = stack.rows([args.player])
         if stack.grid != model.grid:
             raise ValueError(f"the densities lie on {stack.grid}, the model on {model.grid}")
         ids = model.scores.player_ids
         scores = model.scores.values[ids.index(args.player)] if args.player in ids else ()
-        charts = [(stack.values[:, 0], base, "unit"), (model.mean, f"{base}_mean", "symmetric")]
+        charts = [(fields[:, 0], base, "unit"), (model.mean, f"{base}_mean", "symmetric")]
         charts += [(score * phi, f"{base}_component_{j}", "symmetric")
                    for j, (score, phi) in enumerate(zip(scores, model.eigenfunctions), start=1)]
         export_fields(charts, model.grid)
@@ -219,15 +220,17 @@ def cmd_export(args) -> str:
     elif args.what == "densities":
         stack = pl.read_densities(args.densities)
         names = [_chart_name(pid, stack.player_ids) for pid in stack.player_ids]
-        export_fields([(stack.values[:, i], out / f"density_{name}", "raw")
+        fields = stack.rows(stack.player_ids)  # every row is charted
+        export_fields([(fields[:, i], out / f"density_{name}", "raw")
                        for i, name in enumerate(names)], stack.grid)
         return f"exported {len(stack)} raw density pairs -> {out}"
     else:  # medoids
         _, doc = pl.read_clusters_json(args.clusters)
-        stack = pl.read_densities(args.densities, doc["medoid_player_ids"])
-        export_fields([(stack.values[:, j], out / f"medoid_{doc['scheme']}_cluster{j + 1}", "unit")
-                       for j in range(len(stack))], stack.grid)
-        return f"exported {len(stack)} medoid charts -> {out}"
+        stack = pl.read_densities(args.densities)
+        fields = stack.rows(doc["medoid_player_ids"])
+        export_fields([(fields[:, j], out / f"medoid_{doc['scheme']}_cluster{j + 1}", "unit")
+                       for j in range(fields.shape[1])], stack.grid)
+        return f"exported {fields.shape[1]} medoid charts -> {out}"
 
 
 def cmd_run(args) -> str:

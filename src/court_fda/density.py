@@ -1,4 +1,4 @@
-"""Gaussian kernel density estimation of shot charts on a shared grid.
+"""Gaussian kernel density estimation of shot charts on a shared grid, and the stack of fields on disk.
 
 Each player contributes two smoothed fields, one from missed and one
 from made attempts, estimated with a product Gaussian kernel whose
@@ -6,26 +6,30 @@ per-axis bandwidths come from the two-dimensional rule-of-thumb
 h_j = sigma_j * n**(-1/6). Fields are renormalized so their trapezoidal
 integral over the grid equals one; mass leaking outside the unit square
 is folded back by that renormalization rather than by boundary kernels.
+
+The fields of all players live only in the two ``.npy`` files of a density
+directory; :class:`DensityStack` reads them a block of grid nodes or a few
+players' rows at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from court_fda.grids import GridSpec, grid_integral
+from court_fda.export import check_npy, read_npy_rows
+from court_fda.grids import COMPONENTS, GridSpec, grid_integral
 from court_fda.ingest import PlayerRecord
 
 #: Points per kernel block in :func:`kde_raw`; it bounds each block's kernels to (nodes, KDE_BLOCK).
 KDE_BLOCK = 256
-
-#: The components of a :class:`DensityStack`, in the order of its first axis.
-COMPONENTS = ("missed", "made")
 
 
 class DegenerateBandwidthError(ValueError):
@@ -36,33 +40,92 @@ class DensityError(ValueError):
     """Density estimation failed for a specific player and component."""
 
 
+class DensityFileError(ValueError):
+    """A density directory is missing a file, holds arrays that do not match its descriptor, or holds a
+    non-finite value where it is read."""
+
+
 @dataclass(frozen=True, eq=False)
 class DensityStack:
-    """Every player's missed and made densities in one array.
+    """Every player's missed and made densities, held in the files of the density directory ``directory``.
 
-    ``values`` is a C-contiguous float64 array of shape (2, N, nx, ny):
-    component-major, missed first and made second, rows in
-    ``player_ids`` order. Each field is non-negative and its trapezoidal
-    integral over the unit square is 1.
+    ``densities_missed.npy`` and ``densities_made.npy`` there are C-order float64 arrays of shape
+    (N, nx, ny), rows in ``player_ids`` order. Each field is non-negative and its trapezoidal
+    integral over the unit square is 1. Both headers are checked
+    (:func:`~court_fda.export.check_npy`) when the stack is made and again at every read, so a
+    stack is a checked handle: it holds no field. :meth:`blocks` serves every player's values at
+    a block of grid nodes, and :meth:`rows` the fields of a few players. Either raises
+    :class:`DensityFileError` for a file that has changed shape, been cut short, or holds a
+    non-finite value among those read.
     """
 
     player_ids: list[str]
     grid: GridSpec
-    values: np.ndarray
+    directory: Path
 
     def __post_init__(self) -> None:
-        shape = (2, len(self.player_ids), self.grid.nx, self.grid.ny)
-        if self.values.shape != shape:
-            raise ValueError(f"density values have shape {self.values.shape}, expected {shape}")
-        if self.values.dtype != np.float64 or not self.values.flags.c_contiguous:
-            raise ValueError("density values must be a C-contiguous float64 array")
+        with self._files():
+            pass
 
     def __len__(self) -> int:
         return len(self.player_ids)
 
-    def take(self, rows) -> "DensityStack":
-        """A new stack of the given player rows, in the given order."""
-        return DensityStack([self.player_ids[i] for i in rows], self.grid, np.take(self.values, rows, axis=1))
+    def _error(self, cause) -> DensityFileError:
+        return DensityFileError(f"density directory {self.directory}: {cause}")
+
+    @contextlib.contextmanager
+    def _files(self) -> Iterator[list[tuple[str, BinaryIO, int]]]:
+        """Each component's name, its open file, and where the file's data start."""
+        shape = (len(self), self.grid.nx, self.grid.ny)
+        with contextlib.ExitStack() as stack:
+            try:
+                files = [(comp, stack.enter_context((Path(self.directory) / f"densities_{comp}.npy").open("rb")))
+                         for comp in COMPONENTS]
+                checked = [(comp, fh, check_npy(fh, shape)) for comp, fh in files]
+            except (OSError, ValueError) as exc:
+                raise self._error(exc) from exc
+            yield checked
+
+    def _finite(self, comp: str, values: np.ndarray) -> None:
+        if not np.isfinite(values).all():
+            raise self._error(f"densities_{comp}.npy holds a non-finite value")
+
+    def blocks(self, width: int) -> Iterator[tuple[int, slice, np.ndarray]]:
+        """(component, node slice, N x block array) over consecutive blocks of ``width`` grid nodes.
+
+        Row i of a block is player i's values at those nodes of that component, read with one
+        seek and one read per player into one buffer allocated per call. So a block is valid only
+        until the next one is requested: a consumer may change it in place but must not keep it.
+        """
+        n, nodes = len(self), self.grid.nx * self.grid.ny
+        buf = np.empty(n * min(width, nodes))
+        with self._files() as files:
+            for c, (comp, fh, start) in enumerate(files):
+                for lo in range(0, nodes, width):
+                    block = buf[:n * min(width, nodes - lo)].reshape(n, -1)
+                    for i, segment in enumerate(block):
+                        fh.seek(start + (i * nodes + lo) * segment.itemsize)
+                        if fh.readinto(segment) != segment.nbytes:
+                            raise self._error(f"densities_{comp}.npy is shorter than its header says")
+                    self._finite(comp, block)
+                    yield c, slice(lo, lo + width), block
+
+    def rows(self, player_ids: Sequence[str]) -> np.ndarray:
+        """The (2, len(player_ids), nx, ny) fields of the given players, in that order."""
+        index = {pid: i for i, pid in enumerate(self.player_ids)}
+        missing = [pid for pid in player_ids if pid not in index]
+        if missing:
+            raise self._error(f"player {missing[0]!r} is not in the density set")
+        rows = [index[pid] for pid in player_ids]
+        fields = np.empty((2, len(rows), self.grid.nx, self.grid.ny))
+        with self._files() as files:
+            for (comp, fh, start), slot in zip(files, fields):
+                try:
+                    read_npy_rows(fh, start, rows, slot)
+                except ValueError as exc:
+                    raise self._error(exc) from exc
+                self._finite(comp, slot)
+        return fields
 
 
 def silverman_bandwidth(points: np.ndarray) -> tuple[float, float]:
@@ -143,16 +206,18 @@ def kde(
     return np.divide(raw, grid_integral(raw), out=out)
 
 
-def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1) -> DensityStack:
-    """Estimate both densities of every record into one preallocated stack.
+def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1) -> np.ndarray:
+    """Estimate both densities of every record into one preallocated array.
 
-    Each component gets its own bandwidth pair. ``threads`` workers, the caller and
-    ``threads - 1`` threads it starts, take players in record order from one shared
-    iterator. Rows follow record order and are identical for any thread count: each field is
-    evaluated in a fixed node and point order on one worker, and players are independent. With
-    BLAS on one thread (:func:`court_fda.native.pin_blas_single_thread`) they are also identical
-    for any BLAS thread setting. A failure raises the error of the first failing player in
-    record order, as a loop over them would.
+    The result is a C-contiguous float64 array of shape (2, len(records), nx, ny): component-major,
+    missed first and made second, rows in record order; each component gets its own bandwidth
+    pair. ``threads`` workers, the caller and ``threads - 1`` threads it starts, take players in
+    record order from one shared iterator. Rows are identical for any thread count and for any
+    split of the records into calls: each field is evaluated in a fixed node and point order on
+    one worker, and players are independent. With BLAS on one thread
+    (:func:`court_fda.native.pin_blas_single_thread`) they are also identical for any BLAS thread
+    setting. A failure raises the error of the first failing player in record order, as a loop
+    over them would.
     """
     values = np.empty((2, len(records), grid.nx, grid.ny))
     players = iter(range(len(records)))  # next() on it is atomic, so each index goes to one worker
@@ -188,4 +253,4 @@ def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), 
             helper.join()
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
-    return DensityStack([r.player_id for r in records], grid, values)
+    return values

@@ -12,8 +12,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from court_fda.density import COMPONENTS
-from court_fda.grids import GridSpec
+from court_fda.grids import COMPONENTS, GridSpec
 from court_fda.native import available_cores, run_shares
 
 

@@ -10,8 +10,10 @@ available on coarse grids as an independent cross-check.
 
 Bivariate grid functions are ndarrays of shape (2, nx, ny) with the
 missed component first and the made component second. A dataset is one
-:class:`~court_fda.density.DensityStack`, centered block by block over
-the grid nodes of each component, never as a whole copy.
+:class:`~court_fda.density.DensityStack`, which stays in its files: the
+mean, the Gram matrix, the eigenfunctions and the scores are each one pass
+over its blocks of grid nodes, read and centered in one buffer, so no more
+than one block of the stack is held at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ CLAMP_TOL = 1e-10
 #: Largest per-axis node count the direct covariance route will accept.
 MAX_ORACLE_NODES = 21
 
-#: Grid nodes per column block when a stack is centered block by block;
+#: Grid nodes per column block when a stack is read and centered block by block;
 #: a block of N players holds N * GRAM_BLOCK floats.
 GRAM_BLOCK = 4096
 
@@ -122,28 +124,36 @@ def h_norm(f) -> float:
 
 
 def mean_function(stack: DensityStack) -> np.ndarray:
-    """Pointwise arithmetic mean of the samples, per component, shape (2, nx, ny)."""
+    """Pointwise arithmetic mean of the samples, per component, shape (2, nx, ny).
+
+    Each node's values are summed in player order, one block of nodes at a time, and the sum
+    is divided by N: the bits of numpy's mean over the player axis of the whole stack, which a
+    block one node wide would lose to numpy's pairwise summation.
+    """
     if len(stack) == 0:
         raise ValueError("cannot average an empty sample list")
-    return stack.values.mean(axis=1)
+    mean = np.empty((2, stack.grid.nx * stack.grid.ny))
+    for c, cols, block in stack.blocks(GRAM_BLOCK):
+        total = mean[c, cols]
+        total[:] = block[0]
+        for row in block[1:]:
+            total += row
+    mean /= len(stack)
+    return mean.reshape(2, stack.grid.nx, stack.grid.ny)
 
 
 def _centered_blocks(stack: DensityStack, mean: np.ndarray) -> Iterator[tuple[int, slice, np.ndarray]]:
-    """(component, node slice, centered C-contiguous N x block array) over fixed column blocks.
+    """(component, node slice, centered C-contiguous N x block array) over :meth:`DensityStack.blocks`.
 
-    Every block is written into one buffer allocated per call, so a block is valid only
-    until the next one is requested: a consumer may change it in place but must not keep it.
+    Each block is centered in the stack's one read buffer, so it is valid only until the next
+    one is requested: a consumer may change it in place but must not keep it.
     """
     if mean.shape != (2, stack.grid.nx, stack.grid.ny):
         raise GridMismatchError(f"samples lie on a {stack.grid.nx}x{stack.grid.ny} grid, mean has {mean.shape}")
-    n, nodes = len(stack), stack.grid.nx * stack.grid.ny
-    buf = np.empty(n * min(GRAM_BLOCK, nodes))
-    for c in range(2):
-        rows, m = stack.values[c].reshape(n, nodes), mean[c].ravel()
-        for lo in range(0, nodes, GRAM_BLOCK):
-            cols = slice(lo, lo + GRAM_BLOCK)
-            width = min(GRAM_BLOCK, nodes - lo)
-            yield c, cols, np.subtract(rows[:, cols], m[cols], out=buf[:n * width].reshape(n, width))
+    centers = mean.reshape(2, -1)
+    for c, cols, block in stack.blocks(GRAM_BLOCK):
+        block -= centers[c, cols]
+        yield c, cols, block
 
 
 def gram_matrix(stack: DensityStack, mean: np.ndarray) -> np.ndarray:
@@ -325,8 +335,8 @@ def reconstruct(scores: Sequence[float], model: MfpcaModel) -> np.ndarray:
 def covariance_oracle(stack: DensityStack) -> tuple[np.ndarray, np.ndarray]:
     """Direct route: eigendecompose the discretized covariance operator.
 
-    Builds the full (2 nx ny) square covariance matrix of the stacked
-    component vectors, symmetrizes it in the quadrature metric, and
+    Reads the coarse stack's rows whole and builds the full (2 nx ny)
+    square covariance matrix of the stacked component vectors, symmetrizes it in the quadrature metric, and
     solves the dense eigenproblem. Intended as an independent check of
     the Gram route on coarse grids; refuses grids above
     MAX_ORACLE_NODES nodes per axis.
@@ -342,7 +352,7 @@ def covariance_oracle(stack: DensityStack) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"covariance oracle refuses grids above {MAX_ORACLE_NODES}x{MAX_ORACLE_NODES}; got {grid.nx}x{grid.ny}"
         )
-    stacked = stack.values.transpose(1, 0, 2, 3).reshape(n, -1)
+    stacked = stack.rows(stack.player_ids).transpose(1, 0, 2, 3).reshape(n, -1)
     centered = stacked - stacked.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     sqrt_w = np.sqrt(np.tile(grid.weights.ravel(), 2))

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: The components of a bivariate grid function, in the order of its first axis.
+COMPONENTS = ("missed", "made")
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -9,16 +9,16 @@ only when their attempt count exceeds a threshold.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import enum
 import functools
 import io
 import json
+from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -212,15 +212,6 @@ class _NumberColumn:
         return values, ~np.isfinite(values), message
 
 
-def _line_of(source: TextIO, header: bool, index: int) -> int:
-    """Line of ``source``, counted from where it stands, on which its ``index``-th non-blank data row
-    ends; with ``header``, the first row is a header, not a data row."""
-    reader = csv.reader(source)
-    if header:
-        next(reader)
-    return next(islice((reader.line_num for row in reader if row), index, None))
-
-
 def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     """Parse CSV text into a shot table with normalized coordinates.
 
@@ -233,9 +224,9 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     number of the first such row; within a row the checks run in the
     order position, x_ft, y_ft, made.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader, lines = csv.reader(io.StringIO(text, newline="")), array("q")
     _check_header(reader)
-    return _read_rows(reader, lambda index: _line_of(io.StringIO(text, newline=""), True, index), court)
+    return _read_rows(_csv_rows(reader, lines), lines, court)
 
 
 def _check_header(reader: Iterator[list[str]]) -> None:
@@ -244,15 +235,28 @@ def _check_header(reader: Iterator[list[str]]) -> None:
         raise ParseError(1, f"expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}")
 
 
-def _read_rows(rows: Iterable[Sequence[str]], locate: Callable[[int], int], court: CourtSpec) -> ShotTable:
-    """CSV data rows as a table; an invalid row reports ``locate(its index among the non-blank rows)``."""
-    reader = iter(rows)
+def _csv_rows(reader, lines: array) -> Iterator[list[str]]:
+    """The non-blank rows of the csv ``reader``; as each is read, the line of the reader's source,
+    counted from where the reader began, on which it ends is appended to ``lines``."""
+    for row in reader:
+        if row:  # tolerate blank lines
+            lines.append(reader.line_num)
+            yield row
+
+
+def _read_rows(source: Iterable[Sequence[str]], lines: array, court: CourtSpec) -> ShotTable:
+    """Data rows as a table; an invalid row raises :class:`ParseError` at its line.
+
+    The row source appends each row's line to ``lines`` as it hands the row over, so row
+    ``i`` is located as ``lines[i]`` without reading the source twice. The lines are kept
+    as machine integers, which add no Python object to the heap the rows are freed from.
+    """
+    reader = iter(source)
     ids, names, labels, flags = _TextColumn(), _TextColumn(), _TextColumn(), _TextColumn()
     xs, ys = _NumberColumn("x_ft"), _NumberColumn("y_ft")
     wrong_count = None  # (data row index, field count) of the first row without seven fields
-    while wrong_count is None and (batch := list(islice(reader, _BATCH_ROWS))):
-        rows = list(filter(None, batch))  # tolerate blank lines
-        if rows and set(map(len, rows)) != {len(CSV_FIELDS)}:
+    while wrong_count is None and (rows := list(islice(reader, _BATCH_ROWS))):
+        if set(map(len, rows)) != {len(CSV_FIELDS)}:
             i = next(i for i, row in enumerate(rows) if len(row) != len(CSV_FIELDS))
             # rows above it may still hold an invalid value, reported first
             wrong_count = (xs.rows + i, len(rows[i]))
@@ -280,10 +284,10 @@ def _read_rows(rows: Iterable[Sequence[str]], locate: Callable[[int], int], cour
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
-        raise ParseError(locate(i), next(message(i) for mask, message in checks if mask[i]))
+        raise ParseError(lines[i], next(message(i) for mask, message in checks if mask[i]))
     if wrong_count is not None:
         i, count = wrong_count
-        raise ParseError(locate(i), f"expected {len(CSV_FIELDS)} fields, got {count}")
+        raise ParseError(lines[i], f"expected {len(CSV_FIELDS)} fields, got {count}")
     x, y = normalize_point(x_ft, y_ft, court)
     return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
 
@@ -304,6 +308,7 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     except TypeError:
         raise ParseError(1, "expected a JSON array of shot objects") from None
     stray = []  # the index of the first element that is not a shot object, once one is met
+    lines = array("q")  # each element's 1-based position, its row number
 
     def shot_rows() -> Iterator[list[str]]:
         for i, obj in enumerate(elements):
@@ -315,9 +320,10 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
             row = {k: str(v) for k, v in obj.items()}
             if isinstance(obj["made"], bool):
                 row["made"] = str(int(obj["made"]))
+            lines.append(i + 1)
             yield [row[k] for k in CSV_FIELDS]
 
-    table = _read_rows(shot_rows(), lambda i: i + 1, court)
+    table = _read_rows(shot_rows(), lines, court)
     if stray:
         raise ParseError(stray[0] + 1, f"expected an object with keys {','.join(CSV_FIELDS)}")
     return table
@@ -438,45 +444,40 @@ class _ByteRange(io.RawIOBase):
 def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> ShotTable:
     """The table of byte range ``bounds[share]:bounds[share + 1]`` of the CSV file ``path``.
 
-    Only range 0 holds the header. An invalid row raises :class:`ParseError` at its file line,
-    the lines before the range plus its line within the range, which a second read of the range
-    finds: no range starts after a ``"`` byte, so no quoted line break comes before it. An
-    undecodable byte raises one at its own line, found by decoding the range's bytes at once.
+    The range is read once, as strict UTF-8 text with line ends kept. The ``last`` range is
+    read by the io module's own buffered reader, which the text layer checks faster per line
+    than a bounded one, and a pipe, always one range, is read from where it stands. Only range 0
+    holds the header. An invalid row raises :class:`ParseError` at its file line: its line
+    within the range plus the lines before the range, counted on this error path alone, which
+    no quoted line break comes before since no range starts after a ``"`` byte. An undecodable
+    byte raises one at its own line, found by decoding the range's bytes at once.
     """
     start, stop = bounds[share], bounds[share + 1]
-    text = functools.partial(_range_text, path, start, stop, stop == bounds[-1])
-
-    def locate(index: int) -> int:
-        with text() as source:
-            return _lines(path, start) + _line_of(source, share == 0, index)
-
     try:
-        with text() as source:
-            reader = csv.reader(source)
-            if share == 0:
-                _check_header(reader)
-            return _read_rows(reader, locate, court)
+        with path.open("rb") as fh:
+            if start:  # a pipe cannot seek even to 0
+                fh.seek(start)
+            raw = fh if stop == bounds[-1] else _ByteRange(fh, stop - start)
+            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as source:
+                reader, lines = csv.reader(source), array("q")
+                if share == 0:
+                    _check_header(reader)
+                return _read_rows(_csv_rows(reader, lines), lines, court)
+    except ParseError as exc:
+        if not start:
+            raise
+        raise ParseError(_lines(path, start) + exc.row, exc.reason) from None
     except UnicodeDecodeError:
-        with text() as source:
-            data = source.buffer.read()  # the range's bytes
+        with path.open("rb") as fh:
+            if start:
+                fh.seek(start)
+            data = fh.read(stop - start)  # the range's bytes
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             message = f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
             raise ParseError(_lines(path, start + exc.start + 1), message) from None
         raise  # the bytes changed since they were parsed
-
-
-@contextlib.contextmanager
-def _range_text(path: Path, start: int, stop: int, last: bool) -> Iterator[TextIO]:
-    """Bytes ``start:stop`` of the file ``path`` as strict UTF-8 text with line ends kept. The
-    ``last`` range is read by the io module's own buffered reader, which the text layer checks
-    faster per line than a bounded one."""
-    with path.open("rb") as fh:
-        if start:  # a pipe, always one range, cannot seek even to 0
-            fh.seek(start)
-        with io.TextIOWrapper(fh if last else _ByteRange(fh, stop - start), encoding="utf-8", newline="") as source:
-            yield source
 
 
 def _lines(path: Path, count: int) -> int:

@@ -24,18 +24,18 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
-from court_fda.density import COMPONENTS, DensityStack, build_samples
-from court_fda.export import check_npy, read_npy_rows, write_json
+from court_fda.density import DensityFileError, DensityStack, build_samples
+from court_fda.export import write_json
 from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401  bound only for perfbench/spans.py to wrap
 from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, gram_matrix, mean_function, save_model
-from court_fda.grids import GridSpec
+from court_fda.grids import COMPONENTS, GridSpec
 from court_fda.ingest import (
     CourtSpec,
     IngestError,
@@ -54,6 +54,9 @@ STAGES = ("ingest", "density", "mfpca", "cluster", "evaluate", "bootstrap", "exp
 #: Players each density worker gets at least. A worker holds its own kernels and BLAS
 #: buffers (1-2 MB), which a few players' worth of KDE time does not pay for.
 _PLAYERS_PER_WORKER = 32
+
+#: Bytes of fields the KDE fills before they are written out: 52 players on the 201 x 201 grid.
+_CHUNK_BYTES = 32 << 20
 
 
 class StageError(RuntimeError):
@@ -140,27 +143,53 @@ class PipelineConfig:
         return [cl.WeightScheme(self.weight_scheme)]
 
 
-class DensityFileError(ValueError):
-    """A density directory is missing a file or holds arrays that do not match its descriptor."""
+def write_densities(out_dir: Path, player_ids: Sequence[str], grid: GridSpec, chunks: Iterable[np.ndarray]) -> None:
+    """Write a density stack as one .npy array per component plus a JSON descriptor.
+
+    ``chunks`` yields the stack's rows in order, as (2, m, nx, ny) arrays like
+    :func:`~court_fda.density.build_samples` returns. The old descriptor is removed first.
+    Each array is written under a temporary name in ``out_dir``: the ``.npy`` 1.0 header that
+    ``np.save`` writes for all ``len(player_ids)`` rows, then each chunk's rows as it comes.
+    Both are renamed into place and the descriptor is written last. On any failure, a chunk's
+    included, the temporary files are removed and no descriptor is left, so the loader refuses
+    the directory instead of reading an earlier set's arrays.
+    """
+    meta = out_dir / "densities_meta.json"
+    meta.unlink(missing_ok=True)
+    shape = (len(player_ids), grid.nx, grid.ny)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False, "shape": shape}
+    temporary = {comp: _sibling(out_dir / f"densities_{comp}.npy") for comp in COMPONENTS}
+    try:
+        with contextlib.ExitStack() as files:
+            handles = [files.enter_context(path.open("xb")) for path in temporary.values()]
+            for fh in handles:
+                np.lib.format.write_array_header_1_0(fh, header)
+            rows = 0
+            for chunk in chunks:
+                if chunk.dtype != np.float64 or chunk.shape[:1] + chunk.shape[2:] != (2, *grid.shape):
+                    raise ValueError(f"a density chunk of {chunk.dtype} {chunk.shape} does not lie on {grid}")
+                for fh, values in zip(handles, np.ascontiguousarray(chunk)):
+                    fh.write(values.data)
+                rows += chunk.shape[1]
+            if rows != len(player_ids):
+                raise ValueError(f"{rows} density rows were estimated for {len(player_ids)} players")
+        for comp, path in temporary.items():
+            os.replace(path, out_dir / f"densities_{comp}.npy")
+    except BaseException:
+        for path in temporary.values():
+            path.unlink(missing_ok=True)
+        raise
+    write_json({"player_ids": list(player_ids), "grid": {"nx": grid.nx, "ny": grid.ny}}, meta)
 
 
-def write_densities(out_dir: Path, stack: DensityStack) -> None:
-    """Persist a density stack as one .npy array per component plus a JSON descriptor."""
-    for comp, values in zip(COMPONENTS, stack.values):
-        np.save(out_dir / f"densities_{comp}.npy", values)
-    meta = {"player_ids": stack.player_ids, "grid": {"nx": stack.grid.nx, "ny": stack.grid.ny}}
-    write_json(meta, out_dir / "densities_meta.json")
+def read_densities(dir_path: str | Path) -> DensityStack:
+    """The stack :func:`write_densities` wrote to ``dir_path``, as a checked handle on its files.
 
-
-def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None) -> DensityStack:
-    """Inverse of :func:`write_densities`; each array's bytes are read straight into its slot of one stack.
-
-    With ``player_ids``, only those players' rows are read, in that order. Raises
-    :class:`DensityFileError` for a missing or unreadable file, an array that is not
-    float64, is stored in Fortran order, is shorter than its header says, or whose shape
-    is not the descriptor's (players, nx, ny), a player the descriptor lists twice or does
-    not list, or a non-finite value in a row that is read. Both arrays are checked
-    (:func:`~court_fda.export.check_npy`) before the stack is allocated.
+    Raises :class:`~court_fda.density.DensityFileError` for a missing or unreadable file, a
+    descriptor that lists a player twice, or an array that is not float64, is stored in
+    Fortran order, is shorter than its header says, or whose shape is not the descriptor's
+    (players, nx, ny). No field is read here: a non-finite value is refused where the stack's
+    reads meet it, before a stage writes anything.
     """
     dir_path = Path(dir_path)
     try:
@@ -168,25 +197,9 @@ def read_densities(dir_path: str | Path, player_ids: Sequence[str] | None = None
         ids, grid = [str(pid) for pid in meta["player_ids"]], GridSpec(meta["grid"]["nx"], meta["grid"]["ny"])
         if len(set(ids)) < len(ids):
             raise ValueError(f"player {max(ids, key=ids.count)!r} is listed twice")
-        if player_ids is None:
-            rows = range(len(ids))
-        else:
-            index = {pid: i for i, pid in enumerate(ids)}
-            missing = [pid for pid in player_ids if pid not in index]
-            if missing:
-                raise ValueError(f"player {missing[0]!r} is not in the density set")
-            rows = [index[pid] for pid in player_ids]
-        with contextlib.ExitStack() as files:
-            handles = [files.enter_context((dir_path / f"densities_{comp}.npy").open("rb")) for comp in COMPONENTS]
-            starts = [check_npy(fh, (len(ids), grid.nx, grid.ny)) for fh in handles]
-            stack = DensityStack([ids[i] for i in rows], grid, np.empty((2, len(rows), grid.nx, grid.ny)))
-            for comp, fh, start, slot in zip(COMPONENTS, handles, starts, stack.values):
-                read_npy_rows(fh, start, rows, slot)
-                if not np.isfinite(slot).all():
-                    raise ValueError(f"densities_{comp}.npy holds a non-finite value")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DensityFileError(f"density directory {dir_path}: {exc}") from exc
-    return stack
+    return DensityStack(ids, grid, dir_path)
 
 
 def write_scores_csv(scores: ScoreMatrix, path: Path) -> None:
@@ -324,12 +337,14 @@ def ingest(
     trim_heap()  # the parser's row lists and column parts are freed by now
     if not events:
         raise IngestError(f"no shot events in {path}")
-    retained = exclude_impossible(events)
+    parsed, retained = len(events), exclude_impossible(events)
+    del events  # only its row count is kept; free the table before grouping
     records = filter_players(retained, min_attempts)
     if not records:
         raise IngestError(f"no player exceeds {min_attempts} attempts")
-    counts = len(events), len(retained)
-    del events, retained  # only their row counts are kept; free the tables before writing
+    counts = parsed, len(retained)
+    del retained  # likewise, before writing
+    trim_heap()  # and return their pages, so the writer's buffers do not add to them at the peak
     out_dir.mkdir(parents=True, exist_ok=True)
     write_players_json(records, out_dir / "players.json")
     return records, *counts
@@ -338,22 +353,27 @@ def ingest(
 def estimate_densities(
     records: Sequence[PlayerRecord], grid: GridSpec, threads: int | None, out_dir: Path
 ) -> DensityStack:
-    """Estimate every player's density pair and write the stack to ``out_dir``.
+    """Estimate every player's density pair, write the stack to ``out_dir`` and return it.
 
-    The C heap is trimmed first, so the stack does not land on top of the pages that
+    The C heap is trimmed first, so the fields do not land on top of the pages that
     parsing the players freed (``read_players_json`` for the ``density`` subcommand).
     The players are spread over one worker per available core and per
-    ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap); the
-    stack is the same for any worker count.
+    ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap). They are
+    estimated in consecutive chunks of about ``_CHUNK_BYTES`` of fields, at least one player
+    per worker, and each chunk is written before the next is estimated, so no more than one
+    chunk is held. The files are the same bytes for any worker count.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     trim_heap()
     workers = min(available_cores(), max(1, len(records) // _PLAYERS_PER_WORKER))
-    stack = build_samples(records, grid, threads=workers if threads is None else min(threads, workers))
+    workers = workers if threads is None else min(threads, workers)
+    size = max(workers, -(-_CHUNK_BYTES // (2 * grid.nx * grid.ny * 8)))
+    chunks = (build_samples(records[lo:lo + size], grid, threads=workers) for lo in range(0, len(records), size))
+    ids = [r.player_id for r in records]
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_densities(out_dir, stack)
-    return stack
+    write_densities(out_dir, ids, grid, chunks)
+    return DensityStack(ids, grid, out_dir)
 
 
 def fit_and_save(

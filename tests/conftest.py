@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -12,6 +14,17 @@ import pytest
 from court_fda.density import DensityStack
 from court_fda.fda import inner_product
 from court_fda.grids import GridSpec
+from court_fda.pipeline import write_densities
+
+#: The density directories the running test has made; each is removed after it.
+_STACK_DIRS: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _remove_stack_dirs():
+    yield
+    while _STACK_DIRS:
+        shutil.rmtree(_STACK_DIRS.pop(), ignore_errors=True)
 
 
 @pytest.fixture
@@ -76,7 +89,27 @@ def planted_dataset(
 def stack_of(fields, ids=None) -> DensityStack:
     """Bivariate (2, nx, ny) fields as one stack; players are named by position unless ids are given."""
     values = np.stack([np.asarray(f, dtype=float) for f in fields], axis=1)
-    return DensityStack(ids or [str(i) for i in range(len(fields))], GridSpec(*values.shape[2:]), values)
+    return stack_from(values, ids or [str(i) for i in range(len(fields))])
+
+
+def stack_from(values, ids) -> DensityStack:
+    """A (2, N, nx, ny) array written through ``write_densities`` into a new temporary directory,
+    as the stack on it; the directory is removed after the test."""
+    _STACK_DIRS.append(tempfile.mkdtemp(prefix="court-fda-stack-"))
+    grid, directory = GridSpec(*values.shape[2:]), Path(_STACK_DIRS[-1])
+    write_densities(directory, ids, grid, [np.ascontiguousarray(values, dtype=float)])
+    return DensityStack(list(ids), grid, directory)
+
+
+def values_of(stack: DensityStack) -> np.ndarray:
+    """Every field of a stack whose players are listed once each, read whole: (2, N, nx, ny)."""
+    return stack.rows(stack.player_ids)
+
+
+def take(stack: DensityStack, rows) -> DensityStack:
+    """A new stack of the given player rows of ``stack``, in that order; a row may come more than once."""
+    rows = list(rows)
+    return stack_from(values_of(stack)[:, rows], [stack.player_ids[i] for i in rows])
 
 
 def assert_no_child_left() -> None:

@@ -123,6 +123,12 @@ MUTATIONS = {
 }
 
 
+def read_every_density(work):
+    """Every field of a density set: the stack is a handle on its files, so a value is checked where it is read."""
+    stack = read_densities(work)
+    return stack.rows(stack.player_ids)
+
+
 def density_readers(work, player):
     return [
         (["mfpca", "fit", "--densities", work, "--components", 2], 4),
@@ -142,8 +148,8 @@ def model_readers(work, player):
 
 #: file -> its loader, the error that loader raises, and the subcommands that read the file
 LOADERS = {
-    META: (read_densities, DensityFileError, density_readers),
-    MISSED: (read_densities, DensityFileError, density_readers),
+    META: (read_every_density, DensityFileError, density_readers),
+    MISSED: (read_every_density, DensityFileError, density_readers),
     MODEL: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),
     FUNCTIONS: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),
 }

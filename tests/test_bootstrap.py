@@ -22,7 +22,6 @@ from court_fda.bootstrap import (
     stream_seed,
     report_to_dict,
 )
-from court_fda.density import DensityStack
 from court_fda.fda import (
     RankDeficiencyError,
     eigendecompose,
@@ -34,7 +33,7 @@ from court_fda.fda import (
 )
 from court_fda.grids import GridSpec
 
-from conftest import planted_dataset, smooth_factor_basis, stack_of
+from conftest import planted_dataset, smooth_factor_basis, stack_from, stack_of, take, values_of
 
 
 def tilted_dataset(grid, shares, n_samples, seed):
@@ -46,7 +45,7 @@ def tilted_dataset(grid, shares, n_samples, seed):
     """
     samples, _, _ = planted_dataset(grid, shares, n_samples, seed)
     xx, yy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    return DensityStack(samples.player_ids, grid, samples.values * (1.0 + 0.3 * xx + 0.1 * yy))
+    return stack_from(values_of(samples) * (1.0 + 0.3 * xx + 0.1 * yy), samples.player_ids)
 
 
 #: Eigengap, relative to the reference's leading Gram eigenvalue, from which a replicate's
@@ -74,7 +73,7 @@ def assert_replicates_match_refit(stack, reference, n_replicates, seed):
     assert sorted(dumped) == [r for r in range(n_replicates) if report.achieved_ranks[r] > 0]
     compared = []
     for r, functions in dumped.items():
-        draw = stack.take(resample_indices(len(stack), stream_seed(seed, r)))
+        draw = take(stack, resample_indices(len(stack), stream_seed(seed, r)))
         refit = fit_mfpca(draw, n_components=int(report.achieved_ranks[r]))
         assert functions.shape == refit.functions.shape
         ell = eigendecompose(gram_matrix(draw, mean_function(draw)))[0]
@@ -103,7 +102,7 @@ def refit_study(stack, reference, n_replicates, seed):
     achieved = np.zeros(n_replicates, dtype=int)
     gaps = np.full((n_replicates, k), np.nan)
     for r in range(n_replicates):
-        draw = stack.take(resample_indices(len(stack), stream_seed(seed, r)))
+        draw = take(stack, resample_indices(len(stack), stream_seed(seed, r)))
         ell = eigendecompose(gram_matrix(draw, mean_function(draw)))[0]
         spacing = np.abs(np.diff(ell)) / ell[0] if ell[0] > 0 else np.zeros(len(ell) - 1)
         nearest = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
@@ -182,7 +181,7 @@ class TestStabilityStudy:
     def test_identity_draw_reproduces_reference_eigenvalues(self, grid11):
         samples, _, _ = planted_dataset(grid11, [0.5, 0.3, 0.2], 12, seed=9)
         reference = fit_mfpca(samples, n_components=3)
-        redraw = fit_mfpca(samples.take(range(12)), n_components=3)
+        redraw = fit_mfpca(take(samples, range(12)), n_components=3)
         assert np.array_equal(redraw.eigenvalues, reference.eigenvalues)
 
     def test_a_given_gram_gives_the_same_report(self, grid11):
@@ -347,13 +346,13 @@ class TestReferenceMismatch:
 
     def test_other_sample_count(self, grid11):
         samples = self.dataset(grid11)
-        reference = fit_mfpca(samples.take(range(len(samples) - 1)), n_components=2)
+        reference = fit_mfpca(take(samples, range(len(samples) - 1)), n_components=2)
         with pytest.raises(ReferenceMismatchError, match="7 samples"):
             stability_study(samples, reference)
 
     def test_other_players(self, grid11):
         samples = self.dataset(grid11)
-        renamed = DensityStack([f"q{i}" for i in range(len(samples))], samples.grid, samples.values)
+        renamed = stack_from(values_of(samples), [f"q{i}" for i in range(len(samples))])
         with pytest.raises(ReferenceMismatchError, match="different players"):
             stability_study(samples, fit_mfpca(renamed, n_components=2))
 

@@ -10,6 +10,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from court_fda.pipeline import (
     write_scores_csv,
 )
 
-from conftest import assert_no_child_left, write_mini_export
+from conftest import assert_no_child_left, take, values_of, write_mini_export
 
 CORE_FILES = [
     "clusters_equal.json",
@@ -199,7 +200,7 @@ class TestStageCommands:
     def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, work, tmp_path, capsys):
         stack, other = read_densities(work), tmp_path / "reversed"
         other.mkdir()
-        write_densities(other, stack.take(range(len(stack))[::-1]))
+        write_densities(other, stack.player_ids[::-1], stack.grid, [stack.rows(stack.player_ids[::-1])])
         assert run_cli("mfpca", "fit", "--densities", other, "--out", other, "--components", 2) == 0
         code = run_cli("bootstrap", "--densities", work, "--model", other / "model.json", "--out", tmp_path / "boot")
         assert code == 7  # bootstrap stage exit code
@@ -367,10 +368,11 @@ class TestRunCommand:
         assert "dump_densities" not in manifest["config"]
         assert run_cli("export", "densities", "--densities", out, "--out", dumps) == 0
         stack = read_densities(out)
+        values = values_of(stack)
         oracle.mkdir()
         for i, pid in enumerate(stack.player_ids):
             for c, comp in enumerate(("missed", "made")):
-                write_heatmap_csv(stack.values[c, i], stack.grid, oracle / f"density_{pid}_{comp}.csv")
+                write_heatmap_csv(values[c, i], stack.grid, oracle / f"density_{pid}_{comp}.csv")
         written = {p.name: p.read_bytes() for p in dumps.iterdir()}
         assert len(written) == 8  # 4 players x 2 components
         assert written == {p.name: p.read_bytes() for p in oracle.iterdir()}
@@ -720,6 +722,30 @@ class TestLoaderErrors:
         assert run_cli("ingest", "--input", bad, "--out", tmp_path / "work") == 2
         assert capsys.readouterr().err == "error: row 11128: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
 
+    def test_a_bad_row_piped_to_ingest_is_located(self, tmp_path):
+        # a pipe is read once: the bad row's line must come from that one read
+        text = "player_id,player_name,position,x_ft,y_ft,made,season\np1,A,guard,1,2,1,s\np1,A,pivot,1,2,1,s\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(court_fda.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "court_fda.cli", "ingest", "--input", "/dev/stdin", "--out", str(tmp_path / "o")]
+        proc = subprocess.run(argv, input=text, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, "error: row 3: unknown position label 'pivot'\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_a_non_finite_density_exits_with_the_reading_stage_code(self, work, tmp_path, capsys, row):
+        made = np.load(work / "densities_made.npy")
+        made[row, 5, 4] = np.nan
+        np.save(work / "densities_made.npy", made)
+        for argv, code in (
+            (["mfpca", "fit", "--densities", work, "--components", 2], 4),
+            (["mfpca", "scores", "--model", work / "model.json", "--densities", work], 4),
+            (["bootstrap", "--densities", work, "--replicates", 2], 7),
+        ):
+            assert run_cli(*argv, "--out", tmp_path / "new") == code, argv
+            err = capsys.readouterr().err
+            assert err == f"error: density directory {work}: densities_made.npy holds a non-finite value\n", argv
+            assert not (tmp_path / "new").exists(), argv
+
     @pytest.mark.parametrize("argv, code", [
         (lambda work: ["ingest", "--input", work.parent / "mini.csv", "--min-attempts", 100000], 2),
         (lambda work: ["mfpca", "fit", "--densities", work, "--components", 12], 4),
@@ -899,7 +925,7 @@ class TestChartOracle:
     def test_every_chart_is_export_heatmap_of_its_field(self, work, tmp_path):
         model, stack = load_model(work / "model.json"), read_densities(work)
         doc = json.loads((work / "clusters_equal.json").read_text())
-        density = {pid: stack.values[:, i] for i, pid in enumerate(stack.player_ids)}
+        density = {pid: values_of(stack)[:, i] for i, pid in enumerate(stack.player_ids)}
         scores = dict(zip(model.scores.player_ids, model.scores.values))
         model_args = ("--model", work / "model.json")
         producers = {
@@ -943,7 +969,7 @@ class TestChartOracle:
         ranks = json.loads((tmp_path / "boot" / "stability.json").read_text())["achieved_ranks"]
         charts = {}
         for r, rank in enumerate(ranks):
-            refit = fit_mfpca(stack.take(bt.resample_indices(len(stack), bt.stream_seed(1, r))), n_components=rank)
+            refit = fit_mfpca(take(stack, bt.resample_indices(len(stack), bt.stream_seed(1, r))), n_components=rank)
             charts[f"replicate{r}_mean"] = (refit.mean, "symmetric")
             for j, phi in enumerate(refit.eigenfunctions, start=1):
                 charts[f"replicate{r}_eigenfunction_{j}"] = (phi, "symmetric")
@@ -1015,27 +1041,96 @@ class TestChartWorkers:
         # the second medoid's made density is chart 3: the last of worker 1's run at two workers, of worker 2's at three
         monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)
         monkeypatch.setattr(export, "available_cores", lambda: cores)
-        read = pl.read_densities
+        rows = DensityStack.rows
 
-        def planted(*args):
-            stack = read(*args)
-            stack.values[1, 1, 5, 5] = np.nan
-            return stack
+        def planted(self, player_ids):
+            fields = rows(self, player_ids)
+            fields[1, 1, 5, 5] = np.nan
+            return fields
 
-        monkeypatch.setattr(pl, "read_densities", planted)
+        monkeypatch.setattr(DensityStack, "rows", planted)
         argv, _ = self.commands(work, tmp_path / "out")["medoids"]
         assert run_cli(*argv) == 8
         assert capsys.readouterr().err == "error: field contains non-finite values\n"
         assert_no_child_left()
 
 
+class TestWriteDensities:
+    PLAYER_BYTES = 2 * 11 * 11 * 8  # one player's two fields on the 11 x 11 grid
+
+    def test_chunks_write_the_bytes_of_one_array(self, work, tmp_path, monkeypatch):
+        # the header np.save writes for all rows, then each chunk's rows: the files do not depend on the chunking
+        calls = []
+
+        def spy(records, grid, threads):
+            calls.append(len(records))
+            return build_samples(records, grid, threads=threads)
+
+        monkeypatch.setattr(pl, "build_samples", spy)
+        monkeypatch.setattr(pl, "_CHUNK_BYTES", 3 * self.PLAYER_BYTES - 1)
+        out = tmp_path / "chunked"
+        assert run_cli("density", "--players", work / "players.json", "--out", out, "--grid", 11) == 0
+        assert calls == [3, 1]
+        stack = read_densities(work)
+        for comp, values in zip(("missed", "made"), values_of(stack)):
+            whole = tmp_path / f"{comp}.npy"
+            np.save(whole, values)
+            assert (out / f"densities_{comp}.npy").read_bytes() == whole.read_bytes() == \
+                (work / f"densities_{comp}.npy").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["densities_made.npy", "densities_meta.json",
+                                                         "densities_missed.npy"]
+
+    def test_a_failed_rewrite_leaves_a_set_the_loader_refuses(self, work, monkeypatch, capsys):
+        # the KDE fails on the last chunk after the first was written: the earlier set's descriptor is gone
+        # and its arrays are untouched, so the next stage exits with the loader's code instead of mixing sets
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+
+        def failing(records, grid, threads):
+            if records[-1].player_id == "m4":
+                raise ValueError("the last chunk failed")
+            return build_samples(records, grid, threads=threads)
+
+        monkeypatch.setattr(pl, "build_samples", failing)
+        monkeypatch.setattr(pl, "_CHUNK_BYTES", 2 * self.PLAYER_BYTES)
+        assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 3
+        after = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert sorted(after) == sorted(set(before) - {"densities_meta.json"})
+        assert all(after[name] == before[name] for name in after)
+        capsys.readouterr()
+        assert run_cli("mfpca", "fit", "--densities", work, "--out", work / "new", "--components", 2) == 4
+        assert "densities_meta.json" in capsys.readouterr().err
+        assert not (work / "new").exists()
+
+    def test_the_kde_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(71)
+        records = [PlayerRecord(f"p{i:02d}", f"Player {i}", Position.GUARD, rng.uniform(size=(40, 2)),
+                                rng.uniform(size=(40, 2))) for i in range(60)]
+        grid = GridSpec(41, 41)
+        stack_bytes = 2 * len(records) * grid.nx * grid.ny * 8
+        monkeypatch.setattr(pl, "_CHUNK_BYTES", stack_bytes // 15)  # four players a chunk
+        tracemalloc.start()
+        try:
+            stack = pl.estimate_densities(records, grid, 1, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stack) == 60 and (tmp_path / "densities_made.npy").stat().st_size > stack_bytes // 2
+        assert peak < stack_bytes / 2  # the whole stack in memory would be twice this
+
+    def test_a_short_chunk_stream_is_refused(self, tmp_path):
+        values = np.ones((2, 3, 5, 5))
+        with pytest.raises(ValueError, match="2 density rows were estimated for 3 players"):
+            write_densities(tmp_path, ["a", "b", "c"], GridSpec(5, 5), [values[:, :2]])
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReadDensities:
     @pytest.fixture
     def density_dir(self, tmp_path):
         rng = np.random.default_rng(70)
-        stack = DensityStack(["a", "b", "c"], GridSpec(5, 7), rng.uniform(size=(2, 3, 5, 7)))
-        write_densities(tmp_path, stack)
-        return tmp_path, stack
+        values = rng.uniform(size=(2, 3, 5, 7))
+        write_densities(tmp_path, ["a", "b", "c"], GridSpec(5, 7), [values])
+        return tmp_path, values
 
     def edit_meta(self, path, **changes):
         meta = json.loads((path / "densities_meta.json").read_text())
@@ -1043,11 +1138,11 @@ class TestReadDensities:
         (path / "densities_meta.json").write_text(json.dumps(meta))
 
     def test_round_trip(self, density_dir):
-        path, stack = density_dir
+        path, values = density_dir
         loaded = read_densities(path)
-        assert loaded.player_ids == stack.player_ids and loaded.grid == stack.grid
-        assert np.array_equal(loaded.values, stack.values)
-        assert np.array_equal(np.load(path / "densities_made.npy"), stack.values[1])
+        assert loaded.player_ids == ["a", "b", "c"] and loaded.grid == GridSpec(5, 7)
+        assert np.array_equal(values_of(loaded), values)
+        assert np.array_equal(np.load(path / "densities_made.npy"), values[1])
 
     def test_wrong_player_count(self, density_dir):
         path, _ = density_dir
@@ -1068,17 +1163,20 @@ class TestReadDensities:
             read_densities(path)
 
     def test_nan_value(self, density_dir):
-        path, stack = density_dir
-        made = stack.values[1].copy()
+        # the stack holds no field: a non-finite value is refused by the read that meets it
+        path, values = density_dir
+        made = values[1].copy()
         made[2, 4, 6] = np.nan
         np.save(path / "densities_made.npy", made)
-        with pytest.raises(DensityFileError, match="non-finite"):
-            read_densities(path)
+        stack = read_densities(path)
+        for read in (mean_function, values_of, lambda stack: list(stack.blocks(4))):
+            with pytest.raises(DensityFileError, match="densities_made.npy holds a non-finite value"):
+                read(stack)
 
     @pytest.mark.parametrize("dtype", [np.float32, bool])
     def test_array_that_is_not_float64(self, density_dir, dtype):
-        path, stack = density_dir
-        np.save(path / "densities_made.npy", stack.values[1].astype(dtype))
+        path, values = density_dir
+        np.save(path / "densities_made.npy", values[1].astype(dtype))
         with pytest.raises(DensityFileError, match=f"densities_made.npy holds {np.dtype(dtype)}, not float64"):
             read_densities(path)
 
@@ -1089,11 +1187,12 @@ class TestReadDensities:
         data = (path / "densities_made.npy").read_bytes()
         (path / "densities_made.npy").write_bytes(data[:-8])
         with pytest.raises(DensityFileError, match="densities_made.npy is shorter than its header says"):
-            read_densities(path, player_ids)
+            stack = read_densities(path)
+            stack.rows(player_ids or stack.player_ids)
 
     def test_fortran_order_array(self, density_dir):
-        path, stack = density_dir
-        np.save(path / "densities_made.npy", np.asfortranarray(stack.values[1]))
+        path, values = density_dir
+        np.save(path / "densities_made.npy", np.asfortranarray(values[1]))
         with pytest.raises(DensityFileError, match="densities_made.npy is stored in Fortran order"):
             read_densities(path)
 
@@ -1104,28 +1203,26 @@ class TestReadDensities:
             read_densities(path)
 
     def test_selected_rows(self, density_dir):
-        path, stack = density_dir
-        loaded = read_densities(path, ["c", "a"])
-        assert loaded.player_ids == ["c", "a"] and loaded.grid == stack.grid
-        assert np.array_equal(loaded.values, stack.values[:, [2, 0]])
+        path, values = density_dir
+        assert np.array_equal(read_densities(path).rows(["c", "a"]), values[:, [2, 0]])
 
     def test_selected_rows_checks(self, density_dir):
-        path, stack = density_dir
+        path, values = density_dir
         with pytest.raises(DensityFileError, match="'d' is not in the density set"):
-            read_densities(path, ["a", "d"])
-        made = stack.values[1].copy()
+            read_densities(path).rows(["a", "d"])
+        made = values[1].copy()
         made[2, 4, 6] = np.nan
         np.save(path / "densities_made.npy", made)
-        assert np.array_equal(read_densities(path, ["b"]).values, stack.values[:, [1]])
+        assert np.array_equal(read_densities(path).rows(["b"]), values[:, [1]])
         with pytest.raises(DensityFileError, match="non-finite"):
-            read_densities(path, ["c"])
+            read_densities(path).rows(["c"])
         self.edit_meta(path, player_ids=["a", "b"])
         with pytest.raises(DensityFileError, match=r"densities_missed.npy has shape \(3, 5, 7\)"):
-            read_densities(path, ["a"])
+            read_densities(path)
 
     def test_errors_map_to_the_calling_stage(self, density_dir, tmp_path, capsys):
-        path, stack = density_dir
-        values = stack.values[0].copy()
+        path, values = density_dir
+        values = values[0].copy()
         values[0, 0, 0] = np.inf
         np.save(path / "densities_missed.npy", values)
         assert run_cli("mfpca", "fit", "--densities", path, "--out", tmp_path / "fit", "--components", 1) == 4

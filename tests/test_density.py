@@ -231,8 +231,8 @@ class TestBuildSample:
 
     def build(self, made, missed, grid):
         """(missed, made) fields of a one-player stack."""
-        stack = build_samples([self.make_record(made, missed)], grid)
-        return stack.values[0, 0], stack.values[1, 0]
+        fields = build_samples([self.make_record(made, missed)], grid)
+        return fields[0, 0], fields[1, 0]
 
     def test_identical_point_sets_give_identical_fields(self, grid11):
         pts = FIVE_POINTS
@@ -271,8 +271,8 @@ class TestBuildSample:
             threaded = build_samples(records, grid11, threads=8)
         finally:
             sys.setswitchinterval(interval)
-        assert threaded.player_ids == serial.player_ids
-        assert np.array_equal(threaded.values, serial.values)
+        assert threaded.shape == serial.shape == (2, 24, 11, 11)
+        assert np.array_equal(threaded, serial)
 
     @pytest.mark.parametrize("threads", [1, 3, 8])
     def test_the_first_failing_player_in_record_order_wins(self, grid11, threads):
@@ -291,5 +291,5 @@ class TestBuildSample:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(density.threading, "Thread", no_thread)
-        stack = build_samples([self.make_record(FIVE_POINTS, SIX_POINTS)], grid11, threads=1)
-        assert stack.player_ids == ["p1"]
+        fields = build_samples([self.make_record(FIVE_POINTS, SIX_POINTS)], grid11, threads=1)
+        assert fields.shape == (2, 1, 11, 11)

@@ -1,7 +1,9 @@
 """Inner products, the Gram-route decomposition, and its direct-route oracle."""
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from court_fda import fda
+from court_fda.bootstrap import stability_study
 from court_fda.density import DensityStack
 from court_fda.fda import (
     GridMismatchError,
@@ -28,8 +31,9 @@ from court_fda.fda import (
     save_model,
 )
 from court_fda.grids import GridSpec, trapezoid_weights
+from court_fda.pipeline import write_densities
 
-from conftest import planted_dataset, smooth_factor_basis, stack_of
+from conftest import planted_dataset, smooth_factor_basis, stack_from, stack_of, values_of
 
 # Exact rational values of the trapezoid sum of t^2 on n uniform nodes.
 RAMP_TRAPEZOID = {51: 0.3334, 101: 0.33335, 201: 0.3333375}
@@ -112,7 +116,7 @@ class TestMeanFunction:
 
     def test_empty_rejected(self, grid11):
         with pytest.raises(ValueError):
-            mean_function(DensityStack([], grid11, np.empty((2, 0, 11, 11))))
+            mean_function(stack_from(np.empty((2, 0, 11, 11)), []))
 
 
 class TestGramMatrix:
@@ -253,7 +257,7 @@ class TestFitMfpca:
 
     def test_scores_carry_stack_player_ids(self, grid11):
         rng = np.random.default_rng(18)
-        stack = DensityStack([f"p{i}" for i in range(5)], grid11, rng.uniform(0.5, 1.5, size=(2, 5, 11, 11)))
+        stack = stack_from(rng.uniform(0.5, 1.5, size=(2, 5, 11, 11)), [f"p{i}" for i in range(5)])
         model = fit_mfpca(stack, n_components=3)
         assert model.scores.player_ids == [f"p{i}" for i in range(5)]
         assert model.grid == grid11
@@ -489,7 +493,7 @@ class TestSerialization:
 
 def dense_gram(stack, mean):
     """The former unblocked Gram matrix: one centered, weighted N x 2·nx·ny copy."""
-    flat = (stack.values.transpose(1, 0, 2, 3) - mean).reshape(len(stack), -1)
+    flat = (values_of(stack).transpose(1, 0, 2, 3) - mean).reshape(len(stack), -1)
     weighted = flat * np.sqrt(np.tile(stack.grid.weights.ravel(), 2))
     raw = weighted @ weighted.T
     return np.triu(raw) + np.triu(raw, 1).T
@@ -506,7 +510,7 @@ def dense_gram(stack, mean):
 def test_blocked_gram_matches_dense_formula(n, nx, ny, block, seed):
     # small blocks split grid rows and end part-way through a component
     rng = np.random.default_rng(seed)
-    stack = DensityStack([str(i) for i in range(n)], GridSpec(nx, ny), rng.normal(size=(2, n, nx, ny)))
+    stack = stack_from(rng.normal(size=(2, n, nx, ny)), [str(i) for i in range(n)])
     mean = mean_function(stack)
     want = dense_gram(stack, mean)
     with pytest.MonkeyPatch.context() as mp:
@@ -526,7 +530,7 @@ def test_blocked_gram_matches_dense_formula(n, nx, ny, block, seed):
 )
 def test_stack_fit_matches_covariance_oracle(n, nx, ny, block, seed):
     rng = np.random.default_rng(seed)
-    stack = DensityStack([str(i) for i in range(n)], GridSpec(nx, ny), rng.normal(size=(2, n, nx, ny)))
+    stack = stack_from(rng.normal(size=(2, n, nx, ny)), [str(i) for i in range(n)])
     vals, funcs = covariance_oracle(stack)
     k = len(vals)
     with pytest.MonkeyPatch.context() as mp:
@@ -543,32 +547,37 @@ def test_stack_fit_matches_covariance_oracle(n, nx, ny, block, seed):
 
 
 def copied_blocks(stack, mean):
-    """The former centering: a fresh ``rows[:, cols] - m[cols]`` copy for every block."""
+    """The former centering: a fresh ``rows[:, cols] - m[cols]`` copy for every block of the stack read whole."""
     n, nodes = len(stack), stack.grid.nx * stack.grid.ny
     for c in range(2):
-        rows, m = stack.values[c].reshape(n, nodes), mean[c].ravel()
+        rows, m = values_of(stack)[c].reshape(n, nodes), mean[c].ravel()
         for lo in range(0, nodes, fda.GRAM_BLOCK):
             cols = slice(lo, lo + fda.GRAM_BLOCK)
             yield c, cols, rows[:, cols] - m[cols]
 
 
-@pytest.mark.parametrize("side", [21, 64, 71])  # nodes below one block, exactly one block, a block and a remainder
-def test_one_block_buffer_matches_a_copy_per_block_bit_for_bit(side):
-    rng = np.random.default_rng(side)
-    n = 12
-    values = rng.uniform(0.5, 1.5, size=(2, n, side, side))
-    stack = DensityStack([str(i) for i in range(n)], GridSpec(side, side), values)
-    mean = mean_function(stack)
+def stack_results(stack, n_components):
+    """The mean, Gram matrix, model functions and projected scores of a stack."""
+    mean = fda.mean_function(stack)
+    model = fit_mfpca(stack, n_components=n_components)
+    return mean, gram_matrix(stack, mean), model.functions, project_scores_all(stack, model).values
 
-    def results():
-        model = fit_mfpca(stack, n_components=3)
-        return gram_matrix(stack, mean), model.functions, model.scores.values, project_scores_all(stack, model).values
 
-    fast = results()
+def whole_array_results(stack, n_components):
+    """:func:`stack_results` by the whole-array formulas: the stack read whole, its mean taken over
+    the player axis at once, and each column block a centered copy (:func:`copied_blocks`)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fda, "_centered_blocks", copied_blocks)
-        slow = results()
-    for got, want in zip(fast, slow):
+        mp.setattr(fda, "mean_function", lambda stack: values_of(stack).mean(axis=1))
+        return stack_results(stack, n_components)
+
+
+@pytest.mark.parametrize("side", [21, 64, 71])  # nodes below one block, exactly one block, a block and a remainder
+def test_one_block_buffer_matches_a_copy_per_block_bit_for_bit(side):
+    n = 12
+    values = np.random.default_rng(side).uniform(0.5, 1.5, size=(2, n, side, side))
+    stack = stack_from(values, [str(i) for i in range(n)])
+    for got, want in zip(stack_results(stack, 3), whole_array_results(stack, 3)):
         assert np.array_equal(got, want)
 
 
@@ -588,9 +597,9 @@ def test_centering_holds_one_block_at_a_time(kind):
     # a block copy per step kept the previous block alive beside the next one: about 2.1 blocks
     n, grid = 40, GridSpec(101, 101)
     rng = np.random.default_rng(61)
-    stack = DensityStack([str(i) for i in range(n)], grid, rng.uniform(0.5, 1.5, size=(2, n, 101, 101)))
+    stack = stack_from(rng.uniform(0.5, 1.5, size=(2, n, 101, 101)), [str(i) for i in range(n)])
     mean = mean_function(stack)
-    block = n * fda.GRAM_BLOCK * stack.values.itemsize
+    block = n * fda.GRAM_BLOCK * 8
     if kind == "gram":
         gram, peak = traced_peak(lambda: gram_matrix(stack, mean))
         extra = peak - gram.nbytes
@@ -604,7 +613,54 @@ def test_fit_peak_memory_below_one_stack():
     # the fit centers the stack block by block, never a whole copy of it
     n, grid = 48, GridSpec(201, 201)
     rng = np.random.default_rng(60)
-    stack = DensityStack([str(i) for i in range(n)], grid, rng.uniform(0.5, 1.5, size=(2, n, 201, 201)))
+    stack = stack_from(rng.uniform(0.5, 1.5, size=(2, n, 201, 201)), [str(i) for i in range(n)])
     model, peak = traced_peak(lambda: fit_mfpca(stack, n_components=4))
     assert model.n_components == 4
-    assert peak < stack.values.nbytes
+    assert peak < 2 * n * grid.nx * grid.ny * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    nx=st.integers(11, 21),
+    ny=st.integers(11, 21),
+    chunk=st.integers(1, 45),
+    block=st.sampled_from([1, 13, 64, 121, 200, 4096]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_stack_on_disk_gives_the_whole_array_results_bit_for_bit(n, nx, ny, chunk, block, seed):
+    # chunks of players on the write side and blocks of nodes on the read side, dividing the
+    # player and node counts or not, change no bit of the mean, the Gram matrix, the model or the scores
+    values = np.random.default_rng(seed).uniform(0.5, 1.5, size=(2, n, nx, ny))
+    ids, grid = [f"p{i}" for i in range(n)], GridSpec(nx, ny)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_densities(directory, ids, grid, (values[:, lo:lo + chunk] for lo in range(0, n, chunk)))
+        for comp, component in zip(("missed", "made"), values):
+            np.save(directory / f"{comp}.npy", component)
+            assert (directory / f"densities_{comp}.npy").read_bytes() == (directory / f"{comp}.npy").read_bytes()
+        stack = DensityStack(ids, grid, directory)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fda, "GRAM_BLOCK", block)
+            got = stack_results(stack, min(3, n - 1))
+            want = whole_array_results(stack, min(3, n - 1))
+    for ours, theirs in zip(got, want):
+        assert np.array_equal(ours, theirs)
+
+
+def test_fit_and_study_trace_less_than_half_a_stack(tmp_path):
+    # the stack stays in its files: the fit and the study hold a block of it, never its rows
+    n, grid = 40, GridSpec(101, 101)
+    values = np.random.default_rng(62).uniform(0.5, 1.5, size=(2, n, 101, 101))
+    ids = [str(i) for i in range(n)]
+    write_densities(tmp_path, ids, grid, [values])
+    stack, stack_bytes = DensityStack(ids, grid, tmp_path), values.nbytes
+    del values
+
+    def fit_and_study():
+        model = fit_mfpca(stack, n_components=4)
+        return stability_study(stack, model, n_replicates=5, seed=0)
+
+    report, peak = traced_peak(fit_and_study)
+    assert report.n_replicates == 5
+    assert peak < stack_bytes / 2
