@@ -102,7 +102,8 @@ class DensityStack:
         with self._files() as files:
             for c, (comp, fh, start) in enumerate(files):
                 for lo in range(0, nodes, width):
-                    block = buf[:n * min(width, nodes - lo)].reshape(n, -1)
+                    cols = min(width, nodes - lo)
+                    block = buf[:n * cols].reshape(n, cols)
                     for i, segment in enumerate(block):
                         fh.seek(start + (i * nodes + lo) * segment.itemsize)
                         if fh.readinto(segment) != segment.nbytes:

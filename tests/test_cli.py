@@ -1220,6 +1220,13 @@ class TestReadDensities:
         with pytest.raises(DensityFileError, match=r"densities_missed.npy has shape \(3, 5, 7\)"):
             read_densities(path)
 
+    def test_an_empty_set_reads_as_empty_blocks(self, tmp_path):
+        write_densities(tmp_path, [], GridSpec(5, 7), [])
+        stack = read_densities(tmp_path)
+        assert [(c, cols, block.shape) for c, cols, block in stack.blocks(20)] == \
+            [(c, slice(lo, lo + 20), (0, min(20, 35 - lo))) for c in (0, 1) for lo in (0, 20)]
+        assert stack.rows([]).shape == (2, 0, 5, 7)
+
     def test_errors_map_to_the_calling_stage(self, density_dir, tmp_path, capsys):
         path, values = density_dir
         values = values[0].copy()
