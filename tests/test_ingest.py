@@ -4,14 +4,18 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from court_fda import ingest
 from court_fda.export import json_text
 from court_fda.ingest import (
     CSV_FIELDS,
@@ -204,25 +208,20 @@ class TestParseEvents:
         assert rows_of(table) == rows_of(parse(text))
 
     @pytest.mark.parametrize("bad_row", [0, 1500, 2999])
-    def test_a_bad_row_in_a_pipe_is_located(self, tmp_path, bad_row):
+    def test_a_bad_row_in_a_pipe_is_located(self, bad_row):
         # a pipe is read once: each row's line comes from its reader, across batches, blank lines
-        # and a quoted line break, never from a second read
+        # and a quoted line break, never from a second read (which would find the pipe drained)
         rows = [f"p{i % 9},N,guard,{i % 40}.0,1.0,1,s\n" for i in range(3000)]
         rows[700] = 'p7,"N\nM",guard,1.0,1.0,1,s\n'
         rows[bad_row] = rows[bad_row].replace("guard", "pivot")
         text = f"{HEADER}\n" + "".join(row + ("\n" if i % 997 == 5 else "") for i, row in enumerate(rows))
-        fifo = tmp_path / "shots.csv"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=(text,))
-        writer.start()
-        try:
-            with pytest.raises(ParseError) as err:
-                load_events(fifo)
-        finally:
-            writer.join(timeout=30)
-        assert not writer.is_alive()
+        code = ("from court_fda.ingest import ParseError, load_events\n"
+                "try:\n    load_events('/dev/stdin')\nexcept ParseError as exc:\n    print(exc)")
+        env = dict(os.environ, PYTHONPATH=str(Path(ingest.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True, text=True, env=env,
+                              timeout=120)
         line = 2 + bad_row + (bad_row > 700) + sum(1 for i in range(bad_row) if i % 997 == 5)
-        assert str(err.value) == f"row {line}: unknown position label 'pivot'"
+        assert (proc.stdout, proc.stderr) == (f"row {line}: unknown position label 'pivot'\n", "")
         assert text.split("\n")[line - 1].startswith(f"p{bad_row % 9},N,pivot,")
         with pytest.raises(ParseError, match=f"^row {line}: "):
             parse(text)
