@@ -156,6 +156,9 @@ _BYTES_PER_WORKER = 1 << 19
 #: Bytes read at a time while looking for range boundaries.
 _SCAN_BYTES = 1 << 20
 
+#: Points :func:`write_players_json` formats at a time: about 32 players of a paper-size export.
+_WRITE_POINTS = 1 << 17
+
 
 class _TextColumn:
     """A text column, each row coded by its raw value."""
@@ -171,11 +174,13 @@ class _TextColumn:
         self.codes.append(np.fromiter(map(index.__getitem__, values), np.intp, len(values)))
 
     def coded(self) -> tuple[list[str], np.ndarray]:
-        """Sorted distinct stripped values and each row's index into them."""
+        """Sorted distinct stripped values and each row's index into them; the column's parts are freed."""
         raw = list(self.index)
         values = sorted({v.strip() for v in raw})
         index = {v: i for i, v in enumerate(values)}
-        return values, np.array([index[v.strip()] for v in raw], dtype=np.intp)[np.concatenate(self.codes)]
+        codes = np.concatenate(self.codes)
+        self.codes.clear()
+        return values, np.array([index[v.strip()] for v in raw], dtype=np.intp)[codes]
 
 
 class _NumberColumn:
@@ -201,8 +206,9 @@ class _NumberColumn:
         self.rows += len(values)
 
     def checked(self):
-        """The values, the mask of invalid rows, and the message for such a row."""
+        """The values, the mask of invalid rows, and the message for such a row; the column's parts are freed."""
         values = np.concatenate(self.parts)
+        self.parts.clear()
 
         def message(i: int) -> str:
             if i in self.rejected:
@@ -265,21 +271,23 @@ def _read_rows(source: Iterable[Sequence[str]], lines: array, court: CourtSpec) 
             for column, values in zip((ids, names, labels, xs, ys, flags), zip(*rows)):
                 column.add(values)
 
+    # each column is coded as its parts are freed; an invalid label or flag, value j of its
+    # column, is coded ~j < 0, so its message needs no second copy of the column
     player_ids, player = ids.coded()
     player_names, name = names.coded()
-    label_values, label = labels.coded()
+    label_values, position = labels.coded()
     position = np.array(
-        [_POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), -1) for v in label_values], dtype=np.intp
-    )[label]
-    flag_values, flag = flags.coded()
-    outcome = np.array([{"0": 0, "1": 1}.get(v, -1) for v in flag_values], dtype=np.intp)[flag]
+        [_POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), ~j) for j, v in enumerate(label_values)], dtype=np.intp
+    )[position]
+    flag_values, outcome = flags.coded()
+    outcome = np.array([{"0": 0, "1": 1}.get(v, ~j) for j, v in enumerate(flag_values)], dtype=np.intp)[outcome]
     x_ft, x_bad, x_message = xs.checked()
     y_ft, y_bad, y_message = ys.checked()
     checks = (
-        (position < 0, lambda i: f"unknown position label {label_values[label[i]]!r}"),
+        (position < 0, lambda i: f"unknown position label {label_values[~position[i]]!r}"),
         (x_bad, x_message),
         (y_bad, y_message),
-        (outcome < 0, lambda i: f"made flag must be 0 or 1, got {flag_values[flag[i]]!r}"),
+        (outcome < 0, lambda i: f"made flag must be 0 or 1, got {flag_values[~outcome[i]]!r}"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
@@ -288,8 +296,9 @@ def _read_rows(source: Iterable[Sequence[str]], lines: array, court: CourtSpec) 
     if wrong_count is not None:
         i, count = wrong_count
         raise ParseError(lines[i], f"expected {len(CSV_FIELDS)} fields, got {count}")
-    x, y = normalize_point(x_ft, y_ft, court)
-    return ShotTable(player_ids, player_names, player, name, position, x, y, outcome == 1)
+    np.divide(x_ft, court.width, out=x_ft)  # normalize_point, in place
+    np.divide(y_ft, court.depth, out=y_ft)
+    return ShotTable(player_ids, player_names, player, name, position, x_ft, y_ft, outcome == 1)
 
 
 def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -488,20 +497,28 @@ def _lines(path: Path, count: int) -> int:
 
 
 def _join(tables: list[ShotTable]) -> ShotTable:
-    """The rows of ``tables`` in order, as one table over the union of their players and names."""
+    """The rows of ``tables`` in order, as one table over the union of their players and names.
+
+    The list is emptied, and each column's parts are dropped once they are joined, so no more
+    than one column is held twice.
+    """
     if len(tables) == 1:
         return tables[0]
-
-    def union(values: str, codes: str) -> tuple[list[str], np.ndarray]:
-        merged = sorted(set().union(*(getattr(t, values) for t in tables)))
-        index = {v: i for i, v in enumerate(merged)}
-        remapped = [np.array([index[v] for v in getattr(t, values)], dtype=np.intp)[getattr(t, codes)] for t in tables]
-        return merged, np.concatenate(remapped)
-
-    player_ids, player = union("player_ids", "player")
-    player_names, name = union("player_names", "name")
-    columns = (np.concatenate([getattr(t, c) for t in tables]) for c in ("position", "x", "y", "made"))
-    return ShotTable(player_ids, player_names, player, name, *columns)
+    columns = {c: [getattr(t, c) for t in tables] for c in ("player", "name", "position", "x", "y", "made")}
+    coded = {"player": [t.player_ids for t in tables], "name": [t.player_names for t in tables]}
+    tables.clear()
+    merged = {}
+    for c, value_lists in coded.items():
+        merged[c] = sorted(set().union(*value_lists))
+        index = {v: i for i, v in enumerate(merged[c])}
+        parts = columns[c]
+        for j, values in enumerate(value_lists):
+            parts[j] = np.array([index[v] for v in values], dtype=np.intp)[parts[j]]
+    joined = {}
+    for c, parts in columns.items():
+        joined[c] = np.concatenate(parts)
+        parts.clear()
+    return ShotTable(merged["player"], merged["name"], **joined)
 
 
 def exclude_impossible(events: ShotTable) -> ShotTable:
@@ -538,7 +555,9 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
     key = 2 * events.player + ~events.made
     order = np.argsort(key, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=2 * len(events.player_ids)))))
-    points = np.column_stack((events.x, events.y))[order]
+    points = np.empty((len(order), 2))  # filled a column at a time: no stacked copy beside the sorted one
+    points[:, 0] = events.x[order]
+    points[:, 1] = events.y[order]
     records: list[PlayerRecord] = []
     for p, row in zip(present.tolist(), first.tolist()):
         lo, mid, hi = bounds[2 * p], bounds[2 * p + 1], bounds[2 * p + 2]
@@ -557,18 +576,48 @@ def write_players_json(records: Sequence[PlayerRecord], path: str | Path) -> Non
     """Write player records (with point lists) as one deterministic JSON array.
 
     The bytes are those of the compact, key-sorted encoding of the whole list in one
-    call. Each distinct coordinate is formatted once: coordinates are keyed by their
-    bit patterns, so ``-0.0`` and ``0.0`` stay apart, and each point list is gathered
-    from the formatted values and joined. Players are written one at a time.
+    call. Players are formatted and written in consecutive chunks of at most
+    ``_WRITE_POINTS`` points, at least one player each, so the writer holds one chunk's
+    cells. Within a chunk each distinct coordinate is formatted once: coordinates are
+    keyed by their bit patterns, so ``-0.0`` and ``0.0`` stay apart, and each point list
+    is gathered from the formatted values and joined.
     """
-    fields = [np.asarray(p, dtype=float).reshape(-1, 2) for r in records for p in (r.made_points, r.missed_points)]
-    bits, codes = np.unique(np.concatenate([np.zeros((0, 2)), *fields]).view(np.uint64), return_inverse=True)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write("[")
+        for lo, hi in _chunk_bounds([r.attempts for r in records], _WRITE_POINTS):
+            chunk = records[lo:hi]
+            fields = [np.asarray(p, dtype=float).reshape(-1, 2) for r in chunk for p in (r.made_points, r.missed_points)]
+            cells = _point_cells(np.concatenate([np.zeros((0, 2)), *fields]))
+            ends = np.cumsum([0] + [len(f) for f in fields]).tolist()
+            for i, r in enumerate(chunk):
+                made, missed = (_point_list(cells[ends[j]:ends[j + 1]]) for j in (2 * i, 2 * i + 1))
+                names = {"player_id": r.player_id, "player_name": r.player_name, "position": r.position.value}
+                tail = json.dumps(names, sort_keys=True, separators=(",", ":"))[1:]
+                fh.write(("," if lo + i else "") + '{"made_points":' + made + ',"missed_points":' + missed + "," + tail)
+        fh.write("]\n")
+
+
+def _chunk_bounds(sizes: Sequence[int], limit: int) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` of consecutive runs of ``sizes`` that sum to at most ``limit``, or of one item each that does not."""
+    lo = total = 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > limit:
+            yield lo, i
+            lo, total = i, 0
+        total += size
+    if lo < len(sizes):
+        yield lo, len(sizes)
+
+
+def _point_cells(points: np.ndarray) -> np.ndarray:
+    """The JSON text cells of (n, 2) ``points``: an x cell is the bare value, and a y cell
+    closes its point and opens the next one."""
+    bits, codes = np.unique(points.view(np.uint64), return_inverse=True)
     values = bits.view(float)
     text = list(map(repr, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         text[i] = json.dumps(values[i])  # NaN, Infinity or -Infinity
     codes = codes.reshape(-1, 2)
-    # an x cell is the bare value; a y cell closes its point and opens the next one
     y_used = np.zeros(len(text), dtype=bool)
     y_used[codes[:, 1]] = True
     y_cells = np.empty(len(text), dtype=object)
@@ -576,15 +625,7 @@ def write_players_json(records: Sequence[PlayerRecord], path: str | Path) -> Non
     cells = np.empty(codes.shape, dtype=object)
     cells[:, 0] = np.fromiter(text, dtype=object, count=len(text))[codes[:, 0]]
     cells[:, 1] = y_cells[codes[:, 1]]
-    ends = np.cumsum([0] + [len(f) for f in fields]).tolist()
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("[")
-        for i, r in enumerate(records):
-            made, missed = (_point_list(cells[ends[j]:ends[j + 1]]) for j in (2 * i, 2 * i + 1))
-            names = {"player_id": r.player_id, "player_name": r.player_name, "position": r.position.value}
-            tail = json.dumps(names, sort_keys=True, separators=(",", ":"))[1:]
-            fh.write(("," if i else "") + '{"made_points":' + made + ',"missed_points":' + missed + "," + tail)
-        fh.write("]\n")
+    return cells
 
 
 def _point_list(cells: np.ndarray) -> str:

@@ -147,7 +147,8 @@ def write_densities(out_dir: Path, player_ids: Sequence[str], grid: GridSpec, ch
     """Write a density stack as one .npy array per component plus a JSON descriptor.
 
     ``chunks`` yields the stack's rows in order, as (2, m, nx, ny) arrays like
-    :func:`~court_fda.density.build_samples` returns. The old descriptor is removed first.
+    :func:`~court_fda.density.build_samples` returns; each is dropped before the next is asked
+    for, so a generator of chunks holds one at a time. The old descriptor is removed first.
     Each array is written under a temporary name in ``out_dir``: the ``.npy`` 1.0 header that
     ``np.save`` writes for all ``len(player_ids)`` rows, then each chunk's rows as it comes.
     Both are renamed into place and the descriptor is written last. On any failure, a chunk's
@@ -171,6 +172,7 @@ def write_densities(out_dir: Path, player_ids: Sequence[str], grid: GridSpec, ch
                 for fh, values in zip(handles, np.ascontiguousarray(chunk)):
                     fh.write(values.data)
                 rows += chunk.shape[1]
+                del chunk, values  # freed before ``chunks`` builds the next one
             if rows != len(player_ids):
                 raise ValueError(f"{rows} density rows were estimated for {len(player_ids)} players")
         for comp, path in temporary.items():
@@ -332,6 +334,10 @@ def ingest(
 
     Returns the retained players and the counts of parsed and in-bounds rows. Raises
     :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
+    Each step's input is freed, and the C heap trimmed, before the next step runs, so a step
+    holds its own input and output only: the parse frees each column's parts as it joins them,
+    the exclusion holds the parsed and the in-bounds tables, the grouping the in-bounds table and
+    the points, and :func:`write_players_json` the points and one chunk of their text.
     """
     events = load_events(path, court)
     trim_heap()  # the parser's row lists and column parts are freed by now
@@ -339,6 +345,7 @@ def ingest(
         raise IngestError(f"no shot events in {path}")
     parsed, retained = len(events), exclude_impossible(events)
     del events  # only its row count is kept; free the table before grouping
+    trim_heap()  # and return its pages, so the grouping's arrays do not add to them
     records = filter_players(retained, min_attempts)
     if not records:
         raise IngestError(f"no player exceeds {min_attempts} attempts")
@@ -360,8 +367,8 @@ def estimate_densities(
     The players are spread over one worker per available core and per
     ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap). They are
     estimated in consecutive chunks of about ``_CHUNK_BYTES`` of fields, at least one player
-    per worker, and each chunk is written before the next is estimated, so no more than one
-    chunk is held. The files are the same bytes for any worker count.
+    per worker, and :func:`write_densities` writes and drops each chunk before it asks for the
+    next, so one chunk is held at a time. The files are the same bytes for any worker count.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -1,6 +1,6 @@
 """Mutations of the array files a stage chain leaves, each refused by every subcommand that reads it.
 
-Every mutation of a density or model file must exit with the reading subcommand's documented
+Every mutation of a players, density or model file must exit with the reading subcommand's documented
 code, name the fault instead of raising, create no ``--out``, and stay small: the loaders check
 an ``.npy`` header against the file's size before they allocate the array it describes, so a
 header that claims terabytes costs nothing. The peak is taken with ``tracemalloc``, which numpy
@@ -18,6 +18,7 @@ import pytest
 
 from court_fda.cli import main
 from court_fda.fda import ModelFileError, load_model
+from court_fda.ingest import PlayersFileError, read_players_json
 from court_fda.pipeline import DensityFileError, read_densities
 
 HUGE_GRID = {"nx": 100_000, "ny": 100_000}  # the fixture's 12 players' stack on it would take 1.75 TiB
@@ -85,10 +86,18 @@ def oversize(name, rows, descriptor):
     return mutate
 
 
-META, MISSED, MODEL, FUNCTIONS = "densities_meta.json", "densities_missed.npy", "model.json", "model_functions.npy"
+PLAYERS, META, MISSED = "players.json", "densities_meta.json", "densities_missed.npy"
+MODEL, FUNCTIONS = "model.json", "model_functions.npy"
 
 #: file -> mutation -> edit of the work directory
 MUTATIONS = {
+    PLAYERS: {
+        "drop a key": json_edit(PLAYERS, lambda doc: doc[0].pop("position")),
+        "repeat an id": json_edit(PLAYERS, lambda doc: doc[1].__setitem__("player_id", doc[0]["player_id"])),
+        "retype a value": json_edit(PLAYERS, lambda doc: doc[0]["made_points"][0].__setitem__(0, "0.5")),
+        "non-finite": json_edit(PLAYERS, lambda doc: doc[0]["made_points"][0].__setitem__(0, np.inf)),
+        "truncate": truncation(PLAYERS),
+    },
     META: {
         "drop a key": json_edit(META, lambda doc: doc.pop("player_ids")),
         "repeat an id": json_edit(META, lambda doc: doc["player_ids"].__setitem__(1, doc["player_ids"][0])),
@@ -129,6 +138,10 @@ def read_every_density(work):
     return stack.rows(stack.player_ids)
 
 
+def players_readers(work, player):
+    return [(["density", "--players", work / PLAYERS, "--grid", 11], 3)]
+
+
 def density_readers(work, player):
     return [
         (["mfpca", "fit", "--densities", work, "--components", 2], 4),
@@ -148,6 +161,7 @@ def model_readers(work, player):
 
 #: file -> its loader, the error that loader raises, and the subcommands that read the file
 LOADERS = {
+    PLAYERS: (lambda work: read_players_json(work / PLAYERS), PlayersFileError, players_readers),
     META: (read_every_density, DensityFileError, density_readers),
     MISSED: (read_every_density, DensityFileError, density_readers),
     MODEL: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),

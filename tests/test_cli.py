@@ -1102,20 +1102,22 @@ class TestWriteDensities:
         assert not (work / "new").exists()
 
     def test_the_kde_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # on the 101 x 101 grid eight players' fields outweigh the KDE's own buffers (0.44 of them), so
+        # the bound passes with one chunk held and fails with the last one still held beside the next
         rng = np.random.default_rng(71)
         records = [PlayerRecord(f"p{i:02d}", f"Player {i}", Position.GUARD, rng.uniform(size=(40, 2)),
-                                rng.uniform(size=(40, 2))) for i in range(60)]
-        grid = GridSpec(41, 41)
-        stack_bytes = 2 * len(records) * grid.nx * grid.ny * 8
-        monkeypatch.setattr(pl, "_CHUNK_BYTES", stack_bytes // 15)  # four players a chunk
+                                rng.uniform(size=(40, 2))) for i in range(24)]
+        grid = GridSpec(101, 101)
+        chunk_bytes = 8 * 2 * grid.nx * grid.ny * 8
+        monkeypatch.setattr(pl, "_CHUNK_BYTES", chunk_bytes)  # eight players a chunk
         tracemalloc.start()
         try:
             stack = pl.estimate_densities(records, grid, 1, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(stack) == 60 and (tmp_path / "densities_made.npy").stat().st_size > stack_bytes // 2
-        assert peak < stack_bytes / 2  # the whole stack in memory would be twice this
+        assert len(stack) == 24 and (tmp_path / "densities_made.npy").stat().st_size > 3 * chunk_bytes // 2
+        assert peak < 2 * chunk_bytes
 
     def test_a_short_chunk_stream_is_refused(self, tmp_path):
         values = np.ones((2, 3, 5, 5))

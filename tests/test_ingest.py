@@ -516,19 +516,49 @@ player_record = st.builds(
 )
 
 
-class TestPlayersJsonMemo:
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(player_record, max_size=4))
-    @example([])
-    @example([PlayerRecord("a", "A", Position.GUARD, np.array([[0.0, -0.0]]), np.array([[-0.0, 0.0]]))])
-    @example([
+WRITER_EXAMPLES = [
+    [],
+    [PlayerRecord("a", "A", Position.GUARD, np.array([[0.0, -0.0]]), np.array([[-0.0, 0.0]]))],
+    [
         PlayerRecord("a", "A", Position.GUARD, np.array([[5e-324, 1e-05]]), np.zeros((0, 2))),
         PlayerRecord("b", "B", Position.CENTER, np.array([[1e-05, 5e-324], [-0.0, 0.0]]), np.array([[1e-05, 1e-05]])),
-    ])
+    ],
+]
+
+
+def writer_cases(max_examples):
+    """Hypothesis lists of up to four players, and :data:`WRITER_EXAMPLES`."""
+
+    def decorate(test):
+        for records in WRITER_EXAMPLES:
+            test = example(records)(test)
+        test = given(st.lists(player_record, max_size=4))(test)
+        return settings(max_examples=max_examples, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])(test)
+
+    return decorate
+
+
+class TestPlayersJsonMemo:
+    @writer_cases(max_examples=300)
     def test_bytes_match_one_call_encoding(self, tmp_path, records):
         path = tmp_path / "players.json"
         write_players_json(records, path)
         assert path.read_bytes() == one_call_players_json(records)
+
+    @pytest.mark.parametrize("chunk_points", [0, 1, 2])
+    @writer_cases(max_examples=100)
+    def test_chunked_bytes_match_one_call_encoding(self, tmp_path, monkeypatch, chunk_points, records):
+        # chunks of one player at a bound of 0 points, of one or more (those with at most the bound) at 1 and 2
+        monkeypatch.setattr(ingest, "_WRITE_POINTS", chunk_points)
+        path = tmp_path / "players.json"
+        write_players_json(records, path)
+        assert path.read_bytes() == one_call_players_json(records)
+
+    def test_chunks_are_consecutive_runs_within_the_bound(self):
+        assert list(ingest._chunk_bounds([3, 0, 2, 5, 1, 1], 3)) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+        assert list(ingest._chunk_bounds([1, 1, 1], 0)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(ingest._chunk_bounds([], 3)) == []
 
 
 class TestMemory:
@@ -553,6 +583,51 @@ class TestMemory:
             tracemalloc.stop()
         assert len(events) == n
         assert peak < 4 * path.stat().st_size
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_load_events_peak_below_1_8_tables(self, tmp_path, monkeypatch, cores):
+        # each column's batch parts are freed once they are joined, and each range's columns once they
+        # are joined: holding the parts beside the coded columns, or the ranges beside their join, takes
+        # at least twice the table
+        monkeypatch.setattr(ingest, "available_cores", lambda: cores)
+        rng = np.random.default_rng(6)
+        n = 200_000
+        player = rng.integers(0, 40, size=n)
+        xy = rng.uniform(0, 50, size=(n, 2))
+        made = rng.integers(0, 2, size=n)
+        lines = [HEADER] + [
+            f"p{p:03d},Player {p},guard,{x:.2f},{y:.2f},{m},2020-21"
+            for p, (x, y), m in zip(player.tolist(), xy.tolist(), made.tolist())
+        ]
+        path = tmp_path / "shots.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        del lines
+        tracemalloc.start()
+        try:
+            events = load_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = sum(getattr(events, c).nbytes for c in ("player", "name", "position", "x", "y", "made"))
+        assert len(events) == n
+        assert peak < 1.8 * table
+
+    def test_write_players_json_peak_is_one_chunks_cells(self, tmp_path, monkeypatch):
+        # 40 players of 2000 distinct points, written 4000 points (two players) at a time; every
+        # point's cells at once would take about 320 bytes a point, 25 MB
+        monkeypatch.setattr(ingest, "_WRITE_POINTS", 4000)
+        rng = np.random.default_rng(7)
+        records = [
+            PlayerRecord(f"p{i:02d}", f"Player {i}", Position.GUARD, rng.random((1000, 2)), rng.random((1000, 2)))
+            for i in range(40)
+        ]
+        tracemalloc.start()
+        try:
+            write_players_json(records, tmp_path / "players.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 4000
 
     def test_read_players_json_peak_below_three_file_sizes(self, tmp_path):
         # players are decoded one at a time: the text, the arrays so far and one player's lists
