@@ -13,7 +13,10 @@ writes and reads them, except ``players.json``, which gets a tenth of the
 shots, once with coordinates on the 0.01 ft lattice of real exports and
 once with no repeated value. ``read_players_json`` reads the lattice file
 back, and ``parse_events_json`` parses the same shots as a JSON shot
-export, one object per shot. BLAS runs on one thread, as court-fda runs it;
+export, one object per shot. ``load_events`` parses a 207,600-row CSV
+export (1,200 shots a player) in two shares, so one share's table comes
+back through its pipe, and ``filter_players`` groups that table by player.
+BLAS runs on one thread, as court-fda runs it;
 ``build_samples`` is timed on one worker and on one per available core.
 Stacks are written through ``write_densities`` to a temporary directory and
 read from there, block by block, as a run reads them; the page cache holds
@@ -41,10 +44,13 @@ from court_fda.fda import (
 )
 from court_fda.grids import GridSpec
 from court_fda.pipeline import write_densities
+from court_fda import ingest
 from court_fda.ingest import (
     CSV_FIELDS,
     PlayerRecord,
     Position,
+    filter_players,
+    load_events,
     parse_events_json,
     read_players_json,
     write_players_json,
@@ -165,6 +171,29 @@ def test_parse_events_json(benchmark):
         for x, y in points.tolist()
     ]
     benchmark(parse_events_json, json.dumps(shots))
+
+
+@pytest.fixture(scope="module")
+def shots_csv(tmp_path_factory):
+    """A CSV shot export of every player's 1,200 shots, 207,600 rows, in feet to 0.01 ft."""
+    rng = np.random.default_rng(6)
+    path = tmp_path_factory.mktemp("shots") / "shots.csv"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_FIELDS) + "\n")
+        for i in range(PLAYERS):
+            xy = rng.uniform(size=(1200, 2)) * (50.0, 47.0)
+            fh.writelines(f"p{i:03d},Player {i},guard,{x:.2f},{y:.2f},{m},2018-19\n"
+                          for (x, y), m in zip(xy.tolist(), rng.integers(0, 2, size=1200).tolist()))
+    return path
+
+
+def test_load_events(benchmark, shots_csv, monkeypatch):
+    monkeypatch.setattr(ingest, "available_cores", lambda: 2)
+    benchmark(load_events, shots_csv)
+
+
+def test_filter_players(benchmark, shots_csv):
+    benchmark(filter_players, load_events(shots_csv))
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,16 @@
-"""File formats: compact JSON documents, rescaled heatmap grids as CSV and PGM files, and checked ``.npy`` reads."""
+"""File formats: compact JSON documents, rescaled heatmap grids as CSV and PGM files, checked ``.npy`` reads,
+and files written whole under a temporary name."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import operator
 import os
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +39,27 @@ def json_text(obj) -> str:
 def write_json(obj, path: str | Path) -> None:
     """Write ``obj`` to ``path`` as :func:`json_text`."""
     Path(path).write_text(json_text(obj), encoding="utf-8")
+
+
+def sibling(path: Path) -> Path:
+    """A new hidden name beside ``path``: ``.<name>.<random hex>``."""
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+
+
+@contextlib.contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """A new :func:`sibling` name of ``path`` for the block to write a file under.
+
+    The file is renamed to ``path`` when the block ends and removed when it raises, so
+    ``path`` holds either its earlier file or the whole new one.
+    """
+    temporary = sibling(path)
+    try:
+        yield temporary
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def check_npy(fh: BinaryIO, shape: tuple[int, ...]) -> int:

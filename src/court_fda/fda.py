@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from court_fda.density import DensityStack
-from court_fda.export import check_npy, read_npy_rows, write_json
+from court_fda.export import check_npy, read_npy_rows, replacing, write_json
 from court_fda.grids import GridSpec, grid_integral
 
 #: Relative cutoff under which a Gram eigenvalue counts as numerically zero.
@@ -373,11 +373,15 @@ class ModelFileError(ValueError):
 def save_model(model: MfpcaModel, path: str | Path) -> None:
     """Write a model as the JSON document ``path`` and ``<stem>_functions.npy`` beside it.
 
-    The array is ``model.functions`` as it is. It is written first, so a document on disk
-    always has its array. The quadrature weights follow from the grid and are not stored.
+    The array is ``model.functions`` as it is. The old document is removed first, the array is
+    written under a temporary name and renamed into place, and the document is written last,
+    so a write that fails leaves no document beside another fit's array, and the loader
+    refuses the directory. The quadrature weights follow from the grid and are not stored.
     """
     path = Path(path)
-    np.save(path.with_name(f"{path.stem}_functions.npy"), model.functions)
+    path.unlink(missing_ok=True)
+    with replacing(path.with_name(f"{path.stem}_functions.npy")) as temporary, temporary.open("xb") as fh:
+        np.save(fh, model.functions)
     doc = {
         "grid": {"nx": model.grid.nx, "ny": model.grid.ny},
         "eigenvalues": model.eigenvalues.tolist(),

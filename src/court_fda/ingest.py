@@ -87,9 +87,10 @@ class CourtSpec:
 class ShotTable:
     """Shot events as columns, one entry per input row in input order.
 
-    ``player`` and ``name`` index the sorted ``player_ids`` and
-    ``player_names``, ``position`` indexes :data:`POSITION_ORDER`; ``x``
-    and ``y`` are unit-square coordinates and ``made`` is the outcome.
+    ``player`` and ``name`` are ``int32`` indices into the sorted ``player_ids``
+    and ``player_names``, ``position`` an ``int8`` index into :data:`POSITION_ORDER`;
+    ``x`` and ``y`` are float64 unit-square coordinates and ``made`` is the boolean
+    outcome: 26 bytes a row.
     """
 
     player_ids: list[str]
@@ -159,28 +160,33 @@ _SCAN_BYTES = 1 << 20
 #: Points :func:`write_players_json` formats at a time: about 32 players of a paper-size export.
 _WRITE_POINTS = 1 << 17
 
+#: Rows :func:`filter_players` gathers into the sorted points at a time; it bounds the gather's temporaries.
+_GATHER_ROWS = 1 << 16
+
 
 class _TextColumn:
-    """A text column, each row coded by its raw value."""
+    """A text column, each row coded by its raw value as an ``int32``."""
 
     def __init__(self) -> None:
         self.index: dict[str, int] = {}
-        self.codes = [np.zeros(0, dtype=np.intp)]
+        self.codes = [np.zeros(0, dtype=np.int32)]
 
     def add(self, values: Sequence[str]) -> None:
         index = self.index
         for v in set(values).difference(index):
             index[v] = len(index)
-        self.codes.append(np.fromiter(map(index.__getitem__, values), np.intp, len(values)))
+        self.codes.append(np.fromiter(map(index.__getitem__, values), np.int32, len(values)))
 
-    def coded(self) -> tuple[list[str], np.ndarray]:
-        """Sorted distinct stripped values and each row's index into them; the column's parts are freed."""
+    def coded(self, code=lambda j, value: j) -> tuple[list[str], np.ndarray]:
+        """Sorted distinct stripped values and each row's ``code(j, value)`` for its value, value ``j`` of
+        them (by default ``j``); the column's parts are freed as the codes are built."""
         raw = list(self.index)
         values = sorted({v.strip() for v in raw})
         index = {v: i for i, v in enumerate(values)}
+        table = np.array([code(index[v.strip()], v.strip()) for v in raw], dtype=np.int32)
         codes = np.concatenate(self.codes)
         self.codes.clear()
-        return values, np.array([index[v.strip()] for v in raw], dtype=np.intp)[codes]
+        return values, table[codes]
 
 
 class _NumberColumn:
@@ -206,7 +212,8 @@ class _NumberColumn:
         self.rows += len(values)
 
     def checked(self):
-        """The values, the mask of invalid rows, and the message for such a row; the column's parts are freed."""
+        """The values (NaN where ``float`` refused one) and the message for a row whose value is not
+        finite; the column's parts are freed."""
         values = np.concatenate(self.parts)
         self.parts.clear()
 
@@ -215,7 +222,7 @@ class _NumberColumn:
                 return f"non-numeric {self.name} {self.rejected[i].strip()!r}"
             return f"non-finite {self.name} {float(values[i])!r}"
 
-        return values, ~np.isfinite(values), message
+        return values, message
 
 
 def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -271,34 +278,38 @@ def _read_rows(source: Iterable[Sequence[str]], lines: array, court: CourtSpec) 
             for column, values in zip((ids, names, labels, xs, ys, flags), zip(*rows)):
                 column.add(values)
 
-    # each column is coded as its parts are freed; an invalid label or flag, value j of its
-    # column, is coded ~j < 0, so its message needs no second copy of the column
+    # each column is coded as its parts are freed, then checked and narrowed to the type the table
+    # stores. A check keeps only its first failing row and that row's message; an invalid label or
+    # flag, value j of its column, is coded ~j < 0, so its message needs no second copy of the column
+    failures = []  # (row, place of the check in the order position, x_ft, y_ft, made, message)
+
+    def check(place: int, bad: np.ndarray, message) -> None:
+        if bad.any():
+            i = int(np.argmax(bad))
+            failures.append((i, place, message(i)))
+
     player_ids, player = ids.coded()
     player_names, name = names.coded()
-    label_values, position = labels.coded()
-    position = np.array(
-        [_POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), ~j) for j, v in enumerate(label_values)], dtype=np.intp
-    )[position]
-    flag_values, outcome = flags.coded()
-    outcome = np.array([{"0": 0, "1": 1}.get(v, ~j) for j, v in enumerate(flag_values)], dtype=np.intp)[outcome]
-    x_ft, x_bad, x_message = xs.checked()
-    y_ft, y_bad, y_message = ys.checked()
-    checks = (
-        (position < 0, lambda i: f"unknown position label {label_values[~position[i]]!r}"),
-        (x_bad, x_message),
-        (y_bad, y_message),
-        (outcome < 0, lambda i: f"made flag must be 0 or 1, got {flag_values[~outcome[i]]!r}"),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ParseError(lines[i], next(message(i) for mask, message in checks if mask[i]))
+    label_values, position = labels.coded(lambda j, v: _POSITION_INDEX.get(_POSITION_ALIASES.get(v.lower()), ~j))
+    check(0, position < 0, lambda i: f"unknown position label {label_values[~position[i]]!r}")
+    position = position.astype(np.int8)  # the valid codes fit; a table with an invalid one is not returned
+    flag_values, outcome = flags.coded(lambda j, v: {"0": 0, "1": 1}.get(v, ~j))
+    check(3, outcome < 0, lambda i: f"made flag must be 0 or 1, got {flag_values[~outcome[i]]!r}")
+    made = outcome == 1
+    del outcome
+    x_ft, x_message = xs.checked()
+    check(1, ~np.isfinite(x_ft), x_message)
+    y_ft, y_message = ys.checked()
+    check(2, ~np.isfinite(y_ft), y_message)
+    if failures:  # the first failing row; within it, the first check in order
+        i, _, message = min(failures)
+        raise ParseError(lines[i], message)
     if wrong_count is not None:
         i, count = wrong_count
         raise ParseError(lines[i], f"expected {len(CSV_FIELDS)} fields, got {count}")
     np.divide(x_ft, court.width, out=x_ft)  # normalize_point, in place
     np.divide(y_ft, court.depth, out=y_ft)
-    return ShotTable(player_ids, player_names, player, name, position, x_ft, y_ft, outcome == 1)
+    return ShotTable(player_ids, player_names, player, name, position, x_ft, y_ft, made)
 
 
 def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
@@ -513,7 +524,7 @@ def _join(tables: list[ShotTable]) -> ShotTable:
         index = {v: i for i, v in enumerate(merged[c])}
         parts = columns[c]
         for j, values in enumerate(value_lists):
-            parts[j] = np.array([index[v] for v in values], dtype=np.intp)[parts[j]]
+            parts[j] = np.array([index[v] for v in values], dtype=np.int32)[parts[j]]
     joined = {}
     for c, parts in columns.items():
         joined[c] = np.concatenate(parts)
@@ -539,7 +550,7 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
     if min_attempts < 1:
         raise ValueError(f"min_attempts must be at least 1, got {min_attempts}")
     present, first = np.unique(events.player, return_index=True)
-    labelled = np.zeros(len(events.player_ids), dtype=np.intp)
+    labelled = np.zeros(len(events.player_ids), dtype=events.position.dtype)
     labelled[present] = events.position[first]
     conflicts = np.flatnonzero(events.position != labelled[events.player])
     if conflicts.size:
@@ -553,11 +564,14 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
         )
     # one stable sort puts each player's made points, then missed points, in input order
     key = 2 * events.player + ~events.made
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable").astype(np.min_scalar_type(len(key)))  # the narrowest type of a row number
     bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=2 * len(events.player_ids)))))
-    points = np.empty((len(order), 2))  # filled a column at a time: no stacked copy beside the sorted one
-    points[:, 0] = events.x[order]
-    points[:, 1] = events.y[order]
+    del key  # freed before the points are gathered
+    points = np.empty((len(order), 2))  # filled a slice of rows at a time: no whole-column temporary
+    for lo in range(0, len(order), _GATHER_ROWS):
+        rows = order[lo:lo + _GATHER_ROWS]
+        points[lo:lo + len(rows), 0] = events.x[rows]
+        points[lo:lo + len(rows), 1] = events.y[rows]
     records: list[PlayerRecord] = []
     for p, row in zip(present.tolist(), first.tolist()):
         lo, mid, hi = bounds[2 * p], bounds[2 * p + 1], bounds[2 * p + 2]

@@ -46,7 +46,9 @@ def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:
     is raised, as a loop over the shares would raise it. A child sends its share's outcome,
     the ``(failed, result or exception)`` pair :func:`_outcome` builds for share 0 too, down a
     pipe pickled, and leaves through ``os._exit``, so no atexit handler, inherited stdio buffer
-    or caller code runs in it. A child that ended without reporting fails its share with
+    or caller code runs in it. The caller unpickles each outcome as it reads it from the pipe,
+    so it never holds a share's pickled bytes beside the result built from them. A child that
+    ended without reporting its whole outcome (an empty or cut-short pipe) fails its share with
     ``ChildProcessError``, which names it as ``name`` worker ``share``. Every child is reaped
     before this returns or raises; on an interrupt or a failed fork the ones still running are
     sent SIGTERM first. Where ``os.fork`` is missing, the shares run one after another in the caller.
@@ -69,15 +71,15 @@ def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:
             children[pid] = share, os.fdopen(read_fd, "rb")
         outcomes = [_outcome(work, 0)]
         for pid, (share, fh) in list(children.items()):
-            payload = fh.read()
+            try:
+                outcome = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended before the outcome did
+                outcome = None
             _, status = os.waitpid(pid, 0)
             del children[pid]
             fh.close()
-            if payload:
-                outcomes.append(pickle.loads(payload))
-            else:
-                outcomes.append((True, ChildProcessError(
-                    f"{name} worker {share} ended with wait status {status} before reporting")))
+            outcomes.append(outcome or (True, ChildProcessError(
+                f"{name} worker {share} ended with wait status {status} before reporting")))
     finally:
         for pid, (_, fh) in children.items():
             with contextlib.suppress(ProcessLookupError):

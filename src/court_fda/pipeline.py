@@ -32,7 +32,7 @@ from court_fda import bootstrap as bt
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda.density import DensityFileError, DensityStack, build_samples
-from court_fda.export import write_json
+from court_fda.export import replacing, sibling, write_json
 from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401  bound only for perfbench/spans.py to wrap
 from court_fda.fda import MfpcaModel, ScoreMatrix, fit_mfpca, gram_matrix, mean_function, save_model
 from court_fda.grids import COMPONENTS, GridSpec
@@ -55,8 +55,8 @@ STAGES = ("ingest", "density", "mfpca", "cluster", "evaluate", "bootstrap", "exp
 #: buffers (1-2 MB), which a few players' worth of KDE time does not pay for.
 _PLAYERS_PER_WORKER = 32
 
-#: Bytes of fields the KDE fills before they are written out: 52 players on the 201 x 201 grid.
-_CHUNK_BYTES = 32 << 20
+#: Bytes of fields the KDE fills before they are written out: 26 players on the 201 x 201 grid.
+_CHUNK_BYTES = 16 << 20
 
 
 class StageError(RuntimeError):
@@ -149,38 +149,32 @@ def write_densities(out_dir: Path, player_ids: Sequence[str], grid: GridSpec, ch
     ``chunks`` yields the stack's rows in order, as (2, m, nx, ny) arrays like
     :func:`~court_fda.density.build_samples` returns; each is dropped before the next is asked
     for, so a generator of chunks holds one at a time. The old descriptor is removed first.
-    Each array is written under a temporary name in ``out_dir``: the ``.npy`` 1.0 header that
-    ``np.save`` writes for all ``len(player_ids)`` rows, then each chunk's rows as it comes.
-    Both are renamed into place and the descriptor is written last. On any failure, a chunk's
-    included, the temporary files are removed and no descriptor is left, so the loader refuses
-    the directory instead of reading an earlier set's arrays.
+    Each array is written under a temporary name in ``out_dir`` (:func:`~court_fda.export.replacing`):
+    the ``.npy`` 1.0 header that ``np.save`` writes for all ``len(player_ids)`` rows, then each
+    chunk's rows as it comes. Both are renamed into place and the descriptor is written last.
+    On any failure, a chunk's included, the temporary files are removed and no descriptor is
+    left, so the loader refuses the directory instead of reading an earlier set's arrays.
     """
     meta = out_dir / "densities_meta.json"
     meta.unlink(missing_ok=True)
     shape = (len(player_ids), grid.nx, grid.ny)
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False, "shape": shape}
-    temporary = {comp: _sibling(out_dir / f"densities_{comp}.npy") for comp in COMPONENTS}
-    try:
-        with contextlib.ExitStack() as files:
-            handles = [files.enter_context(path.open("xb")) for path in temporary.values()]
-            for fh in handles:
-                np.lib.format.write_array_header_1_0(fh, header)
-            rows = 0
-            for chunk in chunks:
-                if chunk.dtype != np.float64 or chunk.shape[:1] + chunk.shape[2:] != (2, *grid.shape):
-                    raise ValueError(f"a density chunk of {chunk.dtype} {chunk.shape} does not lie on {grid}")
-                for fh, values in zip(handles, np.ascontiguousarray(chunk)):
-                    fh.write(values.data)
-                rows += chunk.shape[1]
-                del chunk, values  # freed before ``chunks`` builds the next one
-            if rows != len(player_ids):
-                raise ValueError(f"{rows} density rows were estimated for {len(player_ids)} players")
-        for comp, path in temporary.items():
-            os.replace(path, out_dir / f"densities_{comp}.npy")
-    except BaseException:
-        for path in temporary.values():
-            path.unlink(missing_ok=True)
-        raise
+    with contextlib.ExitStack() as files:
+        handles = []
+        for comp in COMPONENTS:
+            temporary = files.enter_context(replacing(out_dir / f"densities_{comp}.npy"))
+            handles.append(files.enter_context(temporary.open("xb")))
+            np.lib.format.write_array_header_1_0(handles[-1], header)
+        rows = 0
+        for chunk in chunks:
+            if chunk.dtype != np.float64 or chunk.shape[:1] + chunk.shape[2:] != (2, *grid.shape):
+                raise ValueError(f"a density chunk of {chunk.dtype} {chunk.shape} does not lie on {grid}")
+            for fh, values in zip(handles, np.ascontiguousarray(chunk)):
+                fh.write(values.data)
+            rows += chunk.shape[1]
+            del chunk, values  # freed before ``chunks`` builds the next one
+        if rows != len(player_ids):
+            raise ValueError(f"{rows} density rows were estimated for {len(player_ids)} players")
     write_json({"player_ids": list(player_ids), "grid": {"nx": grid.nx, "ny": grid.ny}}, meta)
 
 
@@ -336,8 +330,10 @@ def ingest(
     :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
     Each step's input is freed, and the C heap trimmed, before the next step runs, so a step
     holds its own input and output only: the parse frees each column's parts as it joins them,
-    the exclusion holds the parsed and the in-bounds tables, the grouping the in-bounds table and
-    the points, and :func:`write_players_json` the points and one chunk of their text.
+    the exclusion holds the parsed and the in-bounds tables, the grouping the in-bounds table, its
+    sort order and the points, and :func:`write_players_json` the points and one chunk of their
+    text. The last trim here comes before the writer; :func:`estimate_densities` trims again
+    before its first chunk and after its last, so no later stage sits on the KDE's freed pages.
     """
     events = load_events(path, court)
     trim_heap()  # the parser's row lists and column parts are freed by now
@@ -366,9 +362,11 @@ def estimate_densities(
     parsing the players freed (``read_players_json`` for the ``density`` subcommand).
     The players are spread over one worker per available core and per
     ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap). They are
-    estimated in consecutive chunks of about ``_CHUNK_BYTES`` of fields, at least one player
-    per worker, and :func:`write_densities` writes and drops each chunk before it asks for the
-    next, so one chunk is held at a time. The files are the same bytes for any worker count.
+    estimated in consecutive chunks of about ``_CHUNK_BYTES`` (16 MiB) of fields, at least one
+    player per worker, and :func:`write_densities` writes and drops each chunk before it asks
+    for the next, so one chunk is held at a time. The heap is trimmed again once the last chunk
+    is written, so the later stages do not sit on the chunks' freed pages. The files are the
+    same bytes for any worker count.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -380,6 +378,7 @@ def estimate_densities(
     ids = [r.player_id for r in records]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, ids, grid, chunks)
+    trim_heap()
     return DensityStack(ids, grid, out_dir)
 
 
@@ -390,12 +389,17 @@ def fit_and_save(
     """Fit the decomposition and write ``model.json``, its function array and ``scores.csv`` to ``out_dir``.
 
     ``mean`` is the stack's mean and ``gram`` its Gram matrix about it, when the caller holds
-    them (see :func:`fit_mfpca`).
+    them (see :func:`fit_mfpca`). An earlier ``model.json`` is removed first, the array and
+    ``scores.csv`` are written under temporary names and renamed into place, and ``model.json``
+    is written last, so a failed write leaves no document and the model's loader refuses the
+    directory instead of pairing an earlier fit with this one's files.
     """
     model = fit_mfpca(stack, n_components=components, variance_threshold=variance_threshold, gram=gram, mean=mean)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "model.json").unlink(missing_ok=True)
+    with replacing(out_dir / "scores.csv") as temporary:
+        write_scores_csv(model.scores, temporary)
     save_model(model, out_dir / "model.json")
-    write_scores_csv(model.scores, out_dir / "scores.csv")
     return model
 
 
@@ -459,7 +463,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if out.exists() and not (out / "run.json").is_file() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"{config.out} is not empty and holds no run.json; not replacing it")
     out.parent.mkdir(parents=True, exist_ok=True)
-    staging = _sibling(out)
+    staging = sibling(out)
     staging.mkdir()  # a plain mkdir, so the output gets the usual permissions
     try:
         manifest = _run_stages(config, staging)
@@ -470,17 +474,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest
 
 
-def _sibling(path: Path) -> Path:
-    """A new hidden name beside ``path``: ``.<name>.<random hex>``."""
-    return path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-
-
 def _move_into_place(staging: Path, out: Path) -> None:
     """Rename ``staging`` to ``out``; an earlier ``out`` is renamed aside first and removed last."""
     if not os.path.lexists(out):
         os.rename(staging, out)
         return
-    aside = _sibling(out)
+    aside = sibling(out)
     os.rename(out, aside)
     try:
         os.rename(staging, out)

@@ -32,12 +32,13 @@ def run_cli(*argv):
 
 @pytest.fixture(scope="module")
 def staged(tmp_path_factory):
-    """The bundled fixture's stage chain on an 11 x 11 grid, up to a two-component model."""
+    """The bundled fixture's stage chain on an 11 x 11 grid, up to a two-component model and a clustering."""
     work = tmp_path_factory.mktemp("fixture") / "work"
     shots = Path(str(resources.files("court_fda").joinpath("data/fixture_shots.csv")))
     assert run_cli("ingest", "--input", shots, "--out", work) == 0
     assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 0
     assert run_cli("mfpca", "fit", "--densities", work, "--out", work, "--components", 2) == 0
+    assert run_cli("cluster", "--scores", work / "scores.csv", "--k", 2, "--out", work) == 0
     return work
 
 
@@ -139,7 +140,13 @@ def read_every_density(work):
 
 
 def players_readers(work, player):
-    return [(["density", "--players", work / PLAYERS, "--grid", 11], 3)]
+    scores = work / "scores.csv"
+    return [
+        (["density", "--players", work / PLAYERS, "--grid", 11], 3),
+        (["cluster", "--scores", scores, "--k", 2, "--players", work / PLAYERS], 5),
+        (["evaluate", "--clusters", work / "clusters_equal.json", "--against", "nba", "--scores", scores,
+          "--players", work / PLAYERS], 6),
+    ]
 
 
 def density_readers(work, player):

@@ -1126,6 +1126,37 @@ class TestWriteDensities:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFitAndSave:
+    @pytest.mark.parametrize("module, name", [(pl, "write_scores_csv"), (np, "save"), (fda, "write_json")],
+                             ids=["scores", "array", "document"])
+    def test_a_failed_refit_leaves_a_model_the_loaders_refuse(self, work, tmp_path, monkeypatch, capsys, module, name):
+        # a refit into a directory that holds a complete fit fails at one of its three writes: the earlier
+        # model.json is gone and no temporary file is left, so the model's readers exit with their loader's
+        # code instead of pairing the earlier document with this fit's files
+        def failing(*args, **kwargs):
+            raise OSError(f"{name} failed")
+
+        before = {p.name for p in work.iterdir()}
+        monkeypatch.setattr(module, name, failing)
+        assert run_cli("mfpca", "fit", "--densities", work, "--out", work, "--components", 3) == 4
+        monkeypatch.undo()
+        assert f"{name} failed" in capsys.readouterr().err
+        assert {p.name for p in work.iterdir()} == before - {"model.json"}
+        assert run_cli("export", "mean", "--model", work / "model.json", "--out", tmp_path / "mean") == 8
+        assert run_cli("mfpca", "scores", "--model", work / "model.json", "--densities", work,
+                       "--out", tmp_path / "scores") == 4
+        err = capsys.readouterr().err
+        assert err.count("No such file") == 2 and "Traceback" not in err
+        assert not (tmp_path / "mean").exists() and not (tmp_path / "scores").exists()
+
+    def test_a_refit_replaces_every_file(self, work, tmp_path):
+        assert run_cli("mfpca", "fit", "--densities", work, "--out", work, "--components", 3) == 0
+        assert run_cli("mfpca", "fit", "--densities", work, "--out", tmp_path / "fresh", "--components", 3) == 0
+        for name in ("model.json", "model_functions.npy", "scores.csv"):
+            assert (work / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        assert not [p.name for p in work.iterdir() if p.name.startswith(".")]
+
+
 class TestReadDensities:
     @pytest.fixture
     def density_dir(self, tmp_path):

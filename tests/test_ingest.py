@@ -561,6 +561,22 @@ class TestPlayersJsonMemo:
         assert list(ingest._chunk_bounds([], 3)) == []
 
 
+def write_shots(path: Path, n: int, seed: int) -> Path:
+    """A CSV export of ``n`` rows by 40 guards, coordinates in feet to 0.01 ft."""
+    rng = np.random.default_rng(seed)
+    player, made = rng.integers(0, 40, size=n), rng.integers(0, 2, size=n)
+    xy = rng.uniform(0, 50, size=(n, 2))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(HEADER + "\n")
+        fh.writelines(f"p{p:03d},Player {p},guard,{x:.2f},{y:.2f},{m},2020-21\n"
+                      for p, (x, y), m in zip(player.tolist(), xy.tolist(), made.tolist()))
+    return path
+
+
+def table_bytes(events: ShotTable) -> int:
+    return sum(getattr(events, c).nbytes for c in ("player", "name", "position", "x", "y", "made"))
+
+
 class TestMemory:
     def test_load_events_peak_below_four_file_sizes(self, tmp_path):
         # the file is streamed: no whole-file bytes, str or StringIO copy
@@ -611,6 +627,51 @@ class TestMemory:
         table = sum(getattr(events, c).nbytes for c in ("player", "name", "position", "x", "y", "made"))
         assert len(events) == n
         assert peak < 1.8 * table
+
+    def test_load_events_peak_at_two_shares_at_most_1_35_tables(self, tmp_path, monkeypatch):
+        # share 1's table is unpickled as it is read from its pipe: reading its pickled bytes whole
+        # first holds them beside both shares' tables, about 1.8 tables
+        monkeypatch.setattr(ingest, "available_cores", lambda: 2)
+        path = write_shots(tmp_path / "shots.csv", 200_000, seed=6)
+        tracemalloc.start()
+        try:
+            events = load_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 200_000
+        assert peak <= 1.35 * table_bytes(events)
+
+    def test_filter_players_peak_below_points_order_and_one_slice(self, tmp_path):
+        # the sort key is freed before the gather, the order is kept as uint32 row numbers and the points
+        # are gathered a slice of rows at a time: a whole gathered column beside them takes 1.6 MB more
+        events = load_events(write_shots(tmp_path / "shots.csv", 200_000, seed=8))
+        tracemalloc.start()
+        try:
+            records = filter_players(events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points, order = 2 * 8 * len(events), 4 * len(events)
+        one_slice = ingest._GATHER_ROWS * (8 + 8)  # a slice's gathered values and its row numbers as intp
+        assert sum(r.attempts for r in records) == len(events)
+        assert peak < points + order + one_slice
+
+    @pytest.mark.parametrize("source", ["csv", "split csv", "json"])
+    def test_a_table_row_is_26_bytes(self, tmp_path, monkeypatch, source):
+        path = write_shots(tmp_path / "shots.csv", 3000, seed=9)
+        if source == "split csv":
+            monkeypatch.setattr(ingest, "_BYTES_PER_WORKER", 1)
+            monkeypatch.setattr(ingest, "available_cores", lambda: 3)
+            assert len(ingest._range_bounds(path, path.stat().st_size, 3)) == 4
+        elif source == "json":
+            with path.open(newline="") as fh:
+                path = tmp_path / "shots.json"
+                path.write_text(json.dumps(list(csv.DictReader(fh))))
+        events = load_events(path)
+        dtypes = [getattr(events, c).dtype for c in ("player", "name", "position", "x", "y", "made")]
+        assert dtypes == [np.int32, np.int32, np.int8, np.float64, np.float64, np.bool_]
+        assert table_bytes(events) == 26 * len(events) == 26 * 3000
 
     def test_write_players_json_peak_is_one_chunks_cells(self, tmp_path, monkeypatch):
         # 40 players of 2000 distinct points, written 4000 points (two players) at a time; every

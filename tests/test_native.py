@@ -1,13 +1,14 @@
 """The forked-share runner: results and errors in share order, and no child left behind."""
 
 import os
+import pickle
 import signal
 import time
 
 import numpy as np
 import pytest
 
-from court_fda import export, ingest
+from court_fda import export, ingest, native
 from court_fda.export import export_fields
 from court_fda.ingest import load_events
 from court_fda.native import run_shares
@@ -138,4 +139,23 @@ def test_a_worker_killed_by_a_signal_is_an_error():
 
     with pytest.raises(ChildProcessError, match=f"^test worker 2 ended with wait status {signal.SIGKILL} before"):
         run_shares(work, 3, "test")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("result", [list(range(10)), np.arange(1 << 17, dtype=float)], ids=["small", "1 MiB"])
+def test_a_worker_that_reports_half_its_outcome_is_an_error(monkeypatch, result):
+    # the outcome is unpickled as it is read: a pipe that ends inside it fails the share as an empty one does
+    report = native._report
+
+    def half_report(write_fd, work, share):
+        if share != 2:
+            report(write_fd, work, share)
+        payload = pickle.dumps(native._outcome(work, share))
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(payload[: len(payload) // 2])
+        os._exit(0)
+
+    monkeypatch.setattr(native, "_report", half_report)
+    with pytest.raises(ChildProcessError, match="^test worker 2 ended with wait status 0 before reporting$"):
+        run_shares(lambda share: result, 3, "test")
     assert_no_child_left()
