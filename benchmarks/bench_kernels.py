@@ -17,7 +17,7 @@ export, one object per shot. ``load_events`` parses a 207,600-row CSV
 export (1,200 shots a player) in two shares, so one share's table comes
 back through its pipe, and ``filter_players`` groups that table by player.
 BLAS runs on one thread, as court-fda runs it;
-``build_samples`` is timed on one worker and on one per available core.
+``estimate_densities`` is timed on one share and on one per available core.
 Stacks are written through ``write_densities`` to a temporary directory and
 read from there, block by block, as a run reads them; the page cache holds
 them after the first pass.
@@ -32,7 +32,7 @@ import pytest
 
 from court_fda.bootstrap import stability_study
 from court_fda.cluster import WeightScheme, _pam_medoids, distance_matrix, standardize_scores
-from court_fda.density import KDE_BLOCK, DensityStack, build_samples, kde_raw, silverman_bandwidth
+from court_fda.density import KDE_BLOCK, DensityStack, kde_raw, silverman_bandwidth
 from court_fda.export import write_heatmap_csv
 from court_fda.fda import (
     eigendecompose,
@@ -43,7 +43,7 @@ from court_fda.fda import (
     save_model,
 )
 from court_fda.grids import GridSpec
-from court_fda.pipeline import write_densities
+from court_fda.pipeline import estimate_densities, write_densities
 from court_fda import ingest
 from court_fda.ingest import (
     CSV_FIELDS,
@@ -72,7 +72,7 @@ def one_blas_thread():
 def stack_on_disk(directory, values: np.ndarray) -> DensityStack:
     """A (2, N, nx, ny) array written as a density directory, and the stack on it."""
     ids, grid = [f"p{i:03d}" for i in range(values.shape[1])], GridSpec(*values.shape[2:])
-    write_densities(directory, ids, grid, [values])
+    write_densities(directory, ids, grid, lambda i: values[:, i])
     return DensityStack(ids, grid, directory)
 
 
@@ -104,15 +104,14 @@ def test_kde_raw(benchmark, shots):
 
 
 @pytest.mark.parametrize("workers", ["one", "all"])
-def test_build_samples(benchmark, workers):
+def test_estimate_densities(benchmark, tmp_path, workers):
     rng = np.random.default_rng(5)
     records = [
         PlayerRecord(f"p{i:03d}", f"Player {i}", Position.GUARD, rng.uniform(size=(SHOTS // 2, 2)),
                      rng.uniform(size=(SHOTS // 2, 2)))
         for i in range(PLAYERS)
     ]
-    threads = 1 if workers == "one" else available_cores()
-    benchmark(build_samples, records, GRID, threads=threads)
+    benchmark(estimate_densities, records, GRID, 1 if workers == "one" else available_cores(), tmp_path)
 
 
 def test_gram_matrix(benchmark, stack):

@@ -10,17 +10,18 @@ Exit codes: 0 on success, 1 for usage or configuration problems, and a
 distinct code per failing stage: ingest 2, density 3, mfpca 4,
 cluster 5, evaluate 6, bootstrap 7, export 8.
 
-The density estimation of run and density uses one worker per available
-core, and no more than one per 32 players; --threads caps that count (run's
-default cap is the config's threads; neither has one by default). A cap that
-is not a positive integer is a usage error (exit 1). BLAS runs on one
-thread. The export subcommands, mfpca reconstruct and bootstrap
---dump-replicates draw their charts on one forked process per available
-core, at most one per chart, each drawing one contiguous run of the charts
-and writing each file whole. run and ingest parse a CSV export on one forked
-process per available core, at most one per 512 KiB of it, each reading one
-line-aligned byte range, and join the ranges' rows in file order. A failing
-chart or row gives the error one process gives. On one machine and one BLAS
+Every command that uses several cores forks at most one process per core.
+run and density estimate the densities on at most one per 32 players, each
+writing one contiguous run of the players, with about equal shot counts, into
+the stack's files; --threads caps that count (run's default cap is the
+config's threads; neither has one by default). A cap that is not a positive
+integer is a usage error (exit 1). BLAS runs on one thread. The export
+subcommands, mfpca reconstruct and bootstrap --dump-replicates draw their
+charts on at most one process per chart, each drawing one contiguous run of
+them and writing each file whole. run and ingest parse a CSV export on at
+most one process per 512 KiB, each reading one line-aligned byte range, and
+join the ranges' rows in file order. A failing player, chart or row gives the
+error one process gives. On one machine and one BLAS
 core type, every output is the same bytes at any worker count and any
 OPENBLAS_NUM_THREADS.
 """
@@ -37,7 +38,7 @@ import numpy as np
 from court_fda import cluster as cl
 from court_fda import metrics as mt
 from court_fda import pipeline as pl
-from court_fda.export import export_fields, json_text, safe_name, write_json
+from court_fda.export import export_fields, json_text, replacing, safe_name, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
 from court_fda.ingest import CourtSpec, read_players_json
@@ -115,7 +116,8 @@ def cmd_mfpca_scores(args) -> str:
     scores = project_scores_all(stack, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pl.write_scores_csv(scores, out / "scores.csv")
+    with replacing(out / "scores.csv") as temporary:
+        pl.write_scores_csv(scores, temporary)
     return f"projected {len(stack)} samples onto {model.n_components} components -> {out / 'scores.csv'}"
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
@@ -149,7 +147,7 @@ def silverman_bandwidth(points: np.ndarray) -> tuple[float, float]:
 
 
 def kde_raw(
-    points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec(), buffers=None
+    points: np.ndarray, bandwidth: tuple[float, float], grid: GridSpec = GridSpec(), buffers=None, out=None
 ) -> np.ndarray:
     """Unnormalized Gaussian product-kernel estimate at every grid node.
 
@@ -160,7 +158,8 @@ def kde_raw(
     so the working set does not grow with n. The value at a node depends
     only on the node coordinates, not on the rest of the grid.
     Each block's kernels and their product are written into ``buffers``
-    (from :func:`_kde_buffers` for ``grid``), allocated for this call when not given.
+    (from :func:`_kde_buffers` for ``grid``), allocated for this call when not given,
+    and the sum into ``out``, a new array when not given.
     """
     hx, hy = bandwidth
     if hx <= 0 or hy <= 0:
@@ -170,7 +169,9 @@ def kde_raw(
     if n == 0:
         raise ValueError("cannot estimate a density from an empty point set")
     kx_buf, ky_buf, prod = _kde_buffers(grid) if buffers is None else buffers
-    xs, ys, out = grid.xs, grid.ys, np.zeros(grid.shape)
+    xs, ys = grid.xs, grid.ys
+    out = np.empty(grid.shape) if out is None else out
+    out.fill(0.0)
     for block in (pts[i:i + KDE_BLOCK] for i in range(0, n, KDE_BLOCK)):
         kx = _kernel(xs, block[:, 0], hx, kx_buf[:grid.nx * len(block)].reshape(grid.nx, -1))
         ky = _kernel(ys, block[:, 1], hy, ky_buf[:grid.ny * len(block)].reshape(grid.ny, -1))
@@ -203,55 +204,26 @@ def kde(
 
     ``buffers`` is :func:`kde_raw`'s scratch space.
     """
-    raw = kde_raw(points, bandwidth, grid, buffers)
-    return np.divide(raw, grid_integral(raw), out=out)
+    raw = kde_raw(points, bandwidth, grid, buffers, out)
+    return np.divide(raw, grid_integral(raw), out=raw)
 
 
-def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec(), threads: int = 1) -> np.ndarray:
+def build_samples(records: Sequence[PlayerRecord], grid: GridSpec = GridSpec()) -> np.ndarray:
     """Estimate both densities of every record into one preallocated array.
 
     The result is a C-contiguous float64 array of shape (2, len(records), nx, ny): component-major,
     missed first and made second, rows in record order; each component gets its own bandwidth
-    pair. ``threads`` workers, the caller and ``threads - 1`` threads it starts, take players in
-    record order from one shared iterator. Rows are identical for any thread count and for any
-    split of the records into calls: each field is evaluated in a fixed node and point order on
-    one worker, and players are independent. With BLAS on one thread
+    pair. Rows are identical for any split of the records into calls: each field is evaluated in
+    a fixed node and point order, and players are independent. With BLAS on one thread
     (:func:`court_fda.native.pin_blas_single_thread`) they are also identical for any BLAS thread
-    setting. A failure raises the error of the first failing player in record order, as a loop
-    over them would.
+    setting. A failure raises the error of the first failing player in record order.
     """
     values = np.empty((2, len(records), grid.nx, grid.ny))
-    players = iter(range(len(records)))  # next() on it is atomic, so each index goes to one worker
-    failures: list[tuple[int, Exception]] = []
-
-    def fill(i: int, buffers) -> None:
-        record = records[i]
+    buffers = _kde_buffers(grid)
+    for i, record in enumerate(records):
         for component, pts, slot in zip(COMPONENTS, (record.missed_points, record.made_points), values[:, i]):
             try:
                 kde(pts, silverman_bandwidth(pts), grid, out=slot, buffers=buffers)
             except ValueError as exc:
                 raise DensityError(f"player {record.player_id}, {component} shots: {exc}") from exc
-
-    def work() -> None:
-        buffers = _kde_buffers(grid)
-        for i in players:
-            try:
-                fill(i, buffers)
-            except Exception as exc:
-                failures.append((i, exc))
-                for _ in players:  # the players before this one are all taken, and no later one can fail first
-                    pass
-
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for _ in players:  # on an interrupt, leave the helpers nothing more to take
-            pass
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise min(failures, key=operator.itemgetter(0))[1]
     return values

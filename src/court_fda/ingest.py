@@ -470,7 +470,8 @@ def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> 
     holds the header. An invalid row raises :class:`ParseError` at its file line: its line
     within the range plus the lines before the range, counted on this error path alone, which
     no quoted line break comes before since no range starts after a ``"`` byte. An undecodable
-    byte raises one at its own line, found by decoding the range's bytes at once.
+    byte raises one at its own line: the lines the csv reader has taken, plus the line ends in the
+    input the decoder failed on, up to that byte, and in a ``\r`` held back before it (:func:`_held_back`).
     """
     start, stop = bounds[share], bounds[share + 1]
     try:
@@ -480,24 +481,29 @@ def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> 
             raw = fh if stop == bounds[-1] else _ByteRange(fh, stop - start)
             with io.TextIOWrapper(raw, encoding="utf-8", newline="") as source:
                 reader, lines = csv.reader(source), array("q")
-                if share == 0:
-                    _check_header(reader)
-                return _read_rows(_csv_rows(reader, lines), lines, court)
+                try:
+                    if share == 0:
+                        _check_header(reader)
+                    return _read_rows(_csv_rows(reader, lines), lines, court)
+                except UnicodeDecodeError as exc:
+                    seen = _held_back(fh, len(exc.object)) + exc.object[:exc.start]
+                    ends = seen.count(b"\n") + seen.count(b"\r") - seen.count(b"\r\n")  # as the csv module splits
+                    message = f"'utf-8' codec can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+                    raise ParseError(reader.line_num + ends + 1, message) from None
     except ParseError as exc:
         if not start:
             raise
         raise ParseError(_lines(path, start) + exc.row, exc.reason) from None
-    except UnicodeDecodeError:
-        with path.open("rb") as fh:
-            if start:
-                fh.seek(start)
-            data = fh.read(stop - start)  # the range's bytes
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            message = f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
-            raise ParseError(_lines(path, start + exc.start + 1), message) from None
-        raise  # the bytes changed since they were parsed
+
+
+def _held_back(fh: BinaryIO, count: int) -> bytes:
+    """The byte before the last ``count`` bytes read from ``fh`` if it is a ``\\r``, which a text reader holds
+    back until it sees whether ``\\n`` follows, else ``b""``; a pipe cannot seek back, so there also ``b""``."""
+    try:
+        fh.seek(fh.tell() - count - 1)  # raises for a pipe, and before the first byte
+        return b"\r" if fh.read(1) == b"\r" else b""
+    except OSError:
+        return b""
 
 
 def _lines(path: Path, count: int) -> int:

@@ -24,7 +24,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,18 +45,15 @@ from court_fda.ingest import (
     load_events,
     write_players_json,
 )
-from court_fda.native import available_cores, pin_blas_single_thread, trim_heap
+from court_fda.native import available_cores, pin_blas_single_thread, run_shares, trim_heap
 
 #: Pipeline stages in execution order; the CLI derives exit codes from this.
 #: :func:`run_pipeline` executes every stage but ``export``.
 STAGES = ("ingest", "density", "mfpca", "cluster", "evaluate", "bootstrap", "export")
 
-#: Players each density worker gets at least. A worker holds its own kernels and BLAS
-#: buffers (1-2 MB), which a few players' worth of KDE time does not pay for.
+#: Players each density worker gets at least. A forked worker costs a few milliseconds to
+#: start, report and reap, which a few players' worth of KDE time does not pay for.
 _PLAYERS_PER_WORKER = 32
-
-#: Bytes of fields the KDE fills before they are written out: 26 players on the 201 x 201 grid.
-_CHUNK_BYTES = 16 << 20
 
 
 class StageError(RuntimeError):
@@ -83,7 +80,7 @@ class PipelineConfig:
     Exactly one of ``components`` and ``variance_threshold`` selects the
     component count. ``weight_scheme`` is "equal", "variance", or "both".
     Each value must have its field's annotated type; an int passes as a float.
-    ``threads`` caps the density workers (None: one per available core); it does not
+    ``threads`` caps the density workers (None: no cap); it does not
     change any output, so the ``run.json`` config echo leaves it out.
     """
 
@@ -143,39 +140,51 @@ class PipelineConfig:
         return [cl.WeightScheme(self.weight_scheme)]
 
 
-def write_densities(out_dir: Path, player_ids: Sequence[str], grid: GridSpec, chunks: Iterable[np.ndarray]) -> None:
+def write_densities(
+    out_dir: Path, player_ids: Sequence[str], grid: GridSpec, fields: Callable[[int], np.ndarray],
+    bounds: Sequence[int] = (),
+) -> None:
     """Write a density stack as one .npy array per component plus a JSON descriptor.
 
-    ``chunks`` yields the stack's rows in order, as (2, m, nx, ny) arrays like
-    :func:`~court_fda.density.build_samples` returns; each is dropped before the next is asked
-    for, so a generator of chunks holds one at a time. The old descriptor is removed first.
-    Each array is written under a temporary name in ``out_dir`` (:func:`~court_fda.export.replacing`):
-    the ``.npy`` 1.0 header that ``np.save`` writes for all ``len(player_ids)`` rows, then each
-    chunk's rows as it comes. Both are renamed into place and the descriptor is written last.
-    On any failure, a chunk's included, the temporary files are removed and no descriptor is
-    left, so the loader refuses the directory instead of reading an earlier set's arrays.
+    ``fields(i)`` is row i's (2, nx, ny) float64 pair, missed first. The rows are cut at ``bounds``,
+    ``0 = b_0 <= ... <= b_k = len(player_ids)`` (default: one run), and each run is one share of
+    :func:`~court_fda.native.run_shares`, which takes its rows one at a time and writes each pair
+    at its row's offset, so the files do not depend on the cut. The old descriptor is removed
+    first, both arrays are written under temporary names (:func:`~court_fda.export.replacing`)
+    after the header ``np.save`` writes for all rows and renamed into place, and the descriptor
+    is written last. On any failure, the first failing share's error, the temporary files are
+    removed and no descriptor is left, so the loader refuses the directory instead of reading
+    an earlier set's arrays.
     """
     meta = out_dir / "densities_meta.json"
     meta.unlink(missing_ok=True)
+    bounds = bounds or (0, len(player_ids))
     shape = (len(player_ids), grid.nx, grid.ny)
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False, "shape": shape}
     with contextlib.ExitStack() as files:
-        handles = []
-        for comp in COMPONENTS:
-            temporary = files.enter_context(replacing(out_dir / f"densities_{comp}.npy"))
-            handles.append(files.enter_context(temporary.open("xb")))
-            np.lib.format.write_array_header_1_0(handles[-1], header)
-        rows = 0
-        for chunk in chunks:
-            if chunk.dtype != np.float64 or chunk.shape[:1] + chunk.shape[2:] != (2, *grid.shape):
-                raise ValueError(f"a density chunk of {chunk.dtype} {chunk.shape} does not lie on {grid}")
-            for fh, values in zip(handles, np.ascontiguousarray(chunk)):
-                fh.write(values.data)
-            rows += chunk.shape[1]
-            del chunk, values  # freed before ``chunks`` builds the next one
-        if rows != len(player_ids):
-            raise ValueError(f"{rows} density rows were estimated for {len(player_ids)} players")
+        paths = [files.enter_context(replacing(out_dir / f"densities_{comp}.npy")) for comp in COMPONENTS]
+        for path in paths:
+            with path.open("xb") as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+                start = fh.tell()  # where the rows begin, the same in both files
+
+        def write(share: int) -> None:
+            with contextlib.ExitStack() as opened:
+                handles = [opened.enter_context(path.open("r+b")) for path in paths]
+                for i in range(bounds[share], bounds[share + 1]):
+                    _write_pair(handles, start + i * grid.nx * grid.ny * 8, fields(i), grid)
+
+        run_shares(write, len(bounds) - 1, "density")
     write_json({"player_ids": list(player_ids), "grid": {"nx": grid.nx, "ny": grid.ny}}, meta)
+
+
+def _write_pair(handles: Sequence[BinaryIO], offset: int, pair: np.ndarray, grid: GridSpec) -> None:
+    """Write each component of ``pair`` at ``offset`` of its file; the pair is freed on return, before the next."""
+    if pair.dtype != np.float64 or pair.shape != (2, *grid.shape):
+        raise ValueError(f"a density pair of {pair.dtype} {pair.shape} does not lie on {grid}")
+    for fh, values in zip(handles, pair):
+        fh.seek(offset)
+        fh.write(np.ascontiguousarray(values).data)
 
 
 def read_densities(dir_path: str | Path) -> DensityStack:
@@ -333,7 +342,7 @@ def ingest(
     the exclusion holds the parsed and the in-bounds tables, the grouping the in-bounds table, its
     sort order and the points, and :func:`write_players_json` the points and one chunk of their
     text. The last trim here comes before the writer; :func:`estimate_densities` trims again
-    before its first chunk and after its last, so no later stage sits on the KDE's freed pages.
+    before it forks its workers.
     """
     events = load_events(path, court)
     trim_heap()  # the parser's row lists and column parts are freed by now
@@ -354,31 +363,28 @@ def ingest(
 
 
 def estimate_densities(
-    records: Sequence[PlayerRecord], grid: GridSpec, threads: int | None, out_dir: Path
+    records: Sequence[PlayerRecord], grid: GridSpec, max_workers: int | None, out_dir: Path
 ) -> DensityStack:
     """Estimate every player's density pair, write the stack to ``out_dir`` and return it.
 
     The C heap is trimmed first, so the fields do not land on top of the pages that
     parsing the players freed (``read_players_json`` for the ``density`` subcommand).
-    The players are spread over one worker per available core and per
-    ``_PLAYERS_PER_WORKER`` players, at most ``threads`` of them (None: no cap). They are
-    estimated in consecutive chunks of about ``_CHUNK_BYTES`` (16 MiB) of fields, at least one
-    player per worker, and :func:`write_densities` writes and drops each chunk before it asks
-    for the next, so one chunk is held at a time. The heap is trimmed again once the last chunk
-    is written, so the later stages do not sit on the chunks' freed pages. The files are the
-    same bytes for any worker count.
+    The players are cut into one contiguous run per available core and per
+    ``_PLAYERS_PER_WORKER`` players, at most ``max_workers`` runs (None: no cap), with about
+    equal shot counts, since a field's cost grows with its points. :func:`write_densities`
+    estimates each run on one worker, the caller or a process forked from it, one player at a
+    time. The files are the same bytes for any worker count.
     """
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     trim_heap()
     workers = min(available_cores(), max(1, len(records) // _PLAYERS_PER_WORKER))
-    workers = workers if threads is None else min(threads, workers)
-    size = max(workers, -(-_CHUNK_BYTES // (2 * grid.nx * grid.ny * 8)))
-    chunks = (build_samples(records[lo:lo + size], grid, threads=workers) for lo in range(0, len(records), size))
+    workers = workers if max_workers is None else min(max_workers, workers)
+    done = np.cumsum([0] + [record.attempts for record in records])  # shots before each player, and in all
+    bounds = [int(np.searchsorted(done, done[-1] * share / workers)) for share in range(workers)] + [len(records)]
     ids = [r.player_id for r in records]
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_densities(out_dir, ids, grid, chunks)
-    trim_heap()
+    write_densities(out_dir, ids, grid, lambda i: build_samples(records[i:i + 1], grid)[:, 0], bounds)
     return DensityStack(ids, grid, out_dir)
 
 
@@ -415,7 +421,8 @@ def cluster_schemes(
 
     Writes ``clusters_<scheme>.json`` and, given the players in score order,
     ``roster_<scheme>.txt`` to ``out_dir``. Returns each scheme's clustering and
-    distance matrix, keyed by the scheme's name.
+    distance matrix, keyed by the scheme's name. An earlier document is removed first and the
+    roster written whole (:func:`~court_fda.export.replacing`) before it, so no write mixes two.
     """
     standardized = cl.standardize_scores(scores)
     results = {}
@@ -425,10 +432,12 @@ def cluster_schemes(
         weights = cl.resolve_weights(scheme, scores.n_components, eigenvalues)
         doc = clustering_to_dict(clustering, scheme, weights, scores.player_ids)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(doc, out_dir / f"clusters_{scheme.value}.json")
+        document = out_dir / f"clusters_{scheme.value}.json"
+        document.unlink(missing_ok=True)
         if records is not None:
-            roster = cl.format_roster(clustering, records)
-            (out_dir / f"roster_{scheme.value}.txt").write_text(roster, encoding="utf-8")
+            with replacing(out_dir / f"roster_{scheme.value}.txt") as temporary:
+                temporary.write_text(cl.format_roster(clustering, records), encoding="utf-8")
+        write_json(doc, document)
         results[scheme.value] = clustering, dist
     return results
 

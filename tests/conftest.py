@@ -97,7 +97,8 @@ def stack_from(values, ids) -> DensityStack:
     as the stack on it; the directory is removed after the test."""
     _STACK_DIRS.append(tempfile.mkdtemp(prefix="court-fda-stack-"))
     grid, directory = GridSpec(*values.shape[2:]), Path(_STACK_DIRS[-1])
-    write_densities(directory, ids, grid, [np.ascontiguousarray(values, dtype=float)])
+    values = np.asarray(values, dtype=float)
+    write_densities(directory, ids, grid, lambda i: values[:, i])
     return DensityStack(list(ids), grid, directory)
 
 

@@ -26,7 +26,8 @@ from court_fda.density import DensityStack, build_samples
 from court_fda.export import export_heatmap, write_heatmap_csv
 from court_fda.fda import ScoreMatrix, fit_mfpca, gram_matrix, load_model, mean_function, reconstruct
 from court_fda.grids import GridSpec
-from court_fda.ingest import PlayerRecord, Position, filter_players
+from court_fda.ingest import PlayerRecord, Position, filter_players, read_players_json
+from court_fda.native import run_shares
 from court_fda.pipeline import (
     DensityFileError,
     PipelineConfig,
@@ -200,7 +201,8 @@ class TestStageCommands:
     def test_bootstrap_rejects_a_reference_fitted_elsewhere(self, work, tmp_path, capsys):
         stack, other = read_densities(work), tmp_path / "reversed"
         other.mkdir()
-        write_densities(other, stack.player_ids[::-1], stack.grid, [stack.rows(stack.player_ids[::-1])])
+        values = stack.rows(stack.player_ids[::-1])
+        write_densities(other, stack.player_ids[::-1], stack.grid, lambda i: values[:, i])
         assert run_cli("mfpca", "fit", "--densities", other, "--out", other, "--components", 2) == 0
         code = run_cli("bootstrap", "--densities", work, "--model", other / "model.json", "--out", tmp_path / "boot")
         assert code == 7  # bootstrap stage exit code
@@ -397,11 +399,11 @@ class TestRunCommand:
                 "--k", 2, "--replicates", 0)
         seen = []
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs["threads"])
-            return build_samples(*args, **kwargs)
+        def spy(work, shares, name):
+            seen.append(shares)
+            return run_shares(work, shares, name)
 
-        monkeypatch.setattr(pl, "build_samples", spy)
+        monkeypatch.setattr(pl, "run_shares", spy)
         monkeypatch.setattr(pl, "available_cores", lambda: 3)
         monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)  # four players: room for up to four workers
         config = tmp_path / "config.json"
@@ -495,17 +497,33 @@ class TestRunCommand:
     def test_density_workers_follow_cores_players_and_cap(self, tmp_path, monkeypatch, players, cores, cap, workers):
         seen = []
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs["threads"])
-            return build_samples(*args, **kwargs)
+        def spy(work, shares, name):
+            seen.append(shares)
+            return run_shares(work, shares, name)
 
-        monkeypatch.setattr(pl, "build_samples", spy)
+        monkeypatch.setattr(pl, "run_shares", spy)
         monkeypatch.setattr(pl, "available_cores", lambda: cores)
         rng = np.random.default_rng(0)
         records = [PlayerRecord(f"p{i}", f"Player {i}", Position.GUARD, rng.uniform(size=(5, 2)),
                                 rng.uniform(size=(5, 2))) for i in range(players)]
         pl.estimate_densities(records, GridSpec(5, 5), cap, tmp_path)
         assert seen == [workers]
+
+    @pytest.mark.parametrize("shots, workers, bounds", [
+        ([300, 100, 100, 100], 2, [0, 1, 4]),  # the first player alone is half the work
+        ([100, 100, 100, 100, 100, 500], 2, [0, 5, 6]),
+        ([100] * 6, 3, [0, 2, 4, 6]),
+    ])
+    def test_density_workers_get_about_equal_shot_counts(self, tmp_path, monkeypatch, shots, workers, bounds):
+        seen, write = [], pl.write_densities
+        monkeypatch.setattr(pl, "write_densities", lambda *args: seen.append(args[-1]) or write(*args))
+        monkeypatch.setattr(pl, "available_cores", lambda: workers)
+        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        rng = np.random.default_rng(1)
+        records = [PlayerRecord(f"p{i}", f"Player {i}", Position.GUARD, rng.uniform(size=(n // 2, 2)),
+                                rng.uniform(size=(n - n // 2, 2))) for i, n in enumerate(shots)]
+        pl.estimate_densities(records, GridSpec(5, 5), None, tmp_path)
+        assert seen == [bounds]
 
 
 class TestUsage:
@@ -729,6 +747,16 @@ class TestLoaderErrors:
         argv = [sys.executable, "-m", "court_fda.cli", "ingest", "--input", "/dev/stdin", "--out", str(tmp_path / "o")]
         proc = subprocess.run(argv, input=text, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (2, "error: row 3: unknown position label 'pivot'\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_an_undecodable_byte_piped_to_ingest_is_located(self, tmp_path, fixture_csv):
+        # the byte's line comes from the one read of the pipe: the lines the reader took and the failed input
+        data = b"".join(fixture_csv.read_bytes().splitlines(keepends=True)[:5]) + b"p9,Name \xff,guard,1.0,2.0,1,2019\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(court_fda.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "court_fda.cli", "ingest", "--input", "/dev/stdin", "--out", str(tmp_path / "o")]
+        proc = subprocess.run(argv, input=data, capture_output=True, cwd=tmp_path, env=env, timeout=120)
+        want = "error: row 6: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
+        assert (proc.returncode, proc.stderr.decode()) == (2, want)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("row", [0, 3])
@@ -1056,21 +1084,21 @@ class TestChartWorkers:
 
 
 class TestWriteDensities:
-    PLAYER_BYTES = 2 * 11 * 11 * 8  # one player's two fields on the 11 x 11 grid
-
-    def test_chunks_write_the_bytes_of_one_array(self, work, tmp_path, monkeypatch):
-        # the header np.save writes for all rows, then each chunk's rows: the files do not depend on the chunking
-        calls = []
-
-        def spy(records, grid, threads):
-            calls.append(len(records))
-            return build_samples(records, grid, threads=threads)
-
-        monkeypatch.setattr(pl, "build_samples", spy)
-        monkeypatch.setattr(pl, "_CHUNK_BYTES", 3 * self.PLAYER_BYTES - 1)
-        out = tmp_path / "chunked"
-        assert run_cli("density", "--players", work / "players.json", "--out", out, "--grid", 11) == 0
-        assert calls == [3, 1]
+    @pytest.mark.parametrize("shares, fork", [(1, True), (2, True), (3, True), (3, False)],
+                             ids=["1", "2", "3", "3 without fork"])
+    def test_shares_write_the_bytes_of_one_array(self, work, tmp_path, monkeypatch, shares, fork):
+        # the header np.save writes for all rows, then each share's rows at their offsets: the files do not
+        # depend on the share count, nor on whether the shares run in forked processes or one after another
+        counts = []
+        monkeypatch.setattr(pl, "available_cores", lambda: 3)
+        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        monkeypatch.setattr(pl, "run_shares", lambda *args: counts.append(args[1]) or run_shares(*args))
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / "shared"
+        assert run_cli("density", "--players", work / "players.json", "--out", out, "--grid", 11,
+                       "--threads", shares) == 0
+        assert counts == [shares]
         stack = read_densities(work)
         for comp, values in zip(("missed", "made"), values_of(stack)):
             whole = tmp_path / f"{comp}.npy"
@@ -1079,50 +1107,70 @@ class TestWriteDensities:
                 (work / f"densities_{comp}.npy").read_bytes()
         assert sorted(p.name for p in out.iterdir()) == ["densities_made.npy", "densities_meta.json",
                                                          "densities_missed.npy"]
+        assert_no_child_left()
 
     def test_a_failed_rewrite_leaves_a_set_the_loader_refuses(self, work, monkeypatch, capsys):
-        # the KDE fails on the last chunk after the first was written: the earlier set's descriptor is gone
-        # and its arrays are untouched, so the next stage exits with the loader's code instead of mixing sets
+        # the KDE fails on the last player, in the second share, after the first share wrote its rows: the earlier
+        # set's descriptor is gone and its arrays are untouched, so the next stage exits with the loader's code
         before = {p.name: p.read_bytes() for p in work.iterdir()}
 
-        def failing(records, grid, threads):
+        def failing(records, grid):
             if records[-1].player_id == "m4":
-                raise ValueError("the last chunk failed")
-            return build_samples(records, grid, threads=threads)
+                raise ValueError("the last player failed")
+            return build_samples(records, grid)
 
         monkeypatch.setattr(pl, "build_samples", failing)
-        monkeypatch.setattr(pl, "_CHUNK_BYTES", 2 * self.PLAYER_BYTES)
+        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
         assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 3
+        assert "the last player failed" in capsys.readouterr().err
         after = {p.name: p.read_bytes() for p in work.iterdir()}
         assert sorted(after) == sorted(set(before) - {"densities_meta.json"})
         assert all(after[name] == before[name] for name in after)
-        capsys.readouterr()
         assert run_cli("mfpca", "fit", "--densities", work, "--out", work / "new", "--components", 2) == 4
         assert "densities_meta.json" in capsys.readouterr().err
         assert not (work / "new").exists()
 
-    def test_the_kde_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch):
-        # on the 101 x 101 grid eight players' fields outweigh the KDE's own buffers (0.44 of them), so
-        # the bound passes with one chunk held and fails with the last one still held beside the next
+    def test_a_worker_that_ends_without_reporting_leaves_no_file(self, work, tmp_path, monkeypatch):
+        # share 1's process exits in the KDE: its share fails by name, and the caller leaves neither a
+        # temporary array nor a descriptor behind
+        parent = os.getpid()
+
+        def dying(records, grid):
+            if os.getpid() != parent:
+                os._exit(3)
+            return build_samples(records, grid)
+
+        monkeypatch.setattr(pl, "build_samples", dying)
+        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        records = read_players_json(work / "players.json")
+        with pytest.raises(ChildProcessError, match="^density worker 1 ended with wait status 768 before reporting$"):
+            pl.estimate_densities(records, GridSpec(11, 11), None, tmp_path / "d")
+        assert_no_child_left()
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_the_kde_holds_one_player_at_a_time(self, tmp_path):
+        # on the 801 x 801 grid a player's field pair outweighs the KDE's own buffers (0.82 of one), so the
+        # parent, estimating every player as one share, stays under two pairs only if it holds one at a time
         rng = np.random.default_rng(71)
-        records = [PlayerRecord(f"p{i:02d}", f"Player {i}", Position.GUARD, rng.uniform(size=(40, 2)),
-                                rng.uniform(size=(40, 2))) for i in range(24)]
-        grid = GridSpec(101, 101)
-        chunk_bytes = 8 * 2 * grid.nx * grid.ny * 8
-        monkeypatch.setattr(pl, "_CHUNK_BYTES", chunk_bytes)  # eight players a chunk
+        records = [PlayerRecord(f"p{i}", f"Player {i}", Position.GUARD, rng.uniform(size=(40, 2)),
+                                rng.uniform(size=(40, 2))) for i in range(3)]
+        grid = GridSpec(801, 801)
+        pair_bytes = 2 * grid.nx * grid.ny * 8
         tracemalloc.start()
         try:
             stack = pl.estimate_densities(records, grid, 1, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(stack) == 24 and (tmp_path / "densities_made.npy").stat().st_size > 3 * chunk_bytes // 2
-        assert peak < 2 * chunk_bytes
+        assert len(stack) == 3 and (tmp_path / "densities_made.npy").stat().st_size > 3 * pair_bytes // 2
+        assert peak < 2 * pair_bytes
 
-    def test_a_short_chunk_stream_is_refused(self, tmp_path):
-        values = np.ones((2, 3, 5, 5))
-        with pytest.raises(ValueError, match="2 density rows were estimated for 3 players"):
-            write_densities(tmp_path, ["a", "b", "c"], GridSpec(5, 5), [values[:, :2]])
+    def test_a_pair_off_the_grid_is_refused(self, tmp_path):
+        values = np.ones((2, 3, 5, 4))
+        with pytest.raises(ValueError, match=r"^a density pair of float64 \(2, 5, 4\) does not lie on GridSpec"):
+            write_densities(tmp_path, ["a", "b", "c"], GridSpec(5, 5), lambda i: values[:, i])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1157,12 +1205,52 @@ class TestFitAndSave:
         assert not [p.name for p in work.iterdir() if p.name.startswith(".")]
 
 
+class TestStageWrites:
+    def test_a_failed_roster_write_leaves_no_clustering_document(self, work, monkeypatch, capsys):
+        # a reclustering into a directory that holds an earlier clustering and roster fails at the roster:
+        # the earlier document is gone, the earlier roster is whole and no temporary file is left, so the
+        # next evaluate exits with its loader's code instead of reading the earlier clustering
+        assert run_cli("cluster", "--scores", work / "scores.csv", "--k", 3, "--players", work / "players.json",
+                       "--out", work) == 0
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        write_text = Path.write_text
+
+        def failing(self, *args, **kwargs):
+            if self.name.startswith(".roster_equal.txt."):
+                raise OSError("roster write failed")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        assert run_cli("cluster", "--scores", work / "scores.csv", "--k", 2, "--players", work / "players.json",
+                       "--out", work) == 5
+        monkeypatch.undo()
+        assert "roster write failed" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert sorted(after) == sorted(set(before) - {"clusters_equal.json"})
+        assert after["roster_equal.txt"] == before["roster_equal.txt"]
+        assert evaluate_nba(work) == 6
+        assert "No such file" in capsys.readouterr().err
+
+    def test_a_failed_rescore_keeps_the_earlier_scores(self, work, monkeypatch, capsys):
+        before = (work / "scores.csv").read_bytes()
+
+        def failing(scores, path):
+            Path(path).write_text("player_id,c1\n", encoding="utf-8")  # cut short
+            raise OSError("scores write failed")
+
+        monkeypatch.setattr(pl, "write_scores_csv", failing)
+        assert run_cli("mfpca", "scores", "--model", work / "model.json", "--densities", work, "--out", work) == 4
+        assert "scores write failed" in capsys.readouterr().err
+        assert (work / "scores.csv").read_bytes() == before
+        assert not [p.name for p in work.iterdir() if p.name.startswith(".")]
+
+
 class TestReadDensities:
     @pytest.fixture
     def density_dir(self, tmp_path):
         rng = np.random.default_rng(70)
         values = rng.uniform(size=(2, 3, 5, 7))
-        write_densities(tmp_path, ["a", "b", "c"], GridSpec(5, 7), [values])
+        write_densities(tmp_path, ["a", "b", "c"], GridSpec(5, 7), lambda i: values[:, i])
         return tmp_path, values
 
     def edit_meta(self, path, **changes):
@@ -1254,7 +1342,7 @@ class TestReadDensities:
             read_densities(path)
 
     def test_an_empty_set_reads_as_empty_blocks(self, tmp_path):
-        write_densities(tmp_path, [], GridSpec(5, 7), [])
+        write_densities(tmp_path, [], GridSpec(5, 7), lambda i: np.empty((2, 5, 7)))
         stack = read_densities(tmp_path)
         assert [(c, cols, block.shape) for c, cols, block in stack.blocks(20)] == \
             [(c, slice(lo, lo + 20), (0, min(20, 35 - lo))) for c in (0, 1) for lo in (0, 20)]

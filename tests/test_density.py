@@ -1,14 +1,13 @@
 """Bandwidth selection and kernel density estimation against independent oracles."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from court_fda import density
+from court_fda import pipeline
 from court_fda.density import (
     KDE_BLOCK,
     DegenerateBandwidthError,
@@ -21,6 +20,8 @@ from court_fda.density import (
 )
 from court_fda.grids import GridSpec, grid_integral
 from court_fda.ingest import PlayerRecord, Position
+
+from conftest import assert_no_child_left
 
 # Fixed 5-point configuration; value at node (0.5, 0.5) of the 11x11 grid,
 # bandwidths 0.1, computed with 50-digit arithmetic before normalization.
@@ -257,25 +258,13 @@ class TestBuildSample:
         with pytest.raises(DensityError, match=r"p1.*made"):
             build_samples([record], grid11)
 
-    def test_threads_fill_their_own_slots(self, grid11):
-        # more workers than cores write disjoint rows of one shared stack
-        rng = np.random.default_rng(13)
-        records = [
-            self.make_record(rng.uniform(size=(30 + i, 2)), rng.uniform(size=(25 + i, 2)), pid=f"p{i:02d}")
-            for i in range(24)
-        ]
-        serial = build_samples(records, grid11)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = build_samples(records, grid11, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.shape == serial.shape == (2, 24, 11, 11)
-        assert np.array_equal(threaded, serial)
-
-    @pytest.mark.parametrize("threads", [1, 3, 8])
-    def test_the_first_failing_player_in_record_order_wins(self, grid11, threads):
+    @pytest.mark.parametrize("shares", [1, 3, 8])
+    def test_the_first_failing_player_in_record_order_wins(self, grid11, tmp_path, monkeypatch, shares):
+        # at 3 and 8 shares p05, p09 and p17 fail in three different shares, and p05's share comes first
+        monkeypatch.setattr(pipeline, "available_cores", lambda: 8)
+        monkeypatch.setattr(pipeline, "_PLAYERS_PER_WORKER", 1)
+        cuts, write = [], pipeline.write_densities
+        monkeypatch.setattr(pipeline, "write_densities", lambda *args: cuts.append(args[-1]) or write(*args))
         rng = np.random.default_rng(14)
         records = [
             self.make_record(rng.uniform(size=(30, 2)), rng.uniform(size=(25, 2)), pid=f"p{i:02d}") for i in range(24)
@@ -284,12 +273,8 @@ class TestBuildSample:
             record = records[i]
             setattr(record, f"{side}_points", np.array([(0.5, 0.5)]))
         with pytest.raises(DensityError, match=r"^player p05, missed shots: need at least 2 points, got 1$"):
-            build_samples(records, grid11, threads=threads)
-
-    def test_one_thread_starts_no_thread(self, grid11, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(density.threading, "Thread", no_thread)
-        fields = build_samples([self.make_record(FIVE_POINTS, SIX_POINTS)], grid11, threads=1)
-        assert fields.shape == (2, 1, 11, 11)
+            pipeline.estimate_densities(records, grid11, shares, tmp_path)
+        assert_no_child_left()
+        [bounds] = cuts
+        owners = [sum(b <= i for b in bounds[1:]) for i in (5, 9, 17)]
+        assert len(bounds) == shares + 1 and (shares == 1 or owners == sorted(set(owners)))

@@ -624,18 +624,19 @@ def test_fit_peak_memory_below_one_stack():
     n=st.integers(2, 40),
     nx=st.integers(11, 21),
     ny=st.integers(11, 21),
-    chunk=st.integers(1, 45),
+    shares=st.integers(1, 3),
     block=st.sampled_from([1, 13, 64, 121, 200, 4096]),
     seed=st.integers(0, 2**16),
 )
-def test_a_stack_on_disk_gives_the_whole_array_results_bit_for_bit(n, nx, ny, chunk, block, seed):
-    # chunks of players on the write side and blocks of nodes on the read side, dividing the
+def test_a_stack_on_disk_gives_the_whole_array_results_bit_for_bit(n, nx, ny, shares, block, seed):
+    # runs of players written by forked shares on the write side and blocks of nodes on the read side, dividing the
     # player and node counts or not, change no bit of the mean, the Gram matrix, the model or the scores
     values = np.random.default_rng(seed).uniform(0.5, 1.5, size=(2, n, nx, ny))
     ids, grid = [f"p{i}" for i in range(n)], GridSpec(nx, ny)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        write_densities(directory, ids, grid, (values[:, lo:lo + chunk] for lo in range(0, n, chunk)))
+        bounds = [n * share // shares for share in range(shares + 1)]
+        write_densities(directory, ids, grid, lambda i: values[:, i], bounds)
         for comp, component in zip(("missed", "made"), values):
             np.save(directory / f"{comp}.npy", component)
             assert (directory / f"densities_{comp}.npy").read_bytes() == (directory / f"{comp}.npy").read_bytes()
@@ -653,7 +654,7 @@ def test_fit_and_study_trace_less_than_half_a_stack(tmp_path):
     n, grid = 40, GridSpec(101, 101)
     values = np.random.default_rng(62).uniform(0.5, 1.5, size=(2, n, 101, 101))
     ids = [str(i) for i in range(n)]
-    write_densities(tmp_path, ids, grid, [values])
+    write_densities(tmp_path, ids, grid, lambda i: values[:, i])
     stack, stack_bytes = DensityStack(ids, grid, tmp_path), values.nbytes
     del values
 

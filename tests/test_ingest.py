@@ -226,6 +226,21 @@ class TestParseEvents:
         with pytest.raises(ParseError, match=f"^row {line}: "):
             parse(text)
 
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_an_undecodable_byte_after_a_line_end_at_a_read_boundary(self, tmp_path, sep):
+        # 64-byte lines after 128 bytes of header and first row put a line end just before every 8 KiB
+        # read. The text reader holds a bare CR there back, so it is in neither the lines read nor the
+        # input the decoder fails on: the byte after it is located by looking back one byte
+        fixed = len("p1,,guard,1.0,2.0,1,s")
+        head = f"{HEADER}{sep}p1,{'N' * (128 - len(HEADER) - fixed - 2 * len(sep))},guard,1.0,2.0,1,s{sep}"
+        row = f"p1,{'N' * (64 - fixed - len(sep))},guard,1.0,2.0,1,s{sep}"
+        data = (head + row * 200).encode()
+        assert (len(head), len(row), data[8191:8192]) == (128, 64, sep[-1].encode())
+        path = tmp_path / "shots.csv"
+        path.write_bytes(data[:8192] + b"\xff" + data[8193:])
+        with pytest.raises(ParseError, match="^row 129: 'utf-8' codec can't decode byte 0xff: invalid start byte$"):
+            load_events(path)
+
 
 class TestParseJson:
     def test_equivalent_to_csv(self):
