@@ -14,11 +14,12 @@ Every command that uses several cores forks at most one process per core.
 run and density estimate the densities on at most one per 32 players, each
 writing one contiguous run of the players, with about equal shot counts, into
 the stack's files; --threads caps that count (run's default cap is the
-config's threads; neither has one by default). A cap that is not a positive
-integer is a usage error (exit 1). BLAS runs on one thread. The export
-subcommands, mfpca reconstruct and bootstrap --dump-replicates draw their
-charts on at most one process per chart, each drawing one contiguous run of
-them and writing each file whole. run and ingest parse a CSV export on at
+config's threads; neither has one by default). run then writes players.json
+on one forked process while it fits, unless the cap or the cores allow one
+process only. A cap that is not a positive integer is a usage error (exit 1).
+BLAS runs on one thread. The export subcommands, mfpca reconstruct and
+bootstrap --dump-replicates draw their charts on at most one process per
+chart, each drawing one contiguous run of them and writing each file whole. run and ingest parse a CSV export on at
 most one process per 512 KiB, each reading one line-aligned byte range, and
 join the ranges' rows in file order. A failing player, chart or row gives the
 error one process gives. On one machine and one BLAS
@@ -41,14 +42,14 @@ from court_fda import pipeline as pl
 from court_fda.export import export_fields, json_text, replacing, safe_name, write_json
 from court_fda.fda import load_model, project_scores_all, reconstruct
 from court_fda.grids import GridSpec
-from court_fda.ingest import CourtSpec, read_players_json
+from court_fda.ingest import CourtSpec, read_players_json, write_players_json
 from court_fda.native import pin_blas_single_thread
 
 # The stages call these in court_fda.pipeline; they stay bound here for perfbench/spans.py to wrap.
 from court_fda.density import build_samples  # noqa: F401
 from court_fda.export import export_heatmap, write_heatmap_csv  # noqa: F401
 from court_fda.fda import fit_mfpca, save_model  # noqa: F401
-from court_fda.ingest import exclude_impossible, filter_players, load_events, write_players_json  # noqa: F401
+from court_fda.ingest import exclude_impossible, filter_players, load_events  # noqa: F401
 
 USAGE_EXIT = 1
 STAGE_EXIT = {stage: code for code, stage in enumerate(pl.STAGES, start=2)}
@@ -85,8 +86,9 @@ def _chart_name(player_id: str, player_ids: list[str]) -> str:
 
 def cmd_ingest(args) -> str:
     out = Path(args.out)
-    records, parsed, retained = pl.ingest(args.input, CourtSpec(args.court_width, args.court_depth),
-                                          args.min_attempts, out)
+    records, parsed, retained = pl.ingest(args.input, CourtSpec(args.court_width, args.court_depth), args.min_attempts)
+    out.mkdir(parents=True, exist_ok=True)
+    write_players_json(records, out / "players.json")
     return (
         f"parsed {parsed} events, retained {retained} in bounds, "
         f"{len(records)} players above {args.min_attempts} attempts -> {out / 'players.json'}"

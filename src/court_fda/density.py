@@ -133,15 +133,20 @@ def silverman_bandwidth(points: np.ndarray) -> tuple[float, float]:
     h_j = sigma_j * (4 / ((d + 2) n))**(1 / (d + 4)) with d = 2, which
     reduces to sigma_j * n**(-1/6). sigma_j is the per-axis sample
     standard deviation with the n-1 denominator.
+
+    An axis whose sigma is at most 1e-12 of its largest absolute coordinate is refused as
+    having zero variance: a constant coordinate's sigma is rounding error, a few ulps of the
+    coordinate (the mean of a constant column is rarely exact), while one point 0.1 ft off
+    the others among 5,000 gives about 3e-5 on the unit square.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n < 2:
         raise DegenerateBandwidthError(f"need at least 2 points, got {n}")
     sig = pts.std(axis=0, ddof=1)
-    if sig[0] == 0.0 or sig[1] == 0.0:
-        axis = "x" if sig[0] == 0.0 else "y"
-        raise DegenerateBandwidthError(f"zero variance along {axis}")
+    flat = sig <= 1e-12 * np.abs(pts).max(axis=0)
+    if flat.any():
+        raise DegenerateBandwidthError(f"zero variance along {'x' if flat[0] else 'y'}")
     factor = n ** (-1.0 / 6.0)
     return float(sig[0] * factor), float(sig[1] * factor)
 

@@ -9,6 +9,7 @@ only when their attempt count exceeds a threshold.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import functools
@@ -237,7 +238,7 @@ def parse_events(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     number of the first such row; within a row the checks run in the
     order position, x_ft, y_ft, made.
     """
-    reader, lines = csv.reader(io.StringIO(text, newline="")), array("q")
+    reader, lines = csv.reader(io.StringIO(text, newline="")), _RowLines()
     _check_header(reader)
     return _read_rows(_csv_rows(reader, lines), lines, court)
 
@@ -248,21 +249,42 @@ def _check_header(reader: Iterator[list[str]]) -> None:
         raise ParseError(1, f"expected header {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}")
 
 
-def _csv_rows(reader, lines: array) -> Iterator[list[str]]:
-    """The non-blank rows of the csv ``reader``; as each is read, the line of the reader's source,
-    counted from where the reader began, on which it ends is appended to ``lines``."""
-    for row in reader:
-        if row:  # tolerate blank lines
-            lines.append(reader.line_num)
-            yield row
+class _RowLines:
+    """The source line of each row a row source hands over, noted only where it does not follow the
+    line of the row before by one: after a blank line or a quoted line break, and at the first row.
+
+    Row ``i``'s line is ``i + shift``, with the shift noted at the last row at or before ``i``, found
+    by bisection. The notes are kept as machine integers, which add no Python object to the heap the
+    rows are freed from; an export with neither blank lines nor quoted line breaks needs one.
+    """
+
+    def __init__(self) -> None:
+        self.rows, self.shifts = array("q"), array("q")
+
+    def note(self, row: int, line: int) -> None:
+        self.rows.append(row)
+        self.shifts.append(line - row)
+
+    def __getitem__(self, row: int) -> int:
+        return row + self.shifts[bisect.bisect_right(self.rows, row) - 1]
 
 
-def _read_rows(source: Iterable[Sequence[str]], lines: array, court: CourtSpec) -> ShotTable:
+def _csv_rows(reader, lines: _RowLines) -> Iterator[list[str]]:
+    """The non-blank rows of the csv ``reader``; the line of the reader's source, counted from where the
+    reader began, on which each ends is noted in ``lines`` where it does not follow the row before's."""
+    shift = None
+    for i, row in enumerate(filter(None, reader)):  # blank lines are tolerated
+        if reader.line_num - i != shift:
+            shift = reader.line_num - i
+            lines.note(i, reader.line_num)
+        yield row
+
+
+def _read_rows(source: Iterable[Sequence[str]], lines: _RowLines, court: CourtSpec) -> ShotTable:
     """Data rows as a table; an invalid row raises :class:`ParseError` at its line.
 
-    The row source appends each row's line to ``lines`` as it hands the row over, so row
-    ``i`` is located as ``lines[i]`` without reading the source twice. The lines are kept
-    as machine integers, which add no Python object to the heap the rows are freed from.
+    The row source notes the rows' lines in ``lines`` as it hands the rows over, so row ``i`` is
+    located as ``lines[i]`` without reading the source twice.
     """
     reader = iter(source)
     ids, names, labels, flags = _TextColumn(), _TextColumn(), _TextColumn(), _TextColumn()
@@ -328,7 +350,8 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
     except TypeError:
         raise ParseError(1, "expected a JSON array of shot objects") from None
     stray = []  # the index of the first element that is not a shot object, once one is met
-    lines = array("q")  # each element's 1-based position, its row number
+    lines = _RowLines()
+    lines.note(0, 1)  # each element's row number is its 1-based position
 
     def shot_rows() -> Iterator[list[str]]:
         for i, obj in enumerate(elements):
@@ -340,7 +363,6 @@ def parse_events_json(text: str, court: CourtSpec = CourtSpec()) -> ShotTable:
             row = {k: str(v) for k, v in obj.items()}
             if isinstance(obj["made"], bool):
                 row["made"] = str(int(obj["made"]))
-            lines.append(i + 1)
             yield [row[k] for k in CSV_FIELDS]
 
     table = _read_rows(shot_rows(), lines, court)
@@ -480,7 +502,7 @@ def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> 
                 fh.seek(start)
             raw = fh if stop == bounds[-1] else _ByteRange(fh, stop - start)
             with io.TextIOWrapper(raw, encoding="utf-8", newline="") as source:
-                reader, lines = csv.reader(source), array("q")
+                reader, lines = csv.reader(source), _RowLines()
                 try:
                     if share == 0:
                         _check_header(reader)

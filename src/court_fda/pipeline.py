@@ -1,11 +1,12 @@
 """End-to-end orchestration with deterministic outputs and a hashed manifest.
 
-Each stage that writes files is one function that :func:`run_pipeline` and its CLI
-subcommand both call: :func:`ingest`, :func:`estimate_densities`, :func:`fit_and_save`,
-:func:`cluster_schemes` and :func:`bootstrap_stability`. Each creates its output directory
-just before its first write. ``evaluate``'s two documents differ, but both are built from
-:func:`comparison_report` and :func:`silhouette_entry`. The run renders no charts: the
-``export`` subcommands draw them, and the raw density tables, from the files it writes.
+Each stage is one function that :func:`run_pipeline` and its CLI subcommand both call:
+:func:`ingest`, :func:`estimate_densities`, :func:`fit_and_save`, :func:`cluster_schemes` and
+:func:`bootstrap_stability`. Each that writes files creates its output directory just before its
+first write; both callers write :func:`ingest`'s ``players.json`` themselves. ``evaluate``'s two
+documents differ, but both are built from :func:`comparison_report` and :func:`silhouette_entry`.
+The run renders no charts: the ``export`` subcommands draw them, and the raw density tables,
+from the files it writes.
 The full run writes every product into a new directory beside the output directory,
 ``run.json`` last with the SHA-256 hash of each file, and moves it into place only when
 every stage has succeeded. Identical input, config, and seed yield byte-identical outputs.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -66,9 +68,12 @@ class StageError(RuntimeError):
 
 @contextlib.contextmanager
 def _stage(name: str) -> Iterator[None]:
-    """Re-raise any exception from the block as a :class:`StageError` of stage ``name``."""
+    """Re-raise any exception from the block as a :class:`StageError` of stage ``name``; one that is
+    already a stage's error passes through."""
     try:
         yield
+    except StageError:
+        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -80,8 +85,9 @@ class PipelineConfig:
     Exactly one of ``components`` and ``variance_threshold`` selects the
     component count. ``weight_scheme`` is "equal", "variance", or "both".
     Each value must have its field's annotated type; an int passes as a float.
-    ``threads`` caps the density workers (None: no cap); it does not
-    change any output, so the ``run.json`` config echo leaves it out.
+    ``threads`` caps the density workers, and the shares that write
+    ``players.json`` beside the fit (None: no cap); it does not change
+    any output, so the ``run.json`` config echo leaves it out.
     """
 
     input: str = ""
@@ -224,10 +230,13 @@ def read_scores_csv(path: str | Path) -> ScoreMatrix:
 
     Raises :class:`ScoresFileError` for a header other than ``player_id,c1..cK``, a file
     with no score rows, a row whose field count differs from the header's, a score that is
-    not a finite number, or a player id listed twice.
+    not a finite number, a player id listed twice, or a last row with no line end: the
+    writer ends every row with one, so a file cut short is refused even where its cut
+    leaves a row that reads as whole.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, [])
         k = len(header) - 1
         if k < 1 or header != ["player_id"] + [f"c{j + 1}" for j in range(k)]:
@@ -248,6 +257,8 @@ def read_scores_csv(path: str | Path) -> ScoreMatrix:
             rows[parts[0]] = row
     if not rows:
         raise ScoresFileError(f"{path}: no score rows")
+    if not text.endswith(("\n", "\r")):
+        raise ScoresFileError(f"{path} line {reader.line_num}: no line end; the file is cut short")
     return ScoreMatrix(list(rows), np.array(list(rows.values())))
 
 
@@ -330,19 +341,18 @@ def silhouette_entry(dist: np.ndarray, partition: mt.Partition) -> dict:
     }
 
 
-def ingest(
-    path: str | Path, court: CourtSpec, min_attempts: int, out_dir: Path
-) -> tuple[list[PlayerRecord], int, int]:
-    """Parse, exclude and filter a shot export and write ``players.json`` to ``out_dir``.
+def ingest(path: str | Path, court: CourtSpec, min_attempts: int) -> tuple[list[PlayerRecord], int, int]:
+    """Parse, exclude and filter a shot export.
 
     Returns the retained players and the counts of parsed and in-bounds rows. Raises
     :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
+    Writing ``players.json`` is the caller's (:func:`~court_fda.ingest.write_players_json`):
+    the ``ingest`` subcommand writes it at once, and :func:`run_pipeline` beside the fit.
     Each step's input is freed, and the C heap trimmed, before the next step runs, so a step
     holds its own input and output only: the parse frees each column's parts as it joins them,
-    the exclusion holds the parsed and the in-bounds tables, the grouping the in-bounds table, its
-    sort order and the points, and :func:`write_players_json` the points and one chunk of their
-    text. The last trim here comes before the writer; :func:`estimate_densities` trims again
-    before it forks its workers.
+    the exclusion holds the parsed and the in-bounds tables, and the grouping the in-bounds
+    table, its sort order and the points. The last trim returns the in-bounds table's pages
+    before the caller's next step.
     """
     events = load_events(path, court)
     trim_heap()  # the parser's row lists and column parts are freed by now
@@ -355,10 +365,8 @@ def ingest(
     if not records:
         raise IngestError(f"no player exceeds {min_attempts} attempts")
     counts = parsed, len(retained)
-    del retained  # likewise, before writing
-    trim_heap()  # and return their pages, so the writer's buffers do not add to them at the peak
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_players_json(records, out_dir / "players.json")
+    del retained  # likewise, before the caller's next step
+    trim_heap()
     return records, *counts
 
 
@@ -507,14 +515,58 @@ def _sha256(path: Path) -> str:
 
 
 def _run_stages(config: PipelineConfig, out: Path) -> dict:
+    """Run every stage into ``out`` and write ``run.json`` there; return the manifest.
+
+    Once the densities are written, ``players.json`` is written beside the fit: with two
+    shares (:func:`~court_fda.native.run_shares`, at most one per available core and
+    ``config.threads``), the fit, clustering, evaluation and bootstrap run in the caller while a
+    process forked from it writes ``players.json`` and hashes it and the two density arrays, the
+    largest files of the run. With one share ``players.json`` is written and hashed before the
+    fit, and nothing is forked. A failure of that share is the ingest stage's. The manifest
+    takes those three digests from the share and hashes every other file itself.
+    """
     court, grid = CourtSpec(config.court_width, config.court_depth), GridSpec(config.grid, config.grid)
     with _stage("ingest"):
-        records, events_parsed, events_retained = ingest(config.input, court, config.min_attempts, out)
+        records, events_parsed, events_retained = ingest(config.input, court, config.min_attempts)
     with _stage("density"):
         stack = estimate_densities(records, grid, config.threads, out)
-    # the rosters and the position partition read ids, names and positions only: free the points
-    no_points = np.empty((0, 2))
-    records = [replace(record, made_points=no_points, missed_points=no_points) for record in records]
+
+    def work(share: int) -> MfpcaModel | dict[str, str]:
+        nonlocal records
+        if share == 1:
+            write_players_json(records, out / "players.json")
+            names = ["players.json"] + [f"densities_{comp}.npy" for comp in COMPONENTS]
+            return {name: _sha256(out / name) for name in names}
+        # the rosters and the position partition read ids, names and positions only: free the points
+        no_points = np.empty((0, 2))
+        records = [replace(record, made_points=no_points, missed_points=no_points) for record in records]
+        return _analyse(config, out, stack, records)
+
+    with _stage("ingest"):  # the players.json share's failure; the tail's stages raise their own
+        if min(2, available_cores(), config.threads or 2) == 1:
+            digests = work(1)
+            model = work(0)
+        else:
+            model, digests = run_shares(work, 2, "players.json")
+
+    names = [p.relative_to(out).as_posix() for p in sorted(out.rglob("*")) if p.is_file()]
+    manifest = {
+        "config": {key: value for key, value in config.to_dict().items() if key != "threads"},
+        "summary": {
+            "events_parsed": events_parsed,
+            "events_retained": events_retained,
+            "players_retained": len(records),
+            "components": model.n_components,
+            "variance_ratios": model.variance_ratios.tolist(),
+        },
+        "files": {name: digests.get(name) or _sha256(out / name) for name in names},
+    }
+    write_json(manifest, out / "run.json")
+    return manifest
+
+
+def _analyse(config: PipelineConfig, out: Path, stack: DensityStack, records: Sequence[PlayerRecord]) -> MfpcaModel:
+    """The fit, clustering, evaluation and bootstrap of :func:`run_pipeline`, each as its own stage."""
     with _stage("mfpca"):
         mean = mean_function(stack)
         gram = gram_matrix(stack, mean)  # the fit and the bootstrap share it
@@ -541,17 +593,4 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     if config.bootstrap_replicates >= 1:
         with _stage("bootstrap"):
             bootstrap_stability(stack, model, config.bootstrap_replicates, config.seed, out, gram=gram)
-
-    manifest = {
-        "config": {key: value for key, value in config.to_dict().items() if key != "threads"},
-        "summary": {
-            "events_parsed": events_parsed,
-            "events_retained": events_retained,
-            "players_retained": len(records),
-            "components": model.n_components,
-            "variance_ratios": model.variance_ratios.tolist(),
-        },
-        "files": {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*")) if p.is_file()},
-    }
-    write_json(manifest, out / "run.json")
-    return manifest
+    return model

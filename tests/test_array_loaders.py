@@ -1,6 +1,6 @@
 """Mutations of the array files a stage chain leaves, each refused by every subcommand that reads it.
 
-Every mutation of a players, density or model file must exit with the reading subcommand's documented
+Every mutation of a players, density, model or scores file must exit with the reading subcommand's documented
 code, name the fault instead of raising, create no ``--out``, and stay small: the loaders check
 an ``.npy`` header against the file's size before they allocate the array it describes, so a
 header that claims terabytes costs nothing. The peak is taken with ``tracemalloc``, which numpy
@@ -19,7 +19,7 @@ import pytest
 from court_fda.cli import main
 from court_fda.fda import ModelFileError, load_model
 from court_fda.ingest import PlayersFileError, read_players_json
-from court_fda.pipeline import DensityFileError, read_densities
+from court_fda.pipeline import DensityFileError, ScoresFileError, read_densities, read_scores_csv
 
 HUGE_GRID = {"nx": 100_000, "ny": 100_000}  # the fixture's 12 players' stack on it would take 1.75 TiB
 
@@ -68,6 +68,17 @@ def truncation(name):
     return mutate
 
 
+def csv_edit(name, edit):
+    """The mutation that applies ``edit`` to the rows (lists of fields, the header first) of the CSV file ``name``."""
+
+    def mutate(work):
+        rows = [line.split(",") for line in (work / name).read_text().splitlines()]
+        edit(rows)
+        (work / name).write_text("".join(",".join(row) + "\n" for row in rows))
+
+    return mutate
+
+
 def set_first(values, value):
     values.flat[0] = value  # the first player's row, which export player reads
     return values
@@ -88,7 +99,7 @@ def oversize(name, rows, descriptor):
 
 
 PLAYERS, META, MISSED = "players.json", "densities_meta.json", "densities_missed.npy"
-MODEL, FUNCTIONS = "model.json", "model_functions.npy"
+MODEL, FUNCTIONS, SCORES = "model.json", "model_functions.npy", "scores.csv"
 
 #: file -> mutation -> edit of the work directory
 MUTATIONS = {
@@ -130,6 +141,13 @@ MUTATIONS = {
         "oversized header": oversize(FUNCTIONS, (3, 2), MODEL),
         "fortran order": npy_edit(FUNCTIONS, np.asfortranarray),
     },
+    SCORES: {
+        "drop a column": csv_edit(SCORES, lambda rows: [row.pop(1) for row in rows]),
+        "repeat an id": csv_edit(SCORES, lambda rows: rows[2].__setitem__(0, rows[1][0])),
+        "retype a value": csv_edit(SCORES, lambda rows: rows[1].__setitem__(1, "high")),
+        "non-finite": csv_edit(SCORES, lambda rows: rows[1].__setitem__(2, "inf")),
+        "truncate": truncation(SCORES),  # the cut leaves a last row that reads as whole: "p06,-0.96...,1.156..."
+    },
 }
 
 
@@ -166,6 +184,14 @@ def model_readers(work, player):
     ]
 
 
+def scores_readers(work, player):
+    clusters = work / "clusters_equal.json"
+    return [
+        (["cluster", "--scores", work / SCORES, "--k", 2], 5),
+        (["evaluate", "--clusters", clusters, "--against", clusters, "--scores", work / SCORES], 6),
+    ]
+
+
 #: file -> its loader, the error that loader raises, and the subcommands that read the file
 LOADERS = {
     PLAYERS: (lambda work: read_players_json(work / PLAYERS), PlayersFileError, players_readers),
@@ -173,6 +199,7 @@ LOADERS = {
     MISSED: (read_every_density, DensityFileError, density_readers),
     MODEL: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),
     FUNCTIONS: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),
+    SCORES: (lambda work: read_scores_csv(work / SCORES), ScoresFileError, scores_readers),
 }
 
 

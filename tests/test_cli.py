@@ -278,6 +278,8 @@ class TestStageCommands:
 
 
 class TestRunCommand:
+    SMALL = ("--min-attempts", 100, "--grid", 11, "--components", 2, "--k", 2, "--replicates", 0)
+
     def test_manifest_and_outputs(self, tmp_path, mini_csv):
         out = tmp_path / "run"
         code = run_cli(
@@ -411,7 +413,7 @@ class TestRunCommand:
         monkeypatch.setenv("COURT_FDA_THREADS", "1")
         assert run_cli("run", "--out", out1, *args) == 0
         assert run_cli("run", "--config", config, "--out", out2, *args) == 0
-        assert seen == [3, 2]
+        assert seen == [3, 2, 2, 2]  # each run: the KDE's shares, then players.json beside the fit
         assert (out1 / "densities_missed.npy").read_bytes() == (out2 / "densities_missed.npy").read_bytes()
         m1 = json.loads((out1 / "run.json").read_text())
         m2 = json.loads((out2 / "run.json").read_text())
@@ -421,7 +423,7 @@ class TestRunCommand:
         assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "d", "--grid", 11) == 0
         assert run_cli("density", "--players", out1 / "players.json", "--out", tmp_path / "e", "--grid", 11,
                        "--threads", 1) == 0
-        assert seen[2:] == [3, 1]
+        assert seen[4:] == [3, 1]
 
 
     def test_shot_points_are_freed_before_the_fit(self, tmp_path, mini_csv, monkeypatch):
@@ -444,6 +446,77 @@ class TestRunCommand:
         assert seen["alive_at_fit"] is False
         rosters = (tmp_path / "run" / "roster_equal.txt").read_text()
         assert all(f"Player m{i}" in rosters for i in range(1, 5))
+
+    def test_players_json_is_written_beside_the_fit(self, tmp_path, mini_csv, monkeypatch):
+        # a forked share writes players.json and hashes it and the density arrays while the caller fits
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        hashed = []
+        sha256 = pl._sha256
+        monkeypatch.setattr(pl, "_sha256", lambda path: hashed.append(path.name) or sha256(path))
+        out = tmp_path / "run"
+        assert run_cli("run", "--input", mini_csv, "--out", out, *self.SMALL) == 0
+        assert len(forks) == 1  # four players make one KDE share; the side share is the one fork
+        assert_no_child_left()
+        assert sorted(hashed) == sorted(set(CORE_FILES) - {"players.json", "densities_missed.npy",
+                                                            "densities_made.npy", "stability.json"})
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["files"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                     for p in sorted(out.iterdir()) if p.name != "run.json"}
+
+    def test_one_share_forks_nothing(self, tmp_path, mini_csv, monkeypatch):
+        # --threads 1: players.json is written before the fit, in the caller, with the same bytes
+        assert run_cli("run", "--input", mini_csv, "--out", tmp_path / "forked", *self.SMALL) == 0
+
+        def no_fork():
+            raise OSError("fork is not allowed here")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "run"
+        assert run_cli("run", "--input", mini_csv, "--out", out, "--threads", 1, *self.SMALL) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.json"} == {
+            p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir() if p.name != "run.json"}
+        assert (json.loads((out / "run.json").read_text())["files"]
+                == json.loads((tmp_path / "forked" / "run.json").read_text())["files"])
+
+    def test_a_failing_players_json_share_is_the_ingest_stage(self, tmp_path, mini_csv, monkeypatch, capsys):
+        # the writer fails in the forked share: exit 2, the child reaped, no --out and no staging directory
+        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+
+        def failing(records, path):
+            Path(path).write_text("[", encoding="utf-8")  # cut short
+            raise OSError("players.json write failed")
+
+        monkeypatch.setattr(pl, "write_players_json", failing)
+        assert run_cli("run", "--input", mini_csv, "--out", tmp_path / "run", *self.SMALL) == 2
+        assert "error: ingest stage failed: players.json write failed" in capsys.readouterr().err
+        assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.csv"]
+
+    def test_a_failing_fit_reaps_the_players_json_share(self, tmp_path, mini_csv, monkeypatch, capsys):
+        shares = []
+
+        def spy(work, count, name):
+            shares.append((name, count))
+            return run_shares(work, count, name)
+
+        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        monkeypatch.setattr(pl, "run_shares", spy)
+        assert run_cli("run", "--input", mini_csv, "--out", tmp_path / "run", "--min-attempts", 100, "--grid", 11,
+                       "--components", 10, "--replicates", 0) == 4  # mfpca: 10 components from 4 players
+        assert shares[-1] == ("players.json", 2)
+        assert "mfpca stage failed" in capsys.readouterr().err
+        assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.csv"]
 
     def test_run_builds_the_gram_matrix_once(self, tmp_path, mini_csv, monkeypatch):
         # the fit's Gram matrix serves the bootstrap too; only --dump-replicates refits
@@ -675,6 +748,7 @@ class TestLoaderErrors:
         ("player_id,c1,c2\nm1,1.0,nan\n", "finite numbers"),
         ("player_id,c1,c2\nm1,-inf,1.0\n", "finite numbers"),
         ("player_id,c1,c2\nm1,1.0,2.0\nm1,3.0,4.0\n", "'m1' is listed twice"),
+        ("player_id,c1,c2\nm1,1.0,2.0\nm2,1.0,2.0", "line 3: no line end; the file is cut short"),
     ])
     def test_malformed_scores(self, tmp_path, text, message):
         path = tmp_path / "scores.csv"

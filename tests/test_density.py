@@ -91,6 +91,32 @@ class TestSilverman:
         with pytest.raises(DegenerateBandwidthError, match="x"):
             silverman_bandwidth(pts)
 
+    @staticmethod
+    def lattice_points(seed: int, axis: int, n: int) -> np.ndarray:
+        """``n`` points of the court's 0.01 ft lattice, in feet, with two distinct values on the other axis."""
+        ft = np.random.default_rng(seed).integers(0, 4701, size=(n, 2)) / 100
+        ft[:2, 1 - axis] = 0, 1
+        return ft
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), axis=st.sampled_from([0, 1]), k=st.integers(0, 4700),
+           n=st.integers(2, 5000))
+    def test_a_constant_lattice_coordinate_is_refused(self, seed, axis, k, n):
+        # normalized as the ingest does it, a constant column's spread is rarely exactly 0 (10.00 ft gives 2.8e-17)
+        ft = self.lattice_points(seed, axis, n)
+        ft[:, axis] = k / 100
+        with pytest.raises(DegenerateBandwidthError, match=f"zero variance along {'xy'[axis]}"):
+            silverman_bandwidth(ft / np.array([50.0, 47.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), axis=st.sampled_from([0, 1]), k=st.integers(0, 4700),
+           step=st.integers(1, 4700), n=st.integers(2, 5000), data=st.data())
+    def test_two_distinct_lattice_values_are_accepted(self, seed, axis, k, step, n, data):
+        ft = self.lattice_points(seed, axis, n)
+        ft[:, axis] = k / 100
+        ft[:data.draw(st.integers(1, n - 1)), axis] = (k + step) % 4701 / 100
+        assert min(silverman_bandwidth(ft / np.array([50.0, 47.0]))) > 0
+
 
 class TestKdeRaw:
     def test_frozen_center_value(self, grid11):
