@@ -55,6 +55,7 @@ from court_fda.ingest import (
     read_players_json,
     write_players_json,
 )
+from court_fda import native
 from court_fda.native import available_cores, pin_blas_single_thread
 
 GRID = GridSpec(51, 51)
@@ -187,7 +188,7 @@ def shots_csv(tmp_path_factory):
 
 
 def test_load_events(benchmark, shots_csv, monkeypatch):
-    monkeypatch.setattr(ingest, "available_cores", lambda: 2)
+    monkeypatch.setattr(native, "available_cores", lambda: 2)
     benchmark(load_events, shots_csv)
 
 

@@ -10,21 +10,20 @@ Exit codes: 0 on success, 1 for usage or configuration problems, and a
 distinct code per failing stage: ingest 2, density 3, mfpca 4,
 cluster 5, evaluate 6, bootstrap 7, export 8.
 
-Every command that uses several cores forks at most one process per core.
-run and density estimate the densities on at most one per 32 players, each
-writing one contiguous run of the players, with about equal shot counts, into
-the stack's files; --threads caps that count (run's default cap is the
-config's threads; neither has one by default). run then writes players.json
-on one forked process while it fits, unless the cap or the cores allow one
-process only. A cap that is not a positive integer is a usage error (exit 1).
-BLAS runs on one thread. The export subcommands, mfpca reconstruct and
-bootstrap --dump-replicates draw their charts on at most one process per
-chart, each drawing one contiguous run of them and writing each file whole. run and ingest parse a CSV export on at
-most one process per 512 KiB, each reading one line-aligned byte range, and
-join the ranges' rows in file order. A failing player, chart or row gives the
-error one process gives. On one machine and one BLAS
-core type, every output is the same bytes at any worker count and any
-OPENBLAS_NUM_THREADS.
+Every stage that forks cuts its work into contiguous runs of about equal
+weight, one per process and at most one per core (native.plan_shares): run
+and ingest parse a CSV export on at most one process per 512 KiB, each
+reading one line-aligned byte range; run and density estimate the densities
+on at most one per 2^27 shots times grid nodes (3,300 shots on the 201 x 201
+grid); the export subcommands, mfpca reconstruct and bootstrap
+--dump-replicates draw their charts on at most one per chart and per 8,192
+nodes. run also writes players.json on a forked process while it fits.
+--threads (and run's config key threads) caps every stage that run and
+density fork; ingest and the charts have no cap. A cap that is not a
+positive integer is a usage error (exit 1). BLAS runs on one thread. A
+failing player, chart or row gives the error one process gives. On one
+machine and one BLAS core type, every output is the same bytes at any
+worker count and any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from court_fda.grids import COMPONENTS, GridSpec
-from court_fda.native import available_cores, run_shares
+from court_fda.native import plan_shares, run_shares
 
 
 #: Values the heatmap CSV writer formats per piece; it bounds the text held at a time.
@@ -192,18 +192,18 @@ def export_fields(charts: Sequence[tuple[np.ndarray, str | Path, str]], grid: Gr
 
     Modes "symmetric" and "unit" draw each component through :func:`export_heatmap`; mode
     "raw" writes its values unscaled, as ``<base>_<component>.csv`` alone. The components, in
-    chart order, are cut into ``k = min(available_cores(), components, nodes // _NODES_PER_WORKER)``
-    contiguous runs (at least 1), each drawn by one share of :func:`court_fda.native.run_shares`:
-    share order is chart order, so the first failing component in chart order raises, as in a
-    loop over them. Each file is written whole by one process, so the bytes do not depend on ``k``.
+    chart order, are cut into runs of about equal node counts, at most one per ``_NODES_PER_WORKER``
+    nodes (:func:`court_fda.native.plan_shares`), each drawn by one share of
+    :func:`court_fda.native.run_shares` in chart order, so the first failing component in chart
+    order raises, as in a loop over them.
+    Each file is written whole by one process, so the bytes do not depend on the run count.
     """
     jobs = [(values, f"{base}_{comp}", mode) for field, base, mode in charts for comp, values in zip(COMPONENTS, field)]
-    nodes = len(jobs) * grid.nx * grid.ny
-    workers = max(1, min(available_cores(), len(jobs), nodes // _NODES_PER_WORKER))
+    bounds = plan_shares([grid.nx * grid.ny] * len(jobs), _NODES_PER_WORKER)
     _csv_line_starts(grid.nx, grid.ny)  # built once here, so the forked workers inherit it
 
-    def draw(worker: int) -> None:
-        for values, base, mode in jobs[len(jobs) * worker // workers:len(jobs) * (worker + 1) // workers]:
+    def draw(share: int) -> None:
+        for values, base, mode in jobs[bounds[share]:bounds[share + 1]]:
             if mode == "raw":
                 path = Path(f"{base}.csv")
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,4 +211,4 @@ def export_fields(charts: Sequence[tuple[np.ndarray, str | Path, str]], grid: Gr
             else:
                 export_heatmap(values, grid, base, mode)
 
-    run_shares(draw, workers, "chart")
+    run_shares(draw, len(bounds) - 1, "chart")

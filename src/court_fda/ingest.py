@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from court_fda.native import available_cores, run_shares
+from court_fda.native import run_shares, share_count
 
 CSV_FIELDS = ("player_id", "player_name", "position", "x_ft", "y_ft", "made", "season")
 
@@ -410,23 +410,24 @@ def _json_array(text: str, decoder: json.JSONDecoder) -> Iterator:
     return elements(skip(text, start + 1).end())
 
 
-def load_events(path: str | Path, court: CourtSpec = CourtSpec()) -> ShotTable:
+def load_events(path: str | Path, court: CourtSpec = CourtSpec(), max_workers: int | None = None) -> ShotTable:
     """Load shot events from a CSV or JSON file, dispatching on suffix.
 
-    A CSV file is parsed by ``min(available_cores(), size // _BYTES_PER_WORKER)`` processes
-    (at least 1), each streaming one line-aligned byte range of it (:func:`_range_bounds`) as
-    strict UTF-8, row batch by row batch (:func:`_read_range`). Range 0 is parsed by the caller
-    and the others by processes forked from it (:func:`court_fda.native.run_shares`), and their
-    tables are joined in file order into the table one process gives. The first failing range
-    in file order raises, with the file line one process reports. One process also reads on
-    past an invalid value, so it reports an undecodable byte further down instead; split, that
-    byte is reported only when no earlier range fails. A JSON file is decoded by one process.
+    A CSV file is parsed by at most one process per core and per ``_BYTES_PER_WORKER`` bytes, and at
+    most ``max_workers`` (None: no cap; :func:`court_fda.native.share_count`), each streaming one
+    line-aligned byte range of it (:func:`_range_bounds`) as strict UTF-8, row batch by row batch
+    (:func:`_read_range`): range 0 in the caller, the others in processes forked from it
+    (:func:`court_fda.native.run_shares`). Their tables are joined in file order into the table one
+    process gives. The first failing range in file order raises, with the file line one process
+    reports. One process also reads on past an invalid value, so it reports an undecodable byte
+    further down instead; split, that byte is reported only when no earlier range fails. A JSON
+    file is decoded by one process.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
         return parse_events_json(path.read_bytes().decode("utf-8"), court)
     size = path.stat().st_size
-    bounds = _range_bounds(path, size, min(available_cores(), max(1, size // _BYTES_PER_WORKER)))
+    bounds = _range_bounds(path, size, share_count(size, _BYTES_PER_WORKER, max_workers, size))
     return _join(run_shares(functools.partial(_read_range, path, bounds, court), len(bounds) - 1, "parse"))
 
 

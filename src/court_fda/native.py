@@ -1,5 +1,5 @@
 """Process-wide settings of the native libraries under numpy, the core count the process may use,
-and the runner that spreads work over processes forked from this one.
+the planner that cuts work into shares and the runner that spreads them over processes forked from this one.
 
 The two settings, one BLAS thread and a trimmed C heap, reach their function
 through ``ctypes`` and return whether they called it; where the library or
@@ -14,7 +14,7 @@ import os
 import pickle
 import signal
 from pathlib import Path
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +37,24 @@ def available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def share_count(total: float, least: float, cap: int | None, items: int) -> int:
+    """The shares ``items`` items of ``total`` weight are worth: at most one per available core, one per
+    ``least`` of weight, one per item and ``cap`` (None: no cap), and at least one."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"a share cap must be at least 1, got {cap}")
+    return max(1, min(available_cores(), int(total // least), items, cap or items))
+
+
+def plan_shares(weights: Sequence[float], least: float, cap: int | None = None) -> list[int]:
+    """Bounds ``0 = b_0 < ... < b_k = len(weights)`` of at most :func:`share_count` contiguous runs of the
+    items, of about equal weight: run ``j`` starts at the first item with ``j / share_count`` of the
+    total before it, and a run that would be empty is dropped (no items: one empty run, ``[0, 0]``)."""
+    done = np.cumsum([0, *weights])
+    count = share_count(done[-1], least, cap, len(weights))
+    cuts = np.searchsorted(done, done[-1] * np.arange(1, count) / count)
+    return [0, *sorted({int(cut) for cut in cuts} - {len(weights)}), len(weights)]
 
 
 def run_shares(work: Callable[[int], T], shares: int, name: str) -> list[T]:

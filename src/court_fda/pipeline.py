@@ -47,15 +47,15 @@ from court_fda.ingest import (
     load_events,
     write_players_json,
 )
-from court_fda.native import available_cores, pin_blas_single_thread, run_shares, trim_heap
+from court_fda.native import pin_blas_single_thread, plan_shares, run_shares, share_count, trim_heap
 
 #: Pipeline stages in execution order; the CLI derives exit codes from this.
 #: :func:`run_pipeline` executes every stage but ``export``.
 STAGES = ("ingest", "density", "mfpca", "cluster", "evaluate", "bootstrap", "export")
 
-#: Players each density worker gets at least. A forked worker costs a few milliseconds to
-#: start, report and reap, which a few players' worth of KDE time does not pay for.
-_PLAYERS_PER_WORKER = 32
+#: KDE work each density worker gets at least, in shots times grid nodes: 3,300 shots, 13 ms, on the 201 x 201
+#: grid, where a fork costs 2-4 ms on a 2-vCPU x86 VM. A node costs more on coarser grids, so they fork late.
+_SHOT_NODES_PER_WORKER = 1 << 27
 
 
 class StageError(RuntimeError):
@@ -85,9 +85,8 @@ class PipelineConfig:
     Exactly one of ``components`` and ``variance_threshold`` selects the
     component count. ``weight_scheme`` is "equal", "variance", or "both".
     Each value must have its field's annotated type; an int passes as a float.
-    ``threads`` caps the density workers, and the shares that write
-    ``players.json`` beside the fit (None: no cap); it does not change
-    any output, so the ``run.json`` config echo leaves it out.
+    ``threads`` caps the processes of every stage the run forks (None: no
+    cap); it changes no output, so the ``run.json`` config echo leaves it out.
     """
 
     input: str = ""
@@ -286,32 +285,41 @@ class ClustersFileError(ValueError):
 def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
     """The partition a clustering document holds, and the document.
 
-    Raises :class:`ClustersFileError` when the document is not a JSON object, lacks ``scheme``,
-    ``weights``, ``players`` or ``medoid_player_ids``, has a scheme other than ``"equal"`` or
-    ``"variance"``, has weights that are not finite non-negative numbers, not all zero, has a
-    player entry without ``player_id`` or ``cluster`` or a cluster label that is not a
-    non-negative integer, or names a medoid that is not among its players.
+    Raises :class:`ClustersFileError` when the document is not what :func:`clustering_to_dict`
+    writes: a key missing, a scheme other than ``"equal"`` or ``"variance"``, weights that are not
+    finite non-negative numbers, not all zero, a total cost that is not one, a player entry without
+    ``player_id`` or ``cluster``, a player listed twice, a cluster label that is not a non-negative
+    integer, a medoid that is not among the players, or ``medoids`` that are not their indices.
     """
+    number = lambda value: type(value) in (int, float) and 0 <= value <= sys.float_info.max  # noqa: E731
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
-        missing = [k for k in ("scheme", "weights", "players", "medoid_player_ids") if k not in doc]
+        keys = ("scheme", "weights", "total_cost", "players", "medoids", "medoid_player_ids")
+        missing = [k for k in keys if k not in doc]
         if missing:
             raise ValueError(f"no key {missing[0]!r}")
         if doc["scheme"] not in [scheme.value for scheme in cl.WeightScheme]:
             raise ValueError(f"scheme {doc['scheme']!r} is not 'equal' or 'variance'")
         weights = doc["weights"]
-        if not (isinstance(weights, list) and all(type(w) in (int, float) and 0 <= w <= sys.float_info.max
-                                                   for w in weights) and any(weights)):
+        if not (isinstance(weights, list) and all(map(number, weights)) and any(weights)):
             raise ValueError(f"weights {weights!r} are not finite non-negative numbers, not all zero")
-        ids, labels = {p["player_id"] for p in doc["players"]}, [p["cluster"] for p in doc["players"]]
+        if not number(doc["total_cost"]):
+            raise ValueError(f"total_cost {doc['total_cost']!r} is not a finite non-negative number")
+        ids, labels = [p["player_id"] for p in doc["players"]], [p["cluster"] for p in doc["players"]]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"player {max(ids, key=ids.count)!r} is listed twice")
         wrong = [c for c in labels if type(c) is not int or c < 0]
         if wrong:
             raise ValueError(f"cluster label {wrong[0]!r} is not a non-negative integer")
         strays = [m for m in doc["medoid_player_ids"] if m not in ids]
         if strays:
             raise ValueError(f"medoid {strays[0]!r} is not among the players")
+        medoids, names = doc["medoids"], doc["medoid_player_ids"]
+        if not (isinstance(medoids, list) and len(medoids) == len(names)
+                and all(type(m) is int and 0 <= m < len(ids) and ids[m] == name for m, name in zip(medoids, names))):
+            raise ValueError(f"medoids {medoids!r} are not the indices of the medoids {names!r}")
         return mt.Partition(np.array(labels, dtype=int)), doc
     except KeyError as exc:
         raise ClustersFileError(f"clustering document {path}: a player has no key {exc}") from None
@@ -341,8 +349,10 @@ def silhouette_entry(dist: np.ndarray, partition: mt.Partition) -> dict:
     }
 
 
-def ingest(path: str | Path, court: CourtSpec, min_attempts: int) -> tuple[list[PlayerRecord], int, int]:
-    """Parse, exclude and filter a shot export.
+def ingest(
+    path: str | Path, court: CourtSpec, min_attempts: int, max_workers: int | None = None
+) -> tuple[list[PlayerRecord], int, int]:
+    """Parse, exclude and filter a shot export, on at most ``max_workers`` parse processes (None: no cap).
 
     Returns the retained players and the counts of parsed and in-bounds rows. Raises
     :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
@@ -354,7 +364,7 @@ def ingest(path: str | Path, court: CourtSpec, min_attempts: int) -> tuple[list[
     table, its sort order and the points. The last trim returns the in-bounds table's pages
     before the caller's next step.
     """
-    events = load_events(path, court)
+    events = load_events(path, court, max_workers)
     trim_heap()  # the parser's row lists and column parts are freed by now
     if not events:
         raise IngestError(f"no shot events in {path}")
@@ -377,19 +387,13 @@ def estimate_densities(
 
     The C heap is trimmed first, so the fields do not land on top of the pages that
     parsing the players freed (``read_players_json`` for the ``density`` subcommand).
-    The players are cut into one contiguous run per available core and per
-    ``_PLAYERS_PER_WORKER`` players, at most ``max_workers`` runs (None: no cap), with about
-    equal shot counts, since a field's cost grows with its points. :func:`write_densities`
-    estimates each run on one worker, the caller or a process forked from it, one player at a
-    time. The files are the same bytes for any worker count.
+    :func:`~court_fda.native.plan_shares` cuts the players into runs of about equal shots times
+    grid nodes, at most ``max_workers`` (None: no cap) and one per ``_SHOT_NODES_PER_WORKER``, and
+    :func:`write_densities` estimates each run on one worker, the caller or a process forked from
+    it, one player at a time. The files are the same bytes for any worker count.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    bounds = plan_shares([r.attempts * grid.nx * grid.ny for r in records], _SHOT_NODES_PER_WORKER, max_workers)
     trim_heap()
-    workers = min(available_cores(), max(1, len(records) // _PLAYERS_PER_WORKER))
-    workers = workers if max_workers is None else min(max_workers, workers)
-    done = np.cumsum([0] + [record.attempts for record in records])  # shots before each player, and in all
-    bounds = [int(np.searchsorted(done, done[-1] * share / workers)) for share in range(workers)] + [len(records)]
     ids = [r.player_id for r in records]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_densities(out_dir, ids, grid, lambda i: build_samples(records[i:i + 1], grid)[:, 0], bounds)
@@ -527,7 +531,7 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
     """
     court, grid = CourtSpec(config.court_width, config.court_depth), GridSpec(config.grid, config.grid)
     with _stage("ingest"):
-        records, events_parsed, events_retained = ingest(config.input, court, config.min_attempts)
+        records, events_parsed, events_retained = ingest(config.input, court, config.min_attempts, config.threads)
     with _stage("density"):
         stack = estimate_densities(records, grid, config.threads, out)
 
@@ -543,7 +547,7 @@ def _run_stages(config: PipelineConfig, out: Path) -> dict:
         return _analyse(config, out, stack, records)
 
     with _stage("ingest"):  # the players.json share's failure; the tail's stages raise their own
-        if min(2, available_cores(), config.threads or 2) == 1:
+        if share_count(2, 1, config.threads, 2) == 1:  # the fit and players.json, each worth a share
             digests = work(1)
             model = work(0)
         else:

@@ -1,7 +1,7 @@
 """Mutations of the array files a stage chain leaves, each refused by every subcommand that reads it.
 
-Every mutation of a players, density, model or scores file must exit with the reading subcommand's documented
-code, name the fault instead of raising, create no ``--out``, and stay small: the loaders check
+Every mutation of a players, density, model, scores or clustering file must exit with the reading subcommand's
+documented code, name the fault instead of raising, create no ``--out``, and stay small: the loaders check
 an ``.npy`` header against the file's size before they allocate the array it describes, so a
 header that claims terabytes costs nothing. The peak is taken with ``tracemalloc``, which numpy
 reports its array buffers to, so a host that overcommits memory cannot hide an allocation.
@@ -19,7 +19,14 @@ import pytest
 from court_fda.cli import main
 from court_fda.fda import ModelFileError, load_model
 from court_fda.ingest import PlayersFileError, read_players_json
-from court_fda.pipeline import DensityFileError, ScoresFileError, read_densities, read_scores_csv
+from court_fda.pipeline import (
+    ClustersFileError,
+    DensityFileError,
+    ScoresFileError,
+    read_clusters_json,
+    read_densities,
+    read_scores_csv,
+)
 
 HUGE_GRID = {"nx": 100_000, "ny": 100_000}  # the fixture's 12 players' stack on it would take 1.75 TiB
 
@@ -100,6 +107,7 @@ def oversize(name, rows, descriptor):
 
 PLAYERS, META, MISSED = "players.json", "densities_meta.json", "densities_missed.npy"
 MODEL, FUNCTIONS, SCORES = "model.json", "model_functions.npy", "scores.csv"
+CLUSTERS = "clusters_equal.json"
 
 #: file -> mutation -> edit of the work directory
 MUTATIONS = {
@@ -148,6 +156,14 @@ MUTATIONS = {
         "non-finite": csv_edit(SCORES, lambda rows: rows[1].__setitem__(2, "inf")),
         "truncate": truncation(SCORES),  # the cut leaves a last row that reads as whole: "p06,-0.96...,1.156..."
     },
+    CLUSTERS: {
+        "drop a key": json_edit(CLUSTERS, lambda doc: doc.pop("total_cost")),
+        "repeat an id": json_edit(CLUSTERS, lambda doc: doc["players"][1].__setitem__(
+            "player_id", doc["players"][0]["player_id"])),
+        "retype a value": json_edit(CLUSTERS, lambda doc: doc["medoids"].__setitem__(0, str(doc["medoids"][0]))),
+        "non-finite": json_edit(CLUSTERS, lambda doc: doc.__setitem__("total_cost", np.nan)),
+        "truncate": truncation(CLUSTERS),
+    },
 }
 
 
@@ -192,6 +208,14 @@ def scores_readers(work, player):
     ]
 
 
+def clusters_readers(work, player):
+    return [
+        (["evaluate", "--clusters", work / CLUSTERS, "--against", "nba", "--scores", work / SCORES,
+          "--players", work / PLAYERS], 6),
+        (["export", "medoids", "--clusters", work / CLUSTERS, "--densities", work], 8),
+    ]
+
+
 #: file -> its loader, the error that loader raises, and the subcommands that read the file
 LOADERS = {
     PLAYERS: (lambda work: read_players_json(work / PLAYERS), PlayersFileError, players_readers),
@@ -200,6 +224,7 @@ LOADERS = {
     MODEL: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),
     FUNCTIONS: (lambda work: load_model(work / MODEL), ModelFileError, model_readers),
     SCORES: (lambda work: read_scores_csv(work / SCORES), ScoresFileError, scores_readers),
+    CLUSTERS: (lambda work: read_clusters_json(work / CLUSTERS), ClustersFileError, clusters_readers),
 }
 
 

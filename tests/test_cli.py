@@ -19,7 +19,7 @@ import pytest
 
 import court_fda
 from court_fda import bootstrap as bt
-from court_fda import export, fda
+from court_fda import export, fda, ingest, native
 from court_fda import pipeline as pl
 from court_fda.cli import build_parser, main
 from court_fda.density import DensityStack, build_samples
@@ -406,8 +406,8 @@ class TestRunCommand:
             return run_shares(work, shares, name)
 
         monkeypatch.setattr(pl, "run_shares", spy)
-        monkeypatch.setattr(pl, "available_cores", lambda: 3)
-        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)  # four players: room for up to four workers
+        monkeypatch.setattr(native, "available_cores", lambda: 3)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 1)  # four players: room for up to four workers
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"threads": 2}))
         monkeypatch.setenv("COURT_FDA_THREADS", "1")
@@ -459,7 +459,7 @@ class TestRunCommand:
             return pid
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
         hashed = []
         sha256 = pl._sha256
         monkeypatch.setattr(pl, "_sha256", lambda path: hashed.append(path.name) or sha256(path))
@@ -488,9 +488,51 @@ class TestRunCommand:
         assert (json.loads((out / "run.json").read_text())["files"]
                 == json.loads((tmp_path / "forked" / "run.json").read_text())["files"])
 
+    def test_a_cap_of_1_forks_no_stage(self, tmp_path, monkeypatch):
+        # a CSV over 1 MiB is worth two parse processes, and its 28,000 shots two KDE workers on the
+        # 201 x 201 grid: with fork refused, run fails at the parse and density at the KDE unless capped
+        shots = write_mini_export(tmp_path / "big.csv", n_per_player=7000)
+        assert shots.stat().st_size > 1 << 20
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
+
+        def no_fork():
+            raise OSError("fork is not allowed here")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        run = ("run", "--input", shots, "--out", tmp_path / "run", *self.SMALL)
+        assert run_cli(*run) == 2
+        assert run_cli(*run, "--threads", 1) == 0
+        density = ("density", "--players", tmp_path / "run" / "players.json", "--out", tmp_path / "d")
+        assert run_cli(*density) == 3
+        assert run_cli(*density, "--threads", 1) == 0
+
+    def test_the_cap_bounds_every_forked_stage_and_changes_no_byte(self, tmp_path, mini_csv, monkeypatch):
+        # on three cores with every floor at 1, cap c gives the parse and the KDE c shares each, and
+        # players.json a share of its own from cap 2; every file is the same bytes at each cap
+        shares = []
+
+        def spy(work, count, name):
+            shares.append((name, count))
+            return run_shares(work, count, name)
+
+        monkeypatch.setattr(native, "available_cores", lambda: 3)
+        monkeypatch.setattr(ingest, "_BYTES_PER_WORKER", 1)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 1)
+        for module in (ingest, pl):
+            monkeypatch.setattr(module, "run_shares", spy)
+        written = []
+        for cap in (1, 2, 3):
+            shares.clear()
+            out = tmp_path / f"cap{cap}"
+            assert run_cli("run", "--input", mini_csv, "--out", out, "--threads", cap, *self.SMALL) == 0
+            assert shares == [("parse", cap), ("density", cap)] + [("players.json", 2)] * (cap > 1), cap
+            written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.json"})
+            written[-1]["run.json files"] = json.loads((out / "run.json").read_text())["files"]
+        assert written[0] == written[1] == written[2]
+
     def test_a_failing_players_json_share_is_the_ingest_stage(self, tmp_path, mini_csv, monkeypatch, capsys):
         # the writer fails in the forked share: exit 2, the child reaped, no --out and no staging directory
-        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
 
         def failing(records, path):
             Path(path).write_text("[", encoding="utf-8")  # cut short
@@ -509,7 +551,7 @@ class TestRunCommand:
             shares.append((name, count))
             return run_shares(work, count, name)
 
-        monkeypatch.setattr(pl, "available_cores", lambda: 2)
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
         monkeypatch.setattr(pl, "run_shares", spy)
         assert run_cli("run", "--input", mini_csv, "--out", tmp_path / "run", "--min-attempts", 100, "--grid", 11,
                        "--components", 10, "--replicates", 0) == 4  # mfpca: 10 components from 4 players
@@ -560,7 +602,7 @@ class TestRunCommand:
         assert sorted(files) == CORE_FILES
 
     @pytest.mark.parametrize("players, cores, cap, workers", [
-        (12, 8, None, 1),  # the fixture's twelve players: one worker however many cores
+        (12, 8, None, 1),  # under one worker's floor: one worker however many cores
         (64, 8, None, 2),
         (173, 8, None, 5),
         (173, 2, None, 2),
@@ -575,7 +617,8 @@ class TestRunCommand:
             return run_shares(work, shares, name)
 
         monkeypatch.setattr(pl, "run_shares", spy)
-        monkeypatch.setattr(pl, "available_cores", lambda: cores)
+        monkeypatch.setattr(native, "available_cores", lambda: cores)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 32 * 10 * 25)  # a worker per 32 players' shot-nodes
         rng = np.random.default_rng(0)
         records = [PlayerRecord(f"p{i}", f"Player {i}", Position.GUARD, rng.uniform(size=(5, 2)),
                                 rng.uniform(size=(5, 2))) for i in range(players)]
@@ -590,8 +633,8 @@ class TestRunCommand:
     def test_density_workers_get_about_equal_shot_counts(self, tmp_path, monkeypatch, shots, workers, bounds):
         seen, write = [], pl.write_densities
         monkeypatch.setattr(pl, "write_densities", lambda *args: seen.append(args[-1]) or write(*args))
-        monkeypatch.setattr(pl, "available_cores", lambda: workers)
-        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        monkeypatch.setattr(native, "available_cores", lambda: workers)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 1)
         rng = np.random.default_rng(1)
         records = [PlayerRecord(f"p{i}", f"Player {i}", Position.GUARD, rng.uniform(size=(n // 2, 2)),
                                 rng.uniform(size=(n - n // 2, 2))) for i, n in enumerate(shots)]
@@ -916,6 +959,15 @@ class TestLoaderErrors:
         (lambda doc: {**doc, "weights": "0.5,0.5"}, "weights '0.5,0.5' are not finite"),
         (lambda doc: {**doc, "scheme": "x/../../../escaped"}, "scheme 'x/../../../escaped' is not 'equal' or"),
         (lambda doc: {**doc, "scheme": 5}, "scheme 5 is not 'equal' or 'variance'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "medoids"}, "no key 'medoids'"),
+        (lambda doc: {**doc, "players": [*doc["players"][:-1], {**doc["players"][-1], "player_id": "m1"}]},
+         "player 'm1' is listed twice"),
+        (lambda doc: {**doc, "total_cost": float("inf")}, "total_cost inf is not a finite non-negative number"),
+        (lambda doc: {**doc, "total_cost": "1.5"}, "total_cost '1.5' is not a finite non-negative number"),
+        # two medoids are never one player, so at least one of these indices names the wrong player
+        (lambda doc: {**doc, "medoids": [1, 1]}, "medoids [1, 1] are not the indices of the medoids"),
+        (lambda doc: {**doc, "medoids": [0, 99]}, "medoids [0, 99] are not the indices"),
+        (lambda doc: {**doc, "medoids": [0]}, "medoids [0] are not the indices"),
     ])
     def test_a_malformed_clustering_document(self, work, tmp_path, capsys, edit, message):
         good, bad = work / "clusters_equal.json", tmp_path / "bad.json"
@@ -1124,7 +1176,7 @@ class TestChartWorkers:
         monkeypatch.setattr(os, "fork", counted_fork)
         written = {}
         for cores in (1, 2, 3):
-            monkeypatch.setattr(export, "available_cores", lambda: cores)
+            monkeypatch.setattr(native, "available_cores", lambda: cores)
             for name in self.commands(work, tmp_path):
                 out = tmp_path / f"{cores}" / name
                 argv, components = self.commands(work, out)[name]
@@ -1142,7 +1194,7 @@ class TestChartWorkers:
     def test_a_failing_chart_gives_the_one_worker_message(self, work, tmp_path, monkeypatch, capsys, cores):
         # the second medoid's made density is chart 3: the last of worker 1's run at two workers, of worker 2's at three
         monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)
-        monkeypatch.setattr(export, "available_cores", lambda: cores)
+        monkeypatch.setattr(native, "available_cores", lambda: cores)
         rows = DensityStack.rows
 
         def planted(self, player_ids):
@@ -1164,8 +1216,8 @@ class TestWriteDensities:
         # the header np.save writes for all rows, then each share's rows at their offsets: the files do not
         # depend on the share count, nor on whether the shares run in forked processes or one after another
         counts = []
-        monkeypatch.setattr(pl, "available_cores", lambda: 3)
-        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        monkeypatch.setattr(native, "available_cores", lambda: 3)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 1)
         monkeypatch.setattr(pl, "run_shares", lambda *args: counts.append(args[1]) or run_shares(*args))
         if not fork:
             monkeypatch.delattr(os, "fork")
@@ -1194,8 +1246,8 @@ class TestWriteDensities:
             return build_samples(records, grid)
 
         monkeypatch.setattr(pl, "build_samples", failing)
-        monkeypatch.setattr(pl, "available_cores", lambda: 2)
-        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 1)
         assert run_cli("density", "--players", work / "players.json", "--out", work, "--grid", 11) == 3
         assert "the last player failed" in capsys.readouterr().err
         after = {p.name: p.read_bytes() for p in work.iterdir()}
@@ -1216,8 +1268,8 @@ class TestWriteDensities:
             return build_samples(records, grid)
 
         monkeypatch.setattr(pl, "build_samples", dying)
-        monkeypatch.setattr(pl, "available_cores", lambda: 2)
-        monkeypatch.setattr(pl, "_PLAYERS_PER_WORKER", 1)
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
+        monkeypatch.setattr(pl, "_SHOT_NODES_PER_WORKER", 1)
         records = read_players_json(work / "players.json")
         with pytest.raises(ChildProcessError, match="^density worker 1 ended with wait status 768 before reporting$"):
             pl.estimate_densities(records, GridSpec(11, 11), None, tmp_path / "d")

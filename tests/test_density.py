@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from court_fda import pipeline
+from court_fda import native, pipeline
 from court_fda.density import (
     KDE_BLOCK,
     DegenerateBandwidthError,
@@ -287,8 +287,8 @@ class TestBuildSample:
     @pytest.mark.parametrize("shares", [1, 3, 8])
     def test_the_first_failing_player_in_record_order_wins(self, grid11, tmp_path, monkeypatch, shares):
         # at 3 and 8 shares p05, p09 and p17 fail in three different shares, and p05's share comes first
-        monkeypatch.setattr(pipeline, "available_cores", lambda: 8)
-        monkeypatch.setattr(pipeline, "_PLAYERS_PER_WORKER", 1)
+        monkeypatch.setattr(native, "available_cores", lambda: 8)
+        monkeypatch.setattr(pipeline, "_SHOT_NODES_PER_WORKER", 1)
         cuts, write = [], pipeline.write_densities
         monkeypatch.setattr(pipeline, "write_densities", lambda *args: cuts.append(args[-1]) or write(*args))
         rng = np.random.default_rng(14)

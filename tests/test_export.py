@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from court_fda import export
+from court_fda import export, native
 from court_fda.export import (
     _csv_line_starts,
     export_fields,
@@ -179,7 +179,7 @@ class TestChartWorkers:
     def test_the_first_failing_chart_in_chart_order_wins(self, tmp_path, monkeypatch, cores):
         # chart 3 (field 1, made) is non-finite and charts 4 and 5 have an unknown mode: at two workers
         # process 0 draws charts 0-2 and process 1 fails at 3; at three process 1 fails at 3 and process 2 at 4
-        monkeypatch.setattr(export, "available_cores", lambda: cores)
+        monkeypatch.setattr(native, "available_cores", lambda: cores)
         grid = GridSpec(5, 4)
         charts = self.charts(tmp_path, grid, 3)
         charts[1][0][1, 2, 2] = np.nan

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from court_fda import ingest
+from court_fda import ingest, native
 from court_fda.export import json_text
 from court_fda.ingest import (
     CSV_FIELDS,
@@ -620,7 +620,7 @@ class TestMemory:
         # each column's batch parts are freed once they are joined, and each range's columns once they
         # are joined: holding the parts beside the coded columns, or the ranges beside their join, takes
         # at least twice the table
-        monkeypatch.setattr(ingest, "available_cores", lambda: cores)
+        monkeypatch.setattr(native, "available_cores", lambda: cores)
         rng = np.random.default_rng(6)
         n = 200_000
         player = rng.integers(0, 40, size=n)
@@ -646,7 +646,7 @@ class TestMemory:
     def test_load_events_peak_at_two_shares_at_most_1_35_tables(self, tmp_path, monkeypatch):
         # share 1's table is unpickled as it is read from its pipe: reading its pickled bytes whole
         # first holds them beside both shares' tables, about 1.8 tables
-        monkeypatch.setattr(ingest, "available_cores", lambda: 2)
+        monkeypatch.setattr(native, "available_cores", lambda: 2)
         path = write_shots(tmp_path / "shots.csv", 200_000, seed=6)
         tracemalloc.start()
         try:
@@ -677,7 +677,7 @@ class TestMemory:
         path = write_shots(tmp_path / "shots.csv", 3000, seed=9)
         if source == "split csv":
             monkeypatch.setattr(ingest, "_BYTES_PER_WORKER", 1)
-            monkeypatch.setattr(ingest, "available_cores", lambda: 3)
+            monkeypatch.setattr(native, "available_cores", lambda: 3)
             assert len(ingest._range_bounds(path, path.stat().st_size, 3)) == 4
         elif source == "json":
             with path.open(newline="") as fh:

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from court_fda import ingest
+from court_fda import ingest, native
 from court_fda.ingest import (
     CSV_FIELDS,
     CourtSpec,
@@ -290,7 +290,7 @@ def test_streamed_file_reports_same_line(data):
 
 def load_split(path: Path, cores: int):
     """``load_events`` on ``path`` with byte ranges of any size at ``cores`` cores: the table, or the error raised."""
-    with mock.patch.object(ingest, "_BYTES_PER_WORKER", 1), mock.patch.object(ingest, "available_cores", lambda: cores):
+    with mock.patch.object(ingest, "_BYTES_PER_WORKER", 1), mock.patch.object(native, "available_cores", lambda: cores):
         try:
             result = load_events(path)
         except (ParseError, UnicodeDecodeError) as exc:

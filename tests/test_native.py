@@ -1,17 +1,20 @@
-"""The forked-share runner: results and errors in share order, and no child left behind."""
+"""The share planner, and the forked-share runner: results and errors in share order, and no child left behind."""
 
 import os
 import pickle
 import signal
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from court_fda import export, ingest, native
 from court_fda.export import export_fields
 from court_fda.ingest import load_events
-from court_fda.native import run_shares
+from court_fda.native import plan_shares, run_shares, share_count
 
 from conftest import assert_no_child_left, write_mini_export
 
@@ -26,6 +29,38 @@ def failing_work(failing):
         return share
 
     return work
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.integers(0, 10**9), max_size=40), least=st.integers(1, 10**10),
+       cap=st.none() | st.integers(1, 9), cores=st.integers(1, 9))
+def test_the_planned_runs_cover_every_item_within_every_bound(weights, least, cap, cores):
+    with mock.patch.object(native, "available_cores", lambda: cores):
+        bounds = plan_shares(weights, least, cap)
+        count = share_count(sum(weights), least, cap, len(weights))
+    runs = len(bounds) - 1
+    assert count == max(1, min(cores, sum(weights) // least, len(weights), cap or cores))
+    assert bounds[0] == 0 and bounds[-1] == len(weights) and 1 <= runs <= count
+    assert bounds == [0, 0] if not weights else all(a < b for a, b in zip(bounds, bounds[1:]))
+    # a run that would reach past the next cut is cut there: each weighs under its share but for its last item
+    assert all(sum(weights[a:b - 1]) <= sum(weights) / count for a, b in zip(bounds, bounds[1:]) if a < b)
+
+
+@pytest.mark.parametrize("weights, least, cap, bounds", [
+    ([300, 100, 100, 100], 1, None, [0, 1, 4]),  # the first item alone is half the weight
+    ([100] * 6, 1, None, [0, 3, 6]),
+    ([100] * 6, 1, 1, [0, 6]),
+    ([100] * 6, 301, None, [0, 6]),  # 600 is worth one share of 301
+    ([1000, 1, 1], 1, None, [0, 1, 3]),
+])
+def test_the_runs_of_a_plan(monkeypatch, weights, least, cap, bounds):
+    monkeypatch.setattr(native, "available_cores", lambda: 2)
+    assert plan_shares(weights, least, cap) == bounds
+
+
+def test_a_cap_below_one_is_refused():
+    with pytest.raises(ValueError, match="^a share cap must be at least 1, got 0$"):
+        plan_shares([1, 2, 3], 1, 0)
 
 
 def test_results_come_back_in_share_order_from_one_process_each():
@@ -87,9 +122,8 @@ def test_without_fork_the_first_failing_share_in_share_order_wins(monkeypatch, f
 def test_without_fork_ingest_and_charts_give_the_same_table_and_bytes(tmp_path, monkeypatch, grid11):
     shots = write_mini_export(tmp_path / "shots.csv")
     monkeypatch.setattr(ingest, "_BYTES_PER_WORKER", 1)
-    monkeypatch.setattr(ingest, "available_cores", lambda: 3)
     monkeypatch.setattr(export, "_NODES_PER_WORKER", 1)
-    monkeypatch.setattr(export, "available_cores", lambda: 3)
+    monkeypatch.setattr(native, "available_cores", lambda: 3)
     assert len(ingest._range_bounds(shots, shots.stat().st_size, 3)) == 4
     rng = np.random.default_rng(0)
     charts = [(rng.normal(size=(2, *grid11.shape)), name, name) for name in ("symmetric", "unit", "raw")]

@@ -14,11 +14,10 @@ from conftest import write_mini_export
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The fixture's twelve players would get one density worker; this gives --threads 2 two workers on any host.
+# Two cores give --threads 2 two workers for every stage that forks, on any host.
 RUN = """import sys
-from court_fda import cli, pipeline
-pipeline.available_cores = lambda: 2
-pipeline._PLAYERS_PER_WORKER = 1
+from court_fda import cli, native
+native.available_cores = lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from court_fda import export
+from court_fda import native
 from court_fda.cli import main
 from court_fda.density import DensityStack
 
@@ -39,7 +39,7 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, recorder.wrap(name, getattr(module, attr), count))
     # forked chart workers record their spans in their own copy of the recorder: draw every chart here
-    monkeypatch.setattr(export, "available_cores", lambda: 1)
+    monkeypatch.setattr(native, "available_cores", lambda: 1)
     mini = write_mini_export(tmp_path / "mini.csv")
     args = ["--min-attempts", "100", "--grid", "11", "--components", "2", "--k", "2", "--replicates", "1"]
     assert main(["run", "--input", str(mini), "--out", str(tmp_path / "run"), *args]) == 0
