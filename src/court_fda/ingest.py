@@ -3,8 +3,8 @@
 Input files carry one row per field-goal attempt, with court coordinates
 in feet. Parsing reads the rows into one column table (:class:`ShotTable`)
 and normalizes coordinates onto the unit square; attempts landing outside
-it are removed by a separate exclusion pass, and players are retained
-only when their attempt count exceeds a threshold.
+it are left out when the rows are grouped by player, and players are
+retained only when their attempt count exceeds a threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from court_fda.native import run_shares, share_count
+from court_fda.native import run_shares, share_count, trim_heap
 
 CSV_FIELDS = ("player_id", "player_name", "position", "x_ft", "y_ft", "made", "season")
 
@@ -495,6 +495,7 @@ def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> 
     no quoted line break comes before since no range starts after a ``"`` byte. An undecodable
     byte raises one at its own line: the lines the csv reader has taken, plus the line ends in the
     input the decoder failed on, up to that byte, and in a ``\r`` held back before it (:func:`_held_back`).
+    The C heap is trimmed before the table is returned.
     """
     start, stop = bounds[share], bounds[share + 1]
     try:
@@ -507,7 +508,7 @@ def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> 
                 try:
                     if share == 0:
                         _check_header(reader)
-                    return _read_rows(_csv_rows(reader, lines), lines, court)
+                    table = _read_rows(_csv_rows(reader, lines), lines, court)
                 except UnicodeDecodeError as exc:
                     seen = _held_back(fh, len(exc.object)) + exc.object[:exc.start]
                     ends = seen.count(b"\n") + seen.count(b"\r") - seen.count(b"\r\n")  # as the csv module splits
@@ -517,6 +518,8 @@ def _read_range(path: Path, bounds: list[int], court: CourtSpec, share: int) -> 
         if not start:
             raise
         raise ParseError(_lines(path, start) + exc.row, exc.reason) from None
+    trim_heap()  # the row batches and column parts are freed; hand their pages back before the table is joined or sent
+    return table
 
 
 def _held_back(fh: BinaryIO, count: int) -> bytes:
@@ -561,12 +564,19 @@ def _join(tables: list[ShotTable]) -> ShotTable:
     return ShotTable(merged["player"], merged["name"], **joined)
 
 
+def in_court(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each unit-square point ``(x[i], y[i])`` lies on the court; boundary points do."""
+    return (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+
+
 def exclude_impossible(events: ShotTable) -> ShotTable:
-    """Drop attempts outside the unit square; boundary points stay in."""
-    return events.select((events.x >= 0.0) & (events.x <= 1.0) & (events.y >= 0.0) & (events.y <= 1.0))
+    """Drop attempts outside the unit square (:func:`in_court`); boundary points stay in."""
+    return events.select(in_court(events.x, events.y))
 
 
-def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRecord]:
+def filter_players(
+    events: ShotTable, min_attempts: int = 1000, in_bounds: np.ndarray | None = None
+) -> list[PlayerRecord]:
     """Group events by player and keep players with more than min_attempts.
 
     The comparison is strict: a player with exactly min_attempts attempts
@@ -575,13 +585,35 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
     first row; a later row with another position is rejected. A player
     whose retained attempts are all made or all missed is rejected, since
     a density cannot be estimated from an empty point set.
+
+    With ``in_bounds``, a boolean mask over the rows (:func:`in_court`), only the rows it marks
+    count: the result, or the error, is that of ``filter_players(events.select(in_bounds))``, and
+    the grouping's one stable sort leaves the other rows out, so no second table is built. The C
+    heap is trimmed before the points are gathered, so they do not land on top of the pages the
+    sort freed.
     """
     if min_attempts < 1:
         raise ValueError(f"min_attempts must be at least 1, got {min_attempts}")
-    present, first = np.unique(events.player, return_index=True)
-    labelled = np.zeros(len(events.player_ids), dtype=events.position.dtype)
+    players = len(events.player_ids)
+    # one stable sort puts each player's made points, then missed points, in input order, and the rows
+    # out of bounds, keyed past the last player, after them all
+    key = 2 * events.player + ~events.made
+    if in_bounds is not None:
+        key[~in_bounds] = 2 * players
+    order = np.argsort(key, kind="stable").astype(np.min_scalar_type(len(key)))  # the narrowest type of a row number
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=2 * players + 1))))
+    del key  # freed before the points are gathered
+    order = order[:bounds[2 * players]]  # the in-bounds rows
+    # a player's first row is the least row number of their run; a player with no row is not present
+    present = np.flatnonzero(bounds[2:2 * players + 1:2] > bounds[:2 * players:2])
+    first = np.minimum.reduceat(order, bounds[2 * present]) if present.size else present
+    labelled = np.zeros(players, dtype=events.position.dtype)
     labelled[present] = events.position[first]
-    conflicts = np.flatnonzero(events.position != labelled[events.player])
+    wrong = events.position != labelled[events.player]
+    if in_bounds is not None:
+        wrong &= in_bounds
+    conflicts = np.flatnonzero(wrong)
+    del wrong
     if conflicts.size:
         row = conflicts[0]
         p = events.player[row]
@@ -591,11 +623,7 @@ def filter_players(events: ShotTable, min_attempts: int = 1000) -> list[PlayerRe
             f"({events.player_names[events.name[start]]}): "
             f"{POSITION_ORDER[labelled[p]].value} vs {POSITION_ORDER[events.position[row]].value}"
         )
-    # one stable sort puts each player's made points, then missed points, in input order
-    key = 2 * events.player + ~events.made
-    order = np.argsort(key, kind="stable").astype(np.min_scalar_type(len(key)))  # the narrowest type of a row number
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=2 * len(events.player_ids)))))
-    del key  # freed before the points are gathered
+    trim_heap()
     points = np.empty((len(order), 2))  # filled a slice of rows at a time: no whole-column temporary
     for lo in range(0, len(order), _GATHER_ROWS):
         rows = order[lo:lo + _GATHER_ROWS]

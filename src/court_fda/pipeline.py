@@ -42,8 +42,9 @@ from court_fda.ingest import (
     CourtSpec,
     IngestError,
     PlayerRecord,
-    exclude_impossible,
+    exclude_impossible,  # noqa: F401  bound only for perfbench/spans.py to wrap
     filter_players,
+    in_court,
     load_events,
     write_players_json,
 )
@@ -289,14 +290,16 @@ def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
     writes: a key missing, a scheme other than ``"equal"`` or ``"variance"``, weights that are not
     finite non-negative numbers, not all zero, a total cost that is not one, a player entry without
     ``player_id`` or ``cluster``, a player listed twice, a cluster label that is not a non-negative
-    integer, a medoid that is not among the players, or ``medoids`` that are not their indices.
+    integer, a medoid that is not among the players, ``medoids`` that are not their indices, a ``k``
+    other than their count, a cluster label not below ``k``, an ``is_medoid`` flag other than
+    whether the player is a medoid, or a medoid ``j`` whose cluster label is not ``j``.
     """
     number = lambda value: type(value) in (int, float) and 0 <= value <= sys.float_info.max  # noqa: E731
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
-        keys = ("scheme", "weights", "total_cost", "players", "medoids", "medoid_player_ids")
+        keys = ("scheme", "weights", "total_cost", "players", "medoids", "medoid_player_ids", "k")
         missing = [k for k in keys if k not in doc]
         if missing:
             raise ValueError(f"no key {missing[0]!r}")
@@ -320,6 +323,19 @@ def read_clusters_json(path: str | Path) -> tuple[mt.Partition, dict]:
         if not (isinstance(medoids, list) and len(medoids) == len(names)
                 and all(type(m) is int and 0 <= m < len(ids) and ids[m] == name for m, name in zip(medoids, names))):
             raise ValueError(f"medoids {medoids!r} are not the indices of the medoids {names!r}")
+        if type(doc["k"]) is not int or doc["k"] != len(medoids):
+            raise ValueError(f"k {doc['k']!r} is not the number of medoids, {len(medoids)}")
+        beyond = [c for c in labels if c >= len(medoids)]
+        if beyond:
+            raise ValueError(f"cluster label {beyond[0]} is not below k, {len(medoids)}")
+        flagged = [p["is_medoid"] for p in doc["players"]]
+        wrong = [i for i, flag in enumerate(flagged) if flag is not (i in medoids)]
+        if wrong:
+            raise ValueError(f"player {ids[wrong[0]]!r} has is_medoid {flagged[wrong[0]]!r}, but medoids are {medoids!r}")
+        strays = [j for j, m in enumerate(medoids) if labels[m] != j]
+        if strays:
+            j = strays[0]
+            raise ValueError(f"medoid {j} ({names[j]!r}) is in cluster {labels[medoids[j]]}, not {j}")
         return mt.Partition(np.array(labels, dtype=int)), doc
     except KeyError as exc:
         raise ClustersFileError(f"clustering document {path}: a player has no key {exc}") from None
@@ -352,30 +368,28 @@ def silhouette_entry(dist: np.ndarray, partition: mt.Partition) -> dict:
 def ingest(
     path: str | Path, court: CourtSpec, min_attempts: int, max_workers: int | None = None
 ) -> tuple[list[PlayerRecord], int, int]:
-    """Parse, exclude and filter a shot export, on at most ``max_workers`` parse processes (None: no cap).
+    """Parse a shot export, on at most ``max_workers`` parse processes (None: no cap), and group its in-bounds rows.
 
     Returns the retained players and the counts of parsed and in-bounds rows. Raises
     :class:`IngestError` when the export holds no rows or no player clears ``min_attempts``.
     Writing ``players.json`` is the caller's (:func:`~court_fda.ingest.write_players_json`):
     the ``ingest`` subcommand writes it at once, and :func:`run_pipeline` beside the fit.
-    Each step's input is freed, and the C heap trimmed, before the next step runs, so a step
-    holds its own input and output only: the parse frees each column's parts as it joins them,
-    the exclusion holds the parsed and the in-bounds tables, and the grouping the in-bounds
-    table, its sort order and the points. The last trim returns the in-bounds table's pages
-    before the caller's next step.
+    The exclusion is a row mask (:func:`~court_fda.ingest.in_court`) that the grouping applies
+    (:func:`~court_fda.ingest.filter_players`), so the ingest holds one table, never a second
+    copy of its in-bounds rows. Each parse process trims the C heap before it returns its
+    table, and the grouping trims it again, the join's freed parts with it, before it gathers
+    the points. The ingest's peak is the grouping's: the table, the sort order and the points.
+    The last trim returns the table's pages before the caller's next step.
     """
     events = load_events(path, court, max_workers)
-    trim_heap()  # the parser's row lists and column parts are freed by now
     if not events:
         raise IngestError(f"no shot events in {path}")
-    parsed, retained = len(events), exclude_impossible(events)
-    del events  # only its row count is kept; free the table before grouping
-    trim_heap()  # and return its pages, so the grouping's arrays do not add to them
-    records = filter_players(retained, min_attempts)
+    in_bounds = in_court(events.x, events.y)
+    records = filter_players(events, min_attempts, in_bounds)
     if not records:
         raise IngestError(f"no player exceeds {min_attempts} attempts")
-    counts = parsed, len(retained)
-    del retained  # likewise, before the caller's next step
+    counts = len(events), int(np.count_nonzero(in_bounds))
+    del events, in_bounds  # only the row counts are kept; free the table before the caller's next step
     trim_heap()
     return records, *counts
 

@@ -163,6 +163,12 @@ MUTATIONS = {
         "retype a value": json_edit(CLUSTERS, lambda doc: doc["medoids"].__setitem__(0, str(doc["medoids"][0]))),
         "non-finite": json_edit(CLUSTERS, lambda doc: doc.__setitem__("total_cost", np.nan)),
         "truncate": truncation(CLUSTERS),
+        "k not the medoid count": json_edit(CLUSTERS, lambda doc: doc.__setitem__("k", 9)),
+        "flip every is_medoid": json_edit(CLUSTERS, lambda doc: [
+            p.__setitem__("is_medoid", not p["is_medoid"]) for p in doc["players"]]),
+        "relabel a medoid": json_edit(CLUSTERS, lambda doc: doc["players"][doc["medoids"][0]].__setitem__(
+            "cluster", 1)),
+        "a label beyond k": json_edit(CLUSTERS, lambda doc: doc["players"][-1].__setitem__("cluster", doc["k"])),
     },
 }
 

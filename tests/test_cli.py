@@ -968,6 +968,17 @@ class TestLoaderErrors:
         (lambda doc: {**doc, "medoids": [1, 1]}, "medoids [1, 1] are not the indices of the medoids"),
         (lambda doc: {**doc, "medoids": [0, 99]}, "medoids [0, 99] are not the indices"),
         (lambda doc: {**doc, "medoids": [0]}, "medoids [0] are not the indices"),
+        (lambda doc: {**doc, "k": 9}, "k 9 is not the number of medoids, 2"),
+        (lambda doc: {**doc, "k": True}, "k True is not the number of medoids"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "k"}, "no key 'k'"),
+        (lambda doc: {**doc, "players": [{**p, "is_medoid": not p["is_medoid"]} for p in doc["players"]]},
+         "player 'm1' has is_medoid True, but medoids are ["),
+        (lambda doc: {**doc, "players": [{**p, "is_medoid": int(p["is_medoid"])} for p in doc["players"]]},
+         "player 'm1' has is_medoid 0, but medoids"),
+        (lambda doc: {**doc, "players": [{**p, "cluster": 1 - p["cluster"]} for p in doc["players"]]},
+         "medoid 0 ("),
+        (lambda doc: {**doc, "players": [{**p, "cluster": p["cluster"] + 5 * (not p["is_medoid"])}
+                                         for p in doc["players"]]}, "cluster label 5 is not below k, 2"),
     ])
     def test_a_malformed_clustering_document(self, work, tmp_path, capsys, edit, message):
         good, bad = work / "clusters_equal.json", tmp_path / "bad.json"

@@ -705,6 +705,53 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 1024 * 4000
 
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc/self/status")
+    def test_ingest_resident_peak_rises_at_most_1_4_tables(self):
+        # tracemalloc sees neither the C heap's freed pages that glibc keeps nor where a new array lands, so
+        # the resident high-water mark is read in a fresh process. Its table of 200k rows, about 4% of them off
+        # the court, is built a slice at a time and handed to pipeline.ingest in place of the parse, whose
+        # own peak would hide the grouping's. The grouping holds the table beside the sort key, the order
+        # and the points, about 25 bytes a row over it; with a second table of the in-bounds rows (26 bytes
+        # a row), or with np.unique's sort temporaries kept as pages under the points, it rises 55-57
+        code = """
+import sys
+from pathlib import Path
+import numpy as np
+from court_fda import pipeline
+from court_fda.ingest import CourtSpec, ShotTable
+from court_fda.native import trim_heap
+
+def status(key):
+    line = next(line for line in Path("/proc/self/status").read_text().splitlines() if line.startswith(key + ":"))
+    return int(line.split()[1]) * 1024
+
+n, step, rng = 200_000, 1 << 14, np.random.default_rng(11)
+types = {"player": np.int32, "name": np.int32, "position": np.int8, "x": float, "y": float, "made": bool}
+columns = {c: np.empty(n, dtype=t) for c, t in types.items()}
+for lo in range(0, n, step):
+    m = min(step, n - lo)
+    player = rng.integers(0, 40, size=m)
+    columns["player"][lo:lo + m] = columns["name"][lo:lo + m] = player
+    columns["position"][lo:lo + m] = player % 5
+    columns["x"][lo:lo + m] = rng.uniform(-0.01, 1.01, size=m)
+    columns["y"][lo:lo + m] = rng.uniform(-0.01, 1.01, size=m)
+    columns["made"][lo:lo + m] = rng.random(m) < 0.45
+names = [f"p{i:03d}" for i in range(40)]
+table = ShotTable(names, names, **columns)
+del columns, player
+trim_heap()
+pipeline.load_events = lambda *args: table
+base = status("VmHWM")
+records, parsed, retained = pipeline.ingest("synthetic", CourtSpec(), 100)
+print(status("VmHWM") - base, parsed, retained, len(records), sum(r.attempts for r in records))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(ingest.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rise, parsed, retained, players, attempts = map(int, proc.stdout.split())
+        assert (parsed, players, attempts) == (200_000, 40, retained) and 0.9 * parsed < retained < parsed
+        assert rise <= 1.4 * 26 * parsed
+
     def test_read_players_json_peak_below_three_file_sizes(self, tmp_path):
         # players are decoded one at a time: the text, the arrays so far and one player's lists
         rng = np.random.default_rng(4)

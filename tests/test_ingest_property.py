@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from court_fda import ingest, native
@@ -38,6 +38,7 @@ from court_fda.ingest import (
     _POSITION_ALIASES,
     exclude_impossible,
     filter_players,
+    in_court,
     load_events,
     parse_events,
     parse_events_json,
@@ -216,6 +217,69 @@ def test_table_matches_row_parser(data, min_attempts):
             filter_players(retained, min_attempts)
         return
     assert_same_records(filter_players(retained, min_attempts), want)
+
+
+#: Coordinates in feet on the default court: the edges are on it.
+ON_COURT_X = st.one_of(st.sampled_from([0.0, 50.0, 25.0]), st.floats(0.0, 50.0))
+ON_COURT_Y = st.one_of(st.sampled_from([0.0, 47.0, 23.5]), st.floats(0.0, 47.0))
+OFF_COURT = st.sampled_from([-0.01, -3.5, 50.01, 47.01, 60.0])
+
+
+@st.composite
+def masked_export(draw) -> str:
+    """CSV text in which some players shoot only off the court, and off-court rows may carry a position
+    other than their player's: rows the exclusion drops must neither count nor conflict."""
+    off_only = draw(st.sets(st.integers(0, len(UNQUOTED_PLAYERS) - 1)))
+    lines = [",".join(CSV_FIELDS)]
+    for _ in range(draw(st.integers(0, 40))):
+        i = draw(st.integers(0, len(UNQUOTED_PLAYERS) - 1))
+        pid, names, group = UNQUOTED_PLAYERS[i]
+        off = i in off_only or draw(st.integers(0, 3)) == 0
+        if draw(st.integers(0, 3 if off else 12)) == 0:  # another label, mostly where it is dropped
+            group = draw(st.sampled_from(sorted(ALIASES)))
+        x, y = draw(ON_COURT_X), draw(ON_COURT_Y)
+        if off:
+            x, y = draw(st.sampled_from([(draw(OFF_COURT), y), (x, draw(OFF_COURT)), (draw(OFF_COURT),) * 2]))
+        alias = draw(st.sampled_from(ALIASES[group]))
+        name = draw(st.sampled_from([names[0], names[0] + " II"]))  # a player's first row names them
+        lines.append(f"{pid},{name},{alias},{x!r},{y!r},{draw(st.sampled_from('01'))},s")
+    return "\n".join(lines) + "\n"
+
+
+def grouped(call):
+    """What ``call()`` returns, or the message of the :class:`IngestError` it raises."""
+    try:
+        return call()
+    except IngestError as exc:
+        return str(exc)
+
+
+HEADER = ",".join(CSV_FIELDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_export(), st.integers(1, 4))
+@example(HEADER + "\n", 1)  # no rows
+@example(HEADER + "\nzz,Ann,guard,60.0,1.0,1,s\nzz,Ann,guard,1.0,-3.5,0,s\n", 1)  # no row on the court
+@example(HEADER + "\nzz,Ann,guard,1.0,1.0,1,s\naa b,Bo,center,1.0,2.0,1,s\naa b,Bo,center,2.0,2.0,0,s\n", 1)
+@example(HEADER + "\nzz,Ann,guard,1.0,1.0,1,s\nzz,Ann,guard,1.0,2.0,0,s\nzz,Ann,center,60.0,2.0,0,s\n", 1)
+@example(HEADER + "\nzz,Ann,center,60.0,2.0,0,s\nzz,Ann,guard,1.0,1.0,1,s\nzz,Ann,guard,1.0,2.0,0,s\n", 1)
+@example(HEADER + "\nzz,Ann,guard,1.0,1.0,1,s\nzz,Ann,guard,1.0,2.0,0,s\nzz,Ann,center,6.0,2.0,0,s\n", 1)
+def test_grouping_through_the_mask_matches_the_excluded_table(text, min_attempts):
+    # the examples: an empty table, a player with every row off the court, a one-row player beside a
+    # kept one, a conflicting label on an off-court row after and before the player's first court row,
+    # which is no error, and the same label on the court, which is
+    court = CourtSpec()
+    table = parse_events(text, court)
+    got = grouped(lambda: filter_players(table, min_attempts, in_court(table.x, table.y)))
+    try:
+        want = oracle_filter(oracle_exclude(oracle_parse(text, court)), min_attempts)
+    except IngestError:
+        # the message the grouping of the excluded table gives, word for word
+        assert got == grouped(lambda: filter_players(exclude_impossible(table), min_attempts))
+        assert isinstance(got, str)
+        return
+    assert_same_records(got, want)
 
 
 BAD_FIELDS = [

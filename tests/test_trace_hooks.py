@@ -49,14 +49,16 @@ def test_a_traced_run_records_every_stage(spans, tmp_path, monkeypatch):
     assert main(["density", "--players", f"{work}/players.json", "--out", work, "--grid", "11"]) == 0
     assert main(["export", "densities", "--densities", work, "--out", str(tmp_path / "dumps")]) == 0
     names = [span["name"] for span in recorder.spans]
-    for name in ("ingest.load_events", "ingest.exclude_impossible", "ingest.filter_players",
+    for name in ("ingest.load_events", "ingest.filter_players",
                  "ingest.write_players_json", "ingest.read_players_json", "density.build_samples",
                  "pipeline.write_densities", "fda.fit_mfpca", "fda.save_model", "pipeline.write_scores_csv",
                  "cluster.kmedoids", "metrics.silhouette", "bootstrap.stability_study",
                  "export.export_heatmap", "export.write_heatmap_csv", "export.write_heatmap_pgm"):
         assert name in names, name
-    # the run and the ingest subcommand each parse the export once
-    assert names.count("ingest.load_events") == 2
+    # the run and the ingest subcommand each parse the export once, and group its in-bounds rows through a
+    # mask, without a table of them
+    assert names.count("ingest.load_events") == names.count("ingest.filter_players") == 2
+    assert "ingest.exclude_impossible" not in names
     # export mean writes two tables through export_heatmap, export densities eight straight
     assert names.count("export.write_heatmap_csv") == 2 + 8
 
